@@ -29,10 +29,8 @@
 //!   first-use prefetch counts, and the three displacement cases.
 
 use crate::clock::Cycle;
-use crate::events::{Event, EventSink, Timeliness};
+use crate::events::{Event, EventSink, PendingFills, Timeliness};
 use crate::stats::{Entity, HitClass, PollutionStats};
-use sp_trace::VAddr;
-use std::collections::{BTreeMap, HashMap};
 
 /// Default epoch length, in main-thread references.
 pub const DEFAULT_EPOCH_LEN: u64 = 10_000;
@@ -285,14 +283,16 @@ pub struct EpochSink {
     epoch_len: u64,
     early_threshold: Cycle,
     cur: EpochWindow,
-    /// Fills per set in the current window (BTreeMap: deterministic
-    /// iteration for top-K/histogram materialization).
-    cur_sets: BTreeMap<u32, u64>,
+    /// Fills per set in the current window, indexed by set (grown on
+    /// demand, zeroed when the window closes). Walking it in index
+    /// order is what makes top-K/histogram materialization
+    /// deterministic.
+    cur_sets: Vec<u64>,
     /// Speculatively filled blocks awaiting first use — carried
     /// *across* windows so timeliness matches the run-level fold: a
     /// fill in epoch 3 first used in epoch 5 classifies (and counts)
     /// in epoch 5.
-    pending: HashMap<VAddr, Cycle>,
+    pending: PendingFills,
     done: Vec<EpochWindow>,
 }
 
@@ -305,25 +305,32 @@ impl EpochSink {
             epoch_len: epoch_len.max(1),
             early_threshold,
             cur: EpochWindow::default(),
-            cur_sets: BTreeMap::new(),
-            pending: HashMap::new(),
+            cur_sets: Vec::new(),
+            pending: PendingFills::default(),
             done: Vec::new(),
         }
     }
 
     /// Materialize the current window's set shape and push it.
     fn close_window(&mut self) {
-        let sets = std::mem::take(&mut self.cur_sets);
         let mut hist = vec![0u64; EPOCH_HIST_BUCKETS];
-        let mut ranked: Vec<(u32, u64)> = Vec::with_capacity(sets.len());
-        for (set, fills) in sets {
+        let mut ranked: Vec<(u32, u64)> = Vec::with_capacity(EPOCH_TOP_SETS + 1);
+        for (set, fills) in self.cur_sets.iter_mut().enumerate() {
+            if *fills == 0 {
+                continue;
+            }
             let bucket = (63 - fills.leading_zeros() as usize).min(EPOCH_HIST_BUCKETS - 1);
             hist[bucket] += 1;
-            ranked.push((set, fills));
+            // Hottest first; sets arrive in ascending index order, so
+            // inserting after every equal count breaks ties toward the
+            // lower set index (determinism).
+            let at = ranked.partition_point(|&(_, f)| f >= *fills);
+            if at < EPOCH_TOP_SETS {
+                ranked.insert(at, (set as u32, *fills));
+                ranked.truncate(EPOCH_TOP_SETS);
+            }
+            *fills = 0;
         }
-        // Hottest first; ties by ascending set index (determinism).
-        ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        ranked.truncate(EPOCH_TOP_SETS);
         let next_index = self.cur.index + 1;
         let mut w = std::mem::take(&mut self.cur);
         w.top_sets = ranked;
@@ -333,12 +340,14 @@ impl EpochSink {
     }
 
     /// `true` when the current window has observed nothing at all.
+    /// (Every per-set fill also counts in `cur.l2_fills`, so a blank
+    /// window has an all-zero `cur_sets` too.)
     fn cur_is_blank(&self) -> bool {
         let z = EpochWindow {
             index: self.cur.index,
             ..EpochWindow::default()
         };
-        self.cur == z && self.cur_sets.is_empty()
+        self.cur == z
     }
 
     /// Finish recording: close the final partial window (if it saw
@@ -363,36 +372,43 @@ impl EventSink for EpochSink {
         match ev {
             Event::PrefetchIssued { class, .. } => self.cur.issued[class.index()] += 1,
             Event::PrefetchFilled {
-                class, block, at, ..
+                class,
+                block,
+                set,
+                at,
             } => {
                 self.cur.filled[class.index()] += 1;
-                self.pending.insert(block, at);
+                self.pending.fill(set, block, at);
             }
             Event::PrefetchFirstUse {
-                class, block, at, ..
+                class,
+                block,
+                set,
+                at,
             } => {
                 self.cur.first_uses[class.index()] += 1;
-                match self.pending.remove(&block) {
-                    None => self.cur.late += 1,
-                    Some(fill_at) => {
-                        if at.saturating_sub(fill_at) > self.early_threshold {
-                            self.cur.early += 1;
-                        } else {
-                            self.cur.on_time += 1;
-                        }
-                    }
+                match self.pending.first_use(set, block, at, self.early_threshold) {
+                    Timeliness::Late => self.cur.late += 1,
+                    Timeliness::OnTime => self.cur.on_time += 1,
+                    Timeliness::Early => self.cur.early += 1,
                 }
             }
-            Event::PrefetchEvictedUnused { class, block, .. } => {
+            Event::PrefetchEvictedUnused {
+                class, block, set, ..
+            } => {
                 self.cur.evicted_unused[class.index()] += 1;
-                self.pending.remove(&block);
+                self.pending.take(set, block);
             }
             Event::PollutionEviction { case, .. } => {
                 self.cur.pollution[case.index()] += 1;
             }
             Event::L2Fill { origin, set, .. } => {
                 self.cur.l2_fills[origin.index()] += 1;
-                *self.cur_sets.entry(set).or_insert(0) += 1;
+                let set = set as usize;
+                if set >= self.cur_sets.len() {
+                    self.cur_sets.resize(set + 1, 0);
+                }
+                self.cur_sets[set] += 1;
             }
         }
     }

@@ -41,7 +41,7 @@
 use crate::clock::{Cycle, LatencyConfig};
 use crate::stats::{Entity, HitClass, PollutionStats};
 use sp_trace::VAddr;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 /// Software/hardware prefetch class, indexing the same
 /// `[helper, stream, dpl, pchase, perceptron]` arrays as
@@ -561,6 +561,98 @@ pub fn default_early_threshold(lat: &LatencyConfig) -> Cycle {
     lat.mem.saturating_mul(8)
 }
 
+/// Speculatively filled blocks awaiting their first use, with their
+/// fill times: the one timeliness fold both [`EventSummary`] and the
+/// epoch recorder run.
+///
+/// Entries are bucketed by L2 set, so a lookup scans one set's live
+/// prefetches instead of hashing the block address. In the
+/// hierarchy's streams that is at most the associativity: a pending
+/// block is resident, and leaves the tracker when it is used or
+/// evicted. Buckets still grow past that if a stream says otherwise.
+///
+/// **Precondition:** every event naming a block carries that block's
+/// L2 set — the set is a pure function of the block, as it is for the
+/// events [`crate::hierarchy::MemorySystem`] emits. Under it the
+/// tracker behaves exactly like a `HashMap<VAddr, Cycle>`: a re-fill
+/// overwrites the stored fill time, and a lookup under the block's set
+/// finds it wherever it was filled.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct PendingFills {
+    /// `by_set[s]` holds set `s`'s pending `(block, fill time)` pairs,
+    /// in no particular order; grown on demand.
+    by_set: Vec<Vec<(VAddr, Cycle)>>,
+    len: usize,
+}
+
+impl PendingFills {
+    /// Record a speculative fill of `block` (in L2 set `set`) at `at`,
+    /// replacing any earlier pending fill of the same block.
+    #[inline]
+    pub(crate) fn fill(&mut self, set: u32, block: VAddr, at: Cycle) {
+        let set = set as usize;
+        if set >= self.by_set.len() {
+            self.by_set.resize_with(set + 1, Vec::new);
+        }
+        let bucket = &mut self.by_set[set];
+        match bucket.iter_mut().find(|(b, _)| *b == block) {
+            Some(entry) => entry.1 = at,
+            None => {
+                bucket.push((block, at));
+                self.len += 1;
+            }
+        }
+    }
+
+    /// Remove `block`'s pending fill, returning its fill time.
+    #[inline]
+    pub(crate) fn take(&mut self, set: u32, block: VAddr) -> Option<Cycle> {
+        let bucket = self.by_set.get_mut(set as usize)?;
+        let i = bucket.iter().position(|(b, _)| *b == block)?;
+        self.len -= 1;
+        Some(bucket.swap_remove(i).1)
+    }
+
+    /// Resolve the first use of `block` at `at`: no pending fill means
+    /// the demand overtook the in-flight prefetch (late); otherwise the
+    /// idle time since the fill decides on-time vs early.
+    #[inline]
+    pub(crate) fn first_use(
+        &mut self,
+        set: u32,
+        block: VAddr,
+        at: Cycle,
+        early_threshold: Cycle,
+    ) -> Timeliness {
+        match self.take(set, block) {
+            None => Timeliness::Late,
+            Some(fill_at) if at.saturating_sub(fill_at) > early_threshold => Timeliness::Early,
+            Some(_) => Timeliness::OnTime,
+        }
+    }
+
+    /// Number of pending fills.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+}
+
+/// Content equality, like the `HashMap` it replaces: bucket order and
+/// trailing empty buckets are history, not state.
+impl PartialEq for PendingFills {
+    fn eq(&self, other: &PendingFills) -> bool {
+        self.len == other.len
+            && self.by_set.iter().enumerate().all(|(set, bucket)| {
+                bucket.iter().all(|&(block, at)| {
+                    other
+                        .by_set
+                        .get(set)
+                        .is_some_and(|o| o.contains(&(block, at)))
+                })
+            })
+    }
+}
+
 /// The deterministic fold over an event stream: lifecycle counts and
 /// accuracy per class, the timeliness histogram, pollution by case, and
 /// per-set pressure. Equal streams fold to equal summaries
@@ -588,7 +680,7 @@ pub struct EventSummary {
     /// Per-set pressure, keyed by L2 set index (only touched sets).
     pub per_set: BTreeMap<u32, SetPressure>,
     /// Blocks filled speculatively and neither used nor evicted yet.
-    pending: HashMap<VAddr, Cycle>,
+    pending: PendingFills,
 }
 
 impl EventSummary {
@@ -606,7 +698,7 @@ impl EventSummary {
             on_time: 0,
             early: 0,
             per_set: BTreeMap::new(),
-            pending: HashMap::new(),
+            pending: PendingFills::default(),
         }
     }
 
@@ -615,33 +707,32 @@ impl EventSummary {
         match *ev {
             Event::PrefetchIssued { class, .. } => self.issued[class.index()] += 1,
             Event::PrefetchFilled {
-                class, block, at, ..
+                class,
+                block,
+                set,
+                at,
             } => {
                 self.filled[class.index()] += 1;
-                self.pending.insert(block, at);
+                self.pending.fill(set, block, at);
             }
             Event::PrefetchFirstUse {
-                class, block, at, ..
+                class,
+                block,
+                set,
+                at,
             } => {
                 self.first_uses[class.index()] += 1;
-                match self.pending.remove(&block) {
-                    // No fill seen: the demand overtook the in-flight
-                    // prefetch — late.
-                    None => self.late += 1,
-                    Some(fill_at) => {
-                        if at.saturating_sub(fill_at) > self.early_threshold {
-                            self.early += 1;
-                        } else {
-                            self.on_time += 1;
-                        }
-                    }
+                match self.pending.first_use(set, block, at, self.early_threshold) {
+                    Timeliness::Late => self.late += 1,
+                    Timeliness::OnTime => self.on_time += 1,
+                    Timeliness::Early => self.early += 1,
                 }
             }
             Event::PrefetchEvictedUnused {
                 class, block, set, ..
             } => {
                 self.evicted_unused[class.index()] += 1;
-                self.pending.remove(&block);
+                self.pending.take(set, block);
                 self.per_set.entry(set).or_default().evicted_unused += 1;
             }
             Event::PollutionEviction { case, set, .. } => {
@@ -804,6 +895,34 @@ mod tests {
         assert_eq!(s.unresolved(), 0);
         assert!((s.accuracy(PfClass::Helper) - 2.0).abs() < 1e-12);
         assert_eq!(s.accuracy(PfClass::Dpl), 0.0);
+    }
+
+    #[test]
+    fn pending_fills_behave_like_a_block_keyed_map() {
+        let mut a = PendingFills::default();
+        a.fill(3, 0x40, 10);
+        a.fill(3, 0x80, 20);
+        a.fill(3, 0x40, 30); // re-fill overwrites, like HashMap::insert
+        assert_eq!(a.len(), 2);
+        assert_eq!(a.first_use(3, 0x40, 35, 100), Timeliness::OnTime);
+        assert_eq!(a.first_use(3, 0x40, 36, 100), Timeliness::Late);
+        assert_eq!(a.first_use(3, 0x80, 500, 100), Timeliness::Early);
+        assert_eq!(a.take(9, 0x80), None, "unknown set");
+        assert_eq!(a.len(), 0);
+
+        // Equality is by content: insertion order and grown-but-empty
+        // buckets don't matter, fill times do.
+        let mut x = PendingFills::default();
+        let mut y = PendingFills::default();
+        x.fill(1, 0x40, 5);
+        x.fill(1, 0x80, 6);
+        y.fill(7, 0xc0, 1);
+        y.take(7, 0xc0);
+        y.fill(1, 0x80, 6);
+        y.fill(1, 0x40, 5);
+        assert_eq!(x, y);
+        y.fill(1, 0x40, 4);
+        assert_ne!(x, y);
     }
 
     #[test]

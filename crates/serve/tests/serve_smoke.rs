@@ -9,6 +9,10 @@ use std::time::Duration;
 /// Start a server on an ephemeral port; returns its address and the
 /// thread running the accept loop (joins once the server drains).
 fn start(cfg: ServerConfig) -> (SocketAddr, std::thread::JoinHandle<std::io::Result<()>>) {
+    let cfg = ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        ..cfg
+    };
     let server = Server::bind(&cfg).expect("bind loopback");
     let addr = server.local_addr();
     (addr, std::thread::spawn(move || server.run()))
@@ -285,5 +289,32 @@ fn timed_out_result_is_still_cached_for_the_retry() {
     assert_eq!(cached(&retry), Some(true), "retry served from cache");
 
     c.roundtrip("{\"type\":\"shutdown\"}");
+    server.join().unwrap().unwrap();
+}
+
+#[test]
+fn deeply_nested_request_is_a_bad_request_not_a_crash() {
+    let (addr, server) = start(ServerConfig {
+        workers: 1,
+        queue: 4,
+        ..ServerConfig::default()
+    });
+    // Unbounded recursion on this line would overflow the connection
+    // thread's stack and abort the whole daemon.
+    let mut c = Client::connect(addr);
+    let reply = c.roundtrip(&"[".repeat(100_000));
+    assert!(!ok(&reply), "{reply:?}");
+    assert_eq!(
+        reply.get("error").and_then(Json::as_str),
+        Some("bad_request"),
+        "{reply:?}"
+    );
+
+    // The daemon is still up and serving.
+    let mut fresh = Client::connect(addr);
+    let stats = fresh.roundtrip("{\"type\":\"stats\"}");
+    assert!(ok(&stats), "{stats:?}");
+
+    fresh.roundtrip("{\"type\":\"shutdown\"}");
     server.join().unwrap().unwrap();
 }

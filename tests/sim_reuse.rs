@@ -1,14 +1,26 @@
 //! Pins the allocation-reuse contract: repeated jobs=1 sweeps must not
 //! rebuild the simulator. `sim_build_count` is a process-global, so this
 //! lives in its own integration binary — other tests in the same process
-//! would perturb the counter.
+//! would perturb the counter — and the tests below take [`SERIAL`] so
+//! one test's builds never land inside another's counting window when
+//! the harness runs them on parallel threads.
 
 use sp_cachesim::{sim_build_count, CacheConfig};
 use sp_core::{sweep_distances_batched_jobs_with, sweep_distances_jobs, EngineOptions};
 use sp_workloads::{Benchmark, Workload};
+use std::sync::{Mutex, MutexGuard};
+
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Hold the counter for the rest of a test. A poisoned lock only means
+/// another test failed; the counter itself is still consistent.
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 #[test]
 fn jobs1_sweeps_reuse_one_parked_simulator() {
+    let _serial = serial();
     let cfg = CacheConfig::scaled_default();
     let trace = Workload::tiny(Benchmark::Em3d).trace();
     let distances = [2u32, 8, 32];
@@ -33,6 +45,7 @@ fn jobs1_sweeps_reuse_one_parked_simulator() {
 
 #[test]
 fn batched_sweeps_reuse_parked_lane_batches() {
+    let _serial = serial();
     let cfg = CacheConfig::scaled_default();
     let trace = Workload::tiny(Benchmark::Em3d).trace();
     let opts = EngineOptions::default();
