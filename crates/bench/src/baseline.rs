@@ -14,11 +14,6 @@
 //! * `lds` — the hash-join probe kernel on the pointer-chase backend at
 //!   test scale, serial: pins the workload-builder and extension-backend
 //!   paths into the same trajectory.
-//! * `batched_sweep` — the Figure 2 grid again, but scheduled as
-//!   lane-batches of [`BATCHED_SWEEP_LANES`] grid points through the
-//!   lane-parallel engine (`run_trace_batched`): the batched sweep path
-//!   end to end, bit-identical to `fig2_em3d_sweep` by the lane-vs-
-//!   scalar differential suite.
 //! * `epoch_overhead` — the Figure 2 grid once more with the epoch
 //!   flight recorder attached ([`crate::fig2_epochs_at`]): the
 //!   enabled-recorder cost relative to `fig2_em3d_sweep`, kept in the
@@ -44,9 +39,7 @@
 //! newest point, whose own measurement noise would otherwise become the
 //! gate).
 
-use crate::experiments::{
-    fig2_at, fig2_batched_at, fig2_epochs_at, fig_behavior_at, lds_sweep_at, Scale,
-};
+use crate::experiments::{fig2_at, fig2_epochs_at, fig_behavior_at, lds_sweep_at, Scale};
 use sp_cachesim::{sim_build_count, CacheConfig};
 use sp_core::{run_original_passes, RunResult, Sweep};
 use sp_trace::synth;
@@ -81,19 +74,13 @@ pub struct BenchEntry {
 }
 
 /// Every suite the baseline runs, in order.
-pub const SUITE_NAMES: [&str; 6] = [
+pub const SUITE_NAMES: [&str; 5] = [
     "set_hammer",
     "fig2_em3d_sweep",
     "fig5_mcf_sweep",
     "lds",
-    "batched_sweep",
     "epoch_overhead",
 ];
-
-/// Lane width of the `batched_sweep` suite — the same EM3D grid as
-/// `fig2_em3d_sweep`, scheduled as lane-batches of grid points through
-/// [`sp_core::run_trace_batched`] instead of one run per point.
-pub const BATCHED_SWEEP_LANES: usize = 4;
 
 /// Demand accesses simulated by one run (all threads, all grid points).
 fn sweep_refs(s: &Sweep) -> u64 {
@@ -183,9 +170,6 @@ pub fn run_baseline_with(
         }),
         measure("lds", warmup, runs, || {
             sweep_refs(&lds_sweep_at(cfg, Scale::Test, 1).0)
-        }),
-        measure("batched_sweep", warmup, runs, || {
-            sweep_refs(&fig2_batched_at(cfg, Scale::Test, 1, BATCHED_SWEEP_LANES).0)
         }),
         measure("epoch_overhead", warmup, runs, || {
             sweep_refs(&fig2_epochs_at(cfg, Scale::Test, 1).0)

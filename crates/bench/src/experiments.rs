@@ -336,27 +336,6 @@ pub fn fig5_epoch_fixture(jobs: usize) -> (Sweep, sp_core::SweepEpochs, Option<u
     (sweep, epochs, bound, report)
 }
 
-/// [`fig2_at`] through the lane-batched engine: jobs schedule
-/// lane-batches of grid points, `lanes` per batch. Bit-identical to
-/// [`fig2_at`] (pinned by the lane-vs-scalar differential suite).
-pub fn fig2_batched_at(
-    cfg: CacheConfig,
-    scale: Scale,
-    jobs: usize,
-    lanes: usize,
-) -> (Sweep, RunnerReport) {
-    let w = scale.workload(Benchmark::Em3d);
-    sp_core::sweep_distances_batched_jobs_with(
-        &w.trace(),
-        cfg,
-        0.5,
-        distances_for(Benchmark::Em3d),
-        sp_core::EngineOptions::default(),
-        jobs,
-        lanes,
-    )
-}
-
 /// The LDS extension sweep: the hash-join probe kernel on the
 /// pointer-chase backend over the LDS grid — the benchmark suite's
 /// pinned sample of the workload-builder and backend paths (the other

@@ -11,18 +11,6 @@
 //! compiled trace); the address-taking methods are thin wrappers that
 //! project first. Both paths share one implementation, so their counter
 //! behaviour is identical by construction.
-//!
-//! ## Lane batching
-//!
-//! [`SetAssocCache::new_batch`] builds `lanes` independent copies of the
-//! cache in one lane-structured allocation: line columns are indexed
-//! `(set * lanes + lane) * ways + way`, so the tag slices of every lane
-//! of one set are contiguous. A batched sweep replays the same reference
-//! (same set index) against all lanes back to back, and this layout puts
-//! the k probes on adjacent cache lines of the *host*. Every operation
-//! has a `*_lane` form taking the lane index; the scalar API is the
-//! `lane = 0` special case (with `lanes = 1` the index degenerates to
-//! `set * ways + way`), so both paths run the same code.
 
 use crate::geometry::CacheGeometry;
 use crate::replacement::{Policy, PolicyEngine};
@@ -82,9 +70,7 @@ pub struct SetAssocCache {
     line_shift: u32,
     set_mask: u64,
     tag_shift: u32,
-    /// Independent cache copies sharing this allocation (1 = scalar).
-    lanes: usize,
-    // Parallel per-line columns, indexed `(set * lanes + lane) * ways + way`.
+    // Parallel per-line columns, indexed `set * ways + way`.
     tags: Vec<u64>,
     meta: Vec<u8>,
     fillers: Vec<Entity>,
@@ -100,43 +86,23 @@ fn tag_key(tag: u64) -> u64 {
 impl SetAssocCache {
     /// An empty cache of the given geometry and policy.
     pub fn new(geo: CacheGeometry, policy: Policy) -> Self {
-        Self::new_batch(geo, policy, 1)
-    }
-
-    /// `lanes` empty, fully independent caches of the given geometry in
-    /// one lane-structured allocation (see the module docs).
-    pub fn new_batch(geo: CacheGeometry, policy: Policy, lanes: usize) -> Self {
-        assert!(lanes > 0, "need at least one lane");
-        let n = geo.lines() as usize * lanes;
+        let n = geo.lines() as usize;
         SetAssocCache {
             geo,
             ways: geo.ways as usize,
             line_shift: geo.line_shift(),
             set_mask: geo.sets() - 1,
             tag_shift: geo.tag_shift(),
-            lanes,
             tags: vec![0; n],
             meta: vec![0; n],
             fillers: vec![Entity::Main; n],
-            engine: PolicyEngine::new_batch(policy, geo.sets() as usize, geo.ways as usize, lanes),
+            engine: PolicyEngine::new(policy, geo.sets() as usize, geo.ways as usize),
         }
     }
 
     /// This cache's geometry.
     pub fn geometry(&self) -> CacheGeometry {
         self.geo
-    }
-
-    /// How many independent lanes this cache holds (1 for a scalar one).
-    pub fn lanes(&self) -> usize {
-        self.lanes
-    }
-
-    /// The replacement-state row of `(set, lane)` — the index the policy
-    /// engine and the line columns (scaled by `ways`) are keyed by.
-    #[inline]
-    fn row(&self, set: u32, lane: usize) -> usize {
-        set as usize * self.lanes + lane
     }
 
     /// Clear every line and the replacement state without reallocating
@@ -176,13 +142,7 @@ impl SetAssocCache {
     /// contiguous key slice.
     #[inline]
     pub fn find_way(&self, set: u32, tag: u64) -> Option<usize> {
-        self.find_way_lane(set, 0, tag)
-    }
-
-    /// [`find_way`](Self::find_way) in the given lane.
-    #[inline]
-    pub fn find_way_lane(&self, set: u32, lane: usize, tag: u64) -> Option<usize> {
-        let base = self.row(set, lane) * self.ways;
+        let base = set as usize * self.ways;
         let key = tag_key(tag);
         self.tags[base..base + self.ways]
             .iter()
@@ -217,23 +177,6 @@ impl SetAssocCache {
         self.touch_at(self.set_of(addr), self.tag_of(addr), is_store, mark_used)
     }
 
-    /// [`touch`](Self::touch) in the given lane.
-    pub fn touch_lane(
-        &mut self,
-        addr: VAddr,
-        lane: usize,
-        is_store: bool,
-        mark_used: bool,
-    ) -> Option<Line> {
-        self.touch_at_lane(
-            self.set_of(addr),
-            lane,
-            self.tag_of(addr),
-            is_store,
-            mark_used,
-        )
-    }
-
     /// [`touch`](Self::touch) with the `(set, tag)` projection already
     /// computed. One way lookup, no re-probe.
     pub fn touch_at(
@@ -243,22 +186,9 @@ impl SetAssocCache {
         is_store: bool,
         mark_used: bool,
     ) -> Option<Line> {
-        self.touch_at_lane(set, 0, tag, is_store, mark_used)
-    }
-
-    /// [`touch_at`](Self::touch_at) in the given lane.
-    pub fn touch_at_lane(
-        &mut self,
-        set: u32,
-        lane: usize,
-        tag: u64,
-        is_store: bool,
-        mark_used: bool,
-    ) -> Option<Line> {
-        let way = self.find_way_lane(set, lane, tag)?;
-        let row = self.row(set, lane);
-        let before = self.line_at(row * self.ways + way);
-        self.touch_way(row, way, is_store, mark_used);
+        let way = self.find_way(set, tag)?;
+        let before = self.line_at(set as usize * self.ways + way);
+        self.touch_way(set as usize, way, is_store, mark_used);
         Some(before)
     }
 
@@ -274,26 +204,12 @@ impl SetAssocCache {
         is_store: bool,
         mark_used: bool,
     ) -> Option<(bool, Entity)> {
-        self.touch_classify_at_lane(set, 0, tag, is_store, mark_used)
-    }
-
-    /// [`touch_classify_at`](Self::touch_classify_at) in the given lane.
-    #[inline]
-    pub fn touch_classify_at_lane(
-        &mut self,
-        set: u32,
-        lane: usize,
-        tag: u64,
-        is_store: bool,
-        mark_used: bool,
-    ) -> Option<(bool, Entity)> {
-        let way = self.find_way_lane(set, lane, tag)?;
-        let row = self.row(set, lane);
-        let idx = row * self.ways + way;
+        let way = self.find_way(set, tag)?;
+        let idx = set as usize * self.ways + way;
         let m = self.meta[idx];
         let fresh_prefetch = m & FLAG_PREFETCHED != 0 && m & FLAG_USED == 0;
         let filler = self.fillers[idx];
-        self.touch_way(row, way, is_store, mark_used);
+        self.touch_way(set as usize, way, is_store, mark_used);
         Some((fresh_prefetch, filler))
     }
 
@@ -303,22 +219,9 @@ impl SetAssocCache {
     /// uses this form.
     #[inline]
     pub fn touch_hit_at(&mut self, set: u32, tag: u64, is_store: bool, mark_used: bool) -> bool {
-        self.touch_hit_at_lane(set, 0, tag, is_store, mark_used)
-    }
-
-    /// [`touch_hit_at`](Self::touch_hit_at) in the given lane.
-    #[inline]
-    pub fn touch_hit_at_lane(
-        &mut self,
-        set: u32,
-        lane: usize,
-        tag: u64,
-        is_store: bool,
-        mark_used: bool,
-    ) -> bool {
-        match self.find_way_lane(set, lane, tag) {
+        match self.find_way(set, tag) {
             Some(way) => {
-                self.touch_way(self.row(set, lane), way, is_store, mark_used);
+                self.touch_way(set as usize, way, is_store, mark_used);
                 true
             }
             None => false,
@@ -326,8 +229,8 @@ impl SetAssocCache {
     }
 
     #[inline]
-    fn touch_way(&mut self, row: usize, way: usize, is_store: bool, mark_used: bool) {
-        let idx = row * self.ways + way;
+    fn touch_way(&mut self, set: usize, way: usize, is_store: bool, mark_used: bool) {
+        let idx = set * self.ways + way;
         let mut m = self.meta[idx];
         if mark_used {
             m |= FLAG_USED;
@@ -336,7 +239,7 @@ impl SetAssocCache {
             m |= FLAG_DIRTY;
         }
         self.meta[idx] = m;
-        self.engine.on_hit(row, way);
+        self.engine.on_hit(set, way);
     }
 
     /// Fill `addr`'s block on behalf of `filler`.
@@ -351,23 +254,6 @@ impl SetAssocCache {
         self.fill_at(self.set_of(addr), self.tag_of(addr), filler, prefetched)
     }
 
-    /// [`fill`](Self::fill) in the given lane.
-    pub fn fill_lane(
-        &mut self,
-        addr: VAddr,
-        lane: usize,
-        filler: Entity,
-        prefetched: bool,
-    ) -> Option<Evicted> {
-        self.fill_at_lane(
-            self.set_of(addr),
-            lane,
-            self.tag_of(addr),
-            filler,
-            prefetched,
-        )
-    }
-
     /// [`fill`](Self::fill) with the `(set, tag)` projection already
     /// computed. A single scan finds both a matching way (upgrade path)
     /// and the first invalid way (allocation path).
@@ -378,20 +264,7 @@ impl SetAssocCache {
         filler: Entity,
         prefetched: bool,
     ) -> Option<Evicted> {
-        self.fill_at_lane(set, 0, tag, filler, prefetched)
-    }
-
-    /// [`fill_at`](Self::fill_at) in the given lane.
-    pub fn fill_at_lane(
-        &mut self,
-        set: u32,
-        lane: usize,
-        tag: u64,
-        filler: Entity,
-        prefetched: bool,
-    ) -> Option<Evicted> {
-        let row = self.row(set, lane);
-        let base = row * self.ways;
+        let base = set as usize * self.ways;
         let key = tag_key(tag);
         let mut invalid_way = None;
         for (w, &t) in self.tags[base..base + self.ways].iter().enumerate() {
@@ -399,12 +272,12 @@ impl SetAssocCache {
                 invalid_way.get_or_insert(w);
             } else if t == key {
                 // Already present: policy promotion only.
-                self.engine.on_fill(row, w);
+                self.engine.on_fill(set as usize, w);
                 return None;
             }
         }
         // Prefer an invalid way; otherwise ask the policy for a victim.
-        let way = invalid_way.unwrap_or_else(|| self.engine.victim(row));
+        let way = invalid_way.unwrap_or_else(|| self.engine.victim(set as usize));
         let idx = base + way;
         let evicted = (self.tags[idx] & 1 != 0).then(|| {
             let old = self.line_at(idx);
@@ -424,7 +297,7 @@ impl SetAssocCache {
             // A demand fill is used by the access that requested it.
             FLAG_VALID | FLAG_USED
         };
-        self.engine.on_fill(row, way);
+        self.engine.on_fill(set as usize, way);
         evicted
     }
 
@@ -433,14 +306,9 @@ impl SetAssocCache {
     /// there. Equivalent to the promotion-only branch of
     /// [`fill_at`](Self::fill_at), without scanning for an invalid way.
     pub fn promote(&mut self, set: u32, tag: u64) -> bool {
-        self.promote_lane(set, 0, tag)
-    }
-
-    /// [`promote`](Self::promote) in the given lane.
-    pub fn promote_lane(&mut self, set: u32, lane: usize, tag: u64) -> bool {
-        match self.find_way_lane(set, lane, tag) {
+        match self.find_way(set, tag) {
             Some(way) => {
-                self.engine.on_fill(self.row(set, lane), way);
+                self.engine.on_fill(set as usize, way);
                 true
             }
             None => false,
@@ -450,15 +318,10 @@ impl SetAssocCache {
     /// Drop `addr`'s block if present; returns `true` if a line was
     /// invalidated.
     pub fn invalidate(&mut self, addr: VAddr) -> bool {
-        self.invalidate_lane(addr, 0)
-    }
-
-    /// [`invalidate`](Self::invalidate) in the given lane.
-    pub fn invalidate_lane(&mut self, addr: VAddr, lane: usize) -> bool {
         let set = self.set_of(addr);
-        match self.find_way_lane(set, lane, self.tag_of(addr)) {
+        match self.find_way(set, self.tag_of(addr)) {
             Some(way) => {
-                let idx = self.row(set, lane) * self.ways + way;
+                let idx = set as usize * self.ways + way;
                 self.tags[idx] = 0;
                 self.meta[idx] &= !FLAG_VALID;
                 true
@@ -467,45 +330,34 @@ impl SetAssocCache {
         }
     }
 
-    /// Number of valid lines in `set` (lane 0).
+    /// Number of valid lines in `set`.
     pub fn occupancy(&self, set: u64) -> usize {
-        self.occupancy_lane(set, 0)
-    }
-
-    /// Number of valid lines in `set` of the given lane.
-    pub fn occupancy_lane(&self, set: u64, lane: usize) -> usize {
-        let base = self.row(set as u32, lane) * self.ways;
+        let base = set as usize * self.ways;
         self.meta[base..base + self.ways]
             .iter()
             .filter(|&&m| m & FLAG_VALID != 0)
             .count()
     }
 
-    /// Block addresses currently cached in `set` of lane 0 (test/debug
-    /// helper).
+    /// Block addresses currently cached in `set` (test/debug helper).
     pub fn set_blocks(&self, set: u64) -> Vec<VAddr> {
-        let base = self.row(set as u32, 0) * self.ways;
+        let base = set as usize * self.ways;
         (0..self.ways)
             .filter(|w| self.meta[base + w] & FLAG_VALID != 0)
             .map(|w| self.geo.block_from(set, self.tags[base + w] >> 1))
             .collect()
     }
 
-    /// Total valid lines in the cache, summed over every lane.
+    /// Total valid lines in the cache.
     pub fn total_occupancy(&self) -> usize {
         self.meta.iter().filter(|&&m| m & FLAG_VALID != 0).count()
     }
 
-    /// Metadata of `addr`'s line in lane 0, if cached (read-only).
+    /// Metadata of `addr`'s line, if cached (read-only).
     pub fn line_meta(&self, addr: VAddr) -> Option<Line> {
-        self.line_meta_lane(addr, 0)
-    }
-
-    /// Metadata of `addr`'s line in the given lane, if cached.
-    pub fn line_meta_lane(&self, addr: VAddr, lane: usize) -> Option<Line> {
         let set = self.set_of(addr);
-        let way = self.find_way_lane(set, lane, self.tag_of(addr))?;
-        Some(self.line_at(self.row(set, lane) * self.ways + way))
+        let way = self.find_way(set, self.tag_of(addr))?;
+        Some(self.line_at(set as usize * self.ways + way))
     }
 }
 
@@ -664,45 +516,6 @@ mod tests {
         assert_eq!(ev.block, s0(1));
         // Promoting an absent block reports false and changes nothing.
         assert!(!c.promote(g.set_of(s0(7)) as u32, g.tag_of(s0(7))));
-    }
-
-    #[test]
-    fn interleaved_lanes_match_scalar_replay() {
-        // Interleave three different op streams across the lanes of one
-        // batched cache: each lane must behave exactly like a scalar
-        // cache replaying its stream alone.
-        let geo = CacheGeometry::new(256, 2, 64);
-        let lanes = 3;
-        let mut batched = SetAssocCache::new_batch(geo, Policy::Lru, lanes);
-        let mut scalars: Vec<_> = (0..lanes)
-            .map(|_| SetAssocCache::new(geo, Policy::Lru))
-            .collect();
-        for step in 0..12u64 {
-            for (lane, scalar) in scalars.iter_mut().enumerate() {
-                let addr = s0((step + lane as u64 * 5) % 7);
-                let pf = step % 2 == 0;
-                assert_eq!(
-                    batched.fill_lane(addr, lane, Entity::Main, pf),
-                    scalar.fill(addr, Entity::Main, pf),
-                    "fill step {step} lane {lane}"
-                );
-                assert_eq!(
-                    batched.touch_lane(addr, lane, step % 3 == 0, true),
-                    scalar.touch(addr, step % 3 == 0, true),
-                    "touch step {step} lane {lane}"
-                );
-            }
-        }
-        for (lane, scalar) in scalars.iter().enumerate() {
-            for tag in 0..7 {
-                assert_eq!(
-                    batched.line_meta_lane(s0(tag), lane),
-                    scalar.line_meta(s0(tag)),
-                    "lane {lane} tag {tag}"
-                );
-            }
-            assert_eq!(batched.occupancy_lane(0, lane), scalar.occupancy(0));
-        }
     }
 
     #[test]

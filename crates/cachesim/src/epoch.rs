@@ -213,7 +213,7 @@ impl EpochWindow {
 
 /// A finished telemetry series: every closed window plus the final
 /// partial one, in order. Equal runs produce equal series
-/// (`PartialEq`), which is what the jobs/lanes determinism suite pins.
+/// (`PartialEq`), which is what the jobs-width determinism suite pins.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EpochSeries {
     /// Window length in main-thread references.

@@ -124,80 +124,58 @@ impl AccessResult {
 /// ```
 pub struct MemorySystem {
     cfg: CacheConfig,
-    /// Independent simulation lanes sharing this system (1 = scalar).
-    /// Caches carry the lane dimension inside their line columns; all
-    /// other state is one entry per lane in the vectors below.
-    lanes: usize,
     l1: Vec<SetAssocCache>,
     l2: SetAssocCache,
-    mshr: Vec<MshrFile>,
-    bus: Vec<Bus>,
-    // Hardware-prefetcher state is per (lane, core): flat `lane * cores
-    // + core`. Learned state (stream slots, DPL tables, perceptron
-    // weights) diverges across lanes as soon as their timelines do, so
-    // it can never be shared.
+    mshr: MshrFile,
+    bus: Bus,
+    // Hardware-prefetcher state is per core.
     streamers: Vec<StreamPrefetcher>,
     dpls: Vec<DplPrefetcher>,
     pchases: Vec<PointerChasePrefetcher>,
     perceptrons: Vec<PerceptronPrefetcher>,
-    stats: Vec<MemStats>,
+    stats: MemStats,
     /// Blocks whose L2 eviction was caused by a prefetch fill and that
     /// held demanded data — candidates for a case-1 pollution re-miss.
-    /// One candidate set per lane.
-    prefetch_victims: Vec<HashSet<VAddr, BuildBlockHasher>>,
+    prefetch_victims: HashSet<VAddr, BuildBlockHasher>,
     /// Scratch buffer for hardware-prefetcher candidates, reused across
-    /// accesses so the training path never allocates. Shared across
-    /// lanes: it is always empty between accesses.
+    /// accesses so the training path never allocates. Always empty
+    /// between accesses.
     hw_cands: Vec<VAddr>,
-    /// Latest access time seen per lane (monotonicity debug check).
-    last_now: Vec<Cycle>,
+    /// Latest access time seen (monotonicity debug check).
+    last_now: Cycle,
 }
 
 impl MemorySystem {
     /// Build an empty memory system from `cfg`.
     pub fn new(cfg: CacheConfig) -> Self {
-        Self::new_batch(cfg, 1)
-    }
-
-    /// Build `lanes` independent memory systems in one lane-structured
-    /// allocation (see [`SetAssocCache::new_batch`]). Lane `k` behaves
-    /// exactly like a scalar system: the scalar API is the `lane = 0`
-    /// special case of the `*_lane` access methods.
-    pub fn new_batch(cfg: CacheConfig, lanes: usize) -> Self {
         cfg.validate();
-        assert!(lanes > 0, "need at least one lane");
         SIM_BUILDS.fetch_add(1, Ordering::Relaxed);
         let line = cfg.l2.line_size;
-        let per_lane_cores = cfg.cores as usize * lanes;
+        let cores = cfg.cores as usize;
         MemorySystem {
-            lanes,
             l1: (0..cfg.cores)
-                .map(|_| SetAssocCache::new_batch(cfg.l1, crate::replacement::Policy::Lru, lanes))
+                .map(|_| SetAssocCache::new(cfg.l1, crate::replacement::Policy::Lru))
                 .collect(),
-            l2: SetAssocCache::new_batch(cfg.l2, cfg.policy, lanes),
-            mshr: (0..lanes)
-                .map(|_| MshrFile::new(cfg.mshr_entries))
-                .collect(),
-            bus: (0..lanes)
-                .map(|_| Bus::new(cfg.latency.bus_service))
-                .collect(),
-            streamers: (0..per_lane_cores)
+            l2: SetAssocCache::new(cfg.l2, cfg.policy),
+            mshr: MshrFile::new(cfg.mshr_entries),
+            bus: Bus::new(cfg.latency.bus_service),
+            streamers: (0..cores)
                 .map(|_| StreamPrefetcher::new(cfg.stream_slots, cfg.stream_degree, line))
                 .collect(),
-            dpls: (0..per_lane_cores)
+            dpls: (0..cores)
                 .map(|_| DplPrefetcher::new(cfg.dpl_entries, cfg.dpl_degree, line))
                 .collect(),
-            pchases: (0..per_lane_cores)
+            pchases: (0..cores)
                 .map(|_| PointerChasePrefetcher::new(cfg.pchase_entries, cfg.pchase_depth))
                 .collect(),
-            perceptrons: (0..per_lane_cores)
+            perceptrons: (0..cores)
                 .map(|_| PerceptronPrefetcher::new(cfg.dpl_entries, 32, cfg.dpl_degree, line))
                 .collect(),
-            stats: vec![MemStats::default(); lanes],
-            prefetch_victims: (0..lanes).map(|_| HashSet::default()).collect(),
+            stats: MemStats::default(),
+            prefetch_victims: HashSet::default(),
             hw_cands: Vec::new(),
             cfg,
-            last_now: vec![0; lanes],
+            last_now: 0,
         }
     }
 
@@ -206,13 +184,8 @@ impl MemorySystem {
         &self.cfg
     }
 
-    /// How many independent lanes this system simulates (1 for scalar).
-    pub fn lanes(&self) -> usize {
-        self.lanes
-    }
-
     /// Return the system to its freshly-built state — empty caches, idle
-    /// buses, no outstanding fills, zeroed statistics in every lane —
+    /// bus, no outstanding fills, zeroed statistics —
     /// without releasing any of the allocations. Lets sweep runners and
     /// services reuse one simulator across runs instead of rebuilding the
     /// hierarchy each time; [`sim_build_count`] stays flat across `reset`
@@ -222,12 +195,8 @@ impl MemorySystem {
             l1.reset();
         }
         self.l2.reset();
-        for m in &mut self.mshr {
-            m.reset();
-        }
-        for b in &mut self.bus {
-            b.reset();
-        }
+        self.mshr.reset();
+        self.bus.reset();
         for s in &mut self.streamers {
             s.reset();
         }
@@ -240,24 +209,15 @@ impl MemorySystem {
         for p in &mut self.perceptrons {
             p.reset();
         }
-        for s in &mut self.stats {
-            *s = MemStats::default();
-        }
-        for v in &mut self.prefetch_victims {
-            v.clear();
-        }
+        self.stats = MemStats::default();
+        self.prefetch_victims.clear();
         self.hw_cands.clear();
-        self.last_now.fill(0);
+        self.last_now = 0;
     }
 
-    /// Statistics accumulated so far (lane 0).
+    /// Statistics accumulated so far.
     pub fn stats(&self) -> &MemStats {
-        &self.stats[0]
-    }
-
-    /// Statistics accumulated so far in the given lane.
-    pub fn stats_lane(&self, lane: usize) -> &MemStats {
-        &self.stats[lane]
+        &self.stats
     }
 
     /// Read-only view of the shared L2 (tests, diagnostics).
@@ -285,32 +245,31 @@ impl MemorySystem {
     /// aggregates.
     fn l2_install<S: EventSink>(
         &mut self,
-        lane: usize,
         block: VAddr,
         filler: Entity,
         prefetched: bool,
         now: Cycle,
         sink: &mut S,
     ) {
-        let evicted = self.l2.fill_lane(block, lane, filler, prefetched);
+        let evicted = self.l2.fill(block, filler, prefetched);
         if let Some(ev) = evicted {
-            self.stats[lane].l2_evictions += 1;
+            self.stats.l2_evictions += 1;
             if self.cfg.inclusion == crate::config::Inclusion::Inclusive {
                 // Back-invalidate the victim from every private L1.
                 for l1 in &mut self.l1 {
-                    l1.invalidate_lane(ev.block, lane);
+                    l1.invalidate(ev.block);
                 }
             }
             if ev.dirty {
                 // Dirty victim: the write-back occupies the shared bus
                 // like any other line transfer.
-                self.stats[lane].writebacks += 1;
-                self.bus[lane].request(now);
+                self.stats.writebacks += 1;
+                self.bus.request(now);
             }
             let evictor_is_prefetch = prefetched && filler.is_prefetcher();
             if ev.prefetched && !ev.used_since_fill {
                 // The victim was itself a never-used prefetch.
-                self.stats[lane].pollution.dead_prefetches += 1;
+                self.stats.pollution.dead_prefetches += 1;
                 if S::ENABLED {
                     if let Some(class) = PfClass::of(ev.filler) {
                         sink.emit(Event::PrefetchEvictedUnused {
@@ -324,7 +283,7 @@ impl MemorySystem {
                 if evictor_is_prefetch {
                     match ev.filler {
                         Entity::Helper => {
-                            self.stats[lane].pollution.unused_helper_evictions += 1;
+                            self.stats.pollution.unused_helper_evictions += 1;
                             if S::ENABLED {
                                 sink.emit(Event::PollutionEviction {
                                     case: PollutionCase::UnusedHelper,
@@ -335,7 +294,7 @@ impl MemorySystem {
                             }
                         }
                         e if e.is_hw() => {
-                            self.stats[lane].pollution.unused_hw_evictions += 1;
+                            self.stats.pollution.unused_hw_evictions += 1;
                             if S::ENABLED {
                                 sink.emit(Event::PollutionEviction {
                                     case: PollutionCase::UnusedHw,
@@ -351,11 +310,11 @@ impl MemorySystem {
             } else if evictor_is_prefetch {
                 // The victim held demanded data; if the main thread
                 // misses on it again, that's a case-1 pollution event.
-                self.prefetch_victims[lane].insert(ev.block);
+                self.prefetch_victims.insert(ev.block);
             }
         }
-        self.stats[lane].l2_fills += 1;
-        self.stats[lane].l2_fills_by[match filler {
+        self.stats.l2_fills += 1;
+        self.stats.l2_fills_by[match filler {
             Entity::Main => 0,
             Entity::Helper => 1,
             Entity::HwStream(_) => 2,
@@ -387,61 +346,52 @@ impl MemorySystem {
             }
         }
         // The block is resident again; a future miss on it is a fresh one.
-        self.take_prefetch_victim(lane, block);
+        self.take_prefetch_victim(block);
     }
 
-    /// Remove `block` from the lane's pollution-candidate set, reporting
+    /// Remove `block` from the pollution-candidate set, reporting
     /// whether it was present. The set is empty for long stretches (no
     /// prefetch has evicted demanded data yet), so skip hashing entirely
     /// then.
     #[inline]
-    fn take_prefetch_victim(&mut self, lane: usize, block: VAddr) -> bool {
-        !self.prefetch_victims[lane].is_empty() && self.prefetch_victims[lane].remove(&block)
+    fn take_prefetch_victim(&mut self, block: VAddr) -> bool {
+        !self.prefetch_victims.is_empty() && self.prefetch_victims.remove(&block)
     }
 
-    /// Drain every MSHR fill of `lane` that has completed by `now` into
-    /// the L2.
-    fn drain<S: EventSink>(&mut self, lane: usize, now: Cycle, sink: &mut S) {
+    /// Drain every MSHR fill that has completed by `now` into the L2.
+    fn drain<S: EventSink>(&mut self, now: Cycle, sink: &mut S) {
         // The overwhelmingly common case: nothing has completed yet.
-        if self.mshr[lane].none_ready(now) {
+        if self.mshr.none_ready(now) {
             return;
         }
         // Pop in completion order — installing fills never adds MSHR
         // entries, so the loop drains exactly the entries ready at `now`.
-        while let Some(e) = self.mshr[lane].pop_earliest_ready(now) {
-            self.l2_install(
-                lane,
-                e.block,
-                e.requester,
-                e.prefetch,
-                e.ready_at.max(now),
-                sink,
-            );
+        while let Some(e) = self.mshr.pop_earliest_ready(now) {
+            self.l2_install(e.block, e.requester, e.prefetch, e.ready_at.max(now), sink);
             if e.store {
                 // A store was waiting on this fill: the line is dirty
                 // from birth (write-allocate).
-                self.l2.touch_lane(e.block, lane, true, false);
+                self.l2.touch(e.block, true, false);
             }
         }
     }
 
     /// Start a memory fetch of `block` at `when`; returns its completion
-    /// time. The caller must have checked the lane's MSHR has room.
+    /// time. The caller must have checked the MSHR has room.
     fn launch_fill(
         &mut self,
-        lane: usize,
         block: VAddr,
         when: Cycle,
         requester: Entity,
         prefetch: bool,
         store: bool,
     ) -> Cycle {
-        let start = self.bus[lane].request(when);
+        let start = self.bus.request(when);
         if start > when {
-            self.stats[lane].bus_queued += 1;
+            self.stats.bus_queued += 1;
         }
         let ready_at = start + self.cfg.latency.mem;
-        self.mshr[lane].allocate_unchecked(InFlight {
+        self.mshr.allocate_unchecked(InFlight {
             block,
             ready_at,
             requester,
@@ -458,7 +408,7 @@ impl MemorySystem {
     /// across calls, or if `mref.kind` is `Prefetch` (use
     /// [`prefetch_access`](Self::prefetch_access)).
     pub fn demand_access(&mut self, entity: Entity, mref: MemRef, now: Cycle) -> AccessResult {
-        self.access_pre(0, entity, &self.project(mref), now, false, &mut NullSink)
+        self.access_pre(entity, &self.project(mref), now, false, &mut NullSink)
     }
 
     /// A helper-thread *load of a delinquent reference*: a real, blocking
@@ -498,7 +448,7 @@ impl MemorySystem {
         cr: &CompiledRef,
         now: Cycle,
     ) -> AccessResult {
-        self.access_pre(0, entity, cr, now, false, &mut NullSink)
+        self.access_pre(entity, cr, now, false, &mut NullSink)
     }
 
     /// [`demand_access_pre`](Self::demand_access_pre) with an event sink
@@ -511,20 +461,7 @@ impl MemorySystem {
         now: Cycle,
         sink: &mut S,
     ) -> AccessResult {
-        self.access_pre(0, entity, cr, now, false, sink)
-    }
-
-    /// [`demand_access_pre_ev`](Self::demand_access_pre_ev) against the
-    /// given lane of a batched system.
-    pub fn demand_access_lane_ev<S: EventSink>(
-        &mut self,
-        lane: usize,
-        entity: Entity,
-        cr: &CompiledRef,
-        now: Cycle,
-        sink: &mut S,
-    ) -> AccessResult {
-        self.access_pre(lane, entity, cr, now, false, sink)
+        self.access_pre(entity, cr, now, false, sink)
     }
 
     /// [`helper_load`](Self::helper_load) with the projections already
@@ -541,19 +478,7 @@ impl MemorySystem {
         now: Cycle,
         sink: &mut S,
     ) -> AccessResult {
-        self.helper_load_lane_ev(0, cr, now, sink)
-    }
-
-    /// [`helper_load_pre_ev`](Self::helper_load_pre_ev) against the given
-    /// lane of a batched system.
-    pub fn helper_load_lane_ev<S: EventSink>(
-        &mut self,
-        lane: usize,
-        cr: &CompiledRef,
-        now: Cycle,
-        sink: &mut S,
-    ) -> AccessResult {
-        self.stats[lane].prefetches_issued[0] += 1;
+        self.stats.prefetches_issued[0] += 1;
         if S::ENABLED {
             sink.emit(Event::PrefetchIssued {
                 class: PfClass::Helper,
@@ -561,12 +486,11 @@ impl MemorySystem {
                 at: now,
             });
         }
-        self.access_pre(lane, Entity::Helper, cr, now, true, sink)
+        self.access_pre(Entity::Helper, cr, now, true, sink)
     }
 
     fn access_pre<S: EventSink>(
         &mut self,
-        lane: usize,
         entity: Entity,
         cr: &CompiledRef,
         now: Cycle,
@@ -574,11 +498,8 @@ impl MemorySystem {
         sink: &mut S,
     ) -> AccessResult {
         debug_assert!(cr.kind != AccessKind::Prefetch, "use prefetch_access");
-        debug_assert!(
-            now >= self.last_now[lane],
-            "accesses must arrive in time order"
-        );
-        self.last_now[lane] = now;
+        debug_assert!(now >= self.last_now, "accesses must arrive in time order");
+        self.last_now = now;
         debug_assert!(matches!(entity, Entity::Main | Entity::Helper));
         debug_assert_eq!(
             *cr,
@@ -588,7 +509,7 @@ impl MemorySystem {
             },
             "projections must match this system's geometry"
         );
-        self.drain(lane, now, sink);
+        self.drain(now, sink);
 
         let core = Self::core_of(entity);
         let is_main = entity == Entity::Main;
@@ -597,20 +518,14 @@ impl MemorySystem {
         let is_store = cr.kind == AccessKind::Store;
 
         // L1 probe.
-        if self.l1[core].touch_hit_at_lane(cr.l1_set, lane, cr.l1_tag, is_store, true) {
+        if self.l1[core].touch_hit_at(cr.l1_set, cr.l1_tag, is_store, true) {
             let result = AccessResult {
                 class: HitClass::L1Hit,
                 complete_at: now + lat.l1_hit,
             };
-            self.note(lane, entity, HitClass::L1Hit, result.latency(now));
+            self.note(entity, HitClass::L1Hit, result.latency(now));
             if S::DEMAND_TICKS {
-                sink.demand_tick(
-                    entity,
-                    HitClass::L1Hit,
-                    cr.l2_set,
-                    self.mshr[lane].len(),
-                    now,
-                );
+                sink.demand_tick(entity, HitClass::L1Hit, cr.l2_set, self.mshr.len(), now);
             }
             return result;
         }
@@ -620,11 +535,11 @@ impl MemorySystem {
         // paper's pollution cases are about data the processor reuses).
         let (class, complete_at) = if let Some((fresh_prefetch, filler)) = self
             .l2
-            .touch_classify_at_lane(cr.l2_set, lane, cr.l2_tag, is_store, is_main)
+            .touch_classify_at(cr.l2_set, cr.l2_tag, is_store, is_main)
         {
             if is_main && fresh_prefetch {
                 if let Some(cls) = prefetch_class(filler) {
-                    self.stats[lane].prefetches_useful[cls] += 1;
+                    self.stats.prefetches_useful[cls] += 1;
                 }
                 if S::ENABLED {
                     if let Some(class) = PfClass::of(filler) {
@@ -640,12 +555,10 @@ impl MemorySystem {
             // Install in the core's L1 (fill-on-L2-hit); a dirty L1
             // victim writes through to the L2 if still present there,
             // otherwise straight to memory (non-inclusive hierarchy).
-            if let Some(l1_ev) =
-                self.l1[core].fill_at_lane(cr.l1_set, lane, cr.l1_tag, entity, false)
-            {
-                if l1_ev.dirty && self.l2.touch_lane(l1_ev.block, lane, true, false).is_none() {
-                    self.stats[lane].l1_writeback_misses += 1;
-                    self.bus[lane].request(t_l2);
+            if let Some(l1_ev) = self.l1[core].fill_at(cr.l1_set, cr.l1_tag, entity, false) {
+                if l1_ev.dirty && self.l2.touch(l1_ev.block, true, false).is_none() {
+                    self.stats.l1_writeback_misses += 1;
+                    self.bus.request(t_l2);
                 }
             }
             (HitClass::TotalHit, t_l2 + lat.l2_hit)
@@ -654,13 +567,13 @@ impl MemorySystem {
             // thread access converts the fill into a demanded (used) one
             // (a single MSHR scan either way: merge returns None when the
             // block has no entry).
-            self.mshr[lane].merge_demand(block, is_store)
+            self.mshr.merge_demand(block, is_store)
         } else {
-            self.mshr[lane].lookup(block)
+            self.mshr.lookup(block)
         } {
             if is_main && merged.prefetch {
                 if let Some(cls) = prefetch_class(merged.requester) {
-                    self.stats[lane].prefetches_useful[cls] += 1;
+                    self.stats.prefetches_useful[cls] += 1;
                 }
                 // No PrefetchFilled precedes this FirstUse (the fill is
                 // still in flight): the summary fold classifies it late.
@@ -675,10 +588,10 @@ impl MemorySystem {
                     }
                 }
             }
-            if is_main && self.take_prefetch_victim(lane, block) {
+            if is_main && self.take_prefetch_victim(block) {
                 // An in-flight refetch of a block a prefetch evicted
                 // earlier still re-pays (part of) the memory latency.
-                self.stats[lane].pollution.reuse_evictions += 1;
+                self.stats.pollution.reuse_evictions += 1;
                 if S::ENABLED {
                     sink.emit(Event::PollutionEviction {
                         case: PollutionCase::Reuse,
@@ -692,15 +605,13 @@ impl MemorySystem {
         } else {
             // Totally miss: wait for MSHR room if the file is full.
             let mut when = t_l2 + lat.l2_hit;
-            while self.mshr[lane].is_full() {
-                let next = self.mshr[lane]
-                    .earliest_ready()
-                    .expect("full file has entries");
+            while self.mshr.is_full() {
+                let next = self.mshr.earliest_ready().expect("full file has entries");
                 when = when.max(next);
-                self.drain(lane, when, sink);
+                self.drain(when, sink);
             }
-            if is_main && self.take_prefetch_victim(lane, block) {
-                self.stats[lane].pollution.reuse_evictions += 1;
+            if is_main && self.take_prefetch_victim(block) {
+                self.stats.pollution.reuse_evictions += 1;
                 if S::ENABLED {
                     sink.emit(Event::PollutionEviction {
                         case: PollutionCase::Reuse,
@@ -710,77 +621,58 @@ impl MemorySystem {
                     });
                 }
             }
-            let ready = self.launch_fill(lane, block, when, entity, speculative, is_store);
+            let ready = self.launch_fill(block, when, entity, speculative, is_store);
             (HitClass::TotalMiss, ready)
         };
 
         let result = AccessResult { class, complete_at };
-        self.note(lane, entity, class, result.latency(now));
+        self.note(entity, class, result.latency(now));
         if S::DEMAND_TICKS {
-            sink.demand_tick(entity, class, cr.l2_set, self.mshr[lane].len(), now);
+            sink.demand_tick(entity, class, cr.l2_set, self.mshr.len(), now);
         }
 
         // Train the core's hardware prefetchers on the post-L1 stream,
         // collecting candidates into the reused scratch buffer (taken out
         // of `self` so issuing can borrow the system mutably). Learned
-        // state lives per (lane, core).
+        // state lives per core.
         if self.cfg.hw_prefetchers {
-            let pidx = lane * self.cfg.cores as usize + core;
             let mut cands = std::mem::take(&mut self.hw_cands);
             match self.cfg.hw_backend {
                 HwBackend::StreamerDpl => {
-                    self.streamers[pidx].observe(cr.site, block, &mut cands);
+                    self.streamers[core].observe(cr.site, block, &mut cands);
                     let n_stream = cands.len();
-                    self.dpls[pidx].observe(cr.site, cr.vaddr, &mut cands);
+                    self.dpls[core].observe(cr.site, cr.vaddr, &mut cands);
                     for (i, &b) in cands.iter().enumerate() {
                         let who = if i < n_stream {
                             Entity::HwStream(core as u8)
                         } else {
                             Entity::HwDpl(core as u8)
                         };
-                        self.issue_prefetch_block(lane, b, who, t_l2, sink);
+                        self.issue_prefetch_block(b, who, t_l2, sink);
                     }
                 }
                 HwBackend::Streamer => {
-                    self.streamers[pidx].observe(cr.site, block, &mut cands);
+                    self.streamers[core].observe(cr.site, block, &mut cands);
                     for &b in &cands {
-                        self.issue_prefetch_block(
-                            lane,
-                            b,
-                            Entity::HwStream(core as u8),
-                            t_l2,
-                            sink,
-                        );
+                        self.issue_prefetch_block(b, Entity::HwStream(core as u8), t_l2, sink);
                     }
                 }
                 HwBackend::Dpl => {
-                    self.dpls[pidx].observe(cr.site, cr.vaddr, &mut cands);
+                    self.dpls[core].observe(cr.site, cr.vaddr, &mut cands);
                     for &b in &cands {
-                        self.issue_prefetch_block(lane, b, Entity::HwDpl(core as u8), t_l2, sink);
+                        self.issue_prefetch_block(b, Entity::HwDpl(core as u8), t_l2, sink);
                     }
                 }
                 HwBackend::PointerChase => {
-                    self.pchases[pidx].observe(cr.site, block, &mut cands);
+                    self.pchases[core].observe(cr.site, block, &mut cands);
                     for &b in &cands {
-                        self.issue_prefetch_block(
-                            lane,
-                            b,
-                            Entity::HwPchase(core as u8),
-                            t_l2,
-                            sink,
-                        );
+                        self.issue_prefetch_block(b, Entity::HwPchase(core as u8), t_l2, sink);
                     }
                 }
                 HwBackend::Perceptron => {
-                    self.perceptrons[pidx].observe(cr.site, cr.vaddr, &mut cands);
+                    self.perceptrons[core].observe(cr.site, cr.vaddr, &mut cands);
                     for &b in &cands {
-                        self.issue_prefetch_block(
-                            lane,
-                            b,
-                            Entity::HwPerceptron(core as u8),
-                            t_l2,
-                            sink,
-                        );
+                        self.issue_prefetch_block(b, Entity::HwPerceptron(core as u8), t_l2, sink);
                     }
                 }
             }
@@ -811,25 +703,10 @@ impl MemorySystem {
         now: Cycle,
         sink: &mut S,
     ) -> AccessResult {
-        self.prefetch_access_lane_ev(0, cr, now, sink)
-    }
-
-    /// [`prefetch_access_pre_ev`](Self::prefetch_access_pre_ev) against
-    /// the given lane of a batched system.
-    pub fn prefetch_access_lane_ev<S: EventSink>(
-        &mut self,
-        lane: usize,
-        cr: &CompiledRef,
-        now: Cycle,
-        sink: &mut S,
-    ) -> AccessResult {
-        debug_assert!(
-            now >= self.last_now[lane],
-            "accesses must arrive in time order"
-        );
-        self.last_now[lane] = now;
-        self.drain(lane, now, sink);
-        self.stats[lane].prefetches_issued[0] += 1;
+        debug_assert!(now >= self.last_now, "accesses must arrive in time order");
+        self.last_now = now;
+        self.drain(now, sink);
+        self.stats.prefetches_issued[0] += 1;
         // Issued is emitted even when the prefetch is dropped (already
         // cached, in flight, MSHR full) — mirroring `prefetches_issued`.
         if S::ENABLED {
@@ -839,7 +716,7 @@ impl MemorySystem {
                 at: now,
             });
         }
-        self.issue_prefetch_pre(lane, cr.block, cr.l2_set, cr.l2_tag, Entity::Helper, now);
+        self.issue_prefetch_pre(cr.block, cr.l2_set, cr.l2_tag, Entity::Helper, now);
         AccessResult {
             class: HitClass::L1Hit,
             complete_at: now + self.cfg.latency.prefetch_issue,
@@ -851,14 +728,13 @@ impl MemorySystem {
     /// shifts — not worth precompiling).
     fn issue_prefetch_block<S: EventSink>(
         &mut self,
-        lane: usize,
         block: VAddr,
         who: Entity,
         now: Cycle,
         sink: &mut S,
     ) {
         if let Some(cls) = prefetch_class(who) {
-            self.stats[lane].prefetches_issued[cls] += 1;
+            self.stats.prefetches_issued[cls] += 1;
         }
         if S::ENABLED {
             if let Some(class) = PfClass::of(who) {
@@ -871,35 +747,27 @@ impl MemorySystem {
         }
         let set = self.cfg.l2.set_of(block) as u32;
         let tag = self.cfg.l2.tag_of(block);
-        self.issue_prefetch_pre(lane, block, set, tag, who, now);
+        self.issue_prefetch_pre(block, set, tag, who, now);
     }
 
     /// Shared prefetch path: drop if already cached, in flight, or no
     /// MSHR room (prefetches never stall anyone).
-    fn issue_prefetch_pre(
-        &mut self,
-        lane: usize,
-        block: VAddr,
-        set: u32,
-        tag: u64,
-        who: Entity,
-        now: Cycle,
-    ) {
-        if self.l2.promote_lane(set, lane, tag) {
+    fn issue_prefetch_pre(&mut self, block: VAddr, set: u32, tag: u64, who: Entity, now: Cycle) {
+        if self.l2.promote(set, tag) {
             // Present: promoted so an imminent reuse isn't evicted
             // (prefetch hint), exactly as a refill of a cached block would.
             return;
         }
-        if self.mshr[lane].lookup(block).is_some() || self.mshr[lane].is_full() {
+        if self.mshr.lookup(block).is_some() || self.mshr.is_full() {
             return;
         }
-        self.launch_fill(lane, block, now, who, true, false);
+        self.launch_fill(block, now, who, true, false);
     }
 
-    fn note(&mut self, lane: usize, entity: Entity, class: HitClass, latency: Cycle) {
+    fn note(&mut self, entity: Entity, class: HitClass, latency: Cycle) {
         let t = match entity {
-            Entity::Main => &mut self.stats[lane].main,
-            Entity::Helper => &mut self.stats[lane].helper,
+            Entity::Main => &mut self.stats.main,
+            Entity::Helper => &mut self.stats.helper,
             _ => return,
         };
         match class {
@@ -923,17 +791,10 @@ impl MemorySystem {
     /// fills landing in this final drain carry `at = u64::MAX` (they
     /// complete after the last access).
     pub fn finish_stats_ev<S: EventSink>(&mut self, sink: &mut S) -> MemStats {
-        self.finish_stats_lane_ev(0, sink)
-    }
-
-    /// [`finish_stats_ev`](Self::finish_stats_ev) for one lane of a
-    /// batched system. Lanes finish independently: each takes its own
-    /// bus-occupancy snapshot and drains only its own MSHR file.
-    pub fn finish_stats_lane_ev<S: EventSink>(&mut self, lane: usize, sink: &mut S) -> MemStats {
         let _sp = sp_obs::span!("fold");
-        self.stats[lane].bus_busy_cycles = self.bus[lane].busy_cycles();
-        self.drain(lane, Cycle::MAX, sink);
-        self.stats[lane].clone()
+        self.stats.bus_busy_cycles = self.bus.busy_cycles();
+        self.drain(Cycle::MAX, sink);
+        self.stats.clone()
     }
 
     /// Finish outstanding fills and return the final statistics.
@@ -941,9 +802,9 @@ impl MemorySystem {
         self.finish_stats()
     }
 
-    /// Snapshot of bus counters (lane 0).
+    /// Snapshot of bus counters.
     pub fn bus(&self) -> &Bus {
-        &self.bus[0]
+        &self.bus
     }
 }
 

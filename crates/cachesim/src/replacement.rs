@@ -36,21 +36,10 @@ pub enum Policy {
 /// Stamps start in descending way order, so an untouched set evicts its
 /// highest way first — exactly the order an explicit `[0, 1, .., w-1]`
 /// most-to-least-recent list yields.
-///
-/// For a lane-batched cache ([`new_batch`](Self::new_batch)) the `set`
-/// argument of every method is the caller's *row* index
-/// `set * lanes + lane`: stamp and PLRU state are naturally per-row, and
-/// only `Policy::Random` needs to know the lane geometry — its xorshift
-/// state is per-lane, so each lane draws the same victim sequence it
-/// would draw running alone. The shared stamp clock is lane-safe: stamps
-/// are only ever *compared* within one row, and interleaving lanes
-/// preserves each lane's relative stamp order.
 #[derive(Debug, Clone)]
 pub struct PolicyEngine {
     policy: Policy,
     ways: usize,
-    /// Lane count of the owning cache (1 for a scalar cache).
-    lanes: usize,
     /// For LRU/FIFO: per-(set, way) recency stamp, flat `set * ways + way`.
     stamps: Vec<u64>,
     /// Monotonic counter behind the stamps; strictly increasing, so no
@@ -58,30 +47,22 @@ pub struct PolicyEngine {
     clock: u64,
     /// For tree-PLRU: per-set direction bits.
     plru: Vec<u64>,
-    /// Xorshift state for `Policy::Random`, one stream per lane.
-    rng: Vec<u64>,
+    /// Xorshift state for `Policy::Random`.
+    rng: u64,
 }
 
 impl PolicyEngine {
     /// Create the engine for a cache with `sets` sets of `ways` ways.
     pub fn new(policy: Policy, sets: usize, ways: usize) -> Self {
-        Self::new_batch(policy, sets, ways, 1)
-    }
-
-    /// [`new`](Self::new) for a lane-batched cache: state for
-    /// `sets * lanes` rows, with an independent random stream per lane.
-    pub fn new_batch(policy: Policy, sets: usize, ways: usize, lanes: usize) -> Self {
         assert!(ways > 0 && ways <= 255, "ways must fit in u8");
-        assert!(lanes > 0, "need at least one lane");
         if matches!(policy, Policy::PlruTree) {
             assert!(
                 ways.is_power_of_two(),
                 "tree-PLRU requires power-of-two ways"
             );
         }
-        let rows = sets * lanes;
         let stamps = match policy {
-            Policy::Lru | Policy::Fifo => Self::pristine_stamps(rows, ways),
+            Policy::Lru | Policy::Fifo => Self::pristine_stamps(sets, ways),
             _ => Vec::new(),
         };
         let seed = match policy {
@@ -94,11 +75,10 @@ impl PolicyEngine {
         PolicyEngine {
             policy,
             ways,
-            lanes,
             stamps,
             clock: ways as u64,
-            plru: vec![0; rows],
-            rng: vec![seed; lanes],
+            plru: vec![0; sets],
+            rng: seed,
         }
     }
 
@@ -125,7 +105,7 @@ impl PolicyEngine {
             Policy::Random { seed } => seed,
             _ => 1,
         };
-        self.rng.fill(seed);
+        self.rng = seed;
     }
 
     /// Record a demand hit on `(set, way)`.
@@ -163,14 +143,12 @@ impl PolicyEngine {
                 victim
             }
             Policy::Random { .. } => {
-                // xorshift64, one independent stream per lane so a
-                // batched lane replays the scalar victim sequence.
-                let lane = set % self.lanes;
-                let mut x = self.rng[lane];
+                // xorshift64
+                let mut x = self.rng;
                 x ^= x << 13;
                 x ^= x >> 7;
                 x ^= x << 17;
-                self.rng[lane] = x;
+                self.rng = x;
                 (x % self.ways as u64) as usize
             }
             Policy::PlruTree => self.plru_victim(set),
@@ -319,43 +297,6 @@ mod tests {
                 assert_eq!(used.victim(set), fresh.victim(set), "{policy:?}");
             }
         }
-    }
-
-    #[test]
-    fn batched_random_lanes_replay_the_scalar_stream() {
-        // Row index = set * lanes + lane. Interleaving victim draws
-        // across lanes must give each lane exactly the sequence a
-        // scalar engine draws alone.
-        let lanes = 3;
-        let mut batched = PolicyEngine::new_batch(Policy::Random { seed: 9 }, 2, 8, lanes);
-        let mut scalars: Vec<_> = (0..lanes)
-            .map(|_| PolicyEngine::new(Policy::Random { seed: 9 }, 2, 8))
-            .collect();
-        for draw in 0..16 {
-            let set = draw % 2;
-            for (lane, scalar) in scalars.iter_mut().enumerate() {
-                assert_eq!(
-                    batched.victim(set * lanes + lane),
-                    scalar.victim(set),
-                    "draw {draw} lane {lane}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn batched_lru_rows_are_independent() {
-        let lanes = 2;
-        let mut e = PolicyEngine::new_batch(Policy::Lru, 1, 2, lanes);
-        // Lane 0: touch way 0 -> victim 1. Lane 1: touch way 1 -> victim 0.
-        e.on_fill(0, 0);
-        e.on_fill(0, 1);
-        e.on_hit(0, 0);
-        e.on_fill(1, 1);
-        e.on_fill(1, 0);
-        e.on_hit(1, 1);
-        assert_eq!(e.victim(0), 1);
-        assert_eq!(e.victim(1), 0);
     }
 
     #[test]

@@ -58,9 +58,6 @@ pub fn command_help(cmd: &str) -> Option<String> {
              --distances d1,d2,...    grid (default brackets the bound)\n  \
              --jobs N                 fan out on N threads (0 = all cores;\n                           \
              output identical whatever N is)\n  \
-             --lanes K                simulate K grid points per trace pass\n                           \
-             (1..=64, default 1; counters and events\n                           \
-             identical whatever K is)\n  \
              --events                 attach event sinks and also report\n                           \
              pollution cases and prefetch timeliness\n                           \
              per distance\n  \
@@ -112,9 +109,9 @@ pub fn command_help(cmd: &str) -> Option<String> {
             "spt bench [flags]",
             "Run the pinned cachesim benchmark suite (synthetic set-hammer,\n\
              fig2 EM3D test-scale sweep, fig5 MCF test-scale sweep, LDS\n\
-             backend sweep, batched lane-engine sweep, epoch-recorder\n\
-             overhead sweep) and print median\n\
-             ns/ref, refs/sec, wall time, and simulator builds per run.\n\
+             backend sweep, epoch-recorder overhead sweep) and print\n\
+             median ns/ref, refs/sec, wall time, and simulator builds per\n\
+             run.\n\
              One extra pass per suite runs with the span recorder on and\n\
              stores a per-stage wall-time breakdown; the timed\n\
              repetitions stay recording-disabled. The suite is the\n\
@@ -192,9 +189,6 @@ pub fn command_help(cmd: &str) -> Option<String> {
              --epoch-len N            window length in main-thread refs\n                           \
              (default 10000)\n  \
              --jobs N                 fan out on N threads (0 = all cores)\n  \
-             --lanes K                simulate K grid points per trace pass\n                           \
-             (1..=64, default 1; series identical\n                           \
-             whatever K is)\n  \
              --out FILE               write the markdown report here\n                           \
              (default: print to stdout)\n  \
              --ndjson FILE            write the per-window series as NDJSON\n",

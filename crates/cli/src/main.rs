@@ -194,33 +194,20 @@ fn sweep(a: &Args) -> Result<(), String> {
     let ds = a.distances(&default)?;
     let rp: f64 = a.get_or("rp", 0.5)?;
     let jobs: usize = a.get_or("jobs", 0)?; // 0 = all cores
-    let lanes: usize = a.get_or("lanes", 1)?;
-    if lanes == 0 || lanes > 64 {
-        return Err(format!("--lanes {lanes}: expected 1..=64"));
-    }
     let (s, ev, rep) = if a.switch("events") {
         let ct = std::sync::Arc::new(sp_core::compile_trace(&trace, &cfg));
-        let (s, ev, rep) = sp_core::sweep_events_compiled_batched_jobs_with(
+        let (s, ev, rep) = sp_core::sweep_events_compiled_jobs_with(
             &ct,
             cfg,
             rp,
             &ds,
             sp_core::EngineOptions::default(),
             jobs,
-            lanes,
         )
         .map_err(|e| e.to_string())?;
         (s, Some(ev), rep)
     } else {
-        let (s, rep) = sp_core::sweep_distances_batched_jobs_with(
-            &trace,
-            cfg,
-            rp,
-            &ds,
-            sp_core::EngineOptions::default(),
-            jobs,
-            lanes,
-        );
+        let (s, rep) = sp_core::sweep_distances_jobs(&trace, cfg, rp, &ds, jobs);
         (s, None, rep)
     };
     println!("bound = {bound}; RP = {rp}");
@@ -316,12 +303,8 @@ fn report(a: &Args) -> Result<(), String> {
         return Err("--epoch-len 0: a window must cover at least one reference".into());
     }
     let jobs: usize = a.get_or("jobs", 0)?; // 0 = all cores
-    let lanes: usize = a.get_or("lanes", 1)?;
-    if lanes == 0 || lanes > 64 {
-        return Err(format!("--lanes {lanes}: expected 1..=64"));
-    }
     let ct = std::sync::Arc::new(sp_core::compile_trace(&trace, &cfg));
-    let (s, epochs, rep) = sp_core::sweep_epochs_compiled_batched_jobs_with(
+    let (s, epochs, rep) = sp_core::sweep_epochs_compiled_jobs_with(
         &ct,
         cfg,
         rp,
@@ -329,7 +312,6 @@ fn report(a: &Args) -> Result<(), String> {
         sp_core::EngineOptions::default(),
         epoch_len,
         jobs,
-        lanes,
     )
     .map_err(|e| e.to_string())?;
     // Differential self-check: every series must fold back to its run's

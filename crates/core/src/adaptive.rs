@@ -10,13 +10,12 @@
 //! * [`FeedbackController`] — an FDP-style controller: each epoch it
 //!   reads the epoch's prefetch accuracy, lateness (partial hits among
 //!   useful prefetches), and pollution rate, and grows or shrinks the
-//!   distance accordingly.
-//! * [`BoundedFeedbackController`] — the same controller clamped by the
-//!   Set-Affinity bound, i.e. the paper's static analysis used as a
+//!   distance accordingly. [`FeedbackController::bounded`] clamps it by
+//!   the Set-Affinity bound, i.e. the paper's static analysis used as a
 //!   safety ceiling for the dynamic policy (the natural synthesis of the
 //!   two ideas).
 //!
-//! Both plug into the engine through
+//! The controller plugs into the engine through
 //! [`crate::engine::HelperSchedule`].
 
 use crate::engine::{run_scheduled, EngineOptions, HelperSchedule, RunResult};
@@ -161,10 +160,6 @@ impl AdaptivePolicy for FeedbackController {
         self.params()
     }
 }
-
-/// The hybrid policy: [`FeedbackController`] with the Set-Affinity bound
-/// as its ceiling.
-pub type BoundedFeedbackController = FeedbackController;
 
 /// One epoch as recorded by an adaptive run.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -3,15 +3,17 @@
 
 use crate::affinity::{original_set_affinity, SetAffinityReport};
 use crate::engine::{
-    compile_trace, run_original_passes_compiled, run_original_passes_compiled_ev,
-    run_sp_with_compiled, run_sp_with_compiled_ev, run_trace_batched, run_trace_batched_ev,
-    EngineOptions, LaneSpec, RunResult,
+    compile_trace, run_original_passes_compiled_ev, run_sp_with_compiled_ev, EngineOptions,
+    RunResult,
 };
 use crate::params::SpParams;
 use crate::pollution::{BehaviorChange, PollutionSummary};
 use sp_cachesim::epoch::{EpochSeries, EpochSink};
-use sp_cachesim::events::{default_early_threshold, EventSummary, SummarySink};
+use sp_cachesim::events::{
+    default_early_threshold, EventSink, EventSummary, NullSink, SummarySink,
+};
 use sp_cachesim::CacheConfig;
+use sp_obs::span::SpanGuard;
 use sp_runner::{run_jobs, Job, RunnerReport};
 use sp_trace::{CompiledTrace, GeometryMismatch, HotLoopTrace};
 use std::sync::Arc;
@@ -130,101 +132,18 @@ pub fn sweep_compiled_jobs_with(
     opts: EngineOptions,
     jobs: usize,
 ) -> Result<(Sweep, RunnerReport), GeometryMismatch> {
-    ct.ensure_geometry(cache_cfg.trace_geometry())?;
-    // Each grid point gets a deterministic child of the caller's
-    // correlation ID (baseline = .1, distance i = .i+2), captured here
-    // and re-established inside the job so spans recorded on pool
-    // threads still correlate with the originating request.
-    let corr = sp_obs::corr::current();
-    let _sp = sp_obs::span!("sweep", points = distances.len());
-    let mut grid: Vec<Job<'static, RunResult>> = Vec::with_capacity(distances.len() + 1);
-    let base_ct = Arc::clone(ct);
-    grid.push(Box::new(move || {
-        let _cg = corr.map(|c| sp_obs::corr::set_current(c.child(1)));
-        let _sp = sp_obs::span!("point", baseline = true);
-        run_original_passes_compiled(&base_ct, cache_cfg, opts.passes).expect("geometry checked")
-    }));
-    for (i, &d) in distances.iter().enumerate() {
-        let params = SpParams::from_distance_rp(d, rp);
-        let point_ct = Arc::clone(ct);
-        grid.push(Box::new(move || {
-            let _cg = corr.map(|c| sp_obs::corr::set_current(c.child(i as u32 + 2)));
-            let _sp = sp_obs::span!("point", distance = d);
-            run_sp_with_compiled(&point_ct, cache_cfg, params, opts).expect("geometry checked")
-        }));
-    }
-    let (mut results, report) = run_jobs(grid, jobs);
-    let baseline = results.remove(0);
-    Ok((assemble_sweep(baseline, distances, rp, results), report))
-}
-
-/// The sweep grid as lane specs: the baseline first, then one SP lane
-/// per distance — the submission order every sweep driver shares.
-fn sweep_specs(rp: f64, distances: &[u32]) -> Vec<LaneSpec> {
-    std::iter::once(LaneSpec::Original)
-        .chain(
-            distances
-                .iter()
-                .map(|&d| LaneSpec::Sp(SpParams::from_distance_rp(d, rp))),
-        )
-        .collect()
-}
-
-/// [`sweep_compiled_jobs_with`] on the lane-batched engine: consecutive
-/// grid points ride the same trace pass, `lanes` at a time, so the
-/// decode/set-index work is paid once per batch instead of once per
-/// point. Each batch is one job for the runner — `jobs` and `lanes`
-/// compose — and results are flattened in submission order, so the
-/// assembled `Sweep` is **identical** to the scalar sweep's at any
-/// (jobs, lanes) combination. `lanes <= 1` delegates to the scalar
-/// per-point path.
-pub fn sweep_compiled_batched_jobs_with(
-    ct: &Arc<CompiledTrace>,
-    cache_cfg: CacheConfig,
-    rp: f64,
-    distances: &[u32],
-    opts: EngineOptions,
-    jobs: usize,
-    lanes: usize,
-) -> Result<(Sweep, RunnerReport), GeometryMismatch> {
-    if lanes <= 1 {
-        return sweep_compiled_jobs_with(ct, cache_cfg, rp, distances, opts, jobs);
-    }
-    ct.ensure_geometry(cache_cfg.trace_geometry())?;
-    let corr = sp_obs::corr::current();
-    let _sp = sp_obs::span!("sweep", points = distances.len(), lanes = lanes);
-    let specs = sweep_specs(rp, distances);
-    let mut grid: Vec<Job<'static, Vec<RunResult>>> =
-        Vec::with_capacity(specs.len().div_ceil(lanes));
-    for (ci, chunk) in specs.chunks(lanes).enumerate() {
-        let chunk = chunk.to_vec();
-        let batch_ct = Arc::clone(ct);
-        grid.push(Box::new(move || {
-            let _cg = corr.map(|c| sp_obs::corr::set_current(c.child(ci as u32 + 1)));
-            let _sp = sp_obs::span!("batch", lanes = chunk.len());
-            run_trace_batched(&batch_ct, cache_cfg, &chunk, opts).expect("geometry checked")
-        }));
-    }
-    let (results, report) = run_jobs(grid, jobs);
-    let mut flat: Vec<RunResult> = results.into_iter().flatten().collect();
-    let baseline = flat.remove(0);
-    Ok((assemble_sweep(baseline, distances, rp, flat), report))
-}
-
-/// [`sweep_compiled_batched_jobs_with`] over an uncompiled trace — the
-/// CLI's entry point.
-pub fn sweep_distances_batched_jobs_with(
-    trace: &HotLoopTrace,
-    cache_cfg: CacheConfig,
-    rp: f64,
-    distances: &[u32],
-    opts: EngineOptions,
-    jobs: usize,
-    lanes: usize,
-) -> (Sweep, RunnerReport) {
-    let ct = Arc::new(compile_trace(trace, &cache_cfg));
-    sweep_compiled_batched_jobs_with(&ct, cache_cfg, rp, distances, opts, jobs, lanes)
-        .expect("compiled for this geometry")
+    let (sweep, (), _, report) = sweep_grid(
+        ct,
+        cache_cfg,
+        rp,
+        distances,
+        opts,
+        jobs,
+        None,
+        || NullSink,
+        |_| (),
+    )?;
+    Ok((sweep, report))
 }
 
 /// Per-point event summaries of an observed sweep, parallel to
@@ -253,106 +172,19 @@ pub fn sweep_events_compiled_jobs_with(
     opts: EngineOptions,
     jobs: usize,
 ) -> Result<(Sweep, SweepEvents, RunnerReport), GeometryMismatch> {
-    ct.ensure_geometry(cache_cfg.trace_geometry())?;
     let threshold = default_early_threshold(&cache_cfg.latency);
-    let corr = sp_obs::corr::current();
-    let _sp = sp_obs::span!("sweep", points = distances.len(), events = true);
-    let mut grid: Vec<Job<'static, (RunResult, EventSummary)>> =
-        Vec::with_capacity(distances.len() + 1);
-    let base_ct = Arc::clone(ct);
-    grid.push(Box::new(move || {
-        let _cg = corr.map(|c| sp_obs::corr::set_current(c.child(1)));
-        let _sp = sp_obs::span!("point", baseline = true);
-        let mut sink = SummarySink::new(threshold);
-        let run = run_original_passes_compiled_ev(&base_ct, cache_cfg, opts.passes, &mut sink)
-            .expect("geometry checked");
-        (run, sink.summary)
-    }));
-    for (i, &d) in distances.iter().enumerate() {
-        let params = SpParams::from_distance_rp(d, rp);
-        let point_ct = Arc::clone(ct);
-        grid.push(Box::new(move || {
-            let _cg = corr.map(|c| sp_obs::corr::set_current(c.child(i as u32 + 2)));
-            let _sp = sp_obs::span!("point", distance = d);
-            let mut sink = SummarySink::new(threshold);
-            let run = run_sp_with_compiled_ev(&point_ct, cache_cfg, params, opts, &mut sink)
-                .expect("geometry checked");
-            (run, sink.summary)
-        }));
-    }
-    let (mut results, report) = run_jobs(grid, jobs);
-    let (baseline, base_events) = results.remove(0);
-    let (runs, points): (Vec<RunResult>, Vec<EventSummary>) = results.into_iter().unzip();
-    let sweep = assemble_sweep(baseline, distances, rp, runs);
-    Ok((
-        sweep,
-        SweepEvents {
-            baseline: base_events,
-            points,
-        },
-        report,
-    ))
-}
-
-/// [`sweep_events_compiled_jobs_with`] on the lane-batched engine: one
-/// [`SummarySink`] per lane, so every grid point's fold is exactly what
-/// its scalar observed run would produce. `lanes <= 1` delegates to the
-/// scalar per-point path.
-#[allow(clippy::type_complexity)]
-pub fn sweep_events_compiled_batched_jobs_with(
-    ct: &Arc<CompiledTrace>,
-    cache_cfg: CacheConfig,
-    rp: f64,
-    distances: &[u32],
-    opts: EngineOptions,
-    jobs: usize,
-    lanes: usize,
-) -> Result<(Sweep, SweepEvents, RunnerReport), GeometryMismatch> {
-    if lanes <= 1 {
-        return sweep_events_compiled_jobs_with(ct, cache_cfg, rp, distances, opts, jobs);
-    }
-    ct.ensure_geometry(cache_cfg.trace_geometry())?;
-    let threshold = default_early_threshold(&cache_cfg.latency);
-    let corr = sp_obs::corr::current();
-    let _sp = sp_obs::span!(
-        "sweep",
-        points = distances.len(),
-        lanes = lanes,
-        events = true
-    );
-    let specs = sweep_specs(rp, distances);
-    let mut grid: Vec<Job<'static, Vec<(RunResult, EventSummary)>>> =
-        Vec::with_capacity(specs.len().div_ceil(lanes));
-    for (ci, chunk) in specs.chunks(lanes).enumerate() {
-        let chunk = chunk.to_vec();
-        let batch_ct = Arc::clone(ct);
-        grid.push(Box::new(move || {
-            let _cg = corr.map(|c| sp_obs::corr::set_current(c.child(ci as u32 + 1)));
-            let _sp = sp_obs::span!("batch", lanes = chunk.len(), events = true);
-            let mut sinks: Vec<SummarySink> = (0..chunk.len())
-                .map(|_| SummarySink::new(threshold))
-                .collect();
-            let runs = run_trace_batched_ev(&batch_ct, cache_cfg, &chunk, opts, &mut sinks)
-                .expect("geometry checked");
-            runs.into_iter()
-                .zip(sinks)
-                .map(|(r, s)| (r, s.summary))
-                .collect()
-        }));
-    }
-    let (results, report) = run_jobs(grid, jobs);
-    let mut flat: Vec<(RunResult, EventSummary)> = results.into_iter().flatten().collect();
-    let (baseline, base_events) = flat.remove(0);
-    let (runs, points): (Vec<RunResult>, Vec<EventSummary>) = flat.into_iter().unzip();
-    let sweep = assemble_sweep(baseline, distances, rp, runs);
-    Ok((
-        sweep,
-        SweepEvents {
-            baseline: base_events,
-            points,
-        },
-        report,
-    ))
+    let (sweep, baseline, points, report) = sweep_grid(
+        ct,
+        cache_cfg,
+        rp,
+        distances,
+        opts,
+        jobs,
+        Some("events"),
+        move || SummarySink::new(threshold),
+        |sink| sink.summary,
+    )?;
+    Ok((sweep, SweepEvents { baseline, points }, report))
 }
 
 /// Per-point epoch telemetry series of a recorded sweep, parallel to
@@ -385,115 +217,87 @@ pub fn sweep_epochs_compiled_jobs_with(
     epoch_len: u64,
     jobs: usize,
 ) -> Result<(Sweep, SweepEpochs, RunnerReport), GeometryMismatch> {
-    ct.ensure_geometry(cache_cfg.trace_geometry())?;
     let threshold = default_early_threshold(&cache_cfg.latency);
-    let corr = sp_obs::corr::current();
-    let _sp = sp_obs::span!("sweep", points = distances.len(), epochs = true);
-    let mut grid: Vec<Job<'static, (RunResult, EpochSeries)>> =
-        Vec::with_capacity(distances.len() + 1);
-    let base_ct = Arc::clone(ct);
-    grid.push(Box::new(move || {
-        let _cg = corr.map(|c| sp_obs::corr::set_current(c.child(1)));
-        let _sp = sp_obs::span!("point", baseline = true);
-        let mut sink = EpochSink::new(epoch_len, threshold);
-        let run = run_original_passes_compiled_ev(&base_ct, cache_cfg, opts.passes, &mut sink)
-            .expect("geometry checked");
-        (run, sink.finish())
-    }));
-    for (i, &d) in distances.iter().enumerate() {
-        let params = SpParams::from_distance_rp(d, rp);
-        let point_ct = Arc::clone(ct);
-        grid.push(Box::new(move || {
-            let _cg = corr.map(|c| sp_obs::corr::set_current(c.child(i as u32 + 2)));
-            let _sp = sp_obs::span!("point", distance = d);
-            let mut sink = EpochSink::new(epoch_len, threshold);
-            let run = run_sp_with_compiled_ev(&point_ct, cache_cfg, params, opts, &mut sink)
-                .expect("geometry checked");
-            (run, sink.finish())
-        }));
-    }
-    let (mut results, report) = run_jobs(grid, jobs);
-    let (baseline, base_epochs) = results.remove(0);
-    let (runs, points): (Vec<RunResult>, Vec<EpochSeries>) = results.into_iter().unzip();
-    let sweep = assemble_sweep(baseline, distances, rp, runs);
-    Ok((
-        sweep,
-        SweepEpochs {
-            baseline: base_epochs,
-            points,
-        },
-        report,
-    ))
+    let (sweep, baseline, points, report) = sweep_grid(
+        ct,
+        cache_cfg,
+        rp,
+        distances,
+        opts,
+        jobs,
+        Some("epochs"),
+        move || EpochSink::new(epoch_len, threshold),
+        EpochSink::finish,
+    )?;
+    Ok((sweep, SweepEpochs { baseline, points }, report))
 }
 
-/// [`sweep_epochs_compiled_jobs_with`] on the lane-batched engine: one
-/// [`EpochSink`] per lane, so every grid point's series is exactly what
-/// its scalar recorded run would produce (windows advance on the lane's
-/// own demand ticks). `lanes <= 1` delegates to the scalar per-point
-/// path.
-#[allow(clippy::type_complexity, clippy::too_many_arguments)]
-pub fn sweep_epochs_compiled_batched_jobs_with(
+/// The one sweep driver behind the plain, event-observed and recorded
+/// sweeps. The baseline and one SP run per distance are independent
+/// runner jobs, submitted baseline first; each attaches a fresh sink
+/// from `new_sink` and reduces it with `finish` to that point's output.
+/// Returns the assembled sweep, the baseline's output, and one output
+/// per distance. `flavour` tags the `sweep` span (`events = true`, …).
+#[allow(clippy::too_many_arguments, clippy::type_complexity)]
+fn sweep_grid<K, T>(
     ct: &Arc<CompiledTrace>,
     cache_cfg: CacheConfig,
     rp: f64,
     distances: &[u32],
     opts: EngineOptions,
-    epoch_len: u64,
     jobs: usize,
-    lanes: usize,
-) -> Result<(Sweep, SweepEpochs, RunnerReport), GeometryMismatch> {
-    if lanes <= 1 {
-        return sweep_epochs_compiled_jobs_with(
-            ct, cache_cfg, rp, distances, opts, epoch_len, jobs,
-        );
-    }
+    flavour: Option<&'static str>,
+    new_sink: impl Fn() -> K + Copy + Send + 'static,
+    finish: fn(K) -> T,
+) -> Result<(Sweep, T, Vec<T>, RunnerReport), GeometryMismatch>
+where
+    K: EventSink + 'static,
+    T: Send + 'static,
+{
     ct.ensure_geometry(cache_cfg.trace_geometry())?;
-    let threshold = default_early_threshold(&cache_cfg.latency);
+    // Each grid point gets a deterministic child of the caller's
+    // correlation ID (baseline = .1, distance i = .i+2), captured here
+    // and re-established inside the job so spans recorded on pool
+    // threads still correlate with the originating request.
     let corr = sp_obs::corr::current();
-    let _sp = sp_obs::span!(
-        "sweep",
-        points = distances.len(),
-        lanes = lanes,
-        epochs = true
-    );
-    let specs = sweep_specs(rp, distances);
-    let mut grid: Vec<Job<'static, Vec<(RunResult, EpochSeries)>>> =
-        Vec::with_capacity(specs.len().div_ceil(lanes));
-    for (ci, chunk) in specs.chunks(lanes).enumerate() {
-        let chunk = chunk.to_vec();
-        let batch_ct = Arc::clone(ct);
-        grid.push(Box::new(move || {
-            let _cg = corr.map(|c| sp_obs::corr::set_current(c.child(ci as u32 + 1)));
-            let _sp = sp_obs::span!("batch", lanes = chunk.len(), epochs = true);
-            let mut sinks: Vec<EpochSink> = (0..chunk.len())
-                .map(|_| EpochSink::new(epoch_len, threshold))
-                .collect();
-            let runs = run_trace_batched_ev(&batch_ct, cache_cfg, &chunk, opts, &mut sinks)
+    let _sp = SpanGuard::enter("sweep", || {
+        let mut fields = vec![("points", distances.len().to_string())];
+        fields.extend(flavour.map(|f| (f, true.to_string())));
+        fields
+    });
+    let points = std::iter::once(None).chain(distances.iter().copied().map(Some));
+    let grid: Vec<Job<'static, (RunResult, T)>> = points
+        .enumerate()
+        .map(|(i, distance)| {
+            let ct = Arc::clone(ct);
+            Box::new(move || {
+                let _cg = corr.map(|c| sp_obs::corr::set_current(c.child(i as u32 + 1)));
+                let _sp = match distance {
+                    None => sp_obs::span!("point", baseline = true),
+                    Some(d) => sp_obs::span!("point", distance = d),
+                };
+                let mut sink = new_sink();
+                let run = match distance {
+                    None => run_original_passes_compiled_ev(&ct, cache_cfg, opts.passes, &mut sink),
+                    Some(d) => {
+                        let params = SpParams::from_distance_rp(d, rp);
+                        run_sp_with_compiled_ev(&ct, cache_cfg, params, opts, &mut sink)
+                    }
+                }
                 .expect("geometry checked");
-            runs.into_iter()
-                .zip(sinks)
-                .map(|(r, s)| (r, s.finish()))
-                .collect()
-        }));
-    }
+                (run, finish(sink))
+            }) as Job<'static, (RunResult, T)>
+        })
+        .collect();
     let (results, report) = run_jobs(grid, jobs);
-    let mut flat: Vec<(RunResult, EpochSeries)> = results.into_iter().flatten().collect();
-    let (baseline, base_epochs) = flat.remove(0);
-    let (runs, points): (Vec<RunResult>, Vec<EpochSeries>) = flat.into_iter().unzip();
+    let (mut runs, mut outputs): (Vec<RunResult>, Vec<T>) = results.into_iter().unzip();
+    let baseline = runs.remove(0);
+    let base_output = outputs.remove(0);
     let sweep = assemble_sweep(baseline, distances, rp, runs);
-    Ok((
-        sweep,
-        SweepEpochs {
-            baseline: base_epochs,
-            points,
-        },
-        report,
-    ))
+    Ok((sweep, base_output, outputs, report))
 }
 
-/// Normalize a grid of SP runs against the baseline — shared by the
-/// plain and the event-observed sweeps so their `Sweep`s are assembled
-/// identically.
+/// Normalize a grid of SP runs against the baseline.
 fn assemble_sweep(baseline: RunResult, distances: &[u32], rp: f64, runs: Vec<RunResult>) -> Sweep {
     let base_rt = baseline.runtime.max(1) as f64;
     let base_ma = baseline.stats.main.memory_accesses().max(1) as f64;
@@ -687,56 +491,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_sweep_matches_scalar_sweep_at_any_shape() {
-        let t = synth::random(300, 3, 0, 1 << 20, 23, 2);
-        let c = cfg();
-        let ct = std::sync::Arc::new(crate::engine::compile_trace(&t, &c));
-        let ds = [1, 4, 16, 64];
-        let (scalar, _) =
-            sweep_compiled_jobs_with(&ct, c, 0.5, &ds, EngineOptions::default(), 1).unwrap();
-        // Lane widths that divide the 5-point grid evenly, raggedly, and
-        // wider than the grid itself; jobs composed on top.
-        for lanes in [2usize, 3, 5, 8] {
-            for jobs in [1usize, 2] {
-                let (batched, rep) = sweep_compiled_batched_jobs_with(
-                    &ct,
-                    c,
-                    0.5,
-                    &ds,
-                    EngineOptions::default(),
-                    jobs,
-                    lanes,
-                )
-                .unwrap();
-                assert_eq!(batched, scalar, "lanes={lanes} jobs={jobs}");
-                assert_eq!(rep.jobs, 5usize.div_ceil(lanes));
-            }
-        }
-    }
-
-    #[test]
-    fn batched_events_sweep_matches_scalar_events_sweep() {
-        let t = synth::random(300, 3, 0, 1 << 20, 23, 2);
-        let c = cfg();
-        let ct = std::sync::Arc::new(crate::engine::compile_trace(&t, &c));
-        let (sweep, events, _) =
-            sweep_events_compiled_jobs_with(&ct, c, 0.5, &[2, 8, 32], EngineOptions::default(), 1)
-                .unwrap();
-        let (bs, be, _) = sweep_events_compiled_batched_jobs_with(
-            &ct,
-            c,
-            0.5,
-            &[2, 8, 32],
-            EngineOptions::default(),
-            1,
-            2,
-        )
-        .unwrap();
-        assert_eq!(bs, sweep);
-        assert_eq!(be, events, "per-lane folds must match scalar folds");
-    }
-
-    #[test]
     fn epoch_sweep_matches_plain_sweep_and_totals_fold_to_the_counters() {
         let t = synth::random(300, 3, 0, 1 << 20, 23, 2);
         let c = cfg();
@@ -780,55 +534,6 @@ mod tests {
                 .unwrap();
         assert_eq!(par.0, recorded);
         assert_eq!(par.1, epochs);
-    }
-
-    #[test]
-    fn batched_epoch_sweep_matches_scalar_epoch_sweep() {
-        let t = synth::random(300, 3, 0, 1 << 20, 23, 2);
-        let c = cfg();
-        let ct = std::sync::Arc::new(crate::engine::compile_trace(&t, &c));
-        let (sweep, epochs, _) = sweep_epochs_compiled_jobs_with(
-            &ct,
-            c,
-            0.5,
-            &[2, 8, 32],
-            EngineOptions::default(),
-            64,
-            1,
-        )
-        .unwrap();
-        for lanes in [2usize, 4] {
-            let (bs, be, _) = sweep_epochs_compiled_batched_jobs_with(
-                &ct,
-                c,
-                0.5,
-                &[2, 8, 32],
-                EngineOptions::default(),
-                64,
-                1,
-                lanes,
-            )
-            .unwrap();
-            assert_eq!(bs, sweep, "lanes={lanes}");
-            assert_eq!(
-                be, epochs,
-                "per-lane series must match scalar, lanes={lanes}"
-            );
-        }
-    }
-
-    #[test]
-    fn batched_sweep_lanes_one_is_the_scalar_path() {
-        let t = synth::sequential(400, 2, 0, 64, 0);
-        let c = cfg();
-        let ct = std::sync::Arc::new(crate::engine::compile_trace(&t, &c));
-        let (batched, rep) =
-            sweep_compiled_batched_jobs_with(&ct, c, 0.5, &[2, 8], EngineOptions::default(), 1, 1)
-                .unwrap();
-        let (scalar, srep) =
-            sweep_compiled_jobs_with(&ct, c, 0.5, &[2, 8], EngineOptions::default(), 1).unwrap();
-        assert_eq!(batched, scalar);
-        assert_eq!(rep.jobs, srep.jobs, "lanes=1 keeps per-point jobs");
     }
 
     #[test]

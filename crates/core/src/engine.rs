@@ -38,55 +38,6 @@ thread_local! {
     /// the whole hierarchy per run. The take/put protocol keeps the
     /// `RefCell` borrow scoped to the swap, never across a simulation.
     static PARKED_SIM: RefCell<Option<(CacheConfig, MemorySystem)>> = const { RefCell::new(None) };
-
-    /// Parked lane-batched simulators, keyed by (config, lane count). A
-    /// batched sweep alternates a small number of shapes — the full lane
-    /// width plus a ragged remainder — so a short list with LRU-ish
-    /// eviction keeps [`sp_cachesim::sim_build_count`] flat across
-    /// repeated batched sweeps.
-    static PARKED_BATCH: RefCell<Vec<(CacheConfig, usize, MemorySystem)>> =
-        const { RefCell::new(Vec::new()) };
-}
-
-/// Cap on parked batch shapes per thread.
-const PARKED_BATCH_CAP: usize = 4;
-
-/// Main steps each lane runs back to back before the batched driver
-/// rotates to the next lane. Purely a host-locality knob (lane order is
-/// free — see [`run_trace_batched_ev`]): big enough that a lane's
-/// private simulator state stays resident across a stretch of refs,
-/// small enough that the compiled records of the block are still hot
-/// when the last lane replays them.
-const BATCH_BLOCK_STEPS: usize = 1024;
-
-/// A lane-batched simulator for `(cfg, lanes)`: a parked one reset in
-/// place when its shape matches, a fresh build otherwise.
-fn acquire_batch(cfg: CacheConfig, lanes: usize) -> MemorySystem {
-    let parked = PARKED_BATCH.with(|p| {
-        let mut v = p.borrow_mut();
-        v.iter()
-            .position(|(c, l, _)| *c == cfg && *l == lanes)
-            .map(|i| v.remove(i).2)
-    });
-    match parked {
-        Some(mut sim) => {
-            sim.reset();
-            sim
-        }
-        None => MemorySystem::new_batch(cfg, lanes),
-    }
-}
-
-/// Park `sim` for the next [`acquire_batch`] of the same shape on this
-/// thread.
-fn release_batch(cfg: CacheConfig, lanes: usize, sim: MemorySystem) {
-    PARKED_BATCH.with(|p| {
-        let mut v = p.borrow_mut();
-        if v.len() >= PARKED_BATCH_CAP {
-            v.remove(0); // oldest shape out
-        }
-        v.push((cfg, lanes, sim));
-    });
 }
 
 /// A simulator for `cfg`: the parked one reset in place when its
@@ -413,7 +364,6 @@ pub fn run_scheduled_compiled_ev<S: EventSink>(
         if run_helper {
             let step = schedule.step(helper.iter);
             step_helper(
-                0,
                 &mut helper,
                 &mut mem,
                 ct,
@@ -425,7 +375,7 @@ pub fn run_scheduled_compiled_ev<S: EventSink>(
             );
         } else {
             let before = main.iter;
-            step_main(0, &mut main, &mut mem, ct, n, sink);
+            step_main(&mut main, &mut mem, ct, n, sink);
             if main.iter != before {
                 schedule.on_main_iter(before, &mem, main.clock);
             }
@@ -447,244 +397,9 @@ pub fn run_scheduled_compiled_ev<S: EventSink>(
     })
 }
 
-/// What one lane of a batched run simulates: the untransformed program,
-/// or the SP mechanism at a fixed parameter point.
-///
-/// The adaptive controller is deliberately *not* expressible here: its
-/// schedule mutates on main-thread feedback through
-/// [`HelperSchedule::on_main_iter`], which the lockstep batched driver
-/// does not deliver. Static grids are exactly what distance sweeps need.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LaneSpec {
-    /// Main thread only (the paper's baseline).
-    Original,
-    /// Main + helper under the static SP plan.
-    Sp(SpParams),
-}
-
-/// Replay state for one lane's helper thread.
-struct HelperLane {
-    cur: Cursor,
-    sched: StaticSchedule,
-    blocked: bool,
-    waits: u64,
-    jumps: u64,
-    finish: Cycle,
-}
-
-/// Replay state for one lane: a main-thread cursor plus, for SP lanes,
-/// the helper and its leash bookkeeping.
-struct LaneState {
-    main: Cursor,
-    helper: Option<HelperLane>,
-}
-
-/// `k` independent co-simulations advancing in lockstep over one
-/// compiled trace: a lane-structured [`MemorySystem`] (all lanes' tags
-/// for a set adjacent in memory) plus per-lane replay cursors.
-///
-/// The batch streams each [`sp_trace::CompiledRef`] once — decode,
-/// set-indexing, and loop control are shared — and applies it to every
-/// lane back to back, so the k accesses touch adjacent tag columns while
-/// they are hot in the host cache. Each lane runs *literally the scalar
-/// engine's code* against its own lane of the memory system, which is
-/// what makes the batched counters bit-identical to k scalar runs.
-pub struct LaneBatch {
-    mem: MemorySystem,
-    lanes: Vec<LaneState>,
-    /// Virtual iteration count (`outer_iters * passes`).
-    n: usize,
-    opts: EngineOptions,
-}
-
-impl LaneBatch {
-    fn new(
-        ct: &CompiledTrace,
-        cache_cfg: CacheConfig,
-        specs: &[LaneSpec],
-        opts: EngineOptions,
-    ) -> Self {
-        let n = ct.outer_iters() * opts.passes;
-        let lanes = specs
-            .iter()
-            .map(|spec| LaneState {
-                main: Cursor {
-                    iter: 0,
-                    ref_idx: 0,
-                    clock: 0,
-                    done: n == 0,
-                },
-                helper: match spec {
-                    LaneSpec::Original => None,
-                    LaneSpec::Sp(params) => Some(HelperLane {
-                        cur: Cursor {
-                            iter: 0,
-                            ref_idx: 0,
-                            clock: 0,
-                            done: n == 0,
-                        },
-                        sched: StaticSchedule::new(*params),
-                        blocked: false,
-                        waits: 0,
-                        jumps: 0,
-                        finish: 0,
-                    }),
-                },
-            })
-            .collect();
-        LaneBatch {
-            mem: acquire_batch(cache_cfg, specs.len()),
-            lanes,
-            n,
-            opts,
-        }
-    }
-
-    /// Advance lane `li` by one main-thread step, first letting its
-    /// helper run as far as the co-sim interleaving allows. This is the
-    /// scalar loop body of [`run_scheduled_compiled_ev`] verbatim — the
-    /// re-sync (jump / block / clock catch-up) runs before *every* step,
-    /// and the helper runs whenever its clock has not passed the main
-    /// thread's — just unrolled so the main thread retires exactly one
-    /// step per call, keeping all lanes on the same `CompiledRef`.
-    fn advance<S: EventSink>(&mut self, li: usize, ct: &CompiledTrace, sink: &mut S) {
-        let n = self.n;
-        let lane = &mut self.lanes[li];
-        loop {
-            if let Some(h) = &mut lane.helper {
-                if !h.cur.done {
-                    if h.cur.iter < lane.main.iter {
-                        // Fell behind: jump ahead like a real resync.
-                        h.cur.iter = (lane.main.iter + h.sched.jump_distance() as usize).min(n);
-                        h.cur.ref_idx = 0;
-                        h.jumps += 1;
-                        if h.cur.iter >= n {
-                            h.cur.done = true;
-                            h.finish = h.cur.clock;
-                        }
-                    }
-                    let was_blocked = h.blocked;
-                    h.blocked = !h.cur.done && h.cur.iter >= lane.main.iter + h.sched.window();
-                    if h.blocked && !was_blocked {
-                        h.waits += 1;
-                    }
-                    if was_blocked && !h.blocked {
-                        // Spun until the main thread advanced.
-                        h.cur.clock = h.cur.clock.max(lane.main.clock);
-                    }
-                }
-                if !h.cur.done && !h.blocked && h.cur.clock <= lane.main.clock {
-                    let step = h.sched.step(h.cur.iter);
-                    step_helper(
-                        li,
-                        &mut h.cur,
-                        &mut self.mem,
-                        ct,
-                        step,
-                        n,
-                        &mut h.finish,
-                        self.opts,
-                        sink,
-                    );
-                    continue;
-                }
-            }
-            step_main(li, &mut lane.main, &mut self.mem, ct, n, sink);
-            return;
-        }
-    }
-
-    /// Collect lane `li`'s result (final drain included).
-    fn finish_lane<S: EventSink>(&mut self, li: usize, sink: &mut S) -> RunResult {
-        let lane = &mut self.lanes[li];
-        if let Some(h) = &mut lane.helper {
-            if !h.cur.done {
-                h.finish = h.cur.clock;
-            }
-        }
-        let stats = self.mem.finish_stats_lane_ev(li, sink);
-        RunResult {
-            runtime: lane.main.clock,
-            helper_runtime: lane.helper.as_ref().map_or(0, |h| h.finish),
-            stats,
-            outer_iters: self.n,
-            helper_waits: lane.helper.as_ref().map_or(0, |h| h.waits),
-            helper_jumps: lane.helper.as_ref().map_or(0, |h| h.jumps),
-        }
-    }
-}
-
-/// Run `specs.len()` independent simulations of `ct` in one pass over
-/// the trace — one [`LaneSpec`] per lane. Returns one [`RunResult`] per
-/// lane, each bit-identical to the corresponding scalar run
-/// ([`run_original_passes_compiled`] / [`run_sp_with_compiled`]).
-pub fn run_trace_batched(
-    ct: &CompiledTrace,
-    cache_cfg: CacheConfig,
-    specs: &[LaneSpec],
-    opts: EngineOptions,
-) -> Result<Vec<RunResult>, GeometryMismatch> {
-    let mut sinks = vec![NullSink; specs.len()];
-    run_trace_batched_ev(ct, cache_cfg, specs, opts, &mut sinks)
-}
-
-/// [`run_trace_batched`] with one event sink per lane. Each lane's sink
-/// observes exactly the event stream its scalar run would emit.
-pub fn run_trace_batched_ev<S: EventSink>(
-    ct: &CompiledTrace,
-    cache_cfg: CacheConfig,
-    specs: &[LaneSpec],
-    opts: EngineOptions,
-    sinks: &mut [S],
-) -> Result<Vec<RunResult>, GeometryMismatch> {
-    assert!(opts.passes > 0, "need at least one pass");
-    assert!(!specs.is_empty(), "need at least one lane");
-    assert_eq!(specs.len(), sinks.len(), "one sink per lane");
-    ct.ensure_geometry(cache_cfg.trace_geometry())?;
-    let k = specs.len();
-    let _sp = sp_obs::span!(
-        "simulate",
-        mode = "batched",
-        lanes = k,
-        passes = opts.passes
-    );
-    let mut batch = LaneBatch::new(ct, cache_cfg, specs, opts);
-
-    // Stream the trace once, in blocks of whole virtual iterations:
-    // every lane replays a block's compiled records back to back before
-    // the next lane starts the same block, so the records stay hot in
-    // the host cache while each lane's private (cache/MSHR/prefetcher)
-    // state sees a long run of locality. Lanes are fully independent,
-    // which makes the interleave order free — any schedule yields
-    // bit-identical results — so the block size only tunes host
-    // locality, not behaviour. `steps` counts main steps per iteration
-    // (one per ref; one boundary-only step when the iteration is empty),
-    // which holds every lane on the same record range.
-    let mut v = 0usize;
-    while v < batch.n {
-        let mut steps = 0usize;
-        while v < batch.n && steps < BATCH_BLOCK_STEPS {
-            steps += ct.iter_refs(v % ct.outer_iters()).len().max(1);
-            v += 1;
-        }
-        for (li, sink) in sinks.iter_mut().enumerate() {
-            for _ in 0..steps {
-                batch.advance(li, ct, sink);
-            }
-        }
-    }
-
-    let results = (0..k)
-        .map(|li| batch.finish_lane(li, &mut sinks[li]))
-        .collect();
-    release_batch(cache_cfg, k, batch.mem);
-    Ok(results)
-}
-
-/// Execute the main thread's next access in `lane`; advances its clock,
+/// Execute the main thread's next access; advances its clock,
 /// including the iteration's compute cycles when the iteration ends.
 fn step_main<S: EventSink>(
-    lane: usize,
     c: &mut Cursor,
     mem: &mut MemorySystem,
     ct: &CompiledTrace,
@@ -695,13 +410,8 @@ fn step_main<S: EventSink>(
     let refs = ct.iter_refs(it);
     let total = refs.len();
     if c.ref_idx < total {
-        let res = mem.demand_access_lane_ev(
-            lane,
-            Entity::Main,
-            &ct.get(refs.start + c.ref_idx),
-            c.clock,
-            sink,
-        );
+        let res =
+            mem.demand_access_pre_ev(Entity::Main, &ct.get(refs.start + c.ref_idx), c.clock, sink);
         c.clock = res.complete_at;
         c.ref_idx += 1;
     }
@@ -715,10 +425,9 @@ fn step_main<S: EventSink>(
     }
 }
 
-/// Execute the helper thread's next access in `lane` per its SP plan.
+/// Execute the helper thread's next access per its SP plan.
 #[allow(clippy::too_many_arguments)]
 fn step_helper<S: EventSink>(
-    lane: usize,
     c: &mut Cursor,
     mem: &mut MemorySystem,
     ct: &CompiledTrace,
@@ -749,7 +458,7 @@ fn step_helper<S: EventSink>(
             break;
         }
         if idx < backbone_len {
-            let res = mem.helper_load_lane_ev(lane, &ct.get(backbone.start + idx), c.clock, sink);
+            let res = mem.helper_load_pre_ev(&ct.get(backbone.start + idx), c.clock, sink);
             c.clock = res.complete_at;
             idx += 1;
             break;
@@ -757,11 +466,11 @@ fn step_helper<S: EventSink>(
         let cr = ct.get(inner.start + (idx - backbone_len));
         if cr.kind == AccessKind::Load {
             let res = if opts.blocking_helper {
-                mem.helper_load_lane_ev(lane, &cr, c.clock, sink)
+                mem.helper_load_pre_ev(&cr, c.clock, sink)
             } else {
                 // The projections are kind-independent, so the compiled
                 // record stands in for `mem_ref().as_prefetch()` directly.
-                mem.prefetch_access_lane_ev(lane, &cr, c.clock, sink)
+                mem.prefetch_access_pre_ev(&cr, c.clock, sink)
             };
             c.clock = res.complete_at;
             idx += 1;
@@ -1020,58 +729,6 @@ mod tests {
             assert_eq!(run_original(&t, c), first);
             assert_eq!(run_original(&t, other), first_other, "config swap");
         }
-    }
-
-    #[test]
-    fn batched_lanes_match_their_scalar_runs_bit_for_bit() {
-        let t = synth::random(250, 3, 0, 1 << 20, 31, 2);
-        let c = cfg();
-        let ct = compile_trace(&t, &c);
-        let opts = EngineOptions {
-            passes: 2,
-            ..EngineOptions::default()
-        };
-        let specs = [
-            LaneSpec::Original,
-            LaneSpec::Sp(SpParams::new(4, 4)),
-            LaneSpec::Sp(SpParams::new(16, 16)),
-            LaneSpec::Sp(SpParams::new(2, 6)),
-        ];
-        let batched = run_trace_batched(&ct, c, &specs, opts).unwrap();
-        for (spec, got) in specs.iter().zip(&batched) {
-            let scalar = match spec {
-                LaneSpec::Original => run_original_passes_compiled(&ct, c, opts.passes).unwrap(),
-                LaneSpec::Sp(p) => run_sp_with_compiled(&ct, c, *p, opts).unwrap(),
-            };
-            assert_eq!(got, &scalar, "lane {spec:?} must replay its scalar run");
-        }
-    }
-
-    #[test]
-    fn batched_single_lane_equals_scalar() {
-        let t = synth::sequential(300, 2, 0, 64, 1);
-        let c = cfg();
-        let ct = compile_trace(&t, &c);
-        let opts = EngineOptions::default();
-        let p = SpParams::new(8, 8);
-        let batched = run_trace_batched(&ct, c, &[LaneSpec::Sp(p)], opts).unwrap();
-        assert_eq!(batched[0], run_sp_with_compiled(&ct, c, p, opts).unwrap());
-    }
-
-    #[test]
-    fn batched_empty_trace_is_a_noop() {
-        let t = sp_trace::HotLoopTrace::new("empty");
-        let c = cfg();
-        let ct = compile_trace(&t, &c);
-        let r = run_trace_batched(
-            &ct,
-            c,
-            &[LaneSpec::Original, LaneSpec::Sp(SpParams::new(1, 1))],
-            EngineOptions::default(),
-        )
-        .unwrap();
-        assert_eq!(r[0].runtime, 0);
-        assert_eq!(r[1].stats.main.demand_accesses(), 0);
     }
 
     #[test]

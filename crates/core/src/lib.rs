@@ -58,10 +58,8 @@ pub use affinity::{
 };
 pub use calr::{estimate_calr, select_params, select_rp, CalrProfile};
 pub use distance::{
-    controlled_distance, recommend_distance, sweep_compiled_batched_jobs_with,
-    sweep_compiled_jobs_with, sweep_distances, sweep_distances_batched_jobs_with,
-    sweep_distances_jobs, sweep_distances_jobs_with, sweep_epochs_compiled_batched_jobs_with,
-    sweep_epochs_compiled_jobs_with, sweep_events_compiled_batched_jobs_with,
+    controlled_distance, recommend_distance, sweep_compiled_jobs_with, sweep_distances,
+    sweep_distances_jobs, sweep_distances_jobs_with, sweep_epochs_compiled_jobs_with,
     sweep_events_compiled_jobs_with, DistanceRecommendation, Sweep, SweepEpochs, SweepEvents,
     SweepPoint,
 };
@@ -69,8 +67,7 @@ pub use engine::{
     compile_trace, run_original, run_original_passes, run_original_passes_compiled,
     run_original_passes_compiled_ev, run_scheduled, run_scheduled_compiled,
     run_scheduled_compiled_ev, run_sp, run_sp_with, run_sp_with_compiled, run_sp_with_compiled_ev,
-    run_trace_batched, run_trace_batched_ev, EngineOptions, HelperSchedule, LaneBatch, LaneSpec,
-    RunResult, StaticSchedule,
+    EngineOptions, HelperSchedule, RunResult, StaticSchedule,
 };
 pub use params::SpParams;
 pub use pollution::{BehaviorChange, PollutionSummary};

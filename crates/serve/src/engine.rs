@@ -15,9 +15,8 @@ use crate::protocol::{scale_name, Command, SimSpec};
 use sp_bench::{kernel_row, Scale};
 use sp_cachesim::{EpochSeries, EventSummary, PfClass, PollutionCase, DEFAULT_EPOCH_LEN};
 use sp_core::{
-    compile_trace, recommend_distance, sweep_compiled_batched_jobs_with,
-    sweep_epochs_compiled_batched_jobs_with, sweep_events_compiled_batched_jobs_with, Sweep,
-    SweepEpochs, SweepEvents,
+    compile_trace, recommend_distance, sweep_compiled_jobs_with, sweep_epochs_compiled_jobs_with,
+    sweep_events_compiled_jobs_with, Sweep, SweepEpochs, SweepEvents,
 };
 use sp_native::sync::Mutex;
 use sp_trace::{CompiledTrace, HotLoopTrace, TraceGeometry};
@@ -224,11 +223,9 @@ impl SimEngine {
         let compiled = self.compiled(&trace, &spec.cache.config);
         let bound = recommend_distance(&trace, &spec.cache.config).max_distance;
         // Requests parallelize across the pool, not within a job
-        // (jobs = 1); `spec.lanes` batches grid points per trace pass
-        // inside this worker. Results are bit-identical at every lane
-        // width, which is why `lanes` stays out of the cache key.
+        // (jobs = 1).
         if spec.epochs {
-            let (sweep, epochs, _report) = sweep_epochs_compiled_batched_jobs_with(
+            let (sweep, epochs, _report) = sweep_epochs_compiled_jobs_with(
                 &compiled,
                 spec.cache.config,
                 spec.rp,
@@ -236,7 +233,6 @@ impl SimEngine {
                 spec.opts,
                 DEFAULT_EPOCH_LEN,
                 1,
-                spec.lanes,
             )
             .expect("compiled for this request's geometry");
             self.epochs.record(&epochs.baseline);
@@ -247,14 +243,13 @@ impl SimEngine {
             return sweep_json(spec, bound, &sweep, None, Some(&epochs)).encode();
         }
         if spec.events {
-            let (sweep, events, _report) = sweep_events_compiled_batched_jobs_with(
+            let (sweep, events, _report) = sweep_events_compiled_jobs_with(
                 &compiled,
                 spec.cache.config,
                 spec.rp,
                 distances,
                 spec.opts,
                 1,
-                spec.lanes,
             )
             .expect("compiled for this request's geometry");
             self.events.record(&events.baseline);
@@ -264,14 +259,13 @@ impl SimEngine {
             let _sp = sp_obs::span!("serialize");
             return sweep_json(spec, bound, &sweep, Some(&events), None).encode();
         }
-        let (sweep, _report) = sweep_compiled_batched_jobs_with(
+        let (sweep, _report) = sweep_compiled_jobs_with(
             &compiled,
             spec.cache.config,
             spec.rp,
             distances,
             spec.opts,
             1,
-            spec.lanes,
         )
         .expect("compiled for this request's geometry");
         let _sp = sp_obs::span!("serialize");

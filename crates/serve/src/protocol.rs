@@ -3,8 +3,9 @@
 //!
 //! ## Requests
 //!
-//! One JSON object per line. `type` selects the command; everything
-//! else has a default, so `{"type":"sweep"}` is a valid request:
+//! One UTF-8 JSON object per line, at most 64 KiB including the
+//! newline. `type` selects the command; everything else has a
+//! default, so `{"type":"sweep"}` is a valid request:
 //!
 //! ```text
 //! {"id":7,"type":"sweep","bench":"em3d","scale":"test","rp":0.5,
@@ -24,8 +25,10 @@
 //!
 //! `{"id":...,"ok":true,"cached":false,"micros":1234,"result":{...}}` on
 //! success; `{"id":...,"ok":false,"error":"busy","detail":"..."}` on
-//! failure. `error` is one of `bad_request`, `busy` (backpressure — try
-//! again later), `timeout`, `shutting_down`, or `internal`.
+//! failure. `error` is one of `bad_request`, `line_too_long` (sent as
+//! soon as a line passes the size cap; the rest of that line is
+//! discarded), `busy` (backpressure — try again later), `timeout`,
+//! `shutting_down`, or `internal`.
 //!
 //! ## Cache keys
 //!
@@ -131,12 +134,6 @@ pub struct SimSpec {
     /// run carries one sink. Epoch payloads are **never cached** (see
     /// [`Request::cache_key`]), so the knob stays out of the key.
     pub epochs: bool,
-    /// Grid points simulated per trace pass for sweep requests (the
-    /// lane-batched engine; 1 = the scalar per-point path). Purely an
-    /// execution knob: results are bit-identical at every width, so it
-    /// is **excluded from the cache key** — sweeps at different lane
-    /// widths share cached results.
-    pub lanes: usize,
 }
 
 impl SimSpec {
@@ -172,16 +169,14 @@ impl SimSpec {
         if events && epochs {
             return Err("events and epochs are mutually exclusive".into());
         }
-        let lanes = match v.get("lanes") {
-            None => 1,
-            Some(l) => {
-                let l = l.as_u64().ok_or("lanes must be a positive integer")?;
-                if l == 0 || l > 64 {
-                    return Err("lanes must be in 1..=64".into());
-                }
-                l as usize
+        // Accepted and validated so that clients which still send it get
+        // the same replies; it has no effect on the simulation.
+        if let Some(l) = v.get("lanes") {
+            let l = l.as_u64().ok_or("lanes must be a positive integer")?;
+            if l == 0 || l > 64 {
+                return Err("lanes must be in 1..=64".into());
             }
-        };
+        }
         Ok(SimSpec {
             bench,
             scale,
@@ -190,7 +185,6 @@ impl SimSpec {
             opts,
             events,
             epochs,
-            lanes,
         })
     }
 
@@ -467,26 +461,23 @@ mod tests {
     }
 
     #[test]
-    fn lane_width_is_execution_only_and_shares_the_cache_key() {
+    fn lanes_key_is_accepted_and_changes_nothing() {
         let at = |lanes: &str| {
             Request::parse(&format!(
                 "{{\"type\":\"sweep\",\"distances\":[2,16]{lanes}}}"
             ))
             .unwrap()
         };
-        let scalar = at("");
-        let wide = at(",\"lanes\":8");
-        match (&scalar.cmd, &wide.cmd) {
-            (Command::Sweep { spec: s, .. }, Command::Sweep { spec: w, .. }) => {
-                assert_eq!(s.lanes, 1, "lanes defaults to the scalar path");
-                assert_eq!(w.lanes, 8);
-            }
-            other => panic!("wrong commands {other:?}"),
-        }
-        // Results are bit-identical at every lane width, so both
-        // requests must resolve to one cached entry.
-        assert_eq!(scalar.cache_key(), wide.cache_key());
-        for bad in ["0", "65", "\"four\""] {
+        let plain = at("");
+        let laned = at(",\"lanes\":8");
+        // Same request, same cache entry, same payload bytes.
+        assert_eq!(plain.cache_key(), laned.cache_key());
+        let engine = crate::engine::SimEngine::new();
+        assert_eq!(
+            engine.execute(&plain.cmd).unwrap(),
+            engine.execute(&laned.cmd).unwrap()
+        );
+        for bad in ["0", "65", "\"x\""] {
             let line = format!("{{\"type\":\"sweep\",\"lanes\":{bad}}}");
             assert!(Request::parse(&line).is_err(), "lanes {bad} must reject");
         }

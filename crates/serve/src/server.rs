@@ -6,6 +6,7 @@
 //!
 //! ```text
 //! read line ── parse ──┬─ ping/stats/shutdown: answered inline
+//!   (≤ 64 KiB, UTF-8)  ├─ oversized / malformed: error reply
 //!                      └─ sweep/point/affinity/burn:
 //!                           cache hit ───────────────► reply cached:true
 //!                           cache miss ─ try_submit ─┬─ queued: wait
@@ -31,7 +32,7 @@ use crate::metrics::{hist_rows_json, hist_summary_json, Metrics, StageTimes};
 use crate::protocol::{error_response, ok_response, with_corr, Command, Request};
 use sp_obs::CorrId;
 use sp_runner::{SubmitError, WorkerPool};
-use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, OnceLock};
@@ -238,9 +239,16 @@ impl Server {
     }
 }
 
+/// Longest request line the daemon buffers, newline included. A longer
+/// line is answered `line_too_long` as soon as it overflows, and the
+/// rest of it is discarded up to its newline.
+const MAX_LINE_BYTES: usize = 64 * 1024;
+
 /// Per-connection loop: accumulate bytes into a line buffer, serve each
-/// complete line. The 250 ms read timeout is the drain poll interval —
-/// on timeout the partial line is kept, never discarded.
+/// complete line. The buffer never holds more than `MAX_LINE_BYTES + 1`
+/// bytes, whatever the client sends. The 250 ms read timeout is the
+/// drain poll interval — on timeout the partial line is kept, never
+/// discarded.
 fn handle_connection(stream: TcpStream, shared: Arc<Shared>) {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
     let _ = stream.set_nodelay(true);
@@ -249,25 +257,34 @@ fn handle_connection(stream: TcpStream, shared: Arc<Shared>) {
         Err(_) => return,
     };
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut line = Vec::new();
+    // Inside an oversized line that has already been answered.
+    let mut skipping = false;
     loop {
-        match reader.read_line(&mut line) {
+        let room = (MAX_LINE_BYTES + 1 - line.len()) as u64;
+        match (&mut reader).take(room).read_until(b'\n', &mut line) {
             Ok(0) => return, // EOF
-            Ok(_) if line.ends_with('\n') => {
-                let (reply, close) = serve_line(&shared, line.trim());
+            Ok(_) => {
+                let complete = line.ends_with(b"\n");
+                if !complete && line.len() <= MAX_LINE_BYTES {
+                    continue; // partial line; keep accumulating
+                }
+                let answered = std::mem::replace(&mut skipping, !complete);
+                if !answered {
+                    let (reply, close) = serve_line(&shared, &line);
+                    if writer
+                        .write_all(reply.as_bytes())
+                        .and_then(|()| writer.write_all(b"\n"))
+                        .is_err()
+                    {
+                        return;
+                    }
+                    if close {
+                        return;
+                    }
+                }
                 line.clear();
-                if writer
-                    .write_all(reply.as_bytes())
-                    .and_then(|()| writer.write_all(b"\n"))
-                    .is_err()
-                {
-                    return;
-                }
-                if close {
-                    return;
-                }
             }
-            Ok(_) => {} // partial line without newline; keep accumulating
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
                 if shared.draining() {
                     return;
@@ -311,7 +328,7 @@ impl ReqCtx {
 /// once the span tree has flushed — folds stage durations into the
 /// process histograms and emits one structured access-log line
 /// (escalated to `warn` past the configured `slow_ms`).
-fn serve_line(shared: &Arc<Shared>, line: &str) -> (String, bool) {
+fn serve_line(shared: &Arc<Shared>, line: &[u8]) -> (String, bool) {
     let start = Instant::now();
     let corr = CorrId::next_root();
     let _cg = sp_obs::corr::set_current(corr);
@@ -346,21 +363,36 @@ fn serve_line(shared: &Arc<Shared>, line: &str) -> (String, bool) {
     (reply, close)
 }
 
-/// The request path proper: parse, answer inline kinds, or go through
-/// cache → pool → engine. Mutates `ctx` for [`serve_line`]'s access log.
+/// The request path proper: frame and parse, answer inline kinds, or
+/// go through cache → pool → engine. Mutates `ctx` for
+/// [`serve_line`]'s access log.
 fn serve_request(
     shared: &Arc<Shared>,
-    line: &str,
+    line: &[u8],
     start: Instant,
     ctx: &mut ReqCtx,
 ) -> (String, bool) {
-    let req = match Request::parse(line) {
+    let parsed = if line.len() > MAX_LINE_BYTES {
+        Err((
+            "line_too_long",
+            format!("request line exceeds {MAX_LINE_BYTES} bytes"),
+        ))
+    } else {
+        match std::str::from_utf8(line) {
+            Ok(text) => Request::parse(text.trim()).map_err(|detail| ("bad_request", detail)),
+            Err(e) => Err((
+                "bad_request",
+                format!("request line is not UTF-8 (byte {})", e.valid_up_to()),
+            )),
+        }
+    };
+    let req = match parsed {
         Ok(req) => req,
-        Err(detail) => {
+        Err((code, detail)) => {
             shared.metrics.requests.fetch_add(1, Ordering::Relaxed);
             shared.metrics.errors.fetch_add(1, Ordering::Relaxed);
-            ctx.outcome = "bad_request";
-            return (error_response(&None, "bad_request", &detail), false);
+            ctx.outcome = code;
+            return (error_response(&None, code, &detail), false);
         }
     };
     shared.metrics.count_request(req.kind());

@@ -300,9 +300,10 @@ fn deeply_nested_request_is_a_bad_request_not_a_crash() {
         ..ServerConfig::default()
     });
     // Unbounded recursion on this line would overflow the connection
-    // thread's stack and abort the whole daemon.
+    // thread's stack and abort the whole daemon. (It stays under the
+    // 64 KiB line cap, so it reaches the JSON parser.)
     let mut c = Client::connect(addr);
-    let reply = c.roundtrip(&"[".repeat(100_000));
+    let reply = c.roundtrip(&"[".repeat(60_000));
     assert!(!ok(&reply), "{reply:?}");
     assert_eq!(
         reply.get("error").and_then(Json::as_str),
@@ -317,4 +318,79 @@ fn deeply_nested_request_is_a_bad_request_not_a_crash() {
 
     fresh.roundtrip("{\"type\":\"shutdown\"}");
     server.join().unwrap().unwrap();
+}
+
+/// The `errors` counter of a `stats` reply.
+fn error_count(c: &mut Client) -> u64 {
+    let stats = c.roundtrip("{\"type\":\"stats\"}");
+    stats
+        .get("result")
+        .and_then(|r| r.get("requests"))
+        .and_then(|q| q.get("errors"))
+        .and_then(Json::as_u64)
+        .expect("stats carry an error count")
+}
+
+/// Send `shutdown`, expect its reply to be the next one on the wire (so
+/// nothing earlier was answered twice), then the close.
+fn shut_down(mut c: Client, server: std::thread::JoinHandle<std::io::Result<()>>) {
+    let bye = c.roundtrip("{\"type\":\"shutdown\"}");
+    assert_eq!(
+        bye.get("result").map(Json::encode).as_deref(),
+        Some("{\"draining\":true}"),
+        "{bye:?}"
+    );
+    assert!(c.at_eof(), "no reply may follow the shutdown reply");
+    server.join().unwrap().unwrap();
+}
+
+#[test]
+fn oversized_line_is_answered_once_without_waiting_for_its_newline() {
+    let (addr, server) = start(ServerConfig {
+        workers: 1,
+        queue: 4,
+        ..ServerConfig::default()
+    });
+    let mut c = Client::connect(addr);
+    // 1 MiB and no newline: the daemon must answer once the line
+    // overflows its buffer, not buffer the whole thing.
+    c.writer.write_all(&vec![b'x'; 1 << 20]).unwrap();
+    let reply = c.recv();
+    assert!(!ok(&reply), "{reply:?}");
+    assert_eq!(
+        reply.get("error").and_then(Json::as_str),
+        Some("line_too_long"),
+        "{reply:?}"
+    );
+    // The newline ending the oversized line gets no second reply; the
+    // connection stays open for the next request.
+    c.writer.write_all(b"\n").unwrap();
+    let pong = c.roundtrip("{\"type\":\"ping\"}");
+    assert!(ok(&pong), "{pong:?}");
+    assert_eq!(error_count(&mut c), 1);
+    shut_down(c, server);
+}
+
+#[test]
+fn non_utf8_line_is_a_bad_request_and_the_connection_survives() {
+    let (addr, server) = start(ServerConfig {
+        workers: 1,
+        queue: 4,
+        ..ServerConfig::default()
+    });
+    let mut c = Client::connect(addr);
+    c.writer
+        .write_all(b"{\"type\":\"ping\",\"id\":\"\xff\xfe\"}\n")
+        .unwrap();
+    let reply = c.recv();
+    assert!(!ok(&reply), "{reply:?}");
+    assert_eq!(
+        reply.get("error").and_then(Json::as_str),
+        Some("bad_request"),
+        "{reply:?}"
+    );
+    let pong = c.roundtrip("{\"type\":\"ping\"}");
+    assert!(ok(&pong), "{pong:?}");
+    assert_eq!(error_count(&mut c), 1);
+    shut_down(c, server);
 }

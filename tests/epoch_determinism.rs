@@ -1,16 +1,13 @@
 //! Determinism + refinement suite for the epoch flight recorder: the
 //! per-window series must be a pure function of the simulated run, so
 //! an epoch sweep must produce *byte-identical* NDJSON at any `--jobs`
-//! width and any `--lanes` batch width — and every series must fold
+//! width — and every series must fold
 //! back to the run-aggregate counters exactly (the epoch↔counter
 //! self-check, mirroring `events_determinism.rs` / the event↔counter
 //! check of the events layer).
 
 use sp_cachesim::{CacheConfig, EpochSeries};
-use sp_core::{
-    compile_trace, sweep_epochs_compiled_batched_jobs_with, sweep_epochs_compiled_jobs_with,
-    EngineOptions, Sweep, SweepEpochs,
-};
+use sp_core::{compile_trace, sweep_epochs_compiled_jobs_with, EngineOptions, Sweep, SweepEpochs};
 use sp_workloads::{Benchmark, Workload};
 use std::sync::Arc;
 
@@ -72,38 +69,6 @@ fn epoch_series_are_byte_identical_at_any_jobs_width() {
                 ndjson(&s, &e),
                 "{b:?}: epoch NDJSON diverged at --jobs {jobs}"
             );
-        }
-    }
-}
-
-#[test]
-fn epoch_series_are_byte_identical_at_any_lane_width() {
-    let cfg = CacheConfig::scaled_default();
-    for b in [Benchmark::Em3d, Benchmark::Mcf, Benchmark::Mst] {
-        let trace = Workload::tiny(b).trace();
-        let ct = Arc::new(compile_trace(&trace, &cfg));
-        let ds = grid(b);
-        let mut reference: Option<(Sweep, String)> = None;
-        for lanes in [1, 2, 4, 8] {
-            let (s, e, _) = sweep_epochs_compiled_batched_jobs_with(
-                &ct,
-                cfg,
-                0.5,
-                &ds,
-                EngineOptions::default(),
-                EPOCH_LEN,
-                2,
-                lanes,
-            )
-            .expect("compiled for this geometry");
-            let nd = ndjson(&s, &e);
-            match &reference {
-                None => reference = Some((s, nd)),
-                Some((sweep0, nd0)) => {
-                    assert_eq!(sweep0, &s, "{b:?}: sweep diverged at --lanes {lanes}");
-                    assert_eq!(nd0, &nd, "{b:?}: epoch NDJSON diverged at --lanes {lanes}");
-                }
-            }
         }
     }
 }
