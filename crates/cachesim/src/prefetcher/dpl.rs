@@ -1,6 +1,6 @@
 //! IP-indexed stride prefetcher (Intel's "DPL", Data Prefetch Logic).
 
-use super::HwPrefetcher;
+use super::{HwPrefetcher, LruTable};
 use sp_trace::{SiteId, VAddr};
 
 #[derive(Debug, Clone, Copy)]
@@ -9,8 +9,50 @@ struct Entry {
     last_addr: VAddr,
     stride: i64,
     conf: u32,
-    stamp: u64,
-    valid: bool,
+}
+
+/// The site-indexed, two-confirmation stride detector behind both
+/// [`DplPrefetcher`] and the perceptron prefetcher's proposer.
+#[derive(Debug, Clone)]
+pub(super) struct StrideTable(LruTable<Entry>);
+
+impl StrideTable {
+    pub(super) fn new(entries: usize) -> Self {
+        StrideTable(LruTable::new(entries))
+    }
+
+    /// Train `site`'s entry on an access to `addr` (allocating one if the
+    /// site has none). Returns `(addr, stride)` once the site's last two
+    /// deltas agree (non-zero).
+    #[inline(always)]
+    pub(super) fn train(&mut self, site: SiteId, addr: VAddr) -> Option<(VAddr, i64)> {
+        let Some(i) = self.0.entries.iter().position(|e| e.site == site) else {
+            self.0.insert(Entry {
+                site,
+                last_addr: addr,
+                stride: 0,
+                conf: 0,
+            });
+            return None;
+        };
+        let e = self.0.touch(i);
+        let delta = addr as i64 - e.last_addr as i64;
+        if delta == 0 {
+            return None;
+        }
+        if delta == e.stride {
+            e.conf = e.conf.saturating_add(1);
+        } else {
+            e.stride = delta;
+            e.conf = 0;
+        }
+        e.last_addr = addr;
+        (e.conf >= 1).then_some((addr, delta))
+    }
+
+    pub(super) fn clear(&mut self) {
+        self.0.clear();
+    }
 }
 
 /// A stride prefetcher indexed by static reference site (the simulator's
@@ -20,33 +62,21 @@ struct Entry {
 /// (non-zero) prefetches `degree` strides ahead on every further access.
 #[derive(Debug, Clone)]
 pub struct DplPrefetcher {
-    table: Vec<Entry>,
+    table: StrideTable,
     degree: u32,
     line_size: u64,
-    clock: u64,
 }
 
 impl DplPrefetcher {
-    /// A prefetcher with `entries` table slots and the given prefetch
-    /// `degree` (strides ahead per trigger).
+    /// A prefetcher with `entries` (at most 255) table slots and the
+    /// given prefetch `degree` (strides ahead per trigger).
     pub fn new(entries: usize, degree: u32, line_size: u64) -> Self {
         assert!(entries > 0 && degree > 0);
         assert!(line_size.is_power_of_two());
         DplPrefetcher {
-            table: vec![
-                Entry {
-                    site: SiteId::ANON,
-                    last_addr: 0,
-                    stride: 0,
-                    conf: 0,
-                    stamp: 0,
-                    valid: false
-                };
-                entries
-            ],
+            table: StrideTable::new(entries),
             degree,
             line_size,
-            clock: 0,
         }
     }
 
@@ -73,62 +103,13 @@ impl HwPrefetcher for DplPrefetcher {
             // Anonymous references carry no IP to index on.
             return;
         }
-        self.clock += 1;
-        // One pass: find this site's entry, tracking the allocation
-        // victim — first invalid entry, else least-recently-touched —
-        // along the way. Valid stamps are always >= 1, so key 0 marks
-        // "found an invalid entry".
-        let mut victim = 0usize;
-        let mut victim_key = u64::MAX;
-        for (i, e) in self.table.iter_mut().enumerate() {
-            if !e.valid {
-                if victim_key != 0 {
-                    victim = i;
-                    victim_key = 0;
-                }
-                continue;
-            }
-            if e.site == site {
-                let delta = addr as i64 - e.last_addr as i64;
-                if delta == 0 {
-                    e.stamp = self.clock;
-                    return;
-                }
-                if delta == e.stride {
-                    e.conf = e.conf.saturating_add(1);
-                } else {
-                    e.stride = delta;
-                    e.conf = 0;
-                }
-                e.last_addr = addr;
-                e.stamp = self.clock;
-                if e.conf >= 1 {
-                    let (a, s) = (e.last_addr, e.stride);
-                    self.emit(a, s, out);
-                }
-                return;
-            }
-            if e.stamp < victim_key {
-                victim = i;
-                victim_key = e.stamp;
-            }
+        if let Some((base, stride)) = self.table.train(site, addr) {
+            self.emit(base, stride, out);
         }
-        // No entry for this site: allocate over the victim.
-        self.table[victim] = Entry {
-            site,
-            last_addr: addr,
-            stride: 0,
-            conf: 0,
-            stamp: self.clock,
-            valid: true,
-        };
     }
 
     fn reset(&mut self) {
-        for e in &mut self.table {
-            e.valid = false;
-        }
-        self.clock = 0;
+        self.table.clear();
     }
 }
 

@@ -24,6 +24,7 @@ pub use pchase::PointerChasePrefetcher;
 pub use perceptron::PerceptronPrefetcher;
 pub use streamer::StreamPrefetcher;
 
+use crate::replacement::Recency;
 use sp_trace::{SiteId, VAddr};
 
 /// A hardware prefetcher observing one core's demand accesses.
@@ -37,4 +38,52 @@ pub trait HwPrefetcher {
 
     /// Forget all learned state.
     fn reset(&mut self);
+}
+
+/// A prefetcher's fully associative tracking table with LRU
+/// replacement. After a reset, entries fill the slots in index order
+/// (so `entries.len()` is the fill count); once every slot is taken,
+/// each insertion replaces the least recently touched entry, ranked by
+/// one [`Recency`] row.
+#[derive(Debug, Clone)]
+struct LruTable<T> {
+    entries: Vec<T>,
+    order: Recency,
+}
+
+impl<T> LruTable<T> {
+    fn new(slots: usize) -> Self {
+        LruTable {
+            entries: Vec::with_capacity(slots),
+            order: Recency::new(1, slots),
+        }
+    }
+
+    /// Mark entry `i` most recently used and return it.
+    #[inline]
+    fn touch(&mut self, i: usize) -> &mut T {
+        self.order.touch(0, i);
+        &mut self.entries[i]
+    }
+
+    /// Insert `entry` as the most recent one: into the first empty slot
+    /// while the table is filling, else over the least recent entry.
+    #[inline(always)]
+    fn insert(&mut self, entry: T) {
+        let slot = if self.entries.len() < self.order.ways() {
+            self.entries.push(entry);
+            self.entries.len() - 1
+        } else {
+            let lru = self.order.lru(0);
+            self.entries[lru] = entry;
+            lru
+        };
+        self.order.touch(0, slot);
+    }
+
+    /// Forget every entry.
+    fn clear(&mut self) {
+        self.entries.clear();
+        self.order.reset();
+    }
 }

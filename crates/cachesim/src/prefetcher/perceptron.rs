@@ -21,6 +21,7 @@
 //! trains them down. This is the standard perceptron-filter design of
 //! perceptron-based prefetch filtering (PPF), shrunk to trace scale.
 
+use super::dpl::StrideTable;
 use super::HwPrefetcher;
 use sp_trace::{SiteId, VAddr};
 
@@ -30,16 +31,6 @@ const WEIGHT_ROWS: usize = 64;
 const WEIGHT_CLAMP: i32 = 32;
 /// Outcome-history window (bits of the accuracy shift register).
 const HISTORY_BITS: u32 = 32;
-
-#[derive(Debug, Clone, Copy)]
-struct StrideEntry {
-    site: SiteId,
-    last_addr: VAddr,
-    stride: i64,
-    conf: u32,
-    stamp: u64,
-    valid: bool,
-}
 
 /// A gated candidate awaiting its outcome.
 #[derive(Debug, Clone, Copy)]
@@ -54,10 +45,9 @@ struct Pending {
 /// Stride proposer + perceptron issue gate.
 #[derive(Debug, Clone)]
 pub struct PerceptronPrefetcher {
-    table: Vec<StrideEntry>,
+    table: StrideTable,
     degree: u32,
     line_size: u64,
-    clock: u64,
     /// One weight row set per feature: `[site, accuracy, pressure]`.
     weights: [[i32; WEIGHT_ROWS]; 3],
     /// Ring of gated-and-issued candidates awaiting feedback.
@@ -74,26 +64,16 @@ pub struct PerceptronPrefetcher {
 }
 
 impl PerceptronPrefetcher {
-    /// A prefetcher with `entries` stride slots and `pending` feedback
-    /// ring slots, proposing `degree` strides ahead per trigger.
+    /// A prefetcher with `entries` (at most 255) stride slots and
+    /// `pending` feedback ring slots, proposing `degree` strides ahead
+    /// per trigger.
     pub fn new(entries: usize, pending: usize, degree: u32, line_size: u64) -> Self {
         assert!(entries > 0 && pending > 0 && degree > 0);
         assert!(line_size.is_power_of_two());
         PerceptronPrefetcher {
-            table: vec![
-                StrideEntry {
-                    site: SiteId::ANON,
-                    last_addr: 0,
-                    stride: 0,
-                    conf: 0,
-                    stamp: 0,
-                    valid: false
-                };
-                entries
-            ],
+            table: StrideTable::new(entries),
             degree,
             line_size,
-            clock: 0,
             weights: [[0; WEIGHT_ROWS]; 3],
             pending: vec![
                 Pending {
@@ -212,77 +192,25 @@ impl HwPrefetcher for PerceptronPrefetcher {
             // Anonymous references carry no IP to index on.
             return;
         }
-        self.clock += 1;
-        let mut victim = 0usize;
-        let mut victim_key = u64::MAX;
-        let mut fire: Option<(VAddr, i64)> = None;
-        for (i, e) in self.table.iter_mut().enumerate() {
-            if !e.valid {
-                if victim_key != 0 {
-                    victim = i;
-                    victim_key = 0;
-                }
-                continue;
-            }
-            if e.site == site {
-                let delta = addr as i64 - e.last_addr as i64;
-                if delta == 0 {
-                    e.stamp = self.clock;
-                    return;
-                }
-                if delta == e.stride {
-                    e.conf = e.conf.saturating_add(1);
-                } else {
-                    e.stride = delta;
-                    e.conf = 0;
-                }
-                e.last_addr = addr;
-                e.stamp = self.clock;
-                if e.conf >= 1 {
-                    fire = Some((e.last_addr, e.stride));
-                }
+        let Some((base, stride)) = self.table.train(site, addr) else {
+            return;
+        };
+        let start = out.len();
+        for d in 1..=self.degree as i64 {
+            let target = base as i64 + stride * d;
+            if target < 0 {
                 break;
             }
-            if e.stamp < victim_key {
-                victim = i;
-                victim_key = e.stamp;
-            }
-        }
-        if let Some((base, stride)) = fire {
-            let start = out.len();
-            for d in 1..=self.degree as i64 {
-                let target = base as i64 + stride * d;
-                if target < 0 {
-                    break;
-                }
-                let cand = target as u64 & !(self.line_size - 1);
-                self.gate(site, cand, out, start);
-            }
-            return;
-        }
-        // `fire` is None either because the site's entry exists but is
-        // unconfirmed (handled by the `break` above leaving fire unset
-        // only pre-confirmation) — or because no entry matched at all.
-        if !self.table.iter().any(|e| e.valid && e.site == site) {
-            self.table[victim] = StrideEntry {
-                site,
-                last_addr: addr,
-                stride: 0,
-                conf: 0,
-                stamp: self.clock,
-                valid: true,
-            };
+            let cand = target as u64 & !(self.line_size - 1);
+            self.gate(site, cand, out, start);
         }
     }
 
     fn reset(&mut self) {
-        for e in &mut self.table {
-            e.valid = false;
-        }
+        self.table.clear();
         for p in &mut self.pending {
             p.valid = false;
         }
-        self.clock = 0;
         self.weights = [[0; WEIGHT_ROWS]; 3];
         self.pending_head = 0;
         self.history = 0;

@@ -1,6 +1,6 @@
 //! Sequential ("streaming") prefetcher.
 
-use super::HwPrefetcher;
+use super::{HwPrefetcher, LruTable};
 use sp_trace::{SiteId, VAddr};
 
 /// One tracked stream.
@@ -12,9 +12,6 @@ struct Stream {
     dir: i64,
     /// Consecutive confirmations of `dir`.
     conf: u32,
-    /// For LRU slot replacement.
-    stamp: u64,
-    valid: bool,
 }
 
 /// A multi-slot sequential prefetcher.
@@ -25,32 +22,22 @@ struct Stream {
 /// `degree` blocks ahead.
 #[derive(Debug, Clone)]
 pub struct StreamPrefetcher {
-    slots: Vec<Stream>,
-    line_size: u64,
+    streams: LruTable<Stream>,
+    /// log2 of the line size: block index = address >> `line_shift`.
+    line_shift: u32,
     degree: u32,
-    clock: u64,
 }
 
 impl StreamPrefetcher {
-    /// A prefetcher with `slots` concurrent streams, prefetching `degree`
-    /// blocks ahead on each confirmation.
+    /// A prefetcher with `slots` (at most 255) concurrent streams,
+    /// prefetching `degree` blocks ahead on each confirmation.
     pub fn new(slots: usize, degree: u32, line_size: u64) -> Self {
         assert!(slots > 0 && degree > 0);
         assert!(line_size.is_power_of_two());
         StreamPrefetcher {
-            slots: vec![
-                Stream {
-                    last: 0,
-                    dir: 0,
-                    conf: 0,
-                    stamp: 0,
-                    valid: false
-                };
-                slots
-            ],
-            line_size,
+            streams: LruTable::new(slots),
+            line_shift: line_size.trailing_zeros(),
             degree,
-            clock: 0,
         }
     }
 
@@ -58,7 +45,7 @@ impl StreamPrefetcher {
         for d in 1..=self.degree as i64 {
             let target = blk as i64 + dir * d;
             if target >= 0 {
-                out.push(target as u64 * self.line_size);
+                out.push((target as u64) << self.line_shift);
             }
         }
     }
@@ -66,60 +53,37 @@ impl StreamPrefetcher {
 
 impl HwPrefetcher for StreamPrefetcher {
     fn observe(&mut self, _site: SiteId, block: VAddr, out: &mut Vec<VAddr>) {
-        let blk = block / self.line_size;
-        self.clock += 1;
-        // One pass: look for a slot this access extends (distance exactly
-        // one block), tracking the allocation victim — first invalid slot,
-        // else least-recently-touched — along the way. Valid stamps are
-        // always >= 1, so key 0 marks "found an invalid slot".
-        let mut victim = 0usize;
-        let mut victim_key = u64::MAX;
-        for (i, s) in self.slots.iter_mut().enumerate() {
-            if !s.valid {
-                if victim_key != 0 {
-                    victim = i;
-                    victim_key = 0;
-                }
-                continue;
-            }
-            let delta = blk as i64 - s.last as i64;
-            if delta == 0 {
-                s.stamp = self.clock;
-                return; // same block re-access: no new info
-            }
-            if delta == 1 || delta == -1 {
-                if s.dir == delta {
-                    s.conf = s.conf.saturating_add(1);
-                } else {
-                    s.dir = delta;
-                    s.conf = 1;
-                }
-                s.last = blk;
-                s.stamp = self.clock;
-                let (last, dir) = (s.last, s.dir);
-                self.emit(last, dir, out);
-                return;
-            }
-            if s.stamp < victim_key {
-                victim = i;
-                victim_key = s.stamp;
-            }
-        }
-        // No matching stream: allocate over the victim.
-        self.slots[victim] = Stream {
-            last: blk,
-            dir: 0,
-            conf: 0,
-            stamp: self.clock,
-            valid: true,
+        let blk = block >> self.line_shift;
+        // The first stream this access extends (distance at most one
+        // block), in index order.
+        let delta_to = |s: &Stream| blk as i64 - s.last as i64;
+        let near = |s: &Stream| delta_to(s).unsigned_abs() <= 1;
+        let Some(i) = self.streams.entries.iter().position(near) else {
+            // No matching stream: allocate a new one.
+            self.streams.insert(Stream {
+                last: blk,
+                dir: 0,
+                conf: 0,
+            });
+            return;
         };
+        let s = self.streams.touch(i);
+        let delta = delta_to(s);
+        if delta == 0 {
+            return; // same block re-access: no new info
+        }
+        if s.dir == delta {
+            s.conf = s.conf.saturating_add(1);
+        } else {
+            s.dir = delta;
+            s.conf = 1;
+        }
+        s.last = blk;
+        self.emit(blk, delta, out);
     }
 
     fn reset(&mut self) {
-        for s in &mut self.slots {
-            s.valid = false;
-        }
-        self.clock = 0;
+        self.streams.clear();
     }
 }
 

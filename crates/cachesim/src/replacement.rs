@@ -24,27 +24,120 @@ pub enum Policy {
     PlruTree,
 }
 
+/// Ranks per fixed-width lane block of a [`Recency`] row.
+const LANES: usize = 16;
+/// Rank of the padding past `ways`: above every live rank, so it never
+/// ages and never reads as least recent.
+const PAD: u8 = u8::MAX;
+
+/// Rank-order recency over `rows` rows of `ways` ways: one `u8` rank per
+/// (row, way), 0 = most recent, `ways - 1` = least recent.
+///
+/// Each row is always a permutation of `0..ways`, so ranks encode the
+/// exact order of last touches — no two ways ever tie — without a
+/// global counter or a min-scan. The pristine rank of way `w` is `w`:
+/// an untouched row lists its lowest way as most recent and its highest
+/// as least recent. Every least-recently-used choice in the crate — the
+/// cache replacement engine and the prefetchers' tracking tables — goes
+/// through this one table.
+///
+/// Rows are whole [`LANES`]-byte blocks padded with [`PAD`], so
+/// [`touch`](Self::touch) is a fixed-width, branch-free (vectorised) pass
+/// and [`lru`](Self::lru) tests one block per step.
+#[derive(Debug, Clone)]
+pub(crate) struct Recency {
+    ways: usize,
+    /// Lane blocks per row.
+    blocks: usize,
+    /// Flat `row * blocks + way / LANES`, then `way % LANES`.
+    ranks: Vec<[u8; LANES]>,
+}
+
+impl Recency {
+    /// `rows` pristine rows of `ways` ways (`ways` must fit a `u8` rank).
+    pub(crate) fn new(rows: usize, ways: usize) -> Self {
+        assert!(ways > 0 && ways <= 255, "ways must fit in u8");
+        let blocks = ways.div_ceil(LANES);
+        let mut r = Recency {
+            ways,
+            blocks,
+            ranks: vec![[PAD; LANES]; rows * blocks],
+        };
+        r.reset();
+        r
+    }
+
+    /// Ways per row.
+    pub(crate) fn ways(&self) -> usize {
+        self.ways
+    }
+
+    /// Restore every row to the pristine order without reallocating.
+    pub(crate) fn reset(&mut self) {
+        for row in self.ranks.chunks_exact_mut(self.blocks) {
+            for (w, r) in row.as_flattened_mut().iter_mut().enumerate() {
+                *r = if w < self.ways { w as u8 } else { PAD };
+            }
+        }
+    }
+
+    /// Make `way` the most recent of `row`: every rank below its old rank
+    /// ages by one and the way itself takes rank 0, in one fixed-width,
+    /// branch-free pass per block (one store per block, so the next
+    /// read of the row forwards straight from it).
+    #[inline(always)]
+    pub(crate) fn touch(&mut self, row: usize, way: usize) {
+        let ranks = &mut self.ranks[row * self.blocks..][..self.blocks];
+        let old = ranks[way / LANES][way % LANES];
+        for block in ranks {
+            for r in block {
+                // `way` is the only rank equal to `old`.
+                *r = if *r == old {
+                    0
+                } else {
+                    *r + u8::from(*r < old)
+                };
+            }
+        }
+    }
+
+    /// The least recent way of `row` (the one ranked `ways - 1`).
+    #[inline]
+    pub(crate) fn lru(&self, row: usize) -> usize {
+        // Per block, as one 128-bit word: XOR zeroes the byte ranked
+        // last, and the borrow trick flags the lowest zero byte (exact,
+        // since a row holds only one such byte).
+        const ONES: u128 = u128::MAX / 0xff;
+        let last = ONES * u128::from(self.ways as u8 - 1);
+        let ranks = &self.ranks[row * self.blocks..][..self.blocks];
+        for (b, block) in ranks.iter().enumerate() {
+            let x = u128::from_le_bytes(*block) ^ last;
+            let zero = x.wrapping_sub(ONES) & !x & (ONES << 7);
+            if zero != 0 {
+                return b * LANES + zero.trailing_zeros() as usize / 8;
+            }
+        }
+        unreachable!("a recency row is a permutation of 0..ways")
+    }
+}
+
 /// Per-cache replacement-policy state: recency/fill order per set.
 ///
 /// The engine is deliberately self-contained — it tracks its own order
 /// structures keyed by `(set, way)` and never inspects line contents —
 /// so it can be unit-tested in isolation from the cache.
 ///
-/// LRU/FIFO order is kept as one flat recency **stamp** per line (larger
-/// = more recent) instead of per-set order lists: promoting a way is a
-/// single store, and only the (much rarer) victim choice scans the set.
-/// Stamps start in descending way order, so an untouched set evicts its
-/// highest way first — exactly the order an explicit `[0, 1, .., w-1]`
+/// LRU/FIFO order is one `Recency` rank row per set: promoting a way ages
+/// the younger ways of its set in one branch-free pass, and the victim
+/// is the way ranked last. An untouched set evicts its highest way
+/// first — exactly the order an explicit `[0, 1, .., w-1]`
 /// most-to-least-recent list yields.
 #[derive(Debug, Clone)]
 pub struct PolicyEngine {
     policy: Policy,
     ways: usize,
-    /// For LRU/FIFO: per-(set, way) recency stamp, flat `set * ways + way`.
-    stamps: Vec<u64>,
-    /// Monotonic counter behind the stamps; strictly increasing, so no
-    /// two lines ever tie.
-    clock: u64,
+    /// For LRU/FIFO: one recency row per set (empty otherwise).
+    order: Recency,
     /// For tree-PLRU: per-set direction bits.
     plru: Vec<u64>,
     /// Xorshift state for `Policy::Random`.
@@ -61,58 +154,37 @@ impl PolicyEngine {
                 "tree-PLRU requires power-of-two ways"
             );
         }
-        let stamps = match policy {
-            Policy::Lru | Policy::Fifo => Self::pristine_stamps(sets, ways),
-            _ => Vec::new(),
-        };
-        let seed = match policy {
-            Policy::Random { seed } => {
-                assert!(seed != 0, "xorshift seed must be non-zero");
-                seed
-            }
-            _ => 1,
-        };
-        PolicyEngine {
+        if let Policy::Random { seed } = policy {
+            assert!(seed != 0, "xorshift seed must be non-zero");
+        }
+        let lists = matches!(policy, Policy::Lru | Policy::Fifo);
+        let mut engine = PolicyEngine {
             policy,
             ways,
-            stamps,
-            clock: ways as u64,
+            order: Recency::new(if lists { sets } else { 0 }, ways),
             plru: vec![0; sets],
-            rng: seed,
-        }
-    }
-
-    fn pristine_stamps(sets: usize, ways: usize) -> Vec<u64> {
-        let mut stamps = vec![0; sets * ways];
-        for set in 0..sets {
-            for w in 0..ways {
-                stamps[set * ways + w] = (ways - 1 - w) as u64;
-            }
-        }
-        stamps
+            rng: 0,
+        };
+        engine.reset();
+        engine
     }
 
     /// Restore the freshly-constructed state without reallocating the
-    /// stamp array.
+    /// recency ranks.
     pub fn reset(&mut self) {
-        let ways = self.ways;
-        for (i, s) in self.stamps.iter_mut().enumerate() {
-            *s = (ways - 1 - i % ways) as u64;
-        }
-        self.clock = ways as u64;
+        self.order.reset();
         self.plru.fill(0);
-        let seed = match self.policy {
+        self.rng = match self.policy {
             Policy::Random { seed } => seed,
             _ => 1,
         };
-        self.rng = seed;
     }
 
     /// Record a demand hit on `(set, way)`.
     #[inline]
     pub fn on_hit(&mut self, set: usize, way: usize) {
         match self.policy {
-            Policy::Lru => self.move_to_front(set, way),
+            Policy::Lru => self.order.touch(set, way),
             Policy::Fifo | Policy::Random { .. } => {}
             Policy::PlruTree => self.plru_touch(set, way),
         }
@@ -122,7 +194,7 @@ impl PolicyEngine {
     #[inline]
     pub fn on_fill(&mut self, set: usize, way: usize) {
         match self.policy {
-            Policy::Lru | Policy::Fifo => self.move_to_front(set, way),
+            Policy::Lru | Policy::Fifo => self.order.touch(set, way),
             Policy::Random { .. } => {}
             Policy::PlruTree => self.plru_touch(set, way),
         }
@@ -131,17 +203,7 @@ impl PolicyEngine {
     /// Choose the victim way for a fill into a full `set`.
     pub fn victim(&mut self, set: usize) -> usize {
         match self.policy {
-            Policy::Lru | Policy::Fifo => {
-                let base = set * self.ways;
-                let stamps = &self.stamps[base..base + self.ways];
-                let mut victim = 0;
-                for (w, &s) in stamps.iter().enumerate() {
-                    if s < stamps[victim] {
-                        victim = w;
-                    }
-                }
-                victim
-            }
+            Policy::Lru | Policy::Fifo => self.order.lru(set),
             Policy::Random { .. } => {
                 // xorshift64
                 let mut x = self.rng;
@@ -153,12 +215,6 @@ impl PolicyEngine {
             }
             Policy::PlruTree => self.plru_victim(set),
         }
-    }
-
-    #[inline]
-    fn move_to_front(&mut self, set: usize, way: usize) {
-        self.clock += 1;
-        self.stamps[set * self.ways + way] = self.clock;
     }
 
     /// Walk the PLRU tree towards `way`, flipping each internal node to
@@ -295,6 +351,39 @@ mod tests {
             let mut fresh = PolicyEngine::new(policy, 2, 4);
             for set in 0..2 {
                 assert_eq!(used.victim(set), fresh.victim(set), "{policy:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn touch_keeps_every_row_a_permutation() {
+        sp_testkit::check(64, |rng| {
+            let (rows, ways) = (3, rng.gen_range(1usize..=128));
+            let mut r = Recency::new(rows, ways);
+            for _ in 0..rng.gen_range(0usize..400) {
+                r.touch(rng.gen_range(0..rows), rng.gen_range(0..ways));
+            }
+            for (i, row) in r.ranks.chunks_exact(r.blocks).enumerate() {
+                let (live, pad) = row.as_flattened().split_at(ways);
+                let mut sorted = live.to_vec();
+                sorted.sort_unstable();
+                assert!(sorted.iter().copied().eq(0..ways as u8), "{live:?}");
+                assert!(pad.iter().all(|&p| p == PAD), "padding aged");
+                assert_eq!(live[r.lru(i)] as usize, ways - 1);
+            }
+        });
+    }
+
+    #[test]
+    fn pristine_rows_rank_each_way_by_its_index() {
+        for ways in [1, 4, 16, 17, 128, 255] {
+            let mut r = Recency::new(2, ways);
+            assert_eq!(r.lru(1), ways - 1, "untouched rows evict the top way");
+            r.touch(1, ways - 1);
+            r.reset();
+            for row in r.ranks.chunks_exact(r.blocks) {
+                let live = &row.as_flattened()[..ways];
+                assert!(live.iter().copied().eq(0..ways as u8));
             }
         }
     }

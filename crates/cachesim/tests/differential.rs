@@ -10,6 +10,7 @@
 //! `MemorySystem` entry points.
 
 use sp_cachesim::cache::{Evicted, Line};
+use sp_cachesim::replacement::PolicyEngine;
 use sp_cachesim::{
     CacheConfig, CacheGeometry, Entity, HwBackend, MemStats, MemorySystem, Policy, SetAssocCache,
 };
@@ -246,6 +247,63 @@ fn narrow_and_wide_geometries_match_reference() {
     // Direct-mapped-ish and very wide sets exercise the tag-scan edges.
     differential_ops(CacheGeometry::new(512, 1, 64), Policy::Lru, 3, 10_000);
     differential_ops(CacheGeometry::new(8192, 16, 64), Policy::Lru, 5, 10_000);
+}
+
+#[test]
+fn recency_ranks_match_reference_at_every_width() {
+    // Rank-order recency holds one `u8` per way and pads each row to
+    // whole 16-rank blocks: cover a sub-block row, one-, two- and
+    // eight-block rows (128 ways reaches rank 127), under both policies
+    // that use it.
+    for ways in [2u32, 32, 64, 128] {
+        let geo = CacheGeometry::new(8 * ways as u64 * 64, ways, 64);
+        for (policy, seed) in [(Policy::Lru, 11), (Policy::Fifo, 13)] {
+            differential_ops(geo, policy, seed + ways as u64, 20_000);
+        }
+    }
+}
+
+/// Drive a bare [`PolicyEngine`] and an explicit most-to-least-recent
+/// order list (pristine `[0, 1, .., ways-1]`) with the same hits, fills
+/// and victim queries — including victims of sets that are not full or
+/// never touched, which the cache itself never asks for.
+#[test]
+fn policy_engine_matches_order_lists_at_every_way_count() {
+    for ways in 1..=128usize {
+        for fifo in [false, true] {
+            let policy = if fifo { Policy::Fifo } else { Policy::Lru };
+            let sets = 3;
+            let mut engine = PolicyEngine::new(policy, sets, ways);
+            let mut order: Vec<Vec<usize>> = vec![(0..ways).collect(); sets];
+            let mut rng = 0x9e37_79b9_7f4a_7c15 ^ ways as u64;
+            for step in 0..40 * ways {
+                let r = xorshift(&mut rng);
+                let set = (r >> 8) as usize % sets;
+                let way = (r >> 16) as usize % ways;
+                let promote = |o: &mut Vec<usize>, w: usize| {
+                    o.retain(|&x| x != w);
+                    o.insert(0, w);
+                };
+                match r % 3 {
+                    0 => {
+                        engine.on_hit(set, way);
+                        if !fifo {
+                            promote(&mut order[set], way);
+                        }
+                    }
+                    1 => {
+                        engine.on_fill(set, way);
+                        promote(&mut order[set], way);
+                    }
+                    _ => assert_eq!(
+                        engine.victim(set),
+                        *order[set].last().unwrap(),
+                        "{policy:?} ways {ways}: victim diverged at step {step}"
+                    ),
+                }
+            }
+        }
+    }
 }
 
 /// Replay a benchmark trace through both caches as an L2-style

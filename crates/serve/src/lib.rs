@@ -46,4 +46,4 @@ pub use prom::{
     PromSnapshot,
 };
 pub use protocol::{error_response, ok_response, Command, Request, SimSpec};
-pub use server::{Server, ServerConfig};
+pub use server::{Server, ServerConfig, MAX_CONNECTIONS};

@@ -122,7 +122,8 @@ pub struct Metrics {
     pub cache_hits: AtomicU64,
     /// Result-cache misses (cacheable requests only).
     pub cache_misses: AtomicU64,
-    /// Requests shed with a `busy` reply (admission queue full).
+    /// Requests shed with a `busy` reply (admission queue full), and
+    /// connections turned away over the connection cap.
     pub busy_rejections: AtomicU64,
     /// Requests that hit their deadline before the simulation finished.
     pub timeouts: AtomicU64,

@@ -5,6 +5,7 @@
 //! ## Request path
 //!
 //! ```text
+//! accept ── over MAX_CONNECTIONS: one busy line, close
 //! read line ── parse ──┬─ ping/stats/shutdown: answered inline
 //!   (≤ 64 KiB, UTF-8)  ├─ oversized / malformed: error reply
 //!                      └─ sweep/point/affinity/burn:
@@ -210,6 +211,18 @@ impl Server {
         while !self.shared.draining() {
             match self.listener.accept() {
                 Ok((stream, _peer)) => {
+                    handlers.retain(|h| !h.is_finished());
+                    if handlers.len() >= MAX_CONNECTIONS {
+                        // One `busy` line, counted with the admission-queue
+                        // rejections, then close.
+                        let m = &self.shared.metrics;
+                        m.busy_rejections.fetch_add(1, Ordering::Relaxed);
+                        let reply = error_response(&None, "busy", "connection limit reached");
+                        let mut stream = stream;
+                        let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
+                        let _ = writeln!(stream, "{reply}");
+                        continue;
+                    }
                     let shared = Arc::clone(&self.shared);
                     handlers.push(std::thread::spawn(move || {
                         handle_connection(stream, shared)
@@ -238,6 +251,11 @@ impl Server {
         Ok(())
     }
 }
+
+/// Most connections served at once (one handler thread each). One more
+/// is answered with a single `busy` line and closed, so idle sockets
+/// cannot grow the daemon's thread count without bound.
+pub const MAX_CONNECTIONS: usize = 256;
 
 /// Longest request line the daemon buffers, newline included. A longer
 /// line is answered `line_too_long` as soon as it overflows, and the

@@ -1,7 +1,7 @@
 //! End-to-end daemon tests over a real loopback socket: cache
 //! miss→hit, backpressure, deadlines, stats, graceful drain.
 
-use sp_serve::{Json, Server, ServerConfig};
+use sp_serve::{Json, Server, ServerConfig, MAX_CONNECTIONS};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
@@ -393,4 +393,99 @@ fn non_utf8_line_is_a_bad_request_and_the_connection_survives() {
     assert!(ok(&pong), "{pong:?}");
     assert_eq!(error_count(&mut c), 1);
     shut_down(c, server);
+}
+
+/// The `busy` counter of a `stats` reply.
+fn busy_count(c: &mut Client) -> u64 {
+    let stats = c.roundtrip("{\"type\":\"stats\"}");
+    stats
+        .get("result")
+        .and_then(|r| r.get("requests"))
+        .and_then(|q| q.get("busy"))
+        .and_then(Json::as_u64)
+        .expect("stats carry a busy count")
+}
+
+/// Connect one past the cap: expect a single `busy` line, then EOF.
+/// Returns false when the daemon served the connection instead.
+fn refused(addr: SocketAddr) -> bool {
+    let mut c = Client::connect(addr);
+    c.reader
+        .get_ref()
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let mut line = String::new();
+    if c.reader.read_line(&mut line).is_err() {
+        return false; // nothing sent: the daemon is waiting for a request
+    }
+    let reply = Json::parse(line.trim()).expect("reply is JSON");
+    assert_eq!(
+        reply.get("error").and_then(Json::as_str),
+        Some("busy"),
+        "{reply:?}"
+    );
+    assert!(c.at_eof(), "a refused connection must be closed");
+    true
+}
+
+#[test]
+fn connections_over_the_cap_are_answered_busy_and_closed() {
+    let (addr, server) = start(ServerConfig {
+        workers: 1,
+        queue: 4,
+        ..ServerConfig::default()
+    });
+    // Fill the cap with idle connections, each confirmed live by a ping.
+    // Connecting in batches lets the accept loop take a whole batch per
+    // wake-up while staying inside the listen backlog.
+    let mut idle: Vec<Client> = Vec::new();
+    while idle.len() < MAX_CONNECTIONS {
+        let batch = (MAX_CONNECTIONS - idle.len()).min(64);
+        let mut fresh: Vec<Client> = (0..batch).map(|_| Client::connect(addr)).collect();
+        for c in &mut fresh {
+            assert!(ok(&c.roundtrip("{\"type\":\"ping\"}")));
+        }
+        idle.append(&mut fresh);
+    }
+    assert!(
+        refused(addr),
+        "connection {} was served",
+        MAX_CONNECTIONS + 1
+    );
+    assert_eq!(busy_count(&mut idle[0]), 1);
+
+    // Closing one idle connection frees a slot: a new connection is
+    // served once its handler has exited (refusals until then count).
+    drop(idle.pop());
+    let mut refusals = 1;
+    let mut fresh = loop {
+        let mut c = Client::connect(addr);
+        c.reader
+            .get_ref()
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        c.send("{\"type\":\"ping\"}");
+        let mut line = String::new();
+        match c.reader.read_line(&mut line) {
+            Ok(_) if line.contains("\"busy\"") => {
+                refusals += 1;
+                assert!(refusals < 100, "the freed slot was never reused");
+                std::thread::sleep(Duration::from_millis(50));
+            }
+            Ok(_) => {
+                let pong = Json::parse(line.trim()).expect("reply is JSON");
+                assert!(ok(&pong), "{pong:?}");
+                break c;
+            }
+            Err(_) => {
+                // Refused with our ping unread: the close may reset.
+                refusals += 1;
+                assert!(refusals < 100, "the freed slot was never reused");
+                std::thread::sleep(Duration::from_millis(50));
+            }
+        }
+    };
+    assert_eq!(busy_count(&mut fresh), refusals);
+    drop(idle);
+    shut_down(fresh, server);
 }
