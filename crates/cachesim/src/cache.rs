@@ -74,6 +74,9 @@ pub struct SetAssocCache {
     tags: Vec<u64>,
     meta: Vec<u8>,
     fillers: Vec<Entity>,
+    // Valid lines per set, so a full set's fill skips the invalid-way
+    // search. `ways <= 255` (asserted by the policy engine) fits a `u8`.
+    valid: Vec<u8>,
     engine: PolicyEngine,
 }
 
@@ -96,6 +99,7 @@ impl SetAssocCache {
             tags: vec![0; n],
             meta: vec![0; n],
             fillers: vec![Entity::Main; n],
+            valid: vec![0; geo.sets() as usize],
             engine: PolicyEngine::new(policy, geo.sets() as usize, geo.ways as usize),
         }
     }
@@ -112,6 +116,7 @@ impl SetAssocCache {
         // Fillers may stay stale: an even tag key marks the slot empty.
         self.tags.fill(0);
         self.meta.fill(0);
+        self.valid.fill(0);
         self.engine.reset();
     }
 
@@ -255,8 +260,9 @@ impl SetAssocCache {
     }
 
     /// [`fill`](Self::fill) with the `(set, tag)` projection already
-    /// computed. A single scan finds both a matching way (upgrade path)
-    /// and the first invalid way (allocation path).
+    /// computed. One probe finds a matching way (upgrade path); a full
+    /// set then goes straight to the policy's victim, and only a set
+    /// below capacity scans for its first invalid way.
     pub fn fill_at(
         &mut self,
         set: u32,
@@ -264,20 +270,22 @@ impl SetAssocCache {
         filler: Entity,
         prefetched: bool,
     ) -> Option<Evicted> {
-        let base = set as usize * self.ways;
-        let key = tag_key(tag);
-        let mut invalid_way = None;
-        for (w, &t) in self.tags[base..base + self.ways].iter().enumerate() {
-            if t & 1 == 0 {
-                invalid_way.get_or_insert(w);
-            } else if t == key {
-                // Already present: policy promotion only.
-                self.engine.on_fill(set as usize, w);
-                return None;
-            }
+        if let Some(w) = self.find_way(set, tag) {
+            // Already present: policy promotion only.
+            self.engine.on_fill(set as usize, w);
+            return None;
         }
-        // Prefer an invalid way; otherwise ask the policy for a victim.
-        let way = invalid_way.unwrap_or_else(|| self.engine.victim(set as usize));
+        let base = set as usize * self.ways;
+        let valid = &mut self.valid[set as usize];
+        let way = if *valid as usize == self.ways {
+            self.engine.victim(set as usize)
+        } else {
+            *valid += 1;
+            self.tags[base..base + self.ways]
+                .iter()
+                .position(|&t| t & 1 == 0)
+                .expect("a set below capacity has an invalid way")
+        };
         let idx = base + way;
         let evicted = (self.tags[idx] & 1 != 0).then(|| {
             let old = self.line_at(idx);
@@ -289,7 +297,7 @@ impl SetAssocCache {
                 dirty: old.dirty,
             }
         });
-        self.tags[idx] = key;
+        self.tags[idx] = tag_key(tag);
         self.fillers[idx] = filler;
         self.meta[idx] = if prefetched {
             FLAG_VALID | FLAG_PREFETCHED
@@ -304,7 +312,7 @@ impl SetAssocCache {
     /// Promote `(set, tag)` per the replacement policy if present (a
     /// prefetch hint to a cached block). Returns `true` if the block was
     /// there. Equivalent to the promotion-only branch of
-    /// [`fill_at`](Self::fill_at), without scanning for an invalid way.
+    /// [`fill_at`](Self::fill_at).
     pub fn promote(&mut self, set: u32, tag: u64) -> bool {
         match self.find_way(set, tag) {
             Some(way) => {
@@ -324,6 +332,7 @@ impl SetAssocCache {
                 let idx = set as usize * self.ways + way;
                 self.tags[idx] = 0;
                 self.meta[idx] &= !FLAG_VALID;
+                self.valid[set as usize] -= 1;
                 true
             }
             None => false,
@@ -332,11 +341,7 @@ impl SetAssocCache {
 
     /// Number of valid lines in `set`.
     pub fn occupancy(&self, set: u64) -> usize {
-        let base = set as usize * self.ways;
-        self.meta[base..base + self.ways]
-            .iter()
-            .filter(|&&m| m & FLAG_VALID != 0)
-            .count()
+        self.valid[set as usize] as usize
     }
 
     /// Block addresses currently cached in `set` (test/debug helper).

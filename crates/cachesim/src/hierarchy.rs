@@ -391,6 +391,14 @@ impl MemorySystem {
             self.stats.bus_queued += 1;
         }
         let ready_at = start + self.cfg.latency.mem;
+        // Bus grants strictly increase and memory latency is constant, so
+        // each fill completes after every outstanding one: the MSHR file
+        // holds its entries in `ready_at` order.
+        debug_assert!(self
+            .mshr
+            .entries()
+            .last()
+            .is_none_or(|e| e.ready_at < ready_at));
         self.mshr.allocate_unchecked(InFlight {
             block,
             ready_at,
@@ -422,10 +430,11 @@ impl MemorySystem {
     }
 
     /// Compute the cache-address projections of `mref` for this system's
-    /// geometry — what [`sp_trace::CompiledTrace`] precomputes for whole
-    /// traces. The scalar entry points project on the fly and feed the
-    /// same `*_pre` implementations the compiled replay uses, so both
-    /// paths produce identical counters by construction.
+    /// geometry — what [`sp_trace::CompiledTrace::get`] derives for each
+    /// reference of a compiled trace. The scalar entry points project on
+    /// the fly and feed the same `*_pre` implementations the compiled
+    /// replay uses, so both paths produce identical counters by
+    /// construction.
     pub fn project(&self, mref: MemRef) -> CompiledRef {
         CompiledRef {
             vaddr: mref.vaddr,
@@ -436,7 +445,6 @@ impl MemorySystem {
             l2_tag: self.cfg.l2.tag_of(mref.vaddr),
             kind: mref.kind,
             site: mref.site,
-            outer_iter: 0,
         }
     }
 
@@ -503,10 +511,7 @@ impl MemorySystem {
         debug_assert!(matches!(entity, Entity::Main | Entity::Helper));
         debug_assert_eq!(
             *cr,
-            CompiledRef {
-                outer_iter: cr.outer_iter,
-                ..self.project(cr.mem_ref())
-            },
+            self.project(cr.mem_ref()),
             "projections must match this system's geometry"
         );
         self.drain(now, sink);
@@ -1199,6 +1204,42 @@ mod tests {
                 assert_eq!(*set, m.config().l2.set_of(a) as u32);
             }
             _ => unreachable!(),
+        }
+    }
+
+    /// Every MSHR allocation completes after every outstanding fill, so
+    /// the file's allocation order is its `ready_at` order — on both
+    /// benchmark machines, under seeded main/helper/prefetch streams that
+    /// queue on the bus and fill the file.
+    #[test]
+    fn mshr_allocations_land_in_ready_order() {
+        let mut small_l2 = CacheConfig::scaled_default().with_hw_backend(HwBackend::PointerChase);
+        small_l2.l2 = crate::geometry::CacheGeometry::new(8 * 1024, 4, small_l2.l2.line_size);
+        for cfg in [CacheConfig::scaled_default(), small_l2] {
+            for seed in 0..4 {
+                let mut m = MemorySystem::new(cfg);
+                let mut rng = sp_trace::SmallRng::seed_from_u64(seed);
+                let (mut t, mut full) = (0, 0);
+                for _ in 0..20_000 {
+                    // Short sequential runs (streamer food) over a
+                    // footprint four times the L2.
+                    let addr = rng.gen_range(0..cfg.l2.size_bytes * 4) & !63;
+                    for k in 0..rng.gen_range(1u64..4) {
+                        let mref = load(addr + 64 * k);
+                        match rng.gen_range(0u32..4) {
+                            0 | 1 => m.demand_access(Entity::Main, mref, t),
+                            2 => m.helper_load(mref, t),
+                            _ => m.prefetch_access(mref, t),
+                        };
+                        t += rng.gen_range(0u64..24);
+                        let e = m.mshr.entries();
+                        assert!(e.windows(2).all(|w| w[0].ready_at < w[1].ready_at));
+                        full += u64::from(m.mshr.is_full());
+                    }
+                }
+                assert!(full > 0, "the stream must fill the MSHR file");
+                assert!(m.stats().bus_queued > 0, "the stream must queue on the bus");
+            }
         }
     }
 

@@ -72,6 +72,11 @@ impl MshrFile {
         self.entries.len() >= self.capacity
     }
 
+    /// Outstanding entries, in allocation order.
+    pub(crate) fn entries(&self) -> &[InFlight] {
+        &self.entries
+    }
+
     /// The outstanding entry for `block`, if any.
     pub fn lookup(&self, block: VAddr) -> Option<InFlight> {
         self.entries.iter().copied().find(|e| e.block == block)

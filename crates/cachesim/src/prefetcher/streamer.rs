@@ -3,26 +3,17 @@
 use super::{HwPrefetcher, LruTable};
 use sp_trace::{SiteId, VAddr};
 
-/// One tracked stream.
-#[derive(Debug, Clone, Copy)]
-struct Stream {
-    /// Block index (address / line size) of the last access in the stream.
-    last: u64,
-    /// Detected direction: +1, -1, or 0 (undetermined).
-    dir: i64,
-    /// Consecutive confirmations of `dir`.
-    conf: u32,
-}
-
 /// A multi-slot sequential prefetcher.
 ///
-/// Each slot tracks a stream of consecutive cache blocks (ascending or
-/// descending). Once a stream is confirmed (two consecutive accesses in
-/// the same direction), every further confirmation prefetches the next
-/// `degree` blocks ahead.
+/// Each slot tracks a stream of consecutive cache blocks by the block
+/// index of its last access. An access one block above or below a
+/// tracked stream extends it and immediately prefetches the next
+/// `degree` blocks in that step's direction; an access near no stream
+/// allocates a slot and only trains.
 #[derive(Debug, Clone)]
 pub struct StreamPrefetcher {
-    streams: LruTable<Stream>,
+    /// Block index (address / line size) of each stream's last access.
+    streams: LruTable<u64>,
     /// log2 of the line size: block index = address >> `line_shift`.
     line_shift: u32,
     degree: u32,
@@ -30,7 +21,7 @@ pub struct StreamPrefetcher {
 
 impl StreamPrefetcher {
     /// A prefetcher with `slots` (at most 255) concurrent streams,
-    /// prefetching `degree` blocks ahead on each confirmation.
+    /// prefetching `degree` blocks ahead on each stream step.
     pub fn new(slots: usize, degree: u32, line_size: u64) -> Self {
         assert!(slots > 0 && degree > 0);
         assert!(line_size.is_power_of_two());
@@ -56,29 +47,19 @@ impl HwPrefetcher for StreamPrefetcher {
         let blk = block >> self.line_shift;
         // The first stream this access extends (distance at most one
         // block), in index order.
-        let delta_to = |s: &Stream| blk as i64 - s.last as i64;
-        let near = |s: &Stream| delta_to(s).unsigned_abs() <= 1;
+        let delta_to = |last: u64| blk as i64 - last as i64;
+        let near = |&last: &u64| delta_to(last).unsigned_abs() <= 1;
         let Some(i) = self.streams.entries.iter().position(near) else {
             // No matching stream: allocate a new one.
-            self.streams.insert(Stream {
-                last: blk,
-                dir: 0,
-                conf: 0,
-            });
+            self.streams.insert(blk);
             return;
         };
-        let s = self.streams.touch(i);
-        let delta = delta_to(s);
+        let last = self.streams.touch(i);
+        let delta = delta_to(*last);
         if delta == 0 {
             return; // same block re-access: no new info
         }
-        if s.dir == delta {
-            s.conf = s.conf.saturating_add(1);
-        } else {
-            s.dir = delta;
-            s.conf = 1;
-        }
-        s.last = blk;
+        *last = blk;
         self.emit(blk, delta, out);
     }
 
@@ -137,7 +118,7 @@ mod tests {
     fn repeat_access_is_ignored() {
         let mut p = sp();
         obs(&mut p, 0);
-        obs(&mut p, 64); // stream confirmed
+        obs(&mut p, 64); // stream established
         assert!(obs(&mut p, 64).is_empty());
         // Stream continues afterwards.
         assert_eq!(obs(&mut p, 128), vec![192, 256]);
@@ -158,12 +139,14 @@ mod tests {
     #[test]
     fn direction_reversal_retrains() {
         let mut p = sp();
+        obs(&mut p, 640);
+        assert_eq!(obs(&mut p, 704), vec![768, 832], "ascending step");
+        // Stepping back down one block prefetches downward at once.
+        assert_eq!(obs(&mut p, 640), vec![576, 512], "descending step");
+        // Near block 0 the descending targets below zero are clamped away.
         obs(&mut p, 0);
-        obs(&mut p, 64); // dir +1 confirmed
-                         // Reversal: 64 -> 0 is delta -1; retrain but confidence resets to 1
-                         // so it still fires (conf >= 1), in the new direction.
-        let out = obs(&mut p, 0);
-        assert_eq!(out, vec![]); // block -1 clamped away entirely? No: emit(0,-1) -> empty
+        obs(&mut p, 64);
+        assert!(obs(&mut p, 0).is_empty());
     }
 
     #[test]

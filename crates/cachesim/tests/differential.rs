@@ -178,6 +178,12 @@ fn differential_ops(geo: CacheGeometry, policy: Policy, seed: u64, ops: usize) {
         Entity::HwPerceptron(1),
     ];
     for step in 0..ops {
+        if step == ops / 2 {
+            // A mid-stream reset must leave a cache indistinguishable
+            // from a fresh one.
+            new.reset();
+            reference = ReferenceCache::new(geo, policy);
+        }
         let r = xorshift(&mut rng);
         // Small address universe so sets conflict and evict constantly.
         let addr = (r >> 8) % (geo.size_bytes * 4);
@@ -225,6 +231,7 @@ fn differential_ops(geo: CacheGeometry, policy: Policy, seed: u64, ops: usize) {
             reference.set_blocks(set),
             "final contents diverged in set {set}"
         );
+        assert_eq!(new.occupancy(set), reference.set_blocks(set).len());
     }
 }
 

@@ -37,7 +37,10 @@ fn occupancy_bounded() {
         }
         for set in 0..geo.sets() {
             assert!(c.occupancy(set) <= geo.ways as usize);
+            assert_eq!(c.occupancy(set), c.set_blocks(set).len());
         }
+        let per_set: usize = (0..geo.sets()).map(|s| c.occupancy(s)).sum();
+        assert_eq!(per_set, c.total_occupancy());
     });
 }
 

@@ -268,6 +268,25 @@ fn deadline_overruns_get_a_timeout_reply() {
     server.join().unwrap().unwrap();
 }
 
+/// Poll `stats` on `c` until `path` (a chain of object keys) reads at
+/// least `want`.
+fn wait_for_stat(c: &mut Client, path: &[&str], want: u64) {
+    for _ in 0..3000 {
+        let stats = c.roundtrip("{\"type\":\"stats\"}");
+        let mut v = stats.get("result").expect("stats result");
+        for key in path {
+            v = v
+                .get(key)
+                .unwrap_or_else(|| panic!("no {key} in {stats:?}"));
+        }
+        if v.as_u64().expect("a count") >= want {
+            return;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    panic!("stats {path:?} never reached {want}");
+}
+
 #[test]
 fn timed_out_result_is_still_cached_for_the_retry() {
     let (addr, server) = start(ServerConfig {
@@ -276,14 +295,25 @@ fn timed_out_result_is_still_cached_for_the_retry() {
         ..ServerConfig::default()
     });
     let mut c = Client::connect(addr);
-    // Tight deadline on a real simulation: the reply times out, but the
-    // worker finishes and fills the cache anyway.
+    // Occupy the single worker first, so the point below must queue
+    // behind the burn and cannot finish within its zero deadline.
+    let mut blocker = Client::connect(addr);
+    blocker.send("{\"type\":\"burn\",\"ms\":300}");
+    // The burn is counted just before it is submitted to the pool; the
+    // short sleep covers that gap.
+    wait_for_stat(&mut c, &["requests", "by_kind", "burn"], 1);
+    std::thread::sleep(Duration::from_millis(50));
+
+    // The reply times out, but the worker finishes and fills the cache
+    // anyway.
     let q = "{\"type\":\"point\",\"bench\":\"em3d\",\"distance\":4,\"timeout_ms\":0}";
     let reply = c.roundtrip(q);
     assert_eq!(reply.get("error").and_then(Json::as_str), Some("timeout"));
+    assert!(ok(&blocker.recv()));
 
-    // Wait for the worker to finish, then retry without a deadline.
-    std::thread::sleep(Duration::from_millis(300));
+    // Wait for the worker to finish the point (burn + point), then retry
+    // without a deadline.
+    wait_for_stat(&mut c, &["workers", "completed"], 2);
     let retry = c.roundtrip("{\"type\":\"point\",\"bench\":\"em3d\",\"distance\":4}");
     assert!(ok(&retry), "{retry:?}");
     assert_eq!(cached(&retry), Some(true), "retry served from cache");

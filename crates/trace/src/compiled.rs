@@ -1,20 +1,20 @@
-//! Precompiled traces: the cache-address projections of a
-//! [`HotLoopTrace`], computed once per geometry instead of once per
-//! replay.
+//! Precompiled traces: a [`HotLoopTrace`] flattened for replay against
+//! one cache geometry.
 //!
-//! A distance sweep replays the identical trace once per grid point, and
-//! every replay re-derives `block / set / tag` for every reference. A
-//! [`CompiledTrace`] hoists that work out of the hot loop: one pass over
-//! the trace precomputes the per-record projections for a fixed
-//! [`TraceGeometry`] into flat struct-of-arrays storage, and the result
-//! is shared (`Arc`) across all grid points, all passes, and repeated
-//! service requests.
+//! A distance sweep replays the identical trace once per grid point. A
+//! [`CompiledTrace`] flattens the trace once into struct-of-arrays
+//! storage — three columns per reference (`vaddr`, `site`, `kind`: 13
+//! bytes) plus per-iteration metadata — and the result is shared (`Arc`)
+//! across all grid points, all passes, and repeated service requests.
+//! The cache projections (`block / set / tag`) are not stored:
+//! [`CompiledTrace::get`] derives them from `vaddr` with the shifts and
+//! masks of the trace's [`TraceGeometry`].
 //!
-//! The projections are only valid for the geometry they were compiled
-//! for, so every consumer must call [`CompiledTrace::ensure_geometry`]
-//! (or compare [`CompiledTrace::geometry`]) before replaying — a
-//! mismatch is a typed [`GeometryMismatch`] error, never a silently
-//! wrong simulation.
+//! The projections are only valid for the geometry the trace was
+//! compiled for, so every consumer must call
+//! [`CompiledTrace::ensure_geometry`] (or compare
+//! [`CompiledTrace::geometry`]) before replaying — a mismatch is a typed
+//! [`GeometryMismatch`] error, never a silently wrong simulation.
 
 use crate::codec;
 use crate::record::{AccessKind, MemRef, SiteId, VAddr};
@@ -100,7 +100,7 @@ impl fmt::Display for GeometryMismatch {
 
 impl std::error::Error for GeometryMismatch {}
 
-/// One reference with its precomputed cache projections.
+/// One reference with its cache projections.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CompiledRef {
     /// Simulated virtual address (hardware prefetchers train on it).
@@ -119,8 +119,6 @@ pub struct CompiledRef {
     pub kind: AccessKind,
     /// Static reference site.
     pub site: SiteId,
-    /// Outer-loop iteration the reference was issued from.
-    pub outer_iter: u32,
 }
 
 impl CompiledRef {
@@ -135,8 +133,8 @@ impl CompiledRef {
 }
 
 /// A [`HotLoopTrace`] compiled for one [`TraceGeometry`]: flat
-/// struct-of-arrays per-reference projections plus per-iteration
-/// metadata (reference ranges, backbone split, compute cycles).
+/// struct-of-arrays per-reference columns plus per-iteration metadata
+/// (reference ranges, backbone split, compute cycles).
 ///
 /// Build once with [`CompiledTrace::compile`], wrap in an `Arc`, and
 /// replay from every grid point / pass / request.
@@ -147,14 +145,8 @@ pub struct CompiledTrace {
     name: String,
     // Per-reference SoA columns, indexed by flat reference position.
     vaddr: Vec<VAddr>,
-    block: Vec<VAddr>,
-    l1_set: Vec<u32>,
-    l1_tag: Vec<u64>,
-    l2_set: Vec<u32>,
-    l2_tag: Vec<u64>,
-    kind: Vec<AccessKind>,
     site: Vec<SiteId>,
-    outer_iter: Vec<u32>,
+    kind: Vec<AccessKind>,
     // Per-iteration metadata. `ref_start` has `outer_iters + 1` entries;
     // iteration `i`'s references are `ref_start[i]..ref_start[i+1]`, the
     // first `backbone_len[i]` of which are backbone references.
@@ -174,30 +166,18 @@ impl CompiledTrace {
             digest: codec::digest(trace),
             name: trace.name.clone(),
             vaddr: Vec::with_capacity(n),
-            block: Vec::with_capacity(n),
-            l1_set: Vec::with_capacity(n),
-            l1_tag: Vec::with_capacity(n),
-            l2_set: Vec::with_capacity(n),
-            l2_tag: Vec::with_capacity(n),
-            kind: Vec::with_capacity(n),
             site: Vec::with_capacity(n),
-            outer_iter: Vec::with_capacity(n),
+            kind: Vec::with_capacity(n),
             ref_start: Vec::with_capacity(iters + 1),
             backbone_len: Vec::with_capacity(iters),
             compute_cycles: Vec::with_capacity(iters),
         };
         c.ref_start.push(0);
-        for (i, it) in trace.iters.iter().enumerate() {
+        for it in &trace.iters {
             for r in it.refs() {
                 c.vaddr.push(r.vaddr);
-                c.block.push(geometry.l2.block_of(r.vaddr));
-                c.l1_set.push(geometry.l1.set_of(r.vaddr) as u32);
-                c.l1_tag.push(geometry.l1.tag_of(r.vaddr));
-                c.l2_set.push(geometry.l2.set_of(r.vaddr) as u32);
-                c.l2_tag.push(geometry.l2.tag_of(r.vaddr));
-                c.kind.push(r.kind);
                 c.site.push(r.site);
-                c.outer_iter.push(i as u32);
+                c.kind.push(r.kind);
             }
             c.ref_start.push(c.vaddr.len() as u32);
             c.backbone_len.push(it.backbone.len() as u32);
@@ -277,19 +257,21 @@ impl CompiledTrace {
         self.compute_cycles[it]
     }
 
-    /// The reference at flat index `i`, reassembled from the columns.
+    /// The reference at flat index `i`, with its projections derived
+    /// from `vaddr` under the compiled geometry.
     #[inline]
     pub fn get(&self, i: usize) -> CompiledRef {
+        let vaddr = self.vaddr[i];
+        let TraceGeometry { l1, l2 } = self.geometry;
         CompiledRef {
-            vaddr: self.vaddr[i],
-            block: self.block[i],
-            l1_set: self.l1_set[i],
-            l1_tag: self.l1_tag[i],
-            l2_set: self.l2_set[i],
-            l2_tag: self.l2_tag[i],
+            vaddr,
+            block: l2.block_of(vaddr),
+            l1_set: l1.set_of(vaddr) as u32,
+            l1_tag: l1.tag_of(vaddr),
+            l2_set: l2.set_of(vaddr) as u32,
+            l2_tag: l2.tag_of(vaddr),
             kind: self.kind[i],
             site: self.site[i],
-            outer_iter: self.outer_iter[i],
         }
     }
 }
@@ -325,10 +307,9 @@ mod tests {
         assert_eq!(c.outer_iters(), t.outer_iters());
         assert_eq!(c.total_refs(), t.total_refs());
         let mut i = 0usize;
-        for (iter, r) in t.tagged_refs() {
+        for (_, r) in t.tagged_refs() {
             let cr = c.get(i);
             assert_eq!(cr.mem_ref(), *r);
-            assert_eq!(cr.outer_iter, iter);
             assert_eq!(cr.block, g.l2.block_of(r.vaddr));
             assert_eq!(cr.l1_set as u64, g.l1.set_of(r.vaddr));
             assert_eq!(cr.l1_tag, g.l1.tag_of(r.vaddr));
@@ -337,6 +318,37 @@ mod tests {
             i += 1;
         }
         assert_eq!(i, c.total_refs());
+    }
+
+    #[test]
+    fn per_reference_columns_are_vaddr_site_and_kind() {
+        let t = synth::pointer_chase(40, 64, 7, 3);
+        let c = CompiledTrace::compile(&t, geo());
+        // Exhaustive: a new column fails to compile here until it is
+        // accounted for below.
+        let CompiledTrace {
+            geometry: _,
+            digest: _,
+            name: _,
+            vaddr,
+            site,
+            kind,
+            ref_start,
+            backbone_len,
+            compute_cycles,
+        } = &c;
+        let n = c.total_refs();
+        assert!(n > 0);
+        let per_ref = size_of::<VAddr>() + size_of::<SiteId>() + size_of::<AccessKind>();
+        assert_eq!(per_ref, 13);
+        assert_eq!(
+            size_of_val(&vaddr[..]) + size_of_val(&site[..]) + size_of_val(&kind[..]),
+            n * per_ref
+        );
+        // The rest is per iteration, not per reference.
+        assert_eq!(ref_start.len(), c.outer_iters() + 1);
+        assert_eq!(backbone_len.len(), c.outer_iters());
+        assert_eq!(compute_cycles.len(), c.outer_iters());
     }
 
     #[test]
