@@ -29,9 +29,6 @@ fn bench_set_affinity(c: &mut Criterion) {
     g.sample_size(10);
     for b in Benchmark::ALL {
         let trace = Workload::scaled(b).trace();
-        g.throughput(sp_bench::harness::Throughput::Elements(
-            trace.total_refs() as u64
-        ));
         g.bench_with_input(BenchmarkId::from_parameter(b.name()), &trace, |bench, t| {
             bench.iter(|| original_set_affinity(t, cfg.l2))
         });

@@ -5,7 +5,7 @@
 //! the executor's timing report alongside the artifact; the plain forms
 //! are serial (`jobs = 1`) wrappers kept for callers that don't care.
 
-use sp_cachesim::{CacheConfig, HwBackend};
+use sp_cachesim::CacheConfig;
 use sp_core::prelude::*;
 use sp_core::{estimate_calr, map_jobs, run_jobs, sampled_set_affinity, RunnerReport, Sweep};
 use sp_profiler::{select_benchmarks, BurstSampler, SelectionRow};
@@ -265,31 +265,6 @@ pub fn fig2_at(cfg: CacheConfig, scale: Scale, jobs: usize) -> (Sweep, RunnerRep
     sweep_distances_jobs(&w.trace(), cfg, 0.5, distances_for(Benchmark::Em3d), jobs)
 }
 
-/// [`fig2_at`] with the epoch flight recorder attached at the default
-/// window length ([`sp_cachesim::DEFAULT_EPOCH_LEN`]). The
-/// `epoch_overhead` bench suite times this against `fig2_em3d_sweep`
-/// to pin the enabled-recorder cost; the recorder-disabled path is
-/// compiled out entirely and gated by the other suites.
-#[allow(clippy::type_complexity)]
-pub fn fig2_epochs_at(
-    cfg: CacheConfig,
-    scale: Scale,
-    jobs: usize,
-) -> (Sweep, sp_core::SweepEpochs, RunnerReport) {
-    let w = scale.workload(Benchmark::Em3d);
-    let ct = std::sync::Arc::new(sp_core::compile_trace(&w.trace(), &cfg));
-    sp_core::sweep_epochs_compiled_jobs_with(
-        &ct,
-        cfg,
-        0.5,
-        distances_for(Benchmark::Em3d),
-        sp_core::EngineOptions::default(),
-        sp_cachesim::DEFAULT_EPOCH_LEN,
-        jobs,
-    )
-    .expect("compiled against this geometry")
-}
-
 /// Epoch window length of the fig5-MCF flight-recorder fixture.
 pub const FIG5_EPOCH_LEN: u64 = 256;
 
@@ -334,24 +309,6 @@ pub fn fig5_epoch_fixture(jobs: usize) -> (Sweep, sp_core::SweepEpochs, Option<u
     )
     .expect("compiled against this geometry");
     (sweep, epochs, bound, report)
-}
-
-/// The LDS extension sweep: the hash-join probe kernel on the
-/// pointer-chase backend over the LDS grid — the benchmark suite's
-/// pinned sample of the workload-builder and backend paths (the other
-/// kernels and backends are covered by the CI smoke matrix).
-pub fn lds_sweep_at(cfg: CacheConfig, scale: Scale, jobs: usize) -> (Sweep, RunnerReport) {
-    let cfg = cfg.with_hw_backend(HwBackend::PointerChase);
-    let trace = WorkloadBuilder::new(KernelKind::HashJoin)
-        .tier(scale.tier())
-        .trace();
-    sweep_distances_jobs(
-        &trace,
-        cfg,
-        0.5,
-        distances_for_kernel(KernelKind::HashJoin),
-        jobs,
-    )
 }
 
 /// The behaviour series of Figures 4(a)/5(a)/6(a) plus the runtime curve

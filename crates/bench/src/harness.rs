@@ -3,8 +3,8 @@
 //! The workspace builds offline with no external crates, so the bench
 //! targets (all `harness = false`) run on this Criterion-shaped shim
 //! instead of Criterion itself. It covers exactly the surface the bench
-//! files use — groups, sample size, element throughput, parameterized
-//! IDs — and prints one line per benchmark with min/mean timings.
+//! files use — groups, sample size, parameterized IDs — and prints one
+//! line per benchmark with min/mean timings.
 //!
 //! Passing `--test` (as `cargo test --benches` does) switches to a
 //! single-iteration smoke run so benches double as compile-and-run
@@ -44,17 +44,10 @@ impl Criterion {
         BenchGroup {
             name: name.into(),
             samples: self.default_samples,
-            throughput: None,
             quick: self.quick,
             _marker: std::marker::PhantomData,
         }
     }
-}
-
-/// Elements processed per iteration, for per-element rate reporting.
-#[derive(Debug, Clone, Copy)]
-pub enum Throughput {
-    Elements(u64),
 }
 
 /// A benchmark's display name, optionally parameterized.
@@ -80,7 +73,6 @@ impl BenchmarkId {
 pub struct BenchGroup<'a> {
     name: String,
     samples: usize,
-    throughput: Option<Throughput>,
     quick: bool,
     #[allow(dead_code)]
     _marker: std::marker::PhantomData<&'a ()>,
@@ -92,11 +84,6 @@ pub struct BenchGroup<'a> {
 impl<'a> BenchGroup<'a> {
     pub fn sample_size(&mut self, n: usize) -> &mut Self {
         self.samples = n.max(1);
-        self
-    }
-
-    pub fn throughput(&mut self, t: Throughput) -> &mut Self {
-        self.throughput = Some(t);
         self
     }
 
@@ -127,7 +114,7 @@ impl<'a> BenchGroup<'a> {
         };
         f(&mut b);
         let (min, mean) = b.summary();
-        let mut line = format!(
+        println!(
             "{}/{}: min {} mean {} ({} samples)",
             self.name,
             id,
@@ -135,13 +122,6 @@ impl<'a> BenchGroup<'a> {
             fmt_duration(mean),
             b.times.len()
         );
-        if let Some(Throughput::Elements(n)) = self.throughput {
-            let secs = mean.as_secs_f64();
-            if secs > 0.0 {
-                line.push_str(&format!(", {:.1} Melem/s", n as f64 / secs / 1e6));
-            }
-        }
-        println!("{line}");
     }
 }
 
@@ -219,9 +199,7 @@ mod tests {
             quick: false,
         };
         let mut g = c.benchmark_group("t");
-        g.sample_size(2)
-            .throughput(Throughput::Elements(10))
-            .bench_function("id", |b| b.iter(|| 1 + 1));
+        g.sample_size(2).bench_function("id", |b| b.iter(|| 1 + 1));
         g.bench_with_input(BenchmarkId::new("param", 7), &7, |b, &x| b.iter(|| x * 2));
         g.finish();
     }

@@ -14,21 +14,16 @@
 //! Every driver is deterministic; the `reproduce` binary prints aligned
 //! text tables and writes CSV files under `results/`.
 
-pub mod baseline;
 pub mod experiments;
 pub mod harness;
 pub mod plot;
 pub mod report;
 
-pub use baseline::{
-    bench_json, check_against, parse_refs_per_sec, prior_trajectory, render_entries,
-    rolling_refs_per_sec, run_baseline, run_baseline_with, BenchEntry, ROLLING_WINDOW, SUITE_NAMES,
-};
 pub use experiments::{
-    distances_for, distances_for_kernel, fig2, fig2_at, fig2_epochs_at, fig5_epoch_fixture,
-    fig_behavior, fig_behavior_at, kernel_row, lds_sweep_at, table2, table2_at, table2_row,
-    BehaviorSeries, Scale, Table2Row, DISTANCES_EM3D, DISTANCES_LDS, DISTANCES_MCF, DISTANCES_MST,
-    FIG5_EPOCH_L2_KB, FIG5_EPOCH_L2_WAYS, FIG5_EPOCH_LEN,
+    distances_for, distances_for_kernel, fig2, fig2_at, fig5_epoch_fixture, fig_behavior,
+    fig_behavior_at, kernel_row, table2, table2_at, table2_row, BehaviorSeries, Scale, Table2Row,
+    DISTANCES_EM3D, DISTANCES_LDS, DISTANCES_MCF, DISTANCES_MST, FIG5_EPOCH_L2_KB,
+    FIG5_EPOCH_L2_WAYS, FIG5_EPOCH_LEN,
 };
 pub use plot::{line_chart, save_svg, ChartConfig, Series};
 pub use report::{

@@ -79,7 +79,7 @@ pub fn csv_string(header: &[&str], rows: &[Vec<String>]) -> String {
 /// beside the target which is then renamed over it, so a crashed or
 /// interrupted run can never leave a truncated artifact. Missing parent
 /// directories are created. Every exported artifact — sweep CSVs,
-/// `BENCH_cachesim.json`, event NDJSON streams — goes through here.
+/// epoch reports, event NDJSON streams — goes through here.
 pub fn write_atomic(path: &Path, contents: &str) -> std::io::Result<()> {
     if let Some(dir) = path.parent() {
         if !dir.as_os_str().is_empty() {

@@ -20,8 +20,9 @@
 //!
 //! * **Zero cost disabled** — the recorder rides the existing
 //!   `EventSink` generic; `NullSink` replays compile it out entirely
-//!   (the `epoch_overhead` bench suite proves the disabled path, the
-//!   demand-tick guard mirrors the `ENABLED` guard).
+//!   (the demand-tick guard mirrors the `ENABLED` guard, and
+//!   `tests/events_off.rs` pins that neither channel is called when
+//!   both are off).
 //! * **Non-perturbing enabled** — the sink only observes; counters are
 //!   bit-identical with and without it (differential suites).
 //! * **Exact refinement** — [`EpochSeries::totals`] folds back to the
@@ -459,9 +460,8 @@ mod tests {
         assert_eq!(series.epochs[0].refs, 10);
         assert_eq!(series.epochs[1].refs, 10);
         assert_eq!(series.epochs[2].refs, 5);
-        // All helper ticks landed in the first window (emitted first in
-        // this synthetic stream? no — emitted after 25 main ticks, so
-        // they land in the final partial window).
+        // Helper ticks never close a window: all seven arrive after the
+        // 25th main tick, so they land in the final partial window.
         assert_eq!(series.epochs[2].helper_refs, 7);
         assert_eq!(series.epochs[2].helper[3], 7);
         let t = series.totals();

@@ -8,9 +8,10 @@
 //! an [`EventSink`]; every emission site is guarded by the sink's
 //! associated `const ENABLED`, so the default [`NullSink`]
 //! instantiation monomorphizes to *exactly* the code that existed
-//! before events — no trait objects, no branches, no dead stores. The
-//! `spt bench` suite runs the `NullSink` path and is checked against
-//! the committed baseline, which is the enforcement of that guarantee.
+//! before events — no trait objects, no branches, no dead stores.
+//! `tests/events_off.rs` enforces the guard itself: a sink with
+//! `ENABLED = false` that counts every call reaching it must see none
+//! across a Fig. 2 grid that evicts, pollutes and blocks.
 //!
 //! # Taxonomy
 //!

@@ -83,10 +83,10 @@ type BuildBlockHasher = std::hash::BuildHasherDefault<BlockHasher>;
 /// How many `MemorySystem`s this process has built so far.
 ///
 /// Each build allocates the full hierarchy (L1s, L2, MSHRs, prefetcher
-/// tables), so the delta across a benchmark run is the bench suite's
-/// allocations-per-run proxy: reusing simulators via
-/// [`MemorySystem::reset`] keeps the count flat where rebuilding grows it
-/// once per run.
+/// tables), so the delta across a run is an allocations-per-run proxy
+/// (perfbench's `cachesim.sim_builds`, `tests/sim_reuse.rs`): reusing
+/// simulators via [`MemorySystem::reset`] keeps the count flat where
+/// rebuilding grows it once per run.
 pub fn sim_build_count() -> u64 {
     SIM_BUILDS.load(Ordering::Relaxed)
 }

@@ -5,10 +5,9 @@ use sp_cachesim::{CacheConfig, CacheGeometry, HwBackend};
 use sp_trace::HotLoopTrace;
 use sp_workloads::{KernelKind, ScaleTier, WorkloadBuilder};
 
-/// Flags that may appear without a value (`spt bench --smoke`,
-/// `spt sweep --events`, `spt events --original`,
-/// `spt top --once --json`).
-const BOOLEAN_FLAGS: [&str; 5] = ["smoke", "events", "original", "once", "json"];
+/// Flags that may appear without a value (`spt sweep --events`,
+/// `spt events --original`, `spt top --once --json`).
+const BOOLEAN_FLAGS: [&str; 4] = ["events", "original", "once", "json"];
 
 /// Parsed command line: subcommand, positional args, `--key value` flags.
 #[derive(Debug, Clone)]
@@ -169,14 +168,15 @@ mod tests {
 
     #[test]
     fn boolean_switches_stand_alone() {
-        let a = args("bench --smoke").unwrap();
-        assert!(a.switch("smoke"));
-        let a = args("bench --smoke --out f.json").unwrap();
-        assert!(a.switch("smoke"));
-        assert_eq!(a.get("out"), Some("f.json"));
-        let a = args("bench --smoke off").unwrap();
-        assert!(!a.switch("smoke"));
-        assert!(!args("bench").unwrap().switch("smoke"));
+        let a = args("top --once --json").unwrap();
+        assert!(a.switch("once"));
+        assert!(a.switch("json"));
+        let a = args("top --once --addr 127.0.0.1:7077").unwrap();
+        assert!(a.switch("once"));
+        assert_eq!(a.get("addr"), Some("127.0.0.1:7077"));
+        let a = args("top --once off").unwrap();
+        assert!(!a.switch("once"));
+        assert!(!args("top").unwrap().switch("once"));
         let a = args("sweep --events --jobs 2").unwrap();
         assert!(a.switch("events"));
         assert_eq!(a.get("jobs"), Some("2"));

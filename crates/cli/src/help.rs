@@ -3,7 +3,7 @@
 //! usage, so flag changes must update the fixture deliberately.
 
 /// Every `spt` subcommand, in the order the top-level usage lists them.
-pub const COMMANDS: [&str; 15] = [
+pub const COMMANDS: [&str; 14] = [
     "affinity",
     "sweep",
     "delinquent",
@@ -12,7 +12,6 @@ pub const COMMANDS: [&str; 15] = [
     "adaptive",
     "selection",
     "dump",
-    "bench",
     "events",
     "trace",
     "report",
@@ -104,32 +103,6 @@ pub fn command_help(cmd: &str) -> Option<String> {
              \n\
              FLAGS:\n  \
              --out FILE               destination path (required)\n",
-        ),
-        "bench" => (
-            "spt bench [flags]",
-            "Run the pinned cachesim benchmark suite (synthetic set-hammer,\n\
-             fig2 EM3D test-scale sweep, fig5 MCF test-scale sweep, LDS\n\
-             backend sweep, epoch-recorder overhead sweep) and print\n\
-             median ns/ref, refs/sec, wall time, and simulator builds per\n\
-             run.\n\
-             One extra pass per suite runs with the span recorder on and\n\
-             stores a per-stage wall-time breakdown; the timed\n\
-             repetitions stay recording-disabled. The suite is the\n\
-             repository's tracked baseline: `--out` writes\n\
-             BENCH_cachesim.json (carrying the existing file's\n\
-             measurement history forward as trajectory points),\n\
-             `--check` compares refs/sec against the rolling median of\n\
-             the baseline's recent trajectory points.\n\
-             \n\
-             FLAGS:\n  \
-             --smoke                  fewer repetitions (same workloads)\n  \
-             --runs N                 timed repetitions per suite\n                           \
-             (default 9, or 3 with --smoke)\n  \
-             --warmup N               untimed warmup runs per suite\n                           \
-             (default 2)\n  \
-             --out FILE               write BENCH_cachesim.json here\n  \
-             --check FILE             fail on refs/sec regression vs FILE\n  \
-             --tolerance F            allowed fraction (default 0.2)\n",
         ),
         "events" => (
             "spt events [flags]",
@@ -269,7 +242,7 @@ pub fn command_help(cmd: &str) -> Option<String> {
         _ => return None,
     };
     let common = match cmd {
-        "serve" | "loadgen" | "top" | "selection" | "bench" => "",
+        "serve" | "loadgen" | "top" | "selection" => "",
         _ => COMMON,
     };
     Some(format!("USAGE:\n  {synopsis}\n\n{body}{common}"))

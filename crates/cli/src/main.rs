@@ -9,7 +9,6 @@
 //! spt adaptive   [--bench B] [--start D] [--epoch N] [--bounded on|off]
 //! spt selection
 //! spt dump       [--bench B] [--size S] --out trace.spt
-//! spt bench      [--smoke] [--out F] [--check BASELINE] [--tolerance F]
 //! spt events     [--bench B] [--distance D] [--rp R] [--original] [--out F.ndjson]
 //! spt trace      [--bench B] [--distances d1,...] [--jobs N] --out profile.json
 //! spt report     [--bench B] [--rp R] [--epoch-len N] [--ndjson F] [--out F.md]
@@ -86,7 +85,6 @@ COMMANDS:
   adaptive     run the FDP-style dynamic distance controller
   selection    benchmark screen by L2-miss cycle share (paper SIV.B)
   dump         record a workload's hot-loop trace to a file (--out F)
-  bench        run the pinned cachesim benchmark suite (BENCH_cachesim.json)
   events       replay one run with the prefetch-lifecycle event sink
                attached: timeliness, pollution cases, per-set pressure;
                --out writes the raw event stream as NDJSON
@@ -131,7 +129,6 @@ fn run(a: Args) -> Result<(), String> {
         "adaptive" => adaptive(&a),
         "selection" => selection_cmd(&a),
         "dump" => dump(&a),
-        "bench" => bench(&a),
         "events" => events(&a),
         "trace" => trace_cmd(&a),
         "report" => report(&a),
@@ -701,58 +698,6 @@ fn sp_prefetch_save(t: &sp_trace::HotLoopTrace, path: &std::path::Path) -> Resul
     sp_trace::save_trace(t, path).map_err(|e| e.to_string())
 }
 
-fn bench(a: &Args) -> Result<(), String> {
-    let smoke = a.switch("smoke");
-    // Timed repetitions and untimed warmup runs; defaults live in
-    // `run_baseline_with` (3 smoke / 9 full, warmup 2).
-    let runs = a
-        .get("runs")
-        .map(|v| {
-            v.parse::<usize>()
-                .ok()
-                .filter(|&r| r > 0)
-                .ok_or_else(|| format!("--runs {v}: expected a positive count"))
-        })
-        .transpose()?;
-    let warmup = a
-        .get("warmup")
-        .map(|v| {
-            v.parse::<usize>()
-                .map_err(|_| format!("--warmup {v}: expected a count"))
-        })
-        .transpose()?;
-    let entries = sp_bench::run_baseline_with(smoke, runs, warmup);
-    print!("{}", sp_bench::render_entries(&entries));
-    if let Some(out) = a.get("out") {
-        // Carry the existing document's trajectory forward; this
-        // measurement becomes its newest point.
-        let prior = std::fs::read_to_string(out)
-            .map(|doc| sp_bench::prior_trajectory(&doc))
-            .unwrap_or_default();
-        sp_bench::write_atomic(
-            std::path::Path::new(out),
-            &sp_bench::bench_json(&entries, smoke, &prior),
-        )
-        .map_err(|e| format!("--out {out}: {e}"))?;
-        println!("(wrote {out}, trajectory point {})", prior.len());
-    }
-    if let Some(baseline_path) = a.get("check") {
-        let tolerance: f64 = a.get_or("tolerance", 0.2)?;
-        match std::fs::read_to_string(baseline_path) {
-            Err(e) => println!("(no baseline at {baseline_path}: {e}; skipping check)"),
-            Ok(json) => {
-                let lines = sp_bench::check_against(&json, &entries, tolerance)
-                    .map_err(|e| format!("bench check vs {baseline_path}: {e}"))?;
-                for line in lines {
-                    println!("{line}");
-                }
-                println!("(within {:.0}% of {baseline_path})", tolerance * 100.0);
-            }
-        }
-    }
-    Ok(())
-}
-
 fn selection_cmd(a: &Args) -> Result<(), String> {
     let cfg: CacheConfig = a.cache_config()?;
     let threshold: f64 = a.get_or("threshold", 0.3)?;
@@ -775,4 +720,25 @@ fn selection_cmd(a: &Args) -> Result<(), String> {
         );
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn usage_lists_exactly_the_help_commands_in_order() {
+        // Entry lines of the COMMANDS: block are indented by exactly two
+        // spaces; their continuation lines are indented further.
+        let listed: Vec<&str> = USAGE
+            .lines()
+            .skip_while(|l| *l != "COMMANDS:")
+            .skip(1)
+            .take_while(|l| !l.is_empty())
+            .filter_map(|l| l.strip_prefix("  "))
+            .filter(|l| !l.starts_with(' '))
+            .map(|l| l.split_whitespace().next().unwrap())
+            .collect();
+        assert_eq!(listed, help::COMMANDS);
+    }
 }

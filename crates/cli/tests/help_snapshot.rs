@@ -11,26 +11,26 @@
 use std::path::PathBuf;
 use std::process::Command;
 
-/// Must match `help::COMMANDS` in the binary (asserted indirectly: a
-/// command missing here would leave its page out of the fixture, and a
-/// page for an unknown command exits non-zero below).
-const COMMANDS: [&str; 15] = [
-    "affinity",
-    "sweep",
-    "delinquent",
-    "phases",
-    "reuse",
-    "adaptive",
-    "selection",
-    "dump",
-    "bench",
-    "events",
-    "trace",
-    "report",
-    "serve",
-    "loadgen",
-    "top",
-];
+/// The command names listed in the `COMMANDS:` block of `spt --help`:
+/// each entry line is indented by exactly two spaces, its continuation
+/// lines by more. Reading them from the binary keeps one list, so a new
+/// command's page joins the fixture without editing this test.
+fn listed_commands() -> Vec<String> {
+    let top = spt(&["--help"]);
+    assert!(top.status.success(), "spt --help failed");
+    let usage = String::from_utf8(top.stdout).unwrap();
+    let commands: Vec<String> = usage
+        .lines()
+        .skip_while(|l| *l != "COMMANDS:")
+        .skip(1)
+        .take_while(|l| !l.is_empty())
+        .filter_map(|l| l.strip_prefix("  "))
+        .filter(|l| !l.starts_with(' '))
+        .map(|l| l.split_whitespace().next().unwrap().to_string())
+        .collect();
+    assert!(!commands.is_empty(), "no COMMANDS: block in spt --help");
+    commands
+}
 
 fn spt(args: &[&str]) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_spt"))
@@ -46,8 +46,8 @@ fn help_pages_match_fixture() {
     assert!(top.status.success(), "spt --help failed");
     snapshot.push_str("===== spt --help =====\n");
     snapshot.push_str(&String::from_utf8(top.stdout).unwrap());
-    for cmd in COMMANDS {
-        let out = spt(&[cmd, "--help"]);
+    for cmd in listed_commands() {
+        let out = spt(&[&cmd, "--help"]);
         assert!(out.status.success(), "spt {cmd} --help failed");
         assert!(out.stderr.is_empty(), "spt {cmd} --help wrote to stderr");
         snapshot.push_str(&format!("===== spt {cmd} --help =====\n"));
@@ -87,11 +87,11 @@ fn every_listed_command_is_dispatchable() {
     // unknown *flag-less* invocation of each command must not report
     // "unknown command" (anything else — missing flags, run output — is
     // command-specific and fine here).
-    for cmd in COMMANDS {
+    for cmd in listed_commands() {
         if cmd == "serve" || cmd == "loadgen" || cmd == "top" {
             continue; // would bind a socket / need a daemon
         }
-        let out = spt(&[cmd, "--bad-flag"]);
+        let out = spt(&[&cmd, "--bad-flag"]);
         let err = String::from_utf8(out.stderr).unwrap();
         assert!(
             !err.contains("unknown command"),

@@ -314,7 +314,7 @@ pub fn record_complete(
 }
 
 /// Sum durations by span name: `(name, total_us, count)` sorted by
-/// name. The per-stage rollup `spt trace` and `spt bench` print.
+/// name. The per-stage rollup `spt trace` prints.
 pub fn stage_totals(spans: &[SpanRecord]) -> Vec<(&'static str, u64, u64)> {
     let mut totals: Vec<(&'static str, u64, u64)> = Vec::new();
     for rec in spans {
