@@ -1,9 +1,12 @@
-//! Regenerate every table and figure of the paper.
+//! Regenerate every table, figure and ablation of the paper.
 //!
 //! ```text
-//! reproduce [table1|table2|fig2|fig4|fig5|fig6|all] [--out DIR]
-//!           [--jobs N] [--smoke]
+//! reproduce [ARTIFACT|all] [--out DIR] [--jobs N] [--smoke]
 //! ```
+//!
+//! `ARTIFACT` names one row of the `ARTIFACTS` table below; `all` (the
+//! default) runs every row marked as part of it. An unknown name exits
+//! 2 and lists every artifact with what it writes.
 //!
 //! Prints aligned text tables (with the paper's reference values beside
 //! the measured ones) and writes one CSV per artifact under `--out`
@@ -15,20 +18,42 @@
 //! identical whatever `N` is; a summary line at the end reports the
 //! realized parallel speedup. `--smoke` switches to the fast test-scale
 //! inputs (what CI runs).
+//!
+//! `ablations` checks each ablation's rows against the finding
+//! EXPERIMENTS.md states for it. The findings are stated for the scaled
+//! inputs, so they are checked there only; a failed one makes
+//! `reproduce` exit 1 once every artifact is written.
 
 use sp_bench::experiments::{
-    fig2_at, fig5_epoch_fixture, fig_behavior_at, selection_jobs, table2_at, table2_paper_jobs,
-    Scale, FIG5_EPOCH_L2_KB, FIG5_EPOCH_L2_WAYS, FIG5_EPOCH_LEN, SELECTION_THRESHOLD,
+    ablation_adaptive, ablation_helper_model, ablation_hw_prefetchers, ablation_replacement,
+    ablation_rp, ablation_sampling, check_adaptive, check_helper_model, check_hw_prefetchers,
+    check_replacement, check_rp, check_sampling, fig2, fig5_epoch_fixture, fig_behavior, selection,
+    table2, table2_paper, Scale, ABLATION_DISTANCE, FIG5_EPOCH_L2_KB, FIG5_EPOCH_L2_WAYS,
+    FIG5_EPOCH_LEN, HELPER_SA_DISTANCE, SELECTION_THRESHOLD,
 };
 use sp_bench::plot::{line_chart, save_svg, ChartConfig, Series};
 use sp_bench::report::{
     epoch_ndjson, epoch_report_markdown, render_runner_summary, render_table, sweep_rows,
-    table2_rows, write_atomic, write_csv, EpochReportMeta, SWEEP_HEADER, TABLE2_HEADER,
+    table2_rows, write_atomic, write_csv, CsvRow, EpochReportMeta, SWEEP_HEADER, TABLE2_HEADER,
 };
 use sp_cachesim::CacheConfig;
-use sp_core::RunnerReport;
+use sp_core::{RunnerReport, Sweep, SweepPoint};
 use sp_workloads::Benchmark;
 use std::path::{Path, PathBuf};
+
+/// Every artifact `reproduce` regenerates: its name, whether `all` runs
+/// it, and what it writes under `--out`.
+const ARTIFACTS: [(&str, bool, &str); 9] = [
+    ("table1", true, "nothing (prints the simulated hardware)"),
+    ("table2", true, "table2.csv"),
+    ("selection", true, "selection.csv"),
+    ("table2paper", false, "table2_paper.csv (slow)"),
+    ("fig2", true, "fig2_em3d.csv and .svg"),
+    ("fig4", true, "fig4_em3d.csv and two SVGs"),
+    ("fig5", true, "fig5_mcf.csv, two SVGs, fig5_mcf_epoch*"),
+    ("fig6", true, "fig6_mst.csv and two SVGs"),
+    ("ablations", true, "ablation_*.csv, checking each finding"),
+];
 
 fn die(msg: &str) -> ! {
     eprintln!("reproduce: {msg}");
@@ -55,63 +80,54 @@ fn main() {
             },
             "--smoke" => scale = Scale::Test,
             other if !other.starts_with('-') => what = other.to_string(),
-            other => {
-                eprintln!("unknown flag {other}");
-                std::process::exit(2);
-            }
+            other => die(&format!("unknown flag {other}")),
         }
+    }
+    if what != "all" && !ARTIFACTS.iter().any(|&(name, _, _)| name == what) {
+        let mut msg = format!("unknown artifact {what}; expected one of:");
+        for (name, in_all, writes) in ARTIFACTS {
+            let note = if in_all { "" } else { "; not part of all" };
+            msg += &format!("\n  {name:<12} writes {writes}{note}");
+        }
+        msg += "\n  all          every artifact above that is part of all";
+        die(&msg);
     }
     let cfg = CacheConfig::scaled_default();
-    let run_all = what == "all";
     let mut total = RunnerReport::empty();
-    if run_all || what == "table1" {
-        print_table1(&cfg);
-    }
-    if run_all || what == "table2" {
-        total.absorb(&print_table2(&cfg, scale, jobs, &out));
-    }
-    if run_all || what == "selection" {
-        total.absorb(&print_selection(&cfg, jobs, &out));
-    }
-    if what == "table2paper" {
-        // Not part of `all`: streams ~2x10^8 references (about a minute).
-        total.absorb(&print_table2_paper(jobs, &out));
-    }
-    if run_all || what == "fig2" {
-        total.absorb(&print_fig2(cfg, scale, jobs, &out));
-    }
-    for (name, b) in [
-        ("fig4", Benchmark::Em3d),
-        ("fig5", Benchmark::Mcf),
-        ("fig6", Benchmark::Mst),
-    ] {
-        if run_all || what == name {
-            total.absorb(&print_fig_behavior(name, b, cfg, scale, jobs, &out));
+    let mut failures = Vec::new();
+    for (name, in_all, _) in ARTIFACTS {
+        if name != what && !(what == "all" && in_all) {
+            continue;
         }
-    }
-    if run_all || what == "fig5" {
-        total.absorb(&print_fig5_epochs(jobs, &out));
-    }
-    if !run_all
-        && ![
-            "table1",
-            "table2",
-            "table2paper",
-            "selection",
-            "fig2",
-            "fig4",
-            "fig5",
-            "fig6",
-        ]
-        .contains(&what.as_str())
-    {
-        eprintln!(
-            "unknown artifact {what}; expected table1|table2|table2paper|selection|fig2|fig4|fig5|fig6|all"
-        );
-        std::process::exit(2);
+        let report = match name {
+            "table1" => {
+                print_table1(&cfg);
+                RunnerReport::empty()
+            }
+            "table2" => print_table2(&cfg, scale, jobs, &out),
+            "selection" => print_selection(&cfg, jobs, &out),
+            "table2paper" => print_table2_paper(jobs, &out),
+            "fig2" => print_fig2(cfg, scale, jobs, &out),
+            "fig4" => print_fig_behavior(name, Benchmark::Em3d, cfg, scale, jobs, &out),
+            "fig5" => {
+                let mut r = print_fig_behavior(name, Benchmark::Mcf, cfg, scale, jobs, &out);
+                r.absorb(&print_fig5_epochs(jobs, &out));
+                r
+            }
+            "fig6" => print_fig_behavior(name, Benchmark::Mst, cfg, scale, jobs, &out),
+            "ablations" => print_ablations(scale, jobs, &out, &mut failures),
+            _ => unreachable!("every ARTIFACTS name has an arm"),
+        };
+        total.absorb(&report);
     }
     if total.jobs > 0 {
         println!("{}", render_runner_summary(&total));
+    }
+    if !failures.is_empty() {
+        for f in &failures {
+            eprintln!("reproduce: finding failed: {f}");
+        }
+        std::process::exit(1);
     }
 }
 
@@ -183,7 +199,7 @@ fn print_table1(cfg: &CacheConfig) {
 
 fn print_table2(cfg: &CacheConfig, scale: Scale, jobs: usize, out: &Path) -> RunnerReport {
     println!("== Table 2: benchmark characteristics ==\n");
-    let (rows_data, report) = table2_at(cfg, scale, jobs);
+    let (rows_data, report) = table2(cfg, scale, jobs);
     let rows = table2_rows(&rows_data);
     println!("{}", render_table(&TABLE2_HEADER, &rows));
     write_csv(&out.join("table2.csv"), &TABLE2_HEADER, &rows).expect("write table2.csv");
@@ -193,7 +209,7 @@ fn print_table2(cfg: &CacheConfig, scale: Scale, jobs: usize, out: &Path) -> Run
 fn print_table2_paper(jobs: usize, out: &Path) -> RunnerReport {
     println!("== Table 2 at PAPER scale: paper inputs on the 4MB 16-way L2 ==");
     println!("   (streaming analysis; takes a minute)\n");
-    let (rows_data, report) = table2_paper_jobs(10_000, jobs);
+    let (rows_data, report) = table2_paper(10_000, jobs);
     let fmt = |r: Option<(u32, u32)>| match r {
         Some((a, b)) => format!("[{a}, {b}]"),
         None => "(no overflow)".into(),
@@ -239,7 +255,7 @@ fn print_selection(cfg: &CacheConfig, jobs: usize, out: &Path) -> RunnerReport {
         "verdict",
         "paper",
     ];
-    let (selection_rows, report) = selection_jobs(cfg, jobs);
+    let (selection_rows, report) = selection(cfg, jobs);
     let rows: Vec<Vec<String>> = selection_rows
         .iter()
         .map(|r| {
@@ -268,33 +284,14 @@ fn print_selection(cfg: &CacheConfig, jobs: usize, out: &Path) -> RunnerReport {
 fn print_fig2(cfg: CacheConfig, scale: Scale, jobs: usize, out: &Path) -> RunnerReport {
     println!("== Figure 2: EM3D performance vs prefetch distance ==");
     println!("   (paper: all three normalized curves rise with distance)\n");
-    let (s, report) = fig2_at(cfg, scale, jobs);
+    let (s, report) = fig2(cfg, scale, jobs);
     let rows = sweep_rows(&s);
     println!("{}", render_table(&SWEEP_HEADER, &rows));
     write_csv(&out.join("fig2_em3d.csv"), &SWEEP_HEADER, &rows).expect("write fig2 csv");
-    let xs: Vec<f64> = s.points.iter().map(|p| p.distance as f64).collect();
-    let series = vec![
-        Series::new(
-            "Normalized_Runtime",
-            &xs,
-            &s.points.iter().map(|p| p.runtime_norm).collect::<Vec<_>>(),
-        ),
-        Series::new(
-            "Normalized_MemoryAccesses",
-            &xs,
-            &s.points
-                .iter()
-                .map(|p| p.memory_accesses_norm)
-                .collect::<Vec<_>>(),
-        ),
-        Series::new(
-            "Normalized_HotMisses",
-            &xs,
-            &s.points
-                .iter()
-                .map(|p| p.hot_misses_norm)
-                .collect::<Vec<_>>(),
-        ),
+    let series = [
+        sweep_series("Normalized_Runtime", &s, |p| p.runtime_norm),
+        sweep_series("Normalized_MemoryAccesses", &s, |p| p.memory_accesses_norm),
+        sweep_series("Normalized_HotMisses", &s, |p| p.hot_misses_norm),
     ];
     let svg = line_chart(
         "Fig. 2: EM3D performance vs prefetch distance",
@@ -350,7 +347,7 @@ fn print_fig_behavior(
     jobs: usize,
     out: &Path,
 ) -> RunnerReport {
-    let (series, report) = fig_behavior_at(b, cfg, scale, jobs);
+    let (series, report) = fig_behavior(b, cfg, scale, jobs);
     println!(
         "== Figure {}: {} behaviour change vs prefetch distance (bound = {:?}) ==\n",
         &name[3..],
@@ -361,30 +358,11 @@ fn print_fig_behavior(
     println!("{}", render_table(&SWEEP_HEADER, &rows));
     let stem = format!("{name}_{}", series.benchmark.to_lowercase());
     write_csv(&out.join(format!("{stem}.csv")), &SWEEP_HEADER, &rows).expect("write behaviour csv");
-    let pts = &series.sweep.points;
-    let xs: Vec<f64> = pts.iter().map(|p| p.distance as f64).collect();
-    let behaviour = vec![
-        Series::new(
-            "Totally_hit",
-            &xs,
-            &pts.iter()
-                .map(|p| p.behavior.totally_hit_pct)
-                .collect::<Vec<_>>(),
-        ),
-        Series::new(
-            "Totally_miss",
-            &xs,
-            &pts.iter()
-                .map(|p| p.behavior.totally_miss_pct)
-                .collect::<Vec<_>>(),
-        ),
-        Series::new(
-            "Partially_hit",
-            &xs,
-            &pts.iter()
-                .map(|p| p.behavior.partially_hit_pct)
-                .collect::<Vec<_>>(),
-        ),
+    let s = &series.sweep;
+    let behaviour = [
+        sweep_series("Totally_hit", s, |p| p.behavior.totally_hit_pct),
+        sweep_series("Totally_miss", s, |p| p.behavior.totally_miss_pct),
+        sweep_series("Partially_hit", s, |p| p.behavior.partially_hit_pct),
     ];
     let fig_no = &name[3..];
     let svg = line_chart(
@@ -398,11 +376,7 @@ fn print_fig_behavior(
         ChartConfig::default(),
     );
     save_svg(&out.join(format!("{stem}_behavior.svg")), &svg).expect("write behaviour svg");
-    let runtime = vec![Series::new(
-        "Normalized runtime",
-        &xs,
-        &pts.iter().map(|p| p.runtime_norm).collect::<Vec<_>>(),
-    )];
+    let runtime = [sweep_series("Normalized runtime", s, |p| p.runtime_norm)];
     let svg = line_chart(
         &format!("Fig. {fig_no}(b): {} normalized runtime", series.benchmark),
         "prefetch distance (log)",
@@ -412,4 +386,105 @@ fn print_fig_behavior(
     );
     save_svg(&out.join(format!("{stem}_runtime.svg")), &svg).expect("write runtime svg");
     report
+}
+
+/// One chart series of a sweep: `y` of each point against its distance.
+fn sweep_series(label: &str, s: &Sweep, y: fn(&SweepPoint) -> f64) -> Series {
+    let xs: Vec<f64> = s.points.iter().map(|p| p.distance as f64).collect();
+    Series::new(label, &xs, &s.points.iter().map(y).collect::<Vec<_>>())
+}
+
+/// Print `rows` under `title` and write them to `ablation_{stem}.csv`.
+fn emit<R: CsvRow>(out: &Path, stem: &str, title: &str, rows: &[R]) {
+    println!("== Ablation: {title} ==\n");
+    let cells: Vec<Vec<String>> = rows.iter().map(R::cells).collect();
+    println!("{}", render_table(R::HEADER, &cells));
+    write_csv(&out.join(format!("ablation_{stem}.csv")), R::HEADER, &cells)
+        .expect("write ablation csv");
+}
+
+/// The six ablations: one CSV each, and at the scaled tier a check of
+/// the finding EXPERIMENTS.md states for each. The helper-model and
+/// adaptive series are placed around EM3D's Set-Affinity bound, so
+/// they are skipped (and say so) where EM3D does not overflow the L2,
+/// as at the `--smoke` tier.
+fn print_ablations(
+    scale: Scale,
+    jobs: usize,
+    out: &Path,
+    failures: &mut Vec<String>,
+) -> RunnerReport {
+    let mut total = RunnerReport::empty();
+    let mut finding = |stem: &str, statement: &str, verdict: Result<(), String>| match verdict {
+        _ if scale != Scale::Scaled => {
+            println!("finding ({statement}): not checked at this scale\n")
+        }
+        Ok(()) => println!("finding ({statement}): holds\n"),
+        Err(e) => {
+            println!("finding ({statement}): FAILS: {e}\n");
+            failures.push(format!("ablation_{stem}: {e}"));
+        }
+    };
+    let no_bound = "skipped: EM3D fits the L2 at this scale, so it has no Set-Affinity bound";
+
+    let (rows, report) = ablation_rp(scale, jobs);
+    emit(
+        out,
+        "rp",
+        &format!("prefetch ratio (EM3D, distance {ABLATION_DISTANCE})"),
+        &rows,
+    );
+    finding("rp", "RP 1 slowest, RP 0.5 fastest", check_rp(&rows));
+    total.absorb(&report);
+
+    let (rows, report) = ablation_hw_prefetchers(scale, jobs);
+    let title =
+        format!("hw prefetchers (SP distance {ABLATION_DISTANCE}, SA_helper {HELPER_SA_DISTANCE})");
+    emit(out, "hw_prefetchers", &title, &rows);
+    let statement = "SA_orig - helper distance <= SA_helper <= SA_orig";
+    finding("hw_prefetchers", statement, check_hw_prefetchers(&rows));
+    total.absorb(&report);
+
+    let (rows, report) = ablation_replacement(scale, jobs);
+    emit(out, "replacement", "L2 replacement policy (EM3D)", &rows);
+    let statement = "FIFO and PLRU keep LRU's knee, random blurs it";
+    finding("replacement", statement, check_replacement(&rows));
+    total.absorb(&report);
+
+    let (rows, report) = ablation_sampling(scale, jobs);
+    emit(out, "sampling", "burst sampling (EM3D)", &rows);
+    let statement = "bursts below the true min SA see no overflow";
+    finding("sampling", statement, check_sampling(&rows));
+    total.absorb(&report);
+
+    match ablation_helper_model(scale, jobs) {
+        Some((rows, bound, report)) => {
+            emit(
+                out,
+                "helper_model",
+                &format!("helper model (EM3D, bound {bound})"),
+                &rows,
+            );
+            let statement = "both helper models gain and degrade the same";
+            finding("helper_model", statement, check_helper_model(&rows));
+            total.absorb(&report);
+        }
+        None => println!("== Ablation: helper model ==\n\n{no_bound}\n"),
+    }
+
+    match ablation_adaptive(scale, jobs) {
+        Some((rows, bound, report)) => {
+            emit(
+                out,
+                "adaptive",
+                &format!("adaptive control (EM3D, bound {bound})"),
+                &rows,
+            );
+            let statement = "dynamic control ends at the bound, slower; the clamp recovers most";
+            finding("adaptive", statement, check_adaptive(&rows, bound));
+            total.absorb(&report);
+        }
+        None => println!("== Ablation: adaptive control ==\n\n{no_bound}\n"),
+    }
+    total
 }

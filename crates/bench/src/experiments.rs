@@ -1,15 +1,21 @@
-//! Drivers for every table and figure of the paper.
+//! Drivers for every table, figure and ablation of the paper.
 //!
-//! Every driver has a `*_jobs` (or `*_at`) form that fans its
-//! independent simulations out on the `sp_runner` executor and returns
-//! the executor's timing report alongside the artifact; the plain forms
-//! are serial (`jobs = 1`) wrappers kept for callers that don't care.
+//! Every driver takes a `jobs` width, fans its independent simulations
+//! out on the `sp_runner` executor, and returns the executor's timing
+//! report alongside the artifact. `jobs = 1` is the serial reference;
+//! the artifact is identical at any width.
 
-use sp_cachesim::CacheConfig;
+use sp_cachesim::{CacheConfig, Policy};
 use sp_core::prelude::*;
-use sp_core::{estimate_calr, map_jobs, run_jobs, sampled_set_affinity, RunnerReport, Sweep};
-use sp_profiler::{select_benchmarks, BurstSampler, SelectionRow};
+use sp_core::{
+    estimate_calr, map_jobs, run_jobs, run_sp_adaptive, sampled_set_affinity, FeedbackController,
+    RunnerReport, Sweep,
+};
+use sp_profiler::{select_benchmarks, Burst, BurstSampler, SelectionRow};
+use sp_trace::HotLoopTrace;
 use sp_workloads::{Benchmark, Candidate, KernelKind, ScaleTier, Workload, WorkloadBuilder};
+use std::iter::once;
+use std::ops::RangeInclusive;
 
 /// Which input sizes the drivers simulate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -95,21 +101,10 @@ pub struct Table2Row {
     pub rp: f64,
 }
 
-/// Regenerate Table 2 on the given cache configuration.
-pub fn table2(cfg: &CacheConfig) -> Vec<Table2Row> {
-    table2_at(cfg, Scale::Scaled, 1).0
-}
-
-/// One benchmark's Table 2 row: the full profile → Set Affinity →
-/// distance-bound pipeline. Shared by [`table2_at`] (which fans the
-/// three benchmarks out) and the sp-serve `affinity` request handler.
-pub fn table2_row(cfg: &CacheConfig, scale: Scale, b: Benchmark) -> Table2Row {
-    kernel_row(cfg, scale, KernelKind::from_benchmark(b))
-}
-
-/// [`table2_row`] generalized over every workload-builder kernel: the
-/// same profile pipeline applies unchanged to the extension kernels,
-/// so the sp-serve `affinity` handler and the LDS drivers reuse it.
+/// One kernel's Table 2 row: the full profile → Set Affinity →
+/// distance-bound pipeline. Shared by [`table2`] (which fans the
+/// paper's three benchmarks out) and the sp-serve `affinity` request
+/// handler; it applies unchanged to every workload-builder kernel.
 pub fn kernel_row(cfg: &CacheConfig, scale: Scale, kind: KernelKind) -> Table2Row {
     let w = WorkloadBuilder::new(kind).tier(scale.tier()).build();
     let trace = w.trace();
@@ -138,9 +133,11 @@ pub fn kernel_row(cfg: &CacheConfig, scale: Scale, kind: KernelKind) -> Table2Ro
     }
 }
 
-/// [`table2`] at an explicit scale, one fan-out job per benchmark.
-pub fn table2_at(cfg: &CacheConfig, scale: Scale, jobs: usize) -> (Vec<Table2Row>, RunnerReport) {
-    map_jobs(Benchmark::ALL.to_vec(), |b| table2_row(cfg, scale, b), jobs)
+/// Regenerate Table 2 on the given cache configuration, one fan-out job
+/// per benchmark.
+pub fn table2(cfg: &CacheConfig, scale: Scale, jobs: usize) -> (Vec<Table2Row>, RunnerReport) {
+    let row = |b| kernel_row(cfg, scale, KernelKind::from_benchmark(b));
+    map_jobs(Benchmark::ALL.to_vec(), row, jobs)
 }
 
 /// One row of the **paper-scale** Table 2: Set Affinity measured on the
@@ -166,66 +163,61 @@ pub struct Table2PaperRow {
 /// Regenerate Table 2 at **paper scale**: paper inputs on the
 /// `core2_q6600` L2. Slow (~10^8 references for EM3D/MST) but runs in
 /// constant memory. `mst_nodes` lets callers shrink MST (its full trace
-/// is O(n^2) iterations); pass 10_000 for the paper's input.
-pub fn table2_paper(mst_nodes: usize) -> Vec<Table2PaperRow> {
-    table2_paper_jobs(mst_nodes, 1).0
-}
-
-/// [`table2_paper`] with the three benchmark streams fanned out as
-/// independent jobs — each builds its own layout and streams its own
-/// references, so the minute-long analysis parallelizes cleanly.
-pub fn table2_paper_jobs(mst_nodes: usize, jobs: usize) -> (Vec<Table2PaperRow>, RunnerReport) {
+/// is O(n^2) iterations); pass 10_000 for the paper's input. The three
+/// benchmark streams are independent jobs — each builds its own layout
+/// and streams its own references.
+pub fn table2_paper(mst_nodes: usize, jobs: usize) -> (Vec<Table2PaperRow>, RunnerReport) {
     use sp_core::runner::Job;
     use sp_core::set_affinity_stream;
     use sp_workloads::{Em3d, Em3dConfig, Mcf, McfConfig, Mst, MstConfig};
     let l2 = CacheConfig::core2_q6600().l2;
 
-    let grid: Vec<Job<'static, Table2PaperRow>> = vec![
+    let grid: Vec<Job<'static, (String, SetAffinityReport)>> = vec![
         Box::new(move || {
-            let em3d = Em3d::build(Em3dConfig::paper());
-            let r = set_affinity_stream(em3d.ref_iter().map(|(i, m)| (i, m.vaddr)), l2);
-            Table2PaperRow {
-                benchmark: "EM3D",
-                input: format!(
-                    "{} nodes, arity {}",
-                    em3d.config().nodes,
-                    em3d.config().degree
-                ),
-                sa_range: r.range(),
-                distance_bound: r.distance_bound(),
-                paper_range: "[40, 360]",
-                paper_bound: "< 20",
-            }
+            let w = Em3d::build(Em3dConfig::paper());
+            let input = format!("{} nodes, arity {}", w.config().nodes, w.config().degree);
+            (
+                input,
+                set_affinity_stream(w.ref_iter().map(|(i, m)| (i, m.vaddr)), l2),
+            )
         }),
         Box::new(move || {
-            let mcf = Mcf::build(McfConfig::paper());
-            let r = set_affinity_stream(mcf.ref_iter().map(|(i, m)| (i, m.vaddr)), l2);
-            Table2PaperRow {
-                benchmark: "MCF",
-                input: format!("{} arcs, {} nodes", mcf.config().arcs, mcf.config().nodes),
-                sa_range: r.range(),
-                distance_bound: r.distance_bound(),
-                paper_range: "[3000, 46000]",
-                paper_bound: "< 1500",
-            }
+            let w = Mcf::build(McfConfig::paper());
+            let input = format!("{} arcs, {} nodes", w.config().arcs, w.config().nodes);
+            (
+                input,
+                set_affinity_stream(w.ref_iter().map(|(i, m)| (i, m.vaddr)), l2),
+            )
         }),
         Box::new(move || {
-            let mst = Mst::build(MstConfig {
+            let w = Mst::build(MstConfig {
                 nodes: mst_nodes,
                 ..MstConfig::paper()
             });
-            let r = set_affinity_stream(mst.ref_iter().map(|(i, m)| (i, m.vaddr)), l2);
-            Table2PaperRow {
-                benchmark: "MST",
-                input: format!("{} nodes", mst.config().nodes),
-                sa_range: r.range(),
-                distance_bound: r.distance_bound(),
-                paper_range: "[6300, 10000]",
-                paper_bound: "< 3150",
-            }
+            let input = format!("{} nodes", w.config().nodes);
+            (
+                input,
+                set_affinity_stream(w.ref_iter().map(|(i, m)| (i, m.vaddr)), l2),
+            )
         }),
     ];
-    run_jobs(grid, jobs)
+    let paper = [
+        ("EM3D", "[40, 360]", "< 20"),
+        ("MCF", "[3000, 46000]", "< 1500"),
+        ("MST", "[6300, 10000]", "< 3150"),
+    ];
+    let (reports, runner) = run_jobs(grid, jobs);
+    let rows = paper.into_iter().zip(reports).map(
+        |((benchmark, paper_range, paper_bound), (input, r))| Table2PaperRow {
+            benchmark,
+            input,
+            sa_range: r.range(),
+            distance_bound: r.distance_bound(),
+            paper_range,
+            paper_bound,
+        },
+    );
+    (rows.collect(), runner)
 }
 
 /// The L2-miss cycle share above which a candidate is "memory intensive"
@@ -235,13 +227,9 @@ pub const SELECTION_THRESHOLD: f64 = 0.3;
 
 /// The paper's benchmark-selection screen (§IV.B) over the candidate
 /// pool: the three selected applications plus screened-out contrasts.
-pub fn selection(cfg: &CacheConfig) -> Vec<SelectionRow> {
-    selection_jobs(cfg, 1).0
-}
-
-/// [`selection`] with the candidate traces built in parallel (the
-/// expensive part; the screen itself is a cheap pass over the traces).
-pub fn selection_jobs(cfg: &CacheConfig, jobs: usize) -> (Vec<SelectionRow>, RunnerReport) {
+/// The candidate traces are built in parallel (the expensive part; the
+/// screen itself is a cheap pass over the traces).
+pub fn selection(cfg: &CacheConfig, jobs: usize) -> (Vec<SelectionRow>, RunnerReport) {
     let (candidates, report) = map_jobs(
         Candidate::ALL.to_vec(),
         |c| (c.name().to_string(), c.trace_scaled()),
@@ -254,13 +242,8 @@ pub fn selection_jobs(cfg: &CacheConfig, jobs: usize) -> (Vec<SelectionRow>, Run
 }
 
 /// Figure 2: EM3D's normalized hot-loop L2 misses, memory accesses, and
-/// runtime over the distance grid.
-pub fn fig2(cfg: CacheConfig) -> Sweep {
-    fig2_at(cfg, Scale::Scaled, 1).0
-}
-
-/// [`fig2`] at an explicit scale, one fan-out job per grid point.
-pub fn fig2_at(cfg: CacheConfig, scale: Scale, jobs: usize) -> (Sweep, RunnerReport) {
+/// runtime over the distance grid, one fan-out job per grid point.
+pub fn fig2(cfg: CacheConfig, scale: Scale, jobs: usize) -> (Sweep, RunnerReport) {
     let w = scale.workload(Benchmark::Em3d);
     sweep_distances_jobs(&w.trace(), cfg, 0.5, distances_for(Benchmark::Em3d), jobs)
 }
@@ -324,13 +307,9 @@ pub struct BehaviorSeries {
     pub bound: Option<u32>,
 }
 
-/// Figures 4, 5, 6: full behaviour sweep for `b` (RP = 0.5, §V.B).
-pub fn fig_behavior(b: Benchmark, cfg: CacheConfig) -> BehaviorSeries {
-    fig_behavior_at(b, cfg, Scale::Scaled, 1).0
-}
-
-/// [`fig_behavior`] at an explicit scale, one fan-out job per grid point.
-pub fn fig_behavior_at(
+/// Figures 4, 5, 6: full behaviour sweep for `b` (RP = 0.5, §V.B), one
+/// fan-out job per grid point.
+pub fn fig_behavior(
     b: Benchmark,
     cfg: CacheConfig,
     scale: Scale,
@@ -350,6 +329,467 @@ pub fn fig_behavior_at(
     )
 }
 
+// Ablations. Each tests a mechanism the paper's argument rests on: a
+// driver returns typed rows, and its `check_*` function is the finding
+// EXPERIMENTS.md states, as a pure predicate over those rows (`Err`
+// says what failed). The findings are stated for the scaled machine,
+// so `reproduce ablations` checks them at that tier only.
+
+/// Return `Err(format!(..))` from the enclosing check unless `cond` holds.
+macro_rules! ensure {
+    ($cond:expr, $($msg:tt)+) => {
+        let holds: bool = $cond;
+        if !holds {
+            return Err(format!($($msg)+));
+        }
+    };
+}
+
+/// The first of `rows` that `pick` accepts, or an error naming `what`.
+fn row<'a, R>(rows: &'a [R], what: &str, pick: impl Fn(&R) -> bool) -> Result<&'a R, String> {
+    rows.iter()
+        .find(|r| pick(r))
+        .ok_or_else(|| format!("no {what} row"))
+}
+
+fn norm(value: u64, base: u64) -> f64 {
+    value as f64 / base as f64
+}
+
+/// The in-bound EM3D distance of the SP runs in the RP,
+/// hardware-prefetcher and replacement ablations (the bound is 67).
+pub const ABLATION_DISTANCE: u32 = 20;
+/// The out-of-bound distance the replacement ablation compares against.
+pub const ABLATION_FAR_DISTANCE: u32 = 320;
+
+/// One SP run of an ablation, normalized to the original run on the
+/// same machine.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SpRow {
+    /// Which variant: an RP, a replacement policy, a helper model, or
+    /// hardware prefetchers on/off.
+    pub variant: &'static str,
+    /// `A_SKI` (the distance) and `A_PRE`.
+    pub params: SpParams,
+    /// Runtime over the original run's.
+    pub runtime_norm: f64,
+    /// Main-thread L2 misses over the original run's.
+    pub miss_norm: f64,
+    /// Pollution events.
+    pub pollution: u64,
+    /// Main-thread hits on fills still in flight (late prefetches).
+    pub partial_hits: u64,
+    /// Hardware prefetches issued.
+    pub hw_prefetches: u64,
+    /// Times the helper waited at the sync window.
+    pub helper_waits: u64,
+    /// Times the helper fell behind and jumped forward.
+    pub helper_jumps: u64,
+}
+
+/// One SP run to make: variant name, machine, parameters, helper model.
+type Variant = (&'static str, CacheConfig, SpParams, EngineOptions);
+
+/// Run each variant and the original program once per distinct machine,
+/// one fan-out job per run.
+fn sp_rows(trace: &HotLoopTrace, variants: &[Variant], jobs: usize) -> (Vec<SpRow>, RunnerReport) {
+    let mut machines: Vec<CacheConfig> = Vec::new();
+    let base_of: Vec<usize> = variants
+        .iter()
+        .map(|&(_, cfg, ..)| {
+            machines.iter().position(|&m| m == cfg).unwrap_or_else(|| {
+                machines.push(cfg);
+                machines.len() - 1
+            })
+        })
+        .collect();
+    let runs = machines.iter().map(|&cfg| (cfg, None));
+    let runs = runs.chain(variants.iter().map(|&(_, cfg, p, o)| (cfg, Some((p, o)))));
+    let (runs, report) = map_jobs(
+        runs.collect(),
+        |(cfg, sp)| match sp {
+            None => run_original(trace, cfg),
+            Some((params, opts)) => run_sp_with(trace, cfg, params, opts),
+        },
+        jobs,
+    );
+    let rows = variants.iter().zip(&base_of).zip(&runs[machines.len()..]);
+    let rows = rows.map(|((&(variant, _, params, _), &base), r)| {
+        let base = &runs[base];
+        SpRow {
+            variant,
+            params,
+            runtime_norm: norm(r.runtime, base.runtime),
+            miss_norm: norm(r.stats.main.total_misses, base.stats.main.total_misses),
+            pollution: r.stats.pollution.total(),
+            partial_hits: r.stats.main.partial_hits,
+            hw_prefetches: r.stats.prefetches_issued[1..].iter().sum(),
+            helper_waits: r.helper_waits,
+            helper_jumps: r.helper_jumps,
+        }
+    });
+    (rows.collect(), report)
+}
+
+/// The RP ablation: SP on EM3D at [`ABLATION_DISTANCE`] for RP 0.25, 0.5
+/// and 0.75, and conventional helper prefetching (RP 1: the helper
+/// skips nothing and covers every delinquent load).
+pub fn ablation_rp(scale: Scale, jobs: usize) -> (Vec<SpRow>, RunnerReport) {
+    let cfg = CacheConfig::scaled_default();
+    let opts = EngineOptions::default();
+    let at = |rp| SpParams::from_distance_rp(ABLATION_DISTANCE, rp);
+    let variants = [
+        ("0.25", cfg, at(0.25), opts),
+        ("0.50", cfg, at(0.5), opts),
+        ("0.75", cfg, at(0.75), opts),
+        ("1.00", cfg, SpParams::conventional(), opts),
+    ];
+    sp_rows(&scale.workload(Benchmark::Em3d).trace(), &variants, jobs)
+}
+
+/// The RP finding: conventional prefetching (RP 1) is the slowest ratio
+/// and the paper's RP 0.5 the fastest.
+pub fn check_rp(rows: &[SpRow]) -> Result<(), String> {
+    let by_runtime = |a: &&SpRow, b: &&SpRow| a.runtime_norm.total_cmp(&b.runtime_norm);
+    let slowest = rows.iter().max_by(by_runtime).map(|r| r.variant);
+    let fastest = rows.iter().min_by(by_runtime).map(|r| r.variant);
+    let found = (slowest, fastest);
+    ensure!(
+        found == (Some("1.00"), Some("0.50")),
+        "slowest and fastest RP: {found:?}"
+    );
+    Ok(())
+}
+
+/// The helper distance of the hardware-prefetcher ablation's Set
+/// Affinity stream.
+pub const HELPER_SA_DISTANCE: u32 = 16;
+
+/// One benchmark of the hardware-prefetcher ablation.
+#[derive(Debug, Clone, PartialEq)]
+pub struct HwPrefetcherRow {
+    /// Benchmark name.
+    pub benchmark: &'static str,
+    /// Original Set Affinity range (Definition 2: main thread only).
+    pub sa_orig: Option<(u32, u32)>,
+    /// Set Affinity range with the helper's prefetches at
+    /// [`HELPER_SA_DISTANCE`] interleaved (Definition 3).
+    pub sa_helper: Option<(u32, u32)>,
+    /// SP at [`ABLATION_DISTANCE`] with the hardware prefetchers on,
+    /// then off.
+    pub sp: [SpRow; 2],
+}
+
+/// The hardware-prefetcher ablation, per benchmark.
+pub fn ablation_hw_prefetchers(scale: Scale, jobs: usize) -> (Vec<HwPrefetcherRow>, RunnerReport) {
+    let on = CacheConfig::scaled_default();
+    let [sp, helper] =
+        [ABLATION_DISTANCE, HELPER_SA_DISTANCE].map(|d| SpParams::from_distance_rp(d, 0.5));
+    let opts = EngineOptions::default();
+    let variants = [
+        ("hw on", on, sp, opts),
+        ("hw off", on.without_hw_prefetchers(), sp, opts),
+    ];
+    let mut total = RunnerReport::empty();
+    let rows = Benchmark::ALL.map(|b| {
+        let trace = scale.workload(b).trace();
+        let (sp, report) = sp_rows(&trace, &variants, jobs);
+        total.absorb(&report);
+        let sp = sp.try_into().expect("one row per variant");
+        HwPrefetcherRow {
+            benchmark: b.name(),
+            sa_orig: original_set_affinity(&trace, on.l2).range(),
+            sa_helper: helper_set_affinity(&trace, on.l2, helper).range(),
+            sp,
+        }
+    });
+    (rows.into(), total)
+}
+
+/// The hardware-prefetcher finding as measured. The helper touches only
+/// blocks the main thread touches, at most its distance earlier, so
+/// `SA_orig - HELPER_SA_DISTANCE <= SA_helper <= SA_orig` (minimum SA).
+/// The paper's halving, `SA_helper * 2 <= SA_orig`, is a documented
+/// deviation.
+pub fn check_hw_prefetchers(rows: &[HwPrefetcherRow]) -> Result<(), String> {
+    for r in rows {
+        let (orig, helper) = (r.sa_orig.map(|s| s.0), r.sa_helper.map(|s| s.0));
+        let shift = orig.zip(helper).map(|(o, h)| i64::from(o) - i64::from(h));
+        let within = shift.is_some_and(|s| (0..=i64::from(HELPER_SA_DISTANCE)).contains(&s));
+        ensure!(within, "{}: min SA {orig:?} -> {helper:?}", r.benchmark);
+    }
+    Ok(())
+}
+
+/// The replacement ablation: SP on EM3D at [`ABLATION_DISTANCE`] and
+/// [`ABLATION_FAR_DISTANCE`] under each L2 replacement policy.
+pub fn ablation_replacement(scale: Scale, jobs: usize) -> (Vec<SpRow>, RunnerReport) {
+    let policies = [
+        ("lru", Policy::Lru),
+        ("fifo", Policy::Fifo),
+        ("random", Policy::Random { seed: 0xC0FFEE }),
+        ("plru", Policy::PlruTree),
+    ];
+    let variants: Vec<Variant> = policies
+        .into_iter()
+        .flat_map(|(name, policy)| {
+            let cfg = CacheConfig::scaled_default().with_policy(policy);
+            [ABLATION_DISTANCE, ABLATION_FAR_DISTANCE].map(|d| {
+                (
+                    name,
+                    cfg,
+                    SpParams::from_distance_rp(d, 0.5),
+                    EngineOptions::default(),
+                )
+            })
+        })
+        .collect();
+    sp_rows(&scale.workload(Benchmark::Em3d).trace(), &variants, jobs)
+}
+
+/// The runtime of `variant` at distance `d` among `rows`.
+fn runtime_at(rows: &[SpRow], variant: &str, d: u32) -> Result<f64, String> {
+    let what = format!("{variant} distance {d}");
+    row(rows, &what, |r| r.variant == variant && r.params.a_ski == d).map(|r| r.runtime_norm)
+}
+
+/// The share of LRU's runtime knee a recency policy must show to "keep
+/// the knee".
+pub const KNEE_KEPT: f64 = 0.9;
+
+/// The replacement finding: the runtime knee (runtime at
+/// [`ABLATION_FAR_DISTANCE`] minus at [`ABLATION_DISTANCE`]) is positive
+/// under LRU, FIFO and tree-PLRU keep [`KNEE_KEPT`] of it, and random
+/// replacement blurs it below every recency policy's.
+pub fn check_replacement(rows: &[SpRow]) -> Result<(), String> {
+    let knee = |policy| -> Result<f64, String> {
+        Ok(runtime_at(rows, policy, ABLATION_FAR_DISTANCE)?
+            - runtime_at(rows, policy, ABLATION_DISTANCE)?)
+    };
+    let (lru, fifo, plru, random) = (knee("lru")?, knee("fifo")?, knee("plru")?, knee("random")?);
+    let knees = format!("LRU {lru:.3}, FIFO {fifo:.3}, PLRU {plru:.3}, random {random:.3}");
+    ensure!(
+        lru > 0.0 && fifo.min(plru) >= KNEE_KEPT * lru,
+        "recency knees lost: {knees}"
+    );
+    ensure!(
+        random < lru.min(fifo).min(plru),
+        "random keeps its knee: {knees}"
+    );
+    Ok(())
+}
+
+/// One burst length of the sampling ablation.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SamplingRow {
+    /// Burst length in outer iterations; `None` is the full stream.
+    pub burst: Option<usize>,
+    /// Fraction of iterations recorded.
+    pub duty: f64,
+    /// Outer iterations recorded.
+    pub recorded_iters: usize,
+    /// Estimated `SA(L, Sx)` range.
+    pub sa: Option<(u32, u32)>,
+    /// Estimated distance bound.
+    pub bound: Option<u32>,
+}
+
+/// The sampling ablation: EM3D's Set Affinity from bursts of 64 to 4096
+/// iterations at a 50% duty cycle, and from the full stream.
+pub fn ablation_sampling(scale: Scale, jobs: usize) -> (Vec<SamplingRow>, RunnerReport) {
+    let trace = scale.workload(Benchmark::Em3d).trace();
+    let l2 = CacheConfig::scaled_default().l2;
+    let estimate = |burst: Option<usize>| {
+        let sampler = BurstSampler::new(burst.unwrap_or(trace.iters.len()), burst.unwrap_or(0));
+        let bursts = sampler.sample(&trace);
+        let report = match burst {
+            Some(_) => sampled_set_affinity(&bursts, l2),
+            None => original_set_affinity(&trace, l2),
+        };
+        SamplingRow {
+            burst,
+            duty: sampler.duty_cycle(),
+            recorded_iters: bursts.iter().map(Burst::len).sum(),
+            sa: report.range(),
+            bound: report.distance_bound(),
+        }
+    };
+    let bursts = [Some(64), Some(256), Some(1024), Some(4096), None];
+    map_jobs(bursts.to_vec(), estimate, jobs)
+}
+
+/// The sampling finding: a burst shorter than the full stream's minimum
+/// Set Affinity observes no set overflow, so it yields no estimate.
+pub fn check_sampling(rows: &[SamplingRow]) -> Result<(), String> {
+    let full = row(rows, "full-stream", |r| r.burst.is_none())?;
+    let min_sa = full.sa.ok_or("the full stream shows no overflow")?.0 as usize;
+    for r in rows.iter().filter(|r| r.burst.is_some_and(|b| b < min_sa)) {
+        ensure!(
+            r.sa.is_none(),
+            "burst {:?} < {min_sa} sees {:?}",
+            r.burst,
+            r.sa
+        );
+    }
+    Ok(())
+}
+
+/// EM3D's trace at `scale` and its Set-Affinity bound, or `None` when
+/// it fits the L2 (as at the test scale) and so has no bound.
+fn em3d_bound(scale: Scale) -> Option<(HotLoopTrace, u32)> {
+    let trace = scale.workload(Benchmark::Em3d).trace();
+    let bound = recommend_distance(&trace, &CacheConfig::scaled_default()).max_distance?;
+    Some((trace, bound))
+}
+
+/// The helper-model ablation: SP on EM3D at half and four times its
+/// bound, with the faithful blocking helper and the idealized
+/// fire-and-forget one; with the bound, or `None` without one.
+pub fn ablation_helper_model(scale: Scale, jobs: usize) -> Option<(Vec<SpRow>, u32, RunnerReport)> {
+    let (trace, bound) = em3d_bound(scale)?;
+    let cfg = CacheConfig::scaled_default();
+    let variants: Vec<Variant> = [("blocking", true), ("idealized", false)]
+        .into_iter()
+        .flat_map(|(model, blocking_helper)| {
+            let opts = EngineOptions {
+                blocking_helper,
+                ..EngineOptions::default()
+            };
+            [bound / 2, bound * 4].map(|d| (model, cfg, SpParams::from_distance_rp(d, 0.5), opts))
+        })
+        .collect();
+    let (rows, report) = sp_rows(&trace, &variants, jobs);
+    Some((rows, bound, report))
+}
+
+/// How far apart two normalized runtimes may be and still count as "the
+/// same": 2% of the original runtime, against a knee of about 0.4.
+pub const SAME_RUNTIME: f64 = 0.02;
+
+/// The helper-model finding: at each distance the two helper models run
+/// within [`SAME_RUNTIME`] of each other, and both slow down from the
+/// in-bound distance to the out-of-bound one.
+pub fn check_helper_model(rows: &[SpRow]) -> Result<(), String> {
+    let near = rows.iter().map(|r| r.params.a_ski).min().ok_or("no rows")?;
+    let far = rows.iter().map(|r| r.params.a_ski).max().ok_or("no rows")?;
+    for d in [near, far] {
+        let blocking = runtime_at(rows, "blocking", d)?;
+        let idealized = runtime_at(rows, "idealized", d)?;
+        let gap = (blocking - idealized).abs();
+        ensure!(
+            gap <= SAME_RUNTIME,
+            "the models differ by {gap:.3} at distance {d}"
+        );
+    }
+    for model in ["blocking", "idealized"] {
+        let slows = runtime_at(rows, model, far)? > runtime_at(rows, model, near)?;
+        ensure!(
+            slows,
+            "{model} does not slow down from distance {near} to {far}"
+        );
+    }
+    Ok(())
+}
+
+/// Epoch length (outer iterations) of the adaptive-control ablation.
+pub const ADAPTIVE_EPOCH: usize = 128;
+
+/// One policy of the adaptive-control ablation.
+#[derive(Debug, Clone, PartialEq)]
+pub struct AdaptiveRow {
+    /// `"static"` (half the bound), `"dynamic"` (the feedback controller
+    /// started at 8x the bound) or `"dynamic+bound"` (the same, clamped
+    /// by the bound).
+    pub policy: &'static str,
+    /// Runtime over the original run's.
+    pub runtime_norm: f64,
+    /// The distance of each epoch, the initial one first (a static run
+    /// has one).
+    pub distances: Vec<u32>,
+}
+
+/// The adaptive-control ablation on EM3D, with the bound, or `None`
+/// without one.
+pub fn ablation_adaptive(
+    scale: Scale,
+    jobs: usize,
+) -> Option<(Vec<AdaptiveRow>, u32, RunnerReport)> {
+    let (trace, bound) = em3d_bound(scale)?;
+    let cfg = CacheConfig::scaled_default();
+    let free = FeedbackController::new(bound * 8, 0.5);
+    let policies = [
+        ("static", None),
+        ("dynamic", Some(free.clone())),
+        ("dynamic+bound", Some(free.bounded(bound))),
+    ];
+    let runs = once(None).chain(policies.iter().map(|(_, c)| Some(c.clone())));
+    let (runs, report) = map_jobs(
+        runs.collect(),
+        |run| match run {
+            None => (run_original(&trace, cfg), vec![]),
+            Some(None) => (
+                run_sp(&trace, cfg, SpParams::from_distance_rp(bound / 2, 0.5)),
+                vec![bound / 2],
+            ),
+            Some(Some(mut c)) => {
+                let start = c.distance();
+                let r = run_sp_adaptive(&trace, cfg, &mut c, ADAPTIVE_EPOCH);
+                (
+                    r.run,
+                    once(start)
+                        .chain(r.epochs.iter().map(|e| e.next_distance))
+                        .collect(),
+                )
+            }
+        },
+        jobs,
+    );
+    let rows = policies
+        .iter()
+        .zip(&runs[1..])
+        .map(|(&(policy, _), (run, distances))| AdaptiveRow {
+            policy,
+            runtime_norm: norm(run.runtime, runs[0].0.runtime),
+            distances: distances.clone(),
+        });
+    Some((rows.collect(), bound, report))
+}
+
+/// The share of the dynamic controller's runtime loss that clamping it
+/// by the bound must recover: "about three quarters", read as 0.5–1.
+pub const CLAMP_RECOVERS: RangeInclusive<f64> = 0.5..=1.0;
+
+/// The adaptive finding: the dynamic controller walks down to the bound
+/// by itself (its last distance is `bound`) but runs slower than the
+/// static half-bound distance; clamped by the bound, it never exceeds
+/// it and recovers a [`CLAMP_RECOVERS`] share of that loss.
+pub fn check_adaptive(rows: &[AdaptiveRow], bound: u32) -> Result<(), String> {
+    let policy = |p: &str| row(rows, p, |r| r.policy == p);
+    let (fixed, free, clamped) = (
+        policy("static")?,
+        policy("dynamic")?,
+        policy("dynamic+bound")?,
+    );
+    let last = free.distances.last();
+    ensure!(
+        last == Some(&bound),
+        "dynamic control ends at {last:?}, not {bound}"
+    );
+    let loss = free.runtime_norm - fixed.runtime_norm;
+    ensure!(loss > 0.0, "dynamic control is not slower than static");
+    let peak = clamped.distances.iter().max();
+    ensure!(
+        peak <= Some(&bound),
+        "clamped control reaches {peak:?}, past {bound}"
+    );
+    let recovered = (free.runtime_norm - clamped.runtime_norm) / loss;
+    ensure!(
+        CLAMP_RECOVERS.contains(&recovered),
+        "the clamp recovers {recovered:.2}"
+    );
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -357,7 +797,7 @@ mod tests {
     #[test]
     fn distance_grids_bracket_each_bound() {
         let cfg = CacheConfig::scaled_default();
-        for row in table2(&cfg) {
+        for row in table2(&cfg, Scale::Scaled, 2).0 {
             let ds = match row.benchmark {
                 "EM3D" => distances_for(Benchmark::Em3d),
                 "MCF" => distances_for(Benchmark::Mcf),
@@ -381,7 +821,7 @@ mod tests {
     #[test]
     fn selection_accepts_paper_trio_and_rejects_matmul() {
         let cfg = CacheConfig::scaled_default();
-        let rows = selection(&cfg);
+        let rows = selection(&cfg, 2).0;
         assert_eq!(rows.len(), sp_workloads::Candidate::ALL.len());
         for r in &rows {
             match r.name.as_str() {
@@ -408,13 +848,13 @@ mod tests {
     #[test]
     fn parallel_drivers_match_serial_at_test_scale() {
         let cfg = CacheConfig::scaled_default();
-        let serial = table2_at(&cfg, Scale::Test, 1).0;
-        let (parallel, rep) = table2_at(&cfg, Scale::Test, 4);
+        let serial = table2(&cfg, Scale::Test, 1).0;
+        let (parallel, rep) = table2(&cfg, Scale::Test, 4);
         assert_eq!(parallel, serial);
         assert_eq!(rep.jobs, Benchmark::ALL.len());
 
-        let fig_serial = fig2_at(cfg, Scale::Test, 1).0;
-        let (fig_parallel, rep) = fig2_at(cfg, Scale::Test, 4);
+        let fig_serial = fig2(cfg, Scale::Test, 1).0;
+        let (fig_parallel, rep) = fig2(cfg, Scale::Test, 4);
         assert_eq!(fig_parallel, fig_serial);
         assert_eq!(rep.jobs, distances_for(Benchmark::Em3d).len() + 1);
     }
@@ -422,7 +862,7 @@ mod tests {
     #[test]
     fn table2_matches_paper_shape() {
         let cfg = CacheConfig::scaled_default();
-        let rows = table2(&cfg);
+        let rows = table2(&cfg, Scale::Scaled, 2).0;
         assert_eq!(rows.len(), 3);
         let sa_min = |r: &Table2Row| r.sa_range.unwrap().0;
         let em3d = &rows[0];
@@ -439,5 +879,167 @@ mod tests {
             // small CALR-proportional excess).
             assert!((r.rp - 0.5).abs() < 0.05, "{}: rp {}", r.benchmark, r.rp);
         }
+    }
+    #[test]
+    fn ablations_are_identical_at_any_jobs_width_and_skip_the_bound_series_at_test_scale() {
+        let (rp, rep) = ablation_rp(Scale::Test, 1);
+        assert_eq!(ablation_rp(Scale::Test, 3).0, rp);
+        assert_eq!(rep.jobs, 4 + 1, "four RPs and one original run");
+        let hw = ablation_hw_prefetchers(Scale::Test, 1).0;
+        assert_eq!(ablation_hw_prefetchers(Scale::Test, 3).0, hw);
+        let replacement = ablation_replacement(Scale::Test, 1).0;
+        assert_eq!(ablation_replacement(Scale::Test, 3).0, replacement);
+        let sampling = ablation_sampling(Scale::Test, 1).0;
+        assert_eq!(ablation_sampling(Scale::Test, 3).0, sampling);
+        // Tiny EM3D fits the L2, so there is no bound to place these at.
+        assert!(ablation_helper_model(Scale::Test, 2).is_none());
+        assert!(ablation_adaptive(Scale::Test, 2).is_none());
+    }
+
+    // Each check passes on hand-built rows carrying the measured
+    // scaled-tier numbers, and fails on rows that break its finding.
+
+    fn sp_row(variant: &'static str, distance: u32, runtime_norm: f64) -> SpRow {
+        SpRow {
+            variant,
+            params: SpParams::new(distance, distance),
+            runtime_norm,
+            miss_norm: 0.5,
+            pollution: 0,
+            partial_hits: 0,
+            hw_prefetches: 0,
+            helper_waits: 0,
+            helper_jumps: 0,
+        }
+    }
+
+    fn rp_rows(runtimes: &[f64]) -> Vec<SpRow> {
+        let rps = ["0.25", "0.50", "0.75", "1.00"];
+        let rows = rps.into_iter().zip(runtimes);
+        rows.map(|(rp, &runtime)| sp_row(rp, ABLATION_DISTANCE, runtime))
+            .collect()
+    }
+
+    #[test]
+    fn check_rp_needs_rp_1_slowest_and_rp_half_fastest() {
+        assert_eq!(check_rp(&rp_rows(&[0.752, 0.590, 0.751, 1.000])), Ok(()));
+        assert!(check_rp(&rp_rows(&[0.752, 0.590, 1.100, 1.000])).is_err());
+        assert!(check_rp(&rp_rows(&[0.580, 0.590, 0.751, 1.000])).is_err());
+        assert!(check_rp(&rp_rows(&[0.752, 0.590, 0.751])).is_err());
+    }
+
+    fn hw_row(orig: u32, helper: Option<u32>) -> HwPrefetcherRow {
+        HwPrefetcherRow {
+            benchmark: "EM3D",
+            sa_orig: Some((orig, 712)),
+            sa_helper: helper.map(|h| (h, 712)),
+            sp: [sp_row("hw on", 20, 0.590), sp_row("hw off", 20, 0.563)],
+        }
+    }
+
+    #[test]
+    fn check_hw_prefetchers_bounds_the_helper_sa_shift_by_the_distance() {
+        let measured = [hw_row(136, Some(130)), hw_row(2627, Some(2627))];
+        assert_eq!(check_hw_prefetchers(&measured), Ok(()));
+        assert!(check_hw_prefetchers(&[hw_row(136, Some(137))]).is_err());
+        assert!(check_hw_prefetchers(&[hw_row(136, Some(68))]).is_err());
+        assert!(check_hw_prefetchers(&[hw_row(136, None)]).is_err());
+    }
+
+    fn replacement_rows(runtimes: [(f64, f64); 4]) -> Vec<SpRow> {
+        let policies = ["lru", "fifo", "random", "plru"];
+        let rows = policies.into_iter().zip(runtimes);
+        rows.flat_map(|(policy, (near, far))| {
+            [
+                sp_row(policy, ABLATION_DISTANCE, near),
+                sp_row(policy, ABLATION_FAR_DISTANCE, far),
+            ]
+        })
+        .collect()
+    }
+
+    #[test]
+    fn check_replacement_needs_recency_knees_kept_and_random_blurred() {
+        let lru = (0.590, 1.027);
+        let measured = [lru, (0.600, 1.024), (0.637, 0.997), (0.591, 1.022)];
+        assert_eq!(check_replacement(&replacement_rows(measured)), Ok(()));
+        // Random replacement evicting like LRU keeps the full knee.
+        let random_as_lru = [lru, (0.600, 1.024), lru, (0.591, 1.022)];
+        assert!(check_replacement(&replacement_rows(random_as_lru)).is_err());
+        let fifo_flat = [lru, (0.600, 0.700), (0.637, 0.997), (0.591, 1.022)];
+        assert!(check_replacement(&replacement_rows(fifo_flat)).is_err());
+        let no_knee = [(0.6, 0.6), (0.6, 0.6), (0.6, 0.5), (0.6, 0.6)];
+        assert!(check_replacement(&replacement_rows(no_knee)).is_err());
+    }
+
+    fn sampling_rows(short: Option<(u32, u32)>, full: Option<(u32, u32)>) -> Vec<SamplingRow> {
+        [
+            (Some(64), short),
+            (Some(256), Some((120, 256))),
+            (None, full),
+        ]
+        .into_iter()
+        .map(|(burst, sa)| SamplingRow {
+            burst,
+            duty: 0.5,
+            recorded_iters: 2048,
+            sa,
+            bound: None,
+        })
+        .collect()
+    }
+
+    #[test]
+    fn check_sampling_needs_bursts_below_min_sa_to_see_no_overflow() {
+        let full = Some((136, 712));
+        assert_eq!(check_sampling(&sampling_rows(None, full)), Ok(()));
+        assert!(check_sampling(&sampling_rows(Some((60, 64)), full)).is_err());
+        assert!(check_sampling(&sampling_rows(None, None)).is_err());
+    }
+
+    fn helper_rows(blocking: [f64; 2], idealized: [f64; 2]) -> Vec<SpRow> {
+        let models = [("blocking", blocking), ("idealized", idealized)];
+        let rows = models
+            .into_iter()
+            .flat_map(|(model, [near, far])| [sp_row(model, 33, near), sp_row(model, 268, far)]);
+        rows.collect()
+    }
+
+    #[test]
+    fn check_helper_model_needs_equal_models_that_both_degrade() {
+        let measured = helper_rows([0.590, 1.008], [0.589, 0.997]);
+        assert_eq!(check_helper_model(&measured), Ok(()));
+        assert!(check_helper_model(&helper_rows([0.590, 1.008], [0.589, 0.900])).is_err());
+        assert!(check_helper_model(&helper_rows([0.560, 1.008], [0.589, 0.997])).is_err());
+        assert!(check_helper_model(&helper_rows([0.6, 0.6], [0.6, 0.6])).is_err());
+    }
+
+    fn adaptive_rows(dynamic: (f64, &[u32]), clamped: (f64, &[u32])) -> Vec<AdaptiveRow> {
+        let policies = [
+            ("static", (0.590, &[33][..])),
+            ("dynamic", dynamic),
+            ("dynamic+bound", clamped),
+        ];
+        let rows = policies
+            .into_iter()
+            .map(|(policy, (runtime_norm, d))| AdaptiveRow {
+                policy,
+                runtime_norm,
+                distances: d.to_vec(),
+            });
+        rows.collect()
+    }
+
+    #[test]
+    fn check_adaptive_needs_the_walk_to_the_bound_and_a_recovering_clamp() {
+        let walk: &[u32] = &[536, 268, 134, 268, 134, 67];
+        let measured = adaptive_rows((0.718, walk), (0.623, &[67, 67]));
+        assert_eq!(check_adaptive(&measured, 67), Ok(()));
+        // A clamp that does not clamp runs exactly like the free controller.
+        assert!(check_adaptive(&adaptive_rows((0.718, walk), (0.718, walk)), 67).is_err());
+        // Clamped, but recovering only a fifth of the loss.
+        assert!(check_adaptive(&adaptive_rows((0.718, walk), (0.692, &[67])), 67).is_err());
+        assert!(check_adaptive(&adaptive_rows((0.718, &[536, 134]), (0.623, &[67])), 67).is_err());
+        assert!(check_adaptive(&adaptive_rows((0.580, walk), (0.575, &[67])), 67).is_err());
     }
 }

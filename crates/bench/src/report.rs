@@ -2,7 +2,7 @@
 //! summary for the `reproduce` binary, and the epoch-telemetry report
 //! generators behind `spt report`.
 
-use crate::experiments::Table2Row;
+use crate::experiments::{AdaptiveRow, HwPrefetcherRow, SamplingRow, SpRow, Table2Row};
 use sp_cachesim::EpochSeries;
 use sp_core::{RunnerReport, Sweep, SweepEpochs};
 use std::io::Write;
@@ -148,6 +148,19 @@ pub fn sweep_rows(s: &Sweep) -> Vec<Vec<String>> {
         .collect()
 }
 
+/// A Set Affinity range as the artifacts print it.
+fn fmt_range(r: Option<(u32, u32)>) -> String {
+    match r {
+        Some((a, b)) => format!("[{a}, {b}]"),
+        None => "(no overflow)".into(),
+    }
+}
+
+/// An optional count, `-` when absent.
+fn fmt_opt(v: Option<u32>) -> String {
+    v.map(|d| d.to_string()).unwrap_or("-".into())
+}
+
 /// The CSV/table header Table 2 is reported under.
 pub const TABLE2_HEADER: [&str; 9] = [
     "benchmark",
@@ -176,10 +189,6 @@ pub fn paper_sa_range(benchmark: &str) -> &'static str {
 /// `reproduce` binary and the golden-output tests so the fixtures pin
 /// exactly what the binary writes.
 pub fn table2_rows(rows: &[Table2Row]) -> Vec<Vec<String>> {
-    let fmt_range = |r: Option<(u32, u32)>| match r {
-        Some((a, b)) => format!("[{a}, {b}]"),
-        None => "(no overflow)".into(),
-    };
     rows.iter()
         .map(|r| {
             vec![
@@ -189,15 +198,83 @@ pub fn table2_rows(rows: &[Table2Row]) -> Vec<Vec<String>> {
                 fmt_range(r.sa_range),
                 fmt_range(r.sa_sampled),
                 paper_sa_range(r.benchmark).to_string(),
-                r.distance_bound
-                    .map(|d| d.to_string())
-                    .unwrap_or("-".into()),
+                fmt_opt(r.distance_bound),
                 format!("{:.3}", r.calr),
                 format!("{:.2}", r.rp),
             ]
         })
         .collect()
 }
+
+/// A typed artifact row that renders under a fixed CSV/table header —
+/// how `reproduce ablations` prints and writes each ablation.
+pub trait CsvRow {
+    /// Column names.
+    const HEADER: &'static [&'static str];
+    /// This row's cells, one per [`Self::HEADER`] column.
+    fn cells(&self) -> Vec<String>;
+}
+
+/// Implement [`CsvRow`] for `$ty` from `column => cell` pairs, where
+/// each cell is an expression over the row `$r`.
+macro_rules! csv_row {
+    ($ty:ty, $r:ident => { $($column:literal => $cell:expr),+ $(,)? }) => {
+        impl CsvRow for $ty {
+            const HEADER: &'static [&'static str] = &[$($column),+];
+            fn cells(&self) -> Vec<String> {
+                let $r = self;
+                vec![$($cell.to_string()),+]
+            }
+        }
+    };
+}
+
+csv_row!(SpRow, r => {
+    "variant" => r.variant,
+    "A_SKI" => r.params.a_ski,
+    "A_PRE" => r.params.a_pre,
+    "runtime_norm" => format!("{:.3}", r.runtime_norm),
+    "miss_norm" => format!("{:.3}", r.miss_norm),
+    "pollution" => r.pollution,
+    "partial_hits" => r.partial_hits,
+    "hw_prefetches" => r.hw_prefetches,
+    "helper_waits" => r.helper_waits,
+    "helper_jumps" => r.helper_jumps,
+});
+
+csv_row!(HwPrefetcherRow, r => {
+    "benchmark" => r.benchmark,
+    "SA_orig" => fmt_range(r.sa_orig),
+    "SA_helper" => fmt_range(r.sa_helper),
+    "SA_helper*2 <= SA_orig" => r.sa_orig.zip(r.sa_helper).map_or("-", |(o, h)| {
+        if h.0 * 2 <= o.0 { "yes" } else { "no" }
+    }),
+    "runtime_norm hw on" => format!("{:.3}", r.sp[0].runtime_norm),
+    "runtime_norm hw off" => format!("{:.3}", r.sp[1].runtime_norm),
+    "pollution hw on" => r.sp[0].pollution,
+    "pollution hw off" => r.sp[1].pollution,
+    "hw prefetches" => r.sp[0].hw_prefetches,
+});
+
+csv_row!(SamplingRow, r => {
+    "burst" => r.burst.map_or("full".into(), |b| b.to_string()),
+    "duty" => format!("{:.2}", r.duty),
+    "recorded_iters" => r.recorded_iters,
+    "SA_est" => fmt_range(r.sa),
+    "bound_est" => fmt_opt(r.bound),
+});
+
+csv_row!(AdaptiveRow, r => {
+    "policy" => r.policy,
+    "start" => fmt_opt(r.distances.first().copied()),
+    "runtime_norm" => format!("{:.3}", r.runtime_norm),
+    "final distance" => fmt_opt(r.distances.last().copied()),
+    "peak distance" => fmt_opt(r.distances.iter().max().copied()),
+    "trajectory (first 12 epochs)" => match &r.distances[..] {
+        [] | [_] => "-".to_string(),
+        [_, epochs @ ..] => epochs.iter().take(12).map(u32::to_string).collect::<Vec<_>>().join(" "),
+    },
+});
 
 /// Summary of a fan-out (or a live pool snapshot): how wide it ran and
 /// what it bought. `busy` is the serial-equivalent cost (sum of per-job

@@ -12,7 +12,7 @@
 //! SP_BLESS=1 cargo test -p sp-bench --test golden_outputs
 //! ```
 
-use sp_bench::experiments::{fig2_at, fig_behavior_at, table2_at, Scale};
+use sp_bench::experiments::{fig2, fig_behavior, table2, Scale};
 use sp_bench::report::{csv_string, sweep_rows, table2_rows, SWEEP_HEADER, TABLE2_HEADER};
 use sp_cachesim::CacheConfig;
 use sp_workloads::Benchmark;
@@ -46,7 +46,7 @@ fn check_golden(name: &str, actual: &str) {
 
 #[test]
 fn table2_rows_match_fixture() {
-    let (rows, _) = table2_at(&CacheConfig::scaled_default(), Scale::Test, 1);
+    let (rows, _) = table2(&CacheConfig::scaled_default(), Scale::Test, 1);
     check_golden(
         "table2_test_scale.csv",
         &csv_string(&TABLE2_HEADER, &table2_rows(&rows)),
@@ -55,7 +55,7 @@ fn table2_rows_match_fixture() {
 
 #[test]
 fn fig2_rows_match_fixture() {
-    let (sweep, _) = fig2_at(CacheConfig::scaled_default(), Scale::Test, 1);
+    let (sweep, _) = fig2(CacheConfig::scaled_default(), Scale::Test, 1);
     check_golden(
         "fig2_em3d_test_scale.csv",
         &csv_string(&SWEEP_HEADER, &sweep_rows(&sweep)),
@@ -64,7 +64,7 @@ fn fig2_rows_match_fixture() {
 
 #[test]
 fn fig5_mcf_rows_match_fixture() {
-    let (series, _) = fig_behavior_at(
+    let (series, _) = fig_behavior(
         Benchmark::Mcf,
         CacheConfig::scaled_default(),
         Scale::Test,
@@ -78,7 +78,7 @@ fn fig5_mcf_rows_match_fixture() {
 
 #[test]
 fn fig6_mst_rows_match_fixture() {
-    let (series, _) = fig_behavior_at(
+    let (series, _) = fig_behavior(
         Benchmark::Mst,
         CacheConfig::scaled_default(),
         Scale::Test,
@@ -96,21 +96,18 @@ fn fig6_mst_rows_match_fixture() {
 #[test]
 fn parallel_csv_bytes_equal_serial() {
     let cfg = CacheConfig::scaled_default();
-    let serial = csv_string(&SWEEP_HEADER, &sweep_rows(&fig2_at(cfg, Scale::Test, 1).0));
+    let serial = csv_string(&SWEEP_HEADER, &sweep_rows(&fig2(cfg, Scale::Test, 1).0));
     for jobs in [2, 4] {
-        let par = csv_string(
-            &SWEEP_HEADER,
-            &sweep_rows(&fig2_at(cfg, Scale::Test, jobs).0),
-        );
+        let par = csv_string(&SWEEP_HEADER, &sweep_rows(&fig2(cfg, Scale::Test, jobs).0));
         assert_eq!(serial, par, "fig2 CSV at --jobs {jobs} diverged");
     }
     let t_serial = csv_string(
         &TABLE2_HEADER,
-        &table2_rows(&table2_at(&cfg, Scale::Test, 1).0),
+        &table2_rows(&table2(&cfg, Scale::Test, 1).0),
     );
     let t_par = csv_string(
         &TABLE2_HEADER,
-        &table2_rows(&table2_at(&cfg, Scale::Test, 4).0),
+        &table2_rows(&table2(&cfg, Scale::Test, 4).0),
     );
     assert_eq!(t_serial, t_par, "table2 CSV at --jobs 4 diverged");
 }

@@ -156,7 +156,8 @@ impl CacheConfig {
         self
     }
 
-    /// Replace the L2 replacement policy (for the replacement ablation).
+    /// Replace the L2 replacement policy (for the replacement ablation,
+    /// `results/ablation_replacement.csv`).
     pub fn with_policy(mut self, policy: Policy) -> Self {
         self.policy = policy;
         self

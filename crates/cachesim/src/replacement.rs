@@ -4,7 +4,8 @@
 //! implicitly assumes LRU-like behaviour ("the cached data in this
 //! specific set will be replaced by new reference when the program
 //! executes N iterations"). LRU is therefore the default; FIFO, Random,
-//! and tree-PLRU are provided for the `ablation_replacement` bench, which
+//! and tree-PLRU are provided for the replacement ablation
+//! (`reproduce ablations`, `results/ablation_replacement.csv`), which
 //! checks how sensitive the pollution result is to the policy.
 
 /// Which replacement policy a cache uses.

@@ -98,7 +98,8 @@ pub struct EngineOptions {
     /// and can barely outrun the main thread on low-CALR loops, which is
     /// exactly the problem SP's skipping solves.
     ///
-    /// `false` (idealized, for the helper-model ablation): inner loads
+    /// `false` (idealized, for the helper-model ablation,
+    /// `results/ablation_helper_model.csv`): inner loads
     /// are fire-and-forget software prefetches costing only their issue
     /// cycles, as if the helper had unbounded memory-level parallelism.
     pub blocking_helper: bool,

@@ -17,9 +17,9 @@
 //! delinquent loads of the inner loop — the helper thread prefetches these
 //! only in its `A_PRE` pre-executed iterations).
 //!
-//! [`synth`] provides deterministic synthetic streams used by unit tests,
-//! property tests, and the ablation benches; [`codec`] persists recorded
-//! traces in a compact delta-encoded binary format for record/replay.
+//! [`synth`] provides deterministic synthetic streams used by unit tests
+//! and property tests; [`codec`] persists recorded traces in a compact
+//! delta-encoded binary format for record/replay.
 
 pub mod codec;
 pub mod compiled;
