@@ -24,12 +24,14 @@
 //! inputs, so they are checked there only; a failed one makes
 //! `reproduce` exit 1 once every artifact is written.
 
+#![forbid(unsafe_code)]
+
 use sp_bench::experiments::{
     ablation_adaptive, ablation_helper_model, ablation_hw_prefetchers, ablation_replacement,
     ablation_rp, ablation_sampling, check_adaptive, check_helper_model, check_hw_prefetchers,
-    check_replacement, check_rp, check_sampling, fig2, fig5_epoch_fixture, fig_behavior, selection,
-    table2, table2_paper, Scale, ABLATION_DISTANCE, FIG5_EPOCH_L2_KB, FIG5_EPOCH_L2_WAYS,
-    FIG5_EPOCH_LEN, HELPER_SA_DISTANCE, SELECTION_THRESHOLD,
+    check_replacement, check_rp, check_sampling, fig5_epoch_fixture, fig_behavior, selection,
+    table2, table2_paper, BehaviorSeries, Scale, ABLATION_DISTANCE, FIG5_EPOCH_L2_KB,
+    FIG5_EPOCH_L2_WAYS, FIG5_EPOCH_LEN, HELPER_SA_DISTANCE, SELECTION_THRESHOLD,
 };
 use sp_bench::plot::{line_chart, save_svg, ChartConfig, Series};
 use sp_bench::report::{
@@ -95,6 +97,8 @@ fn main() {
     let cfg = CacheConfig::scaled_default();
     let mut total = RunnerReport::empty();
     let mut failures = Vec::new();
+    // Figures 2 and 4 plot one EM3D sweep: simulate it once.
+    let mut em3d = None;
     for (name, in_all, _) in ARTIFACTS {
         if name != what && !(what == "all" && in_all) {
             continue;
@@ -107,14 +111,27 @@ fn main() {
             "table2" => print_table2(&cfg, scale, jobs, &out),
             "selection" => print_selection(&cfg, jobs, &out),
             "table2paper" => print_table2_paper(jobs, &out),
-            "fig2" => print_fig2(cfg, scale, jobs, &out),
-            "fig4" => print_fig_behavior(name, Benchmark::Em3d, cfg, scale, jobs, &out),
+            "fig2" => {
+                let (series, r) = em3d_sweep(&mut em3d, cfg, scale, jobs);
+                print_fig2(&series.sweep, &out);
+                r
+            }
+            "fig4" => {
+                let (series, r) = em3d_sweep(&mut em3d, cfg, scale, jobs);
+                print_fig_behavior(name, series, &out);
+                r
+            }
             "fig5" => {
-                let mut r = print_fig_behavior(name, Benchmark::Mcf, cfg, scale, jobs, &out);
+                let (series, mut r) = fig_behavior(Benchmark::Mcf, cfg, scale, jobs);
+                print_fig_behavior(name, &series, &out);
                 r.absorb(&print_fig5_epochs(jobs, &out));
                 r
             }
-            "fig6" => print_fig_behavior(name, Benchmark::Mst, cfg, scale, jobs, &out),
+            "fig6" => {
+                let (series, r) = fig_behavior(Benchmark::Mst, cfg, scale, jobs);
+                print_fig_behavior(name, &series, &out);
+                r
+            }
             "ablations" => print_ablations(scale, jobs, &out, &mut failures),
             _ => unreachable!("every ARTIFACTS name has an arm"),
         };
@@ -281,17 +298,33 @@ fn print_selection(cfg: &CacheConfig, jobs: usize, out: &Path) -> RunnerReport {
     report
 }
 
-fn print_fig2(cfg: CacheConfig, scale: Scale, jobs: usize, out: &Path) -> RunnerReport {
+/// The EM3D behaviour sweep behind Figures 2 and 4, simulated on first
+/// use; the runner report of that simulation comes back only then.
+fn em3d_sweep(
+    memo: &mut Option<BehaviorSeries>,
+    cfg: CacheConfig,
+    scale: Scale,
+    jobs: usize,
+) -> (&BehaviorSeries, RunnerReport) {
+    let mut report = RunnerReport::empty();
+    let series = memo.get_or_insert_with(|| {
+        let (series, r) = fig_behavior(Benchmark::Em3d, cfg, scale, jobs);
+        report = r;
+        series
+    });
+    (series, report)
+}
+
+fn print_fig2(s: &Sweep, out: &Path) {
     println!("== Figure 2: EM3D performance vs prefetch distance ==");
     println!("   (paper: all three normalized curves rise with distance)\n");
-    let (s, report) = fig2(cfg, scale, jobs);
-    let rows = sweep_rows(&s);
+    let rows = sweep_rows(s);
     println!("{}", render_table(&SWEEP_HEADER, &rows));
     write_csv(&out.join("fig2_em3d.csv"), &SWEEP_HEADER, &rows).expect("write fig2 csv");
     let series = [
-        sweep_series("Normalized_Runtime", &s, |p| p.runtime_norm),
-        sweep_series("Normalized_MemoryAccesses", &s, |p| p.memory_accesses_norm),
-        sweep_series("Normalized_HotMisses", &s, |p| p.hot_misses_norm),
+        sweep_series("Normalized_Runtime", s, |p| p.runtime_norm),
+        sweep_series("Normalized_MemoryAccesses", s, |p| p.memory_accesses_norm),
+        sweep_series("Normalized_HotMisses", s, |p| p.hot_misses_norm),
     ];
     let svg = line_chart(
         "Fig. 2: EM3D performance vs prefetch distance",
@@ -301,7 +334,6 @@ fn print_fig2(cfg: CacheConfig, scale: Scale, jobs: usize, out: &Path) -> Runner
         ChartConfig::default(),
     );
     save_svg(&out.join("fig2_em3d.svg"), &svg).expect("write fig2 svg");
-    report
 }
 
 /// The fig5-MCF epoch flight-recorder fixture: always test scale (see
@@ -339,15 +371,7 @@ fn print_fig5_epochs(jobs: usize, out: &Path) -> RunnerReport {
     report
 }
 
-fn print_fig_behavior(
-    name: &str,
-    b: Benchmark,
-    cfg: CacheConfig,
-    scale: Scale,
-    jobs: usize,
-    out: &Path,
-) -> RunnerReport {
-    let (series, report) = fig_behavior(b, cfg, scale, jobs);
+fn print_fig_behavior(name: &str, series: &BehaviorSeries, out: &Path) {
     println!(
         "== Figure {}: {} behaviour change vs prefetch distance (bound = {:?}) ==\n",
         &name[3..],
@@ -385,7 +409,6 @@ fn print_fig_behavior(
         ChartConfig::default(),
     );
     save_svg(&out.join(format!("{stem}_runtime.svg")), &svg).expect("write runtime svg");
-    report
 }
 
 /// One chart series of a sweep: `y` of each point against its distance.

@@ -241,13 +241,6 @@ pub fn selection(cfg: &CacheConfig, jobs: usize) -> (Vec<SelectionRow>, RunnerRe
     )
 }
 
-/// Figure 2: EM3D's normalized hot-loop L2 misses, memory accesses, and
-/// runtime over the distance grid, one fan-out job per grid point.
-pub fn fig2(cfg: CacheConfig, scale: Scale, jobs: usize) -> (Sweep, RunnerReport) {
-    let w = scale.workload(Benchmark::Em3d);
-    sweep_distances_jobs(&w.trace(), cfg, 0.5, distances_for(Benchmark::Em3d), jobs)
-}
-
 /// Epoch window length of the fig5-MCF flight-recorder fixture.
 pub const FIG5_EPOCH_LEN: u64 = 256;
 
@@ -308,7 +301,8 @@ pub struct BehaviorSeries {
 }
 
 /// Figures 4, 5, 6: full behaviour sweep for `b` (RP = 0.5, §V.B), one
-/// fan-out job per grid point.
+/// fan-out job per grid point. Figure 2 plots EM3D's normalized hot-loop
+/// L2 misses, memory accesses and runtime from the same sweep.
 pub fn fig_behavior(
     b: Benchmark,
     cfg: CacheConfig,
@@ -853,8 +847,8 @@ mod tests {
         assert_eq!(parallel, serial);
         assert_eq!(rep.jobs, Benchmark::ALL.len());
 
-        let fig_serial = fig2(cfg, Scale::Test, 1).0;
-        let (fig_parallel, rep) = fig2(cfg, Scale::Test, 4);
+        let fig_serial = fig_behavior(Benchmark::Em3d, cfg, Scale::Test, 1).0;
+        let (fig_parallel, rep) = fig_behavior(Benchmark::Em3d, cfg, Scale::Test, 4);
         assert_eq!(fig_parallel, fig_serial);
         assert_eq!(rep.jobs, distances_for(Benchmark::Em3d).len() + 1);
     }

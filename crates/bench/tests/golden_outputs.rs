@@ -12,7 +12,7 @@
 //! SP_BLESS=1 cargo test -p sp-bench --test golden_outputs
 //! ```
 
-use sp_bench::experiments::{fig2, fig_behavior, table2, Scale};
+use sp_bench::experiments::{fig_behavior, table2, Scale};
 use sp_bench::report::{csv_string, sweep_rows, table2_rows, SWEEP_HEADER, TABLE2_HEADER};
 use sp_cachesim::CacheConfig;
 use sp_workloads::Benchmark;
@@ -55,10 +55,15 @@ fn table2_rows_match_fixture() {
 
 #[test]
 fn fig2_rows_match_fixture() {
-    let (sweep, _) = fig2(CacheConfig::scaled_default(), Scale::Test, 1);
+    let (series, _) = fig_behavior(
+        Benchmark::Em3d,
+        CacheConfig::scaled_default(),
+        Scale::Test,
+        1,
+    );
     check_golden(
         "fig2_em3d_test_scale.csv",
-        &csv_string(&SWEEP_HEADER, &sweep_rows(&sweep)),
+        &csv_string(&SWEEP_HEADER, &sweep_rows(&series.sweep)),
     );
 }
 
@@ -96,9 +101,13 @@ fn fig6_mst_rows_match_fixture() {
 #[test]
 fn parallel_csv_bytes_equal_serial() {
     let cfg = CacheConfig::scaled_default();
-    let serial = csv_string(&SWEEP_HEADER, &sweep_rows(&fig2(cfg, Scale::Test, 1).0));
+    let em3d = |jobs| {
+        let (series, _) = fig_behavior(Benchmark::Em3d, cfg, Scale::Test, jobs);
+        csv_string(&SWEEP_HEADER, &sweep_rows(&series.sweep))
+    };
+    let serial = em3d(1);
     for jobs in [2, 4] {
-        let par = csv_string(&SWEEP_HEADER, &sweep_rows(&fig2(cfg, Scale::Test, jobs).0));
+        let par = em3d(jobs);
         assert_eq!(serial, par, "fig2 CSV at --jobs {jobs} diverged");
     }
     let t_serial = csv_string(

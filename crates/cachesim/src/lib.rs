@@ -29,6 +29,8 @@
 //! counter values, which is what lets the experiment harness assert the
 //! paper's figure *shapes* in tests.
 
+#![forbid(unsafe_code)]
+
 pub mod bus;
 pub mod cache;
 pub mod clock;

@@ -23,6 +23,8 @@
 //! `--prefetcher streamer+dpl|streamer|dpl|pointer-chase|perceptron`,
 //! `--l2-kb/--ways/--line` geometry overrides.
 
+#![forbid(unsafe_code)]
+
 mod args;
 mod help;
 mod serve_cmd;

@@ -39,6 +39,8 @@
 //! assert_eq!(baseline.outer_iters, sp.outer_iters);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod adaptive;
 pub mod affinity;
 pub mod calr;

@@ -41,6 +41,8 @@
 //! loadable in Perfetto or `chrome://tracing`, and sp-serve folds them
 //! into per-stage Prometheus histograms (`sp_stage_seconds`).
 
+#![forbid(unsafe_code)]
+
 pub mod chrome;
 pub mod corr;
 pub mod hist;

@@ -18,6 +18,8 @@
 //! The Set Affinity analysis itself lives in `sp-core::affinity`; it
 //! accepts either the full stream or the sampled bursts produced here.
 
+#![forbid(unsafe_code)]
+
 pub mod delinquent;
 pub mod phase;
 pub mod reuse;

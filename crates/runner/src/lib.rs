@@ -21,6 +21,8 @@
 //!
 //! No external dependencies; `std::thread::scope` only.
 
+#![forbid(unsafe_code)]
+
 pub mod pool;
 
 pub use pool::{SubmitError, WorkerPool};

@@ -7,11 +7,12 @@
 //! full (a linear min-scan — shards are small and bounded, so the scan
 //! is a few hundred loads at worst, far below one simulation).
 //!
-//! Uses the poison-ignoring [`sp_native::sync::Mutex`] — a panicking
-//! reader cannot break a shard's invariants (plain maps and counters).
+//! Shard locks recover from poisoning — a panicking reader cannot break
+//! a shard's invariants (plain maps and counters).
 
-use sp_native::sync::Mutex;
+use crate::lock;
 use std::collections::HashMap;
+use std::sync::Mutex;
 
 /// FNV-1a 64-bit — the workspace's deterministic, dependency-free hash.
 /// Also used by `spt loadgen` to digest payloads.
@@ -62,7 +63,7 @@ impl ResultCache {
 
     /// Entries currently cached.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().entries.len()).sum()
+        self.shards.iter().map(|s| lock(s).entries.len()).sum()
     }
 
     /// True when nothing is cached.
@@ -77,7 +78,7 @@ impl ResultCache {
     /// Look `key` up, refreshing its recency on a hit.
     pub fn get(&self, key: &str) -> Option<String> {
         let hash = fnv1a64(key.as_bytes());
-        let mut shard = self.shard_for(hash).lock();
+        let mut shard = lock(self.shard_for(hash));
         shard.tick += 1;
         let tick = shard.tick;
         match shard.entries.get_mut(&hash) {
@@ -95,7 +96,7 @@ impl ResultCache {
     /// least-recently-used entry if it is full.
     pub fn put(&self, key: &str, value: String) {
         let hash = fnv1a64(key.as_bytes());
-        let mut shard = self.shard_for(hash).lock();
+        let mut shard = lock(self.shard_for(hash));
         shard.tick += 1;
         let tick = shard.tick;
         if shard.entries.len() >= self.per_shard_capacity && !shard.entries.contains_key(&hash) {

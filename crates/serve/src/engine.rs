@@ -11,6 +11,7 @@
 //! exactly once.
 
 use crate::json::Json;
+use crate::lock;
 use crate::protocol::{scale_name, Command, SimSpec};
 use sp_bench::{kernel_row, Scale};
 use sp_cachesim::{EpochSeries, EventSummary, PfClass, PollutionCase, DEFAULT_EPOCH_LEN};
@@ -18,12 +19,11 @@ use sp_core::{
     compile_trace, recommend_distance, sweep_compiled_jobs_with, sweep_epochs_compiled_jobs_with,
     sweep_events_compiled_jobs_with, Sweep, SweepEpochs, SweepEvents,
 };
-use sp_native::sync::Mutex;
 use sp_trace::{CompiledTrace, HotLoopTrace, TraceGeometry};
 use sp_workloads::{KernelKind, WorkloadBuilder};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 fn bench_index(k: KernelKind) -> u8 {
@@ -154,7 +154,7 @@ impl SimEngine {
 
     fn trace(&self, bench: KernelKind, scale: Scale) -> Arc<HotLoopTrace> {
         let key = (bench_index(bench), scale_index(scale));
-        if let Some(t) = self.traces.lock().get(&key) {
+        if let Some(t) = lock(&self.traces).get(&key) {
             return Arc::clone(t);
         }
         // Synthesize outside the lock — scaled traces take a while, and
@@ -162,8 +162,7 @@ impl SimEngine {
         // identical (deterministic) trace.
         let _sp = sp_obs::span!("load", bench = bench.name(), scale = format!("{scale:?}"));
         let t = Arc::new(WorkloadBuilder::new(bench).tier(scale.tier()).trace());
-        self.traces
-            .lock()
+        lock(&self.traces)
             .entry(key)
             .or_insert_with(|| Arc::clone(&t))
             .clone()
@@ -178,13 +177,12 @@ impl SimEngine {
         cfg: &sp_cachesim::CacheConfig,
     ) -> Arc<CompiledTrace> {
         let key = (sp_trace::trace_digest(trace), cfg.trace_geometry());
-        if let Some(ct) = self.compiled.lock().get(&key) {
+        if let Some(ct) = lock(&self.compiled).get(&key) {
             return Arc::clone(ct);
         }
         // Compile outside the lock, same rationale as `trace`.
         let ct = Arc::new(compile_trace(trace, cfg));
-        self.compiled
-            .lock()
+        lock(&self.compiled)
             .entry(key)
             .or_insert_with(|| Arc::clone(&ct))
             .clone()
@@ -427,9 +425,9 @@ mod tests {
         let first = engine.execute(&cmd).unwrap();
         let second = engine.execute(&cmd).unwrap();
         assert_eq!(first, second, "same command, byte-identical payloads");
-        assert_eq!(engine.traces.lock().len(), 1, "trace memoized once");
+        assert_eq!(lock(&engine.traces).len(), 1, "trace memoized once");
         assert_eq!(
-            engine.compiled.lock().len(),
+            lock(&engine.compiled).len(),
             1,
             "compiled trace memoized once per (digest, geometry)"
         );

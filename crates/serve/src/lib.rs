@@ -28,6 +28,11 @@
 //! The `spt serve` and `spt loadgen` subcommands (crates/cli) are the
 //! daemon's front ends; `tests/serve_smoke.rs` drives a real server over
 //! loopback.
+//!
+//! The crate denies `unsafe` code; the one allowed item is the signal
+//! handler install in [`server`].
+
+#![deny(unsafe_code)]
 
 pub mod cache;
 pub mod engine;
@@ -47,3 +52,28 @@ pub use prom::{
 };
 pub use protocol::{error_response, ok_response, Command, Request, SimSpec};
 pub use server::{Server, ServerConfig, MAX_CONNECTIONS};
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Lock `m`, recovering the guard if a panicking holder poisoned it:
+/// the guarded maps and counters stay valid across a panic.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn lock_recovers_a_poisoned_mutex() {
+        let m = Mutex::new(1);
+        let _ = std::panic::catch_unwind(|| {
+            let _guard = lock(&m);
+            panic!("poison the lock");
+        });
+        assert!(m.is_poisoned());
+        *lock(&m) += 1;
+        assert_eq!(*lock(&m), 2);
+    }
+}

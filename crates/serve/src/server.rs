@@ -57,9 +57,17 @@ mod sig {
         fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
     }
 
+    #[allow(unsafe_code)]
     pub fn install() {
         const SIGINT: i32 = 2;
         const SIGTERM: i32 = 15;
+        // SAFETY: the declaration matches C's `sighandler_t signal(int,
+        // sighandler_t)` at the ABI level (an `int`, a function pointer,
+        // a pointer-sized return), and both arguments are valid: a
+        // signal number and an `extern "C"` function that lives for the
+        // whole program. The handler only does a relaxed store to a
+        // static atomic, which is async-signal-safe: it takes no lock,
+        // allocates nothing and touches no other state.
         unsafe {
             signal(SIGINT, on_signal);
             signal(SIGTERM, on_signal);

@@ -11,6 +11,8 @@
 //! No shrinking: cases are kept small by construction instead (the
 //! generator helpers take explicit size ranges).
 
+#![forbid(unsafe_code)]
+
 pub use sp_trace::SmallRng;
 
 use std::ops::Range;

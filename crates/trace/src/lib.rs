@@ -21,6 +21,8 @@
 //! and property tests; [`codec`] persists recorded traces in a compact
 //! delta-encoded binary format for record/replay.
 
+#![forbid(unsafe_code)]
+
 pub mod codec;
 pub mod compiled;
 pub mod record;

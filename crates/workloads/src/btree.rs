@@ -189,25 +189,6 @@ impl BTree {
             refs.into_iter().map(move |r| (i as u32, r))
         })
     }
-
-    /// Native result: sum over all scans of the keys in range (keys are
-    /// `0..keys` bulk-loaded `fanout` per leaf, wrapping like the walk).
-    pub fn scan_native(&self) -> u64 {
-        let leaves = self.leaf_addr.len();
-        let mut total = 0u64;
-        for &start in &self.scan_start {
-            for l in 0..self.cfg.span {
-                let leaf = (start as usize + l) % leaves;
-                for k in 0..self.cfg.fanout {
-                    let key = leaf * self.cfg.fanout + k;
-                    if key < self.cfg.keys {
-                        total = total.wrapping_add(key as u64);
-                    }
-                }
-            }
-        }
-        total
-    }
 }
 
 #[cfg(test)]
@@ -256,13 +237,6 @@ mod tests {
                 .any(|&base| r.vaddr >= base + BTree::HEADER && r.vaddr < base + leaf_bytes);
             assert!(ok, "key read at {:#x} outside every leaf", r.vaddr);
         }
-    }
-
-    #[test]
-    fn scan_checksum_is_stable() {
-        let b = BTree::build(BTreeConfig::tiny());
-        assert_eq!(b.scan_native(), b.scan_native());
-        assert!(b.scan_native() > 0);
     }
 
     #[test]

@@ -539,6 +539,75 @@ mod tests {
         }
     }
 
+    /// Every builder kernel's trace, pinned by its codec digest at both
+    /// tiers: a change to any `build` that moves one address, site or
+    /// compute count fails here.
+    #[test]
+    fn trace_digests_are_pinned() {
+        const PINNED: [(KernelKind, u64, u64); 10] = [
+            (
+                KernelKind::Em3d,
+                0x45c4_bb82_43e0_f09d,
+                0xf8ce_455c_22cb_f540,
+            ),
+            (
+                KernelKind::Mcf,
+                0x329a_8c39_e6b1_be18,
+                0x9c6c_212a_d053_523e,
+            ),
+            (
+                KernelKind::Mst,
+                0x11d4_9aa4_6981_ad08,
+                0x463b_a4a2_2612_294d,
+            ),
+            (
+                KernelKind::TreeAdd,
+                0x5a3e_fc0c_9432_2c4b,
+                0x9669_d9c5_5f98_e6a6,
+            ),
+            (
+                KernelKind::Health,
+                0xd078_110d_774a_2d2d,
+                0xdc25_e258_f37c_b0aa,
+            ),
+            (
+                KernelKind::Matmul,
+                0x5251_d857_e8d8_b645,
+                0x78b8_d9f6_cbdd_debd,
+            ),
+            (
+                KernelKind::HashJoin,
+                0xc750_df18_c2d7_8a01,
+                0x1495_257c_253c_38ec,
+            ),
+            (
+                KernelKind::Bfs,
+                0xbb2c_10a3_398d_cdd6,
+                0x24e1_5631_efd9_3719,
+            ),
+            (
+                KernelKind::SkipList,
+                0xec1c_df88_f5f3_ca0f,
+                0x0f75_29aa_e6db_38ba,
+            ),
+            (
+                KernelKind::BTree,
+                0xaab6_6ecf_014d_9cbd,
+                0xc778_600c_3c6f_eb55,
+            ),
+        ];
+        assert_eq!(PINNED.map(|(k, _, _)| k), KernelKind::ALL);
+        for (kind, tiny, scaled) in PINNED {
+            for (spec, want) in [
+                (KernelSpec::tiny(kind), tiny),
+                (KernelSpec::scaled(kind), scaled),
+            ] {
+                let got = sp_trace::codec::digest(&spec.trace());
+                assert_eq!(got, want, "{} {:?}: {got:#018x}", kind.name(), spec.tier);
+            }
+        }
+    }
+
     #[test]
     fn trio_and_candidate_mappings_agree() {
         for b in Benchmark::ALL {

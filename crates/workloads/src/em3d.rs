@@ -41,10 +41,6 @@ pub struct Em3dConfig {
     /// Pure computation cycles per inner-loop element (the multiply-add);
     /// EM3D's CALR is very low, so this is small.
     pub compute_per_edge: u64,
-    /// Allocate the native value/coefficient arrays. Disabled for
-    /// paper-scale layout-only builds (the arity-128 coefficient array
-    /// alone would be ~400MB).
-    pub native: bool,
 }
 
 impl Em3dConfig {
@@ -58,7 +54,6 @@ impl Em3dConfig {
             seed: 0xE3D,
             fragmented: true,
             compute_per_edge: 2,
-            native: true,
         }
     }
 
@@ -68,7 +63,6 @@ impl Em3dConfig {
         Em3dConfig {
             nodes: 400_000,
             degree: 128,
-            native: false,
             ..Self::scaled()
         }
     }
@@ -83,7 +77,7 @@ impl Em3dConfig {
     }
 }
 
-/// A built EM3D graph: simulated layout + native arrays.
+/// A built EM3D graph: the simulated heap layout and its wiring.
 #[derive(Debug, Clone)]
 pub struct Em3d {
     cfg: Em3dConfig,
@@ -96,10 +90,6 @@ pub struct Em3d {
     /// Flattened neighbour indices: node `i`'s neighbours are
     /// `from[i*degree .. (i+1)*degree]`, all in the opposite half.
     pub from: Vec<u32>,
-    /// Native node values (updated by [`compute_native`](Self::compute_native)).
-    pub values: Vec<f64>,
-    /// Native coefficients, flattened like `from`.
-    pub coeffs: Vec<f64>,
 }
 
 impl Em3d {
@@ -137,24 +127,12 @@ impl Em3d {
                 from.push(rng.gen_range(lo..hi) as u32);
             }
         }
-        let (values, coeffs) = if cfg.native {
-            (
-                (0..n).map(|i| (i as f64).sin()).collect(),
-                (0..n * cfg.degree)
-                    .map(|i| 1.0 / (1.0 + i as f64))
-                    .collect(),
-            )
-        } else {
-            (Vec::new(), Vec::new())
-        };
         Em3d {
             cfg,
             node_addr,
             fv_addr,
             coeff_addr,
             from,
-            values,
-            coeffs,
         }
     }
 
@@ -225,31 +203,6 @@ impl Em3d {
         t.iters = self.iter_records().collect();
         t
     }
-
-    /// Run one real `compute_nodes` pass over the native arrays; returns
-    /// a checksum so the work cannot be optimized away.
-    pub fn compute_native(&mut self) -> f64 {
-        assert!(self.cfg.native, "built without native arrays (layout-only)");
-        let d = self.cfg.degree;
-        let mut check = 0.0;
-        for i in 0..self.cfg.nodes {
-            let mut acc = 0.0;
-            let base = i * d;
-            for j in 0..d {
-                let other = self.from[base + j] as usize;
-                acc += self.coeffs[base + j] * self.values[other];
-            }
-            self.values[i] = acc;
-            check += acc;
-        }
-        check
-    }
-
-    /// Neighbour indices of node `i` (for the native helper thread).
-    pub fn neighbours(&self, i: usize) -> &[u32] {
-        let d = self.cfg.degree;
-        &self.from[i * d..(i + 1) * d]
-    }
 }
 
 #[cfg(test)]
@@ -267,9 +220,9 @@ mod tests {
     #[test]
     fn graph_is_bipartite() {
         let g = Em3d::build(Em3dConfig::tiny());
-        let half = g.cfg.nodes / 2;
+        let (half, d) = (g.cfg.nodes / 2, g.cfg.degree);
         for i in 0..g.cfg.nodes {
-            for &o in g.neighbours(i) {
+            for &o in &g.from[i * d..(i + 1) * d] {
                 let o = o as usize;
                 assert_ne!(i < half, o < half, "edges must cross the partition");
             }
@@ -320,19 +273,6 @@ mod tests {
                 assert_ne!(i < half, target < half);
             }
         }
-    }
-
-    #[test]
-    fn native_compute_is_deterministic_and_finite() {
-        let mut a = Em3d::build(Em3dConfig::tiny());
-        let mut b = Em3d::build(Em3dConfig::tiny());
-        let ca = a.compute_native();
-        let cb = b.compute_native();
-        assert_eq!(ca, cb);
-        assert!(ca.is_finite());
-        // A second pass changes the values (the kernel is iterative).
-        let ca2 = a.compute_native();
-        assert_ne!(ca, ca2);
     }
 
     #[test]

@@ -184,30 +184,24 @@ impl HashJoin {
             refs.into_iter().map(move |r| (i as u32, r))
         })
     }
-
-    /// Run the join natively: `(matches, key_checksum)` over the same
-    /// table — first-match semantics, mirroring the traced control flow.
-    pub fn join_native(&self) -> (u64, u64) {
-        let (mut matches, mut checksum) = (0u64, 0u64);
-        for &key in &self.probe_key {
-            let b = Self::bucket_of(key, self.cfg.buckets);
-            if let Some(&e) = self.chains[b]
-                .iter()
-                .find(|&&e| self.build_key[e as usize] == key)
-            {
-                matches += 1;
-                checksum = checksum
-                    .wrapping_mul(31)
-                    .wrapping_add(self.build_key[e as usize] + e as u64);
-            }
-        }
-        (matches, checksum)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Probes whose key finds a build tuple in its bucket's chain
+    /// (first-match semantics, computed without the trace).
+    fn matches(j: &HashJoin) -> u64 {
+        j.probe_key
+            .iter()
+            .filter(|&&key| {
+                j.chains[HashJoin::bucket_of(key, j.cfg.buckets)]
+                    .iter()
+                    .any(|&e| j.build_key[e as usize] == key)
+            })
+            .count() as u64
+    }
 
     #[test]
     fn build_is_deterministic() {
@@ -248,7 +242,7 @@ mod tests {
     #[test]
     fn matches_carry_a_payload_read() {
         let j = HashJoin::build(HashJoinConfig::tiny());
-        let (matches, _) = j.join_native();
+        let matches = matches(&j);
         let t = j.trace();
         let payloads = t
             .tagged_refs()
@@ -256,12 +250,6 @@ mod tests {
             .count() as u64;
         assert_eq!(payloads, matches, "one payload read per first match");
         assert!(matches > 0, "tiny key space must produce matches");
-    }
-
-    #[test]
-    fn join_checksum_is_stable() {
-        let j = HashJoin::build(HashJoinConfig::tiny());
-        assert_eq!(j.join_native(), j.join_native());
     }
 
     #[test]

@@ -196,11 +196,6 @@ impl Health {
     pub fn trace(&self) -> HotLoopTrace {
         self.simulate().0
     }
-
-    /// Total patients processed across the simulation (checksum).
-    pub fn processed_native(&self) -> u64 {
-        self.simulate().1
-    }
 }
 
 #[cfg(test)]

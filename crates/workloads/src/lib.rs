@@ -3,18 +3,17 @@
 //! The paper's three memory-intensive benchmarks, implemented from
 //! scratch: **EM3D** and **MST** from the Olden suite and the **MCF**
 //! pricing kernel from SPEC CPU2006 (see `DESIGN.md` §2 for the
-//! substitution argument). Each workload can
-//!
-//! * build its data structures over a simulated heap ([`arena::Arena`])
-//!   and emit the reference stream of its hot loop as a
-//!   [`sp_trace::HotLoopTrace`], and
-//! * run the same kernel natively (real arrays, real arithmetic) for the
-//!   `sp-native` hardware-prefetch path.
+//! substitution argument). Each workload builds its data structures over
+//! a simulated heap ([`arena::Arena`]) and emits the reference stream of
+//! its hot loop as a [`sp_trace::HotLoopTrace`]; nothing runs the kernels
+//! on real data.
 //!
 //! [`Workload`] is the uniform handle the experiment harness uses;
 //! [`builder::WorkloadBuilder`] is the declarative construction layer
 //! behind it, which also covers the §IV.B screening candidates and the
 //! LDS workload frontier (hash join, BFS, skip list, B-tree).
+
+#![forbid(unsafe_code)]
 
 pub mod arena;
 pub mod bfs;

@@ -134,31 +134,6 @@ impl Matmul {
         }
         t
     }
-
-    /// Native blocked multiply over freshly initialized matrices; returns
-    /// a checksum of `C`.
-    pub fn multiply_native(&self) -> f64 {
-        let n = self.cfg.n;
-        let bl = self.cfg.block;
-        let a: Vec<f64> = (0..n * n).map(|i| ((i % 97) as f64) / 97.0).collect();
-        let b: Vec<f64> = (0..n * n).map(|i| ((i % 89) as f64) / 89.0).collect();
-        let mut c = vec![0.0f64; n * n];
-        for ti in (0..n).step_by(bl) {
-            for tj in (0..n).step_by(bl) {
-                for tk in (0..n).step_by(bl) {
-                    for i in ti..ti + bl {
-                        for k in tk..tk + bl {
-                            let aik = a[i * n + k];
-                            for j in tj..tj + bl {
-                                c[i * n + j] += aik * b[k * n + j];
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        c.iter().sum()
-    }
 }
 
 #[cfg(test)]
@@ -187,27 +162,6 @@ mod tests {
         let s = m.trace().stats(64);
         let expect = 3 * 16 * 16 * 8 / 64; // bytes / line
         assert_eq!(s.unique_blocks, expect);
-    }
-
-    #[test]
-    fn native_multiply_matches_reference() {
-        let cfg = MatmulConfig::tiny();
-        let m = Matmul::build(cfg);
-        let blocked = m.multiply_native();
-        // Naive reference.
-        let n = cfg.n;
-        let a: Vec<f64> = (0..n * n).map(|i| ((i % 97) as f64) / 97.0).collect();
-        let b: Vec<f64> = (0..n * n).map(|i| ((i % 89) as f64) / 89.0).collect();
-        let mut c = vec![0.0f64; n * n];
-        for i in 0..n {
-            for j in 0..n {
-                for k in 0..n {
-                    c[i * n + j] += a[i * n + k] * b[k * n + j];
-                }
-            }
-        }
-        let naive: f64 = c.iter().sum();
-        assert!((blocked - naive).abs() < 1e-6 * naive.abs());
     }
 
     #[test]

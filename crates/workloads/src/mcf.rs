@@ -88,10 +88,6 @@ pub struct Mcf {
     pub endpoints: Vec<(u32, u32)>,
     /// Base simulated address of the basket (candidate list).
     basket_base: VAddr,
-    /// Native per-node potentials.
-    pub potential: Vec<i64>,
-    /// Native per-arc costs.
-    pub cost: Vec<i64>,
 }
 
 /// Size of one simulated arc record, bytes (cost, endpoints, ident —
@@ -118,20 +114,12 @@ impl Mcf {
                 (t, h)
             })
             .collect();
-        let potential = (0..cfg.nodes)
-            .map(|i| (i as i64 * 37) % 1000 - 500)
-            .collect();
-        let cost = (0..cfg.arcs)
-            .map(|i| (i as i64 * 13) % 2000 - 1000)
-            .collect();
         Mcf {
             cfg,
             arc_base,
             node_addr,
             endpoints,
             basket_base,
-            potential,
-            cost,
         }
     }
 
@@ -195,23 +183,6 @@ impl Mcf {
             refs.into_iter().map(move |r| (i as u32, r))
         })
     }
-
-    /// Run one native pricing pass; returns the number of basket entries
-    /// and a cost checksum.
-    pub fn price_native(&self) -> (usize, i64) {
-        let mut basket = 0usize;
-        let mut check = 0i64;
-        for i in 0..self.cfg.arcs {
-            let (tail, head) = self.endpoints[i];
-            let red_cost =
-                self.cost[i] - self.potential[tail as usize] + self.potential[head as usize];
-            if red_cost < 0 || i % self.cfg.basket_one_in == 0 {
-                basket += 1;
-                check = check.wrapping_add(red_cost);
-            }
-        }
-        (basket, check)
-    }
 }
 
 #[cfg(test)]
@@ -273,12 +244,5 @@ mod tests {
             .filter(|(_, r)| r.site == sites::BASKET)
             .count();
         assert_eq!(n_stores, m.cfg.arcs.div_ceil(m.cfg.basket_one_in));
-    }
-
-    #[test]
-    fn native_pricing_is_deterministic() {
-        let m = Mcf::build(McfConfig::tiny());
-        assert_eq!(m.price_native(), m.price_native());
-        assert!(m.price_native().0 > 0);
     }
 }

@@ -42,9 +42,6 @@ pub struct MstConfig {
     pub seed: u64,
     /// Computation cycles per visited vertex (distance compare).
     pub compute_per_visit: u64,
-    /// Allocate the native weight matrix. Disabled for paper-scale
-    /// layout-only builds (10^4 nodes -> a 400MB matrix).
-    pub native: bool,
 }
 
 impl MstConfig {
@@ -55,7 +52,6 @@ impl MstConfig {
             buckets: 32,
             seed: 0x357,
             compute_per_visit: 4,
-            native: true,
         }
     }
 
@@ -65,7 +61,6 @@ impl MstConfig {
     pub fn paper() -> Self {
         MstConfig {
             nodes: 10_000,
-            native: false,
             ..Self::scaled()
         }
     }
@@ -93,8 +88,6 @@ pub struct Mst {
     entry_addr: Vec<VAddr>,
     /// Hash permutation: `hash_of[u]` is vertex `u`'s bucket index.
     hash_of: Vec<u32>,
-    /// Native edge weights, `weight[u][v]` flattened (symmetric).
-    pub weight: Vec<u32>,
 }
 
 impl Mst {
@@ -119,29 +112,12 @@ impl Mst {
         let hash_of = (0..n)
             .map(|_| rng.gen_range(0..cfg.buckets as u32))
             .collect();
-        let weight = if !cfg.native {
-            Vec::new()
-        } else {
-            (0..n * n)
-                .map(|i| {
-                    let (u, v) = (i / n, i % n);
-                    if u == v {
-                        u32::MAX
-                    } else {
-                        // Symmetric pseudo-random weights.
-                        let (a, b) = (u.min(v) as u64, u.max(v) as u64);
-                        ((a * 31 + b * 17) % 65_521 + 1) as u32
-                    }
-                })
-                .collect()
-        };
         Mst {
             cfg,
             vertex_addr,
             bucket_addr,
             entry_addr,
             hash_of,
-            weight,
         }
     }
 
@@ -210,35 +186,6 @@ impl Mst {
             refs.into_iter().map(move |r| (i as u32, r))
         })
     }
-
-    /// Compute the MST weight natively (Prim's algorithm over the same
-    /// weights); returns the total tree weight.
-    pub fn mst_weight_native(&self) -> u64 {
-        assert!(
-            self.cfg.native,
-            "built without the native weight matrix (layout-only)"
-        );
-        let n = self.cfg.nodes;
-        let mut in_tree = vec![false; n];
-        let mut best = vec![u32::MAX; n];
-        in_tree[0] = true;
-        best[1..n].copy_from_slice(&self.weight[1..n]); // row 0 of `weight`
-        let mut total = 0u64;
-        for _ in 1..n {
-            let u = (0..n)
-                .filter(|&v| !in_tree[v])
-                .min_by_key(|&v| best[v])
-                .expect("graph is complete");
-            total += best[u] as u64;
-            in_tree[u] = true;
-            for v in 0..n {
-                if !in_tree[v] {
-                    best[v] = best[v].min(self.weight[u * n + v]);
-                }
-            }
-        }
-        total
-    }
 }
 
 #[cfg(test)]
@@ -251,18 +198,6 @@ mod tests {
         let b = Mst::build(MstConfig::tiny());
         assert_eq!(a.hash_of, b.hash_of);
         assert_eq!(a.vertex_addr, b.vertex_addr);
-    }
-
-    #[test]
-    fn weights_are_symmetric_with_infinite_diagonal() {
-        let m = Mst::build(MstConfig::tiny());
-        let n = m.cfg.nodes;
-        for u in 0..n {
-            assert_eq!(m.weight[u * n + u], u32::MAX);
-            for v in 0..n {
-                assert_eq!(m.weight[u * n + v], m.weight[v * n + u]);
-            }
-        }
     }
 
     #[test]
@@ -299,17 +234,6 @@ mod tests {
                 r.vaddr
             );
         }
-    }
-
-    #[test]
-    fn mst_weight_is_stable_and_positive() {
-        let m = Mst::build(MstConfig::tiny());
-        let w = m.mst_weight_native();
-        assert_eq!(w, m.mst_weight_native());
-        assert!(w > 0);
-        // n-1 edges, each of weight >= 1 and < 65_522.
-        let n = m.cfg.nodes as u64;
-        assert!(w >= n - 1 && w < (n - 1) * 65_522);
     }
 
     #[test]

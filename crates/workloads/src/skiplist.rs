@@ -211,22 +211,21 @@ impl SkipList {
             refs.into_iter().map(move |r| (i as u32, r))
         })
     }
-
-    /// Native result: `(found, miss)` counts over the query batch.
-    pub fn search_native(&self) -> (u64, u64) {
-        let mut found = 0u64;
-        for &q in &self.queries {
-            if self.search_with(q, |_, _| {}) {
-                found += 1;
-            }
-        }
-        (found, self.cfg.searches as u64 - found)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `(found, miss)` counts over the query batch.
+    fn search_counts(s: &SkipList) -> (u64, u64) {
+        let found = s
+            .queries
+            .iter()
+            .filter(|&&q| s.search_with(q, |_, _| {}))
+            .count() as u64;
+        (found, s.cfg.searches as u64 - found)
+    }
 
     #[test]
     fn build_is_deterministic() {
@@ -245,7 +244,7 @@ mod tests {
             let expect = q % 2 == 0 && q < 2 * s.cfg.nodes as u64;
             assert_eq!(hit, expect, "query {q}");
         }
-        let (found, miss) = s.search_native();
+        let (found, miss) = search_counts(&s);
         assert!(found > 0 && miss > 0, "mix must contain hits and misses");
     }
 

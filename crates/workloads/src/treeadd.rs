@@ -61,8 +61,6 @@ pub struct TreeAdd {
     cfg: TreeAddConfig,
     /// Simulated node addresses, in heap-allocation (pre-order) order.
     node_addr: Vec<VAddr>,
-    /// Native node values.
-    pub values: Vec<i64>,
 }
 
 impl TreeAdd {
@@ -87,12 +85,7 @@ impl TreeAdd {
             alloc(2 * idx + 2, n, arena, out);
         }
         alloc(0, n, &mut arena, &mut node_addr);
-        let values = (0..n as i64).map(|i| (i * 7919) % 1000).collect();
-        TreeAdd {
-            cfg,
-            node_addr,
-            values,
-        }
+        TreeAdd { cfg, node_addr }
     }
 
     /// This instance's configuration.
@@ -135,22 +128,6 @@ impl TreeAdd {
             }
         }
         t
-    }
-
-    /// Native post-order sum.
-    pub fn sum_native(&self) -> i64 {
-        let n = self.nodes();
-        let mut total = 0i64;
-        let mut stack = vec![0usize];
-        while let Some(idx) = stack.pop() {
-            if idx >= n {
-                continue;
-            }
-            total = total.wrapping_add(self.values[idx]);
-            stack.push(2 * idx + 1);
-            stack.push(2 * idx + 2);
-        }
-        total
     }
 }
 
@@ -197,13 +174,6 @@ mod tests {
             })
             .collect();
         assert_eq!(order, vec![3, 4, 1, 5, 6, 2, 0]);
-    }
-
-    #[test]
-    fn native_sum_matches_values() {
-        let tree = TreeAdd::build(TreeAddConfig::tiny());
-        let expect: i64 = tree.values.iter().sum();
-        assert_eq!(tree.sum_native(), expect);
     }
 
     #[test]

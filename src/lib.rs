@@ -14,14 +14,14 @@
 //! * [`profiler`] — interval-based burst sampling and phase detection.
 //! * [`core`] — the paper's contribution: Skip helper-threaded Prefetching
 //!   (SP), Set Affinity analysis, and prefetch-distance control.
-//! * [`native`] — real-thread + `_mm_prefetch` execution path.
 //!
 //! See `DESIGN.md` for the system inventory and `EXPERIMENTS.md` for the
 //! per-figure reproduction record.
 
+#![forbid(unsafe_code)]
+
 pub use sp_cachesim as cachesim;
 pub use sp_core as core;
-pub use sp_native as native;
 pub use sp_obs as obs;
 pub use sp_profiler as profiler;
 pub use sp_trace as trace;
