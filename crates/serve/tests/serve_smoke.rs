@@ -519,3 +519,101 @@ fn connections_over_the_cap_are_answered_busy_and_closed() {
     drop(idle);
     shut_down(fresh, server);
 }
+
+/// The value at `path` (dot-separated object keys) of a `stats` result.
+fn stat(stats: &Json, path: &str) -> u64 {
+    let mut v = stats;
+    for key in path.split('.') {
+        v = v
+            .get(key)
+            .unwrap_or_else(|| panic!("no {path} in {stats:?}"));
+    }
+    v.as_u64().expect("a count")
+}
+
+/// The value of the exposition sample whose series is exactly `series`.
+fn sample(body: &str, series: &str) -> u64 {
+    body.lines()
+        .find_map(|l| l.strip_prefix(series)?.strip_prefix(' '))
+        .unwrap_or_else(|| panic!("no {series} in {body}"))
+        .parse()
+        .expect("an integer sample")
+}
+
+#[test]
+fn stats_and_metrics_agree_on_every_shared_value() {
+    let (addr, server) = start(ServerConfig {
+        workers: 1,
+        queue: 4,
+        ..ServerConfig::default()
+    });
+    let mut c = Client::connect(addr);
+    let point = "{\"type\":\"point\",\"bench\":\"em3d\",\"distance\":8}";
+    assert_eq!(cached(&c.roundtrip(point)), Some(false), "scripted miss");
+    assert_eq!(cached(&c.roundtrip(point)), Some(true), "scripted hit");
+    assert!(!ok(&c.roundtrip("{\"type\":\"warp\"}")), "scripted error");
+    // The pool counts a job done after its reply is sent; wait for it
+    // so the two scrapes below see the same completed count.
+    wait_for_stat(&mut c, &["workers", "completed"], 1);
+
+    let stats = c.roundtrip("{\"type\":\"stats\"}");
+    let stats = stats.get("result").expect("stats result");
+    let metrics = c.roundtrip("{\"type\":\"metrics\"}");
+    let body = metrics
+        .get("result")
+        .and_then(|r| r.get("body"))
+        .and_then(Json::as_str)
+        .expect("metrics body");
+    // (stats path, exposition series, what the metrics request itself
+    // adds): the scrape counts as one more request of kind `metrics`,
+    // and the latency histogram has since recorded the `stats` request.
+    let mut pairs = vec![
+        (
+            "requests.total".to_string(),
+            "sp_requests_total".to_string(),
+            1,
+        ),
+        ("requests.busy".into(), "sp_busy_rejections_total".into(), 0),
+        ("requests.timeouts".into(), "sp_timeouts_total".into(), 0),
+        ("requests.errors".into(), "sp_errors_total".into(), 0),
+        ("cache.entries".into(), "sp_cache_entries".into(), 0),
+        ("cache.capacity".into(), "sp_cache_capacity".into(), 0),
+        ("cache.hits".into(), "sp_cache_hits_total".into(), 0),
+        ("cache.misses".into(), "sp_cache_misses_total".into(), 0),
+        ("queue.depth".into(), "sp_queue_depth".into(), 0),
+        ("queue.capacity".into(), "sp_queue_capacity".into(), 0),
+        ("workers.count".into(), "sp_workers".into(), 0),
+        (
+            "workers.completed".into(),
+            "sp_jobs_completed_total".into(),
+            0,
+        ),
+        (
+            "latency.count".into(),
+            "sp_request_latency_us_count".into(),
+            1,
+        ),
+    ];
+    for kind in [
+        "sweep", "point", "affinity", "burn", "stats", "metrics", "ping", "shutdown",
+    ] {
+        pairs.push((
+            format!("requests.by_kind.{kind}"),
+            format!("sp_requests_by_kind_total{{kind=\"{kind}\"}}"),
+            u64::from(kind == "metrics"),
+        ));
+    }
+    for (path, series, scrape) in &pairs {
+        assert_eq!(
+            stat(stats, path) + scrape,
+            sample(body, series),
+            "{path} vs {series}"
+        );
+    }
+    assert_eq!(stat(stats, "cache.hits"), 1);
+    assert_eq!(stat(stats, "cache.misses"), 1);
+    assert_eq!(stat(stats, "requests.errors"), 1);
+    assert!(sample(body, "sp_uptime_ms") >= stat(stats, "uptime_ms"));
+    assert!(sample(body, "sp_request_latency_us_sum") >= stat(stats, "latency.sum_us"));
+    shut_down(c, server);
+}
