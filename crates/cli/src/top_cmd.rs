@@ -41,43 +41,37 @@ struct Sample {
     max_us: u64,
 }
 
-fn field_u64(v: &Json, obj: &str, key: &str) -> Result<u64, String> {
-    v.get(obj)
-        .and_then(|o| o.get(key))
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("stats missing {obj}.{key}"))
-}
-
-fn field_f64(v: &Json, obj: &str, key: &str) -> Result<f64, String> {
-    v.get(obj)
-        .and_then(|o| o.get(key))
-        .and_then(Json::as_f64)
-        .ok_or_else(|| format!("stats missing {obj}.{key}"))
+/// The value at the dot-separated `path` of a `stats` object, read by
+/// `as_t`.
+fn field<T>(v: &Json, path: &str, as_t: fn(&Json) -> Option<T>) -> Result<T, String> {
+    path.split('.')
+        .try_fold(v, |v, key| v.get(key))
+        .and_then(as_t)
+        .ok_or_else(|| format!("stats missing {path}"))
 }
 
 impl Sample {
     fn decode(v: &Json) -> Result<Sample, String> {
+        let int = |path| field(v, path, Json::as_u64);
+        let float = |path| field(v, path, Json::as_f64);
         Ok(Sample {
-            uptime_ms: v
-                .get("uptime_ms")
-                .and_then(Json::as_u64)
-                .ok_or("stats missing uptime_ms")?,
-            requests_total: field_u64(v, "requests", "total")?,
-            busy: field_u64(v, "requests", "busy")?,
-            timeouts: field_u64(v, "requests", "timeouts")?,
-            errors: field_u64(v, "requests", "errors")?,
-            cache_entries: field_u64(v, "cache", "entries")?,
-            hit_ratio: field_f64(v, "cache", "hit_ratio")?,
-            queue_depth: field_u64(v, "queue", "depth")?,
-            queue_capacity: field_u64(v, "queue", "capacity")?,
-            workers: field_u64(v, "workers", "count")?,
-            completed: field_u64(v, "workers", "completed")?,
-            utilization: field_f64(v, "workers", "utilization")?,
-            p50_us: field_u64(v, "latency", "p50_us")?,
-            p90_us: field_u64(v, "latency", "p90_us")?,
-            p99_us: field_u64(v, "latency", "p99_us")?,
-            p999_us: field_u64(v, "latency", "p999_us")?,
-            max_us: field_u64(v, "latency", "max_us")?,
+            uptime_ms: int("uptime_ms")?,
+            requests_total: int("requests.total")?,
+            busy: int("requests.busy")?,
+            timeouts: int("requests.timeouts")?,
+            errors: int("requests.errors")?,
+            cache_entries: int("cache.entries")?,
+            hit_ratio: float("cache.hit_ratio")?,
+            queue_depth: int("queue.depth")?,
+            queue_capacity: int("queue.capacity")?,
+            workers: int("workers.count")?,
+            completed: int("workers.completed")?,
+            utilization: float("workers.utilization")?,
+            p50_us: int("latency.p50_us")?,
+            p90_us: int("latency.p90_us")?,
+            p99_us: int("latency.p99_us")?,
+            p999_us: int("latency.p999_us")?,
+            max_us: int("latency.max_us")?,
         })
     }
 }

@@ -331,12 +331,16 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (input is a &str, so boundaries
-                // are valid; find the next char boundary).
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|_| "invalid utf-8")?;
-                let c = rest.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the run of plain bytes up to the next quote or
+                // backslash in one step, so a long string parses in
+                // linear time. Both stops are ASCII, so on a `&str`
+                // input the run ends on a char boundary.
+                let run = bytes[*pos..]
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .map_or(bytes.len(), |n| *pos + n);
+                out.push_str(std::str::from_utf8(&bytes[*pos..run]).map_err(|_| "invalid utf-8")?);
+                *pos = run;
             }
         }
     }
@@ -361,6 +365,7 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sp_testkit::SmallRng;
 
     #[test]
     fn roundtrips_scalars_and_containers() {
@@ -474,5 +479,89 @@ mod tests {
         assert_eq!(Json::Num(f64::NAN).encode(), "null");
         let big = 9_007_199_254_740_992.0f64;
         assert_eq!(Json::Num(big).encode(), "9007199254740992");
+    }
+
+    #[test]
+    fn a_64_kib_string_parses_whole() {
+        let unit = "plain ASCII, é, € and 😀 \"quoted\" \\ ";
+        let text = unit.repeat(64 * 1024 / unit.len());
+        let doc = Json::Str(text.clone()).encode();
+        assert!(doc.len() > 64 * 1024, "{} bytes", doc.len());
+        assert_eq!(Json::parse(&doc).unwrap(), Json::Str(text));
+    }
+
+    /// A finite number: an integer within ±2^53, a fraction, or any
+    /// finite bit pattern (subnormals and huge magnitudes included).
+    fn gen_num(rng: &mut SmallRng) -> f64 {
+        const EXACT: i64 = 1 << 53;
+        match rng.gen_range(0..3u32) {
+            0 => rng.gen_range(0..=2 * EXACT as u64) as f64 - EXACT as f64,
+            1 => (rng.gen_f64() - 0.5) * 10f64.powi(rng.gen_range(0..40u32) as i32 - 20),
+            _ => loop {
+                let n = f64::from_bits(rng.next_u64());
+                if n.is_finite() {
+                    break n;
+                }
+            },
+        }
+    }
+
+    /// A string over control characters, quotes, backslashes, ASCII,
+    /// and multi-byte characters in and beyond the BMP.
+    fn gen_string(rng: &mut SmallRng) -> String {
+        const SPECIAL: [char; 10] = [
+            '"',
+            '\\',
+            '/',
+            '\u{7f}',
+            'é',
+            '€',
+            '\u{2028}',
+            '😀',
+            '\u{10ffff}',
+            ' ',
+        ];
+        sp_testkit::gen_vec(rng, 0..12, |rng| match rng.gen_range(0..3u32) {
+            0 => char::from(rng.gen_range(0..0x20u32) as u8),
+            1 => char::from(rng.gen_range(0x20..0x7fu32) as u8),
+            _ => SPECIAL[rng.gen_range(0..SPECIAL.len())],
+        })
+        .into_iter()
+        .collect()
+    }
+
+    fn gen_scalar(rng: &mut SmallRng) -> Json {
+        match rng.gen_range(0..5u32) {
+            0 => Json::Null,
+            1 => Json::Bool(rng.gen_bool(0.5)),
+            2 => Json::Num(gen_num(rng)),
+            _ => Json::Str(gen_string(rng)),
+        }
+    }
+
+    /// A value whose containers nest exactly `depth` levels: each level
+    /// holds a few scalars beside the one child that goes deeper.
+    fn gen_nested(rng: &mut SmallRng, depth: usize) -> Json {
+        if depth == 0 {
+            return gen_scalar(rng);
+        }
+        let mut items = sp_testkit::gen_vec(rng, 0..3, gen_scalar);
+        let at = rng.gen_range(0..=items.len());
+        items.insert(at, gen_nested(rng, depth - 1));
+        if rng.gen_bool(0.5) {
+            Json::Arr(items)
+        } else {
+            Json::Obj(items.into_iter().map(|v| (gen_string(rng), v)).collect())
+        }
+    }
+
+    #[test]
+    fn parse_inverts_encode() {
+        sp_testkit::check(512, |rng| {
+            let depth = rng.gen_range(0..=MAX_DEPTH);
+            let v = gen_nested(rng, depth);
+            let text = v.encode();
+            assert_eq!(Json::parse(&text).as_ref(), Ok(&v), "{text}");
+        });
     }
 }

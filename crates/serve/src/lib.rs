@@ -15,11 +15,11 @@
 //!   envelopes. Keys are built from *resolved* values, so every spelling
 //!   of the same request shares one cache entry.
 //! * [`cache`] — the sharded LRU result cache.
-//! * [`metrics`] — request/cache/queue counters and a fixed-bucket
-//!   latency histogram, served by the `stats` request.
-//! * [`prom`] — the same counters (plus aggregate prefetch-event
-//!   totals) rendered as Prometheus text exposition, served by the
-//!   `metrics` request.
+//! * [`metrics`] — request/cache/queue counters and log-linear latency
+//!   and stage histograms, declared once as metric families and
+//!   rendered both as the `stats` reply and as the Prometheus text
+//!   exposition the `metrics` request serves (with the aggregate
+//!   prefetch-event and epoch totals).
 //! * [`engine`] — executes commands against the sp-core simulation
 //!   stack, memoizing workload traces.
 //! * [`server`] — the accept loop, per-connection handlers, deadlines,
@@ -38,7 +38,6 @@ pub mod cache;
 pub mod engine;
 pub mod json;
 pub mod metrics;
-pub mod prom;
 pub mod protocol;
 pub mod server;
 
@@ -46,10 +45,6 @@ pub use cache::{fnv1a64, ResultCache};
 pub use engine::{EpochTotals, EventTotals, SimEngine};
 pub use json::Json;
 pub use metrics::{Metrics, StageTimes, STAGES};
-pub use prom::{
-    render as render_prometheus, render_loadgen, render_stage_seconds, LoadgenSnapshot,
-    PromSnapshot,
-};
 pub use protocol::{error_response, ok_response, Command, Request, SimSpec};
 pub use server::{Server, ServerConfig, MAX_CONNECTIONS};
 
