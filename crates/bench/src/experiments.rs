@@ -274,7 +274,7 @@ pub fn fig5_epoch_fixture(jobs: usize) -> (Sweep, sp_core::SweepEpochs, Option<u
     let trace = Scale::Test.workload(Benchmark::Mcf).trace();
     let bound = recommend_distance(&trace, &cfg).max_distance;
     let ct = std::sync::Arc::new(sp_core::compile_trace(&trace, &cfg));
-    let (sweep, epochs, report) = sp_core::sweep_epochs_compiled_jobs_with(
+    let Ok((sweep, epochs, report)) = sp_core::sweep_epochs_compiled_jobs_with(
         &ct,
         cfg,
         0.5,
@@ -282,8 +282,7 @@ pub fn fig5_epoch_fixture(jobs: usize) -> (Sweep, sp_core::SweepEpochs, Option<u
         sp_core::EngineOptions::default(),
         FIG5_EPOCH_LEN,
         jobs,
-    )
-    .expect("compiled against this geometry");
+    );
     (sweep, epochs, bound, report)
 }
 

@@ -547,7 +547,7 @@ mod tests {
         let w = sp_workloads::Workload::tiny(sp_workloads::Benchmark::Em3d);
         let cfg = sp_cachesim::CacheConfig::scaled_default();
         let ct = std::sync::Arc::new(sp_core::compile_trace(&w.trace(), &cfg));
-        let (sweep, epochs, _) = sp_core::sweep_epochs_compiled_jobs_with(
+        let Ok((sweep, epochs, _)) = sp_core::sweep_epochs_compiled_jobs_with(
             &ct,
             cfg,
             0.5,
@@ -555,8 +555,7 @@ mod tests {
             sp_core::EngineOptions::default(),
             256,
             1,
-        )
-        .unwrap();
+        );
         (sweep, epochs)
     }
 

@@ -7,10 +7,11 @@
 //! every mutating operation does exactly one such scan — callers get the
 //! way index back and reuse it instead of re-probing.
 //!
-//! The `*_at` methods take precomputed `(set, tag)` projections (from a
-//! compiled trace); the address-taking methods are thin wrappers that
-//! project first. Both paths share one implementation, so their counter
-//! behaviour is identical by construction.
+//! The `*_at` methods take a precomputed `(set, tag)` projection (the
+//! memory system projects each reference once and reuses the pair for
+//! its probe and fill); the address-taking methods are thin wrappers
+//! that project first. Both paths share one implementation, so their
+//! counter behaviour is identical by construction.
 
 use crate::geometry::CacheGeometry;
 use crate::replacement::{Policy, PolicyEngine};

@@ -177,15 +177,6 @@ impl CacheConfig {
         self
     }
 
-    /// The address-mapping geometry compiled traces must match to run on
-    /// a [`MemorySystem`](crate::MemorySystem) built from this config.
-    pub fn trace_geometry(&self) -> sp_trace::TraceGeometry {
-        sp_trace::TraceGeometry {
-            l1: self.l1.level_geometry(),
-            l2: self.l2.level_geometry(),
-        }
-    }
-
     /// Validate cross-field invariants.
     ///
     /// # Panics

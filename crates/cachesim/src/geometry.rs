@@ -100,12 +100,6 @@ impl CacheGeometry {
     pub fn block_from(&self, set: u64, tag: u64) -> VAddr {
         ((tag << self.sets().trailing_zeros()) | set) << self.line_shift()
     }
-
-    /// The address-mapping subset of this geometry, as the key type
-    /// compiled traces are built against.
-    pub fn level_geometry(&self) -> sp_trace::LevelGeometry {
-        sp_trace::LevelGeometry::new(self.line_size, self.sets())
-    }
 }
 
 #[cfg(test)]

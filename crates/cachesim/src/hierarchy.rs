@@ -45,7 +45,7 @@ use crate::prefetcher::{
     DplPrefetcher, HwPrefetcher, PerceptronPrefetcher, PointerChasePrefetcher, StreamPrefetcher,
 };
 use crate::stats::{prefetch_class, MemStats};
-use sp_trace::{AccessKind, CompiledRef, MemRef, VAddr};
+use sp_trace::{AccessKind, MemRef, VAddr};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -416,7 +416,20 @@ impl MemorySystem {
     /// across calls, or if `mref.kind` is `Prefetch` (use
     /// [`prefetch_access`](Self::prefetch_access)).
     pub fn demand_access(&mut self, entity: Entity, mref: MemRef, now: Cycle) -> AccessResult {
-        self.access_pre(entity, &self.project(mref), now, false, &mut NullSink)
+        self.access(entity, mref, now, false, &mut NullSink)
+    }
+
+    /// [`demand_access`](Self::demand_access) with an event sink
+    /// attached. With [`NullSink`] this monomorphizes to exactly the
+    /// sink-free path.
+    pub fn demand_access_ev<S: EventSink>(
+        &mut self,
+        entity: Entity,
+        mref: MemRef,
+        now: Cycle,
+        sink: &mut S,
+    ) -> AccessResult {
+        self.access(entity, mref, now, false, sink)
     }
 
     /// A helper-thread *load of a delinquent reference*: a real, blocking
@@ -426,63 +439,13 @@ impl MemorySystem {
     /// thread* touch counts as a useful prefetch, and its eviction before
     /// main-thread use counts as pollution.
     pub fn helper_load(&mut self, mref: MemRef, now: Cycle) -> AccessResult {
-        self.helper_load_pre(&self.project(mref), now)
+        self.helper_load_ev(mref, now, &mut NullSink)
     }
 
-    /// Compute the cache-address projections of `mref` for this system's
-    /// geometry — what [`sp_trace::CompiledTrace::get`] derives for each
-    /// reference of a compiled trace. The scalar entry points project on
-    /// the fly and feed the same `*_pre` implementations the compiled
-    /// replay uses, so both paths produce identical counters by
-    /// construction.
-    pub fn project(&self, mref: MemRef) -> CompiledRef {
-        CompiledRef {
-            vaddr: mref.vaddr,
-            block: self.cfg.l2.block_of(mref.vaddr),
-            l1_set: self.cfg.l1.set_of(mref.vaddr) as u32,
-            l1_tag: self.cfg.l1.tag_of(mref.vaddr),
-            l2_set: self.cfg.l2.set_of(mref.vaddr) as u32,
-            l2_tag: self.cfg.l2.tag_of(mref.vaddr),
-            kind: mref.kind,
-            site: mref.site,
-        }
-    }
-
-    /// [`demand_access`](Self::demand_access) with the projections already
-    /// computed (compiled-trace replay).
-    pub fn demand_access_pre(
+    /// [`helper_load`](Self::helper_load) with an event sink attached.
+    pub fn helper_load_ev<S: EventSink>(
         &mut self,
-        entity: Entity,
-        cr: &CompiledRef,
-        now: Cycle,
-    ) -> AccessResult {
-        self.access_pre(entity, cr, now, false, &mut NullSink)
-    }
-
-    /// [`demand_access_pre`](Self::demand_access_pre) with an event sink
-    /// attached. With [`NullSink`] this monomorphizes to exactly the
-    /// sink-free path.
-    pub fn demand_access_pre_ev<S: EventSink>(
-        &mut self,
-        entity: Entity,
-        cr: &CompiledRef,
-        now: Cycle,
-        sink: &mut S,
-    ) -> AccessResult {
-        self.access_pre(entity, cr, now, false, sink)
-    }
-
-    /// [`helper_load`](Self::helper_load) with the projections already
-    /// computed (compiled-trace replay).
-    pub fn helper_load_pre(&mut self, cr: &CompiledRef, now: Cycle) -> AccessResult {
-        self.helper_load_pre_ev(cr, now, &mut NullSink)
-    }
-
-    /// [`helper_load_pre`](Self::helper_load_pre) with an event sink
-    /// attached.
-    pub fn helper_load_pre_ev<S: EventSink>(
-        &mut self,
-        cr: &CompiledRef,
+        mref: MemRef,
         now: Cycle,
         sink: &mut S,
     ) -> AccessResult {
@@ -490,47 +453,48 @@ impl MemorySystem {
         if S::ENABLED {
             sink.emit(Event::PrefetchIssued {
                 class: PfClass::Helper,
-                block: cr.block,
+                block: self.cfg.l2.block_of(mref.vaddr),
                 at: now,
             });
         }
-        self.access_pre(Entity::Helper, cr, now, true, sink)
+        self.access(Entity::Helper, mref, now, true, sink)
     }
 
-    fn access_pre<S: EventSink>(
+    /// The one demand path: `mref` is projected onto this system's L1
+    /// and L2 sets here, once per access.
+    fn access<S: EventSink>(
         &mut self,
         entity: Entity,
-        cr: &CompiledRef,
+        mref: MemRef,
         now: Cycle,
         speculative: bool,
         sink: &mut S,
     ) -> AccessResult {
-        debug_assert!(cr.kind != AccessKind::Prefetch, "use prefetch_access");
+        debug_assert!(mref.kind != AccessKind::Prefetch, "use prefetch_access");
         debug_assert!(now >= self.last_now, "accesses must arrive in time order");
         self.last_now = now;
         debug_assert!(matches!(entity, Entity::Main | Entity::Helper));
-        debug_assert_eq!(
-            *cr,
-            self.project(cr.mem_ref()),
-            "projections must match this system's geometry"
-        );
         self.drain(now, sink);
 
+        let (l1, l2) = (self.cfg.l1, self.cfg.l2);
+        let vaddr = mref.vaddr;
+        let block = l2.block_of(vaddr);
+        let (l1_set, l1_tag) = (l1.set_of(vaddr) as u32, l1.tag_of(vaddr));
+        let (l2_set, l2_tag) = (l2.set_of(vaddr) as u32, l2.tag_of(vaddr));
         let core = Self::core_of(entity);
         let is_main = entity == Entity::Main;
         let lat = self.cfg.latency;
-        let block = cr.block;
-        let is_store = cr.kind == AccessKind::Store;
+        let is_store = mref.kind == AccessKind::Store;
 
         // L1 probe.
-        if self.l1[core].touch_hit_at(cr.l1_set, cr.l1_tag, is_store, true) {
+        if self.l1[core].touch_hit_at(l1_set, l1_tag, is_store, true) {
             let result = AccessResult {
                 class: HitClass::L1Hit,
                 complete_at: now + lat.l1_hit,
             };
             self.note(entity, HitClass::L1Hit, result.latency(now));
             if S::DEMAND_TICKS {
-                sink.demand_tick(entity, HitClass::L1Hit, cr.l2_set, self.mshr.len(), now);
+                sink.demand_tick(entity, HitClass::L1Hit, l2_set, self.mshr.len(), now);
             }
             return result;
         }
@@ -538,9 +502,8 @@ impl MemorySystem {
 
         // L2 probe. Only main-thread touches mark the line *used* (the
         // paper's pollution cases are about data the processor reuses).
-        let (class, complete_at) = if let Some((fresh_prefetch, filler)) = self
-            .l2
-            .touch_classify_at(cr.l2_set, cr.l2_tag, is_store, is_main)
+        let (class, complete_at) = if let Some((fresh_prefetch, filler)) =
+            self.l2.touch_classify_at(l2_set, l2_tag, is_store, is_main)
         {
             if is_main && fresh_prefetch {
                 if let Some(cls) = prefetch_class(filler) {
@@ -551,7 +514,7 @@ impl MemorySystem {
                         sink.emit(Event::PrefetchFirstUse {
                             class,
                             block,
-                            set: cr.l2_set,
+                            set: l2_set,
                             at: now,
                         });
                     }
@@ -560,7 +523,7 @@ impl MemorySystem {
             // Install in the core's L1 (fill-on-L2-hit); a dirty L1
             // victim writes through to the L2 if still present there,
             // otherwise straight to memory (non-inclusive hierarchy).
-            if let Some(l1_ev) = self.l1[core].fill_at(cr.l1_set, cr.l1_tag, entity, false) {
+            if let Some(l1_ev) = self.l1[core].fill_at(l1_set, l1_tag, entity, false) {
                 if l1_ev.dirty && self.l2.touch(l1_ev.block, true, false).is_none() {
                     self.stats.l1_writeback_misses += 1;
                     self.bus.request(t_l2);
@@ -587,7 +550,7 @@ impl MemorySystem {
                         sink.emit(Event::PrefetchFirstUse {
                             class,
                             block,
-                            set: cr.l2_set,
+                            set: l2_set,
                             at: now,
                         });
                     }
@@ -601,7 +564,7 @@ impl MemorySystem {
                     sink.emit(Event::PollutionEviction {
                         case: PollutionCase::Reuse,
                         block,
-                        set: cr.l2_set,
+                        set: l2_set,
                         at: now,
                     });
                 }
@@ -621,7 +584,7 @@ impl MemorySystem {
                     sink.emit(Event::PollutionEviction {
                         case: PollutionCase::Reuse,
                         block,
-                        set: cr.l2_set,
+                        set: l2_set,
                         at: now,
                     });
                 }
@@ -633,7 +596,7 @@ impl MemorySystem {
         let result = AccessResult { class, complete_at };
         self.note(entity, class, result.latency(now));
         if S::DEMAND_TICKS {
-            sink.demand_tick(entity, class, cr.l2_set, self.mshr.len(), now);
+            sink.demand_tick(entity, class, l2_set, self.mshr.len(), now);
         }
 
         // Train the core's hardware prefetchers on the post-L1 stream,
@@ -644,9 +607,9 @@ impl MemorySystem {
             let mut cands = std::mem::take(&mut self.hw_cands);
             match self.cfg.hw_backend {
                 HwBackend::StreamerDpl => {
-                    self.streamers[core].observe(cr.site, block, &mut cands);
+                    self.streamers[core].observe(mref.site, block, &mut cands);
                     let n_stream = cands.len();
-                    self.dpls[core].observe(cr.site, cr.vaddr, &mut cands);
+                    self.dpls[core].observe(mref.site, vaddr, &mut cands);
                     for (i, &b) in cands.iter().enumerate() {
                         let who = if i < n_stream {
                             Entity::HwStream(core as u8)
@@ -657,25 +620,25 @@ impl MemorySystem {
                     }
                 }
                 HwBackend::Streamer => {
-                    self.streamers[core].observe(cr.site, block, &mut cands);
+                    self.streamers[core].observe(mref.site, block, &mut cands);
                     for &b in &cands {
                         self.issue_prefetch_block(b, Entity::HwStream(core as u8), t_l2, sink);
                     }
                 }
                 HwBackend::Dpl => {
-                    self.dpls[core].observe(cr.site, cr.vaddr, &mut cands);
+                    self.dpls[core].observe(mref.site, vaddr, &mut cands);
                     for &b in &cands {
                         self.issue_prefetch_block(b, Entity::HwDpl(core as u8), t_l2, sink);
                     }
                 }
                 HwBackend::PointerChase => {
-                    self.pchases[core].observe(cr.site, block, &mut cands);
+                    self.pchases[core].observe(mref.site, block, &mut cands);
                     for &b in &cands {
                         self.issue_prefetch_block(b, Entity::HwPchase(core as u8), t_l2, sink);
                     }
                 }
                 HwBackend::Perceptron => {
-                    self.perceptrons[core].observe(cr.site, cr.vaddr, &mut cands);
+                    self.perceptrons[core].observe(mref.site, vaddr, &mut cands);
                     for &b in &cands {
                         self.issue_prefetch_block(b, Entity::HwPerceptron(core as u8), t_l2, sink);
                     }
@@ -691,20 +654,14 @@ impl MemorySystem {
     /// issuing core does not stall; the returned `complete_at` covers only
     /// the issue cost.
     pub fn prefetch_access(&mut self, mref: MemRef, now: Cycle) -> AccessResult {
-        self.prefetch_access_pre(&self.project(mref), now)
+        self.prefetch_access_ev(mref, now, &mut NullSink)
     }
 
-    /// [`prefetch_access`](Self::prefetch_access) with the projections
-    /// already computed (compiled-trace replay).
-    pub fn prefetch_access_pre(&mut self, cr: &CompiledRef, now: Cycle) -> AccessResult {
-        self.prefetch_access_pre_ev(cr, now, &mut NullSink)
-    }
-
-    /// [`prefetch_access_pre`](Self::prefetch_access_pre) with an event
-    /// sink attached.
-    pub fn prefetch_access_pre_ev<S: EventSink>(
+    /// [`prefetch_access`](Self::prefetch_access) with an event sink
+    /// attached.
+    pub fn prefetch_access_ev<S: EventSink>(
         &mut self,
-        cr: &CompiledRef,
+        mref: MemRef,
         now: Cycle,
         sink: &mut S,
     ) -> AccessResult {
@@ -712,25 +669,24 @@ impl MemorySystem {
         self.last_now = now;
         self.drain(now, sink);
         self.stats.prefetches_issued[0] += 1;
+        let block = self.cfg.l2.block_of(mref.vaddr);
         // Issued is emitted even when the prefetch is dropped (already
         // cached, in flight, MSHR full) — mirroring `prefetches_issued`.
         if S::ENABLED {
             sink.emit(Event::PrefetchIssued {
                 class: PfClass::Helper,
-                block: cr.block,
+                block,
                 at: now,
             });
         }
-        self.issue_prefetch_pre(cr.block, cr.l2_set, cr.l2_tag, Entity::Helper, now);
+        self.issue_prefetch(block, Entity::Helper, now);
         AccessResult {
             class: HitClass::L1Hit,
             complete_at: now + self.cfg.latency.prefetch_issue,
         }
     }
 
-    /// Route a hardware-prefetcher candidate into the L2. Candidate
-    /// blocks are computed at runtime, so their projections are too (two
-    /// shifts — not worth precompiling).
+    /// Route a hardware-prefetcher candidate into the L2.
     fn issue_prefetch_block<S: EventSink>(
         &mut self,
         block: VAddr,
@@ -750,15 +706,14 @@ impl MemorySystem {
                 });
             }
         }
-        let set = self.cfg.l2.set_of(block) as u32;
-        let tag = self.cfg.l2.tag_of(block);
-        self.issue_prefetch_pre(block, set, tag, who, now);
+        self.issue_prefetch(block, who, now);
     }
 
     /// Shared prefetch path: drop if already cached, in flight, or no
     /// MSHR room (prefetches never stall anyone).
-    fn issue_prefetch_pre(&mut self, block: VAddr, set: u32, tag: u64, who: Entity, now: Cycle) {
-        if self.l2.promote(set, tag) {
+    fn issue_prefetch(&mut self, block: VAddr, who: Entity, now: Cycle) {
+        let l2 = self.cfg.l2;
+        if self.l2.promote(l2.set_of(block) as u32, l2.tag_of(block)) {
             // Present: promoted so an imminent reuse isn't evicted
             // (prefetch hint), exactly as a refill of a cached block would.
             return;
@@ -1092,44 +1047,16 @@ mod tests {
         assert_eq!(first, fresh, "reset must equal a fresh build");
     }
 
-    #[test]
-    fn pre_projected_path_matches_scalar_path() {
-        let mut cfg = tiny_cfg();
-        cfg.hw_prefetchers = true;
-        let mut scalar = MemorySystem::new(cfg);
-        let mut pre = MemorySystem::new(cfg);
-        let mut t = 0;
-        for i in 0..60u64 {
-            let mref = load((i % 11) * 64 * 3);
-            let cr = pre.project(mref);
-            let (a, b) = match i % 3 {
-                0 => (
-                    scalar.demand_access(Entity::Main, mref, t),
-                    pre.demand_access_pre(Entity::Main, &cr, t),
-                ),
-                1 => (scalar.helper_load(mref, t), pre.helper_load_pre(&cr, t)),
-                _ => (
-                    scalar.prefetch_access(mref, t),
-                    pre.prefetch_access_pre(&cr, t),
-                ),
-            };
-            assert_eq!(a, b, "access {i}");
-            t = a.complete_at + 1;
-        }
-        assert_eq!(scalar.finish(), pre.finish());
-    }
-
     /// Drive a mixed main/helper workload with conflict misses through a
     /// sink, returning the final stats and the sink.
     fn eventful_run<S: crate::events::EventSink>(m: &mut MemorySystem, sink: &mut S) -> MemStats {
         let mut t = 0;
         for i in 0..60u64 {
             let mref = load((i % 9) * 64 * 5);
-            let cr = m.project(mref);
             let r = match i % 3 {
-                0 => m.demand_access_pre_ev(Entity::Main, &cr, t, sink),
-                1 => m.helper_load_pre_ev(&cr, t, sink),
-                _ => m.prefetch_access_pre_ev(&cr, t, sink),
+                0 => m.demand_access_ev(Entity::Main, mref, t, sink),
+                1 => m.helper_load_ev(mref, t, sink),
+                _ => m.prefetch_access_ev(mref, t, sink),
             };
             t = r.complete_at + 1;
         }
@@ -1172,17 +1099,14 @@ mod tests {
         let (a, b, c) = (0x0000, 0x1000, 0x2000);
         let mut t = 0;
         for addr in [a, b] {
-            let cr = m.project(load(addr));
             t = m
-                .demand_access_pre_ev(Entity::Main, &cr, t, &mut sink)
+                .demand_access_ev(Entity::Main, load(addr), t, &mut sink)
                 .complete_at
                 + 1;
         }
-        let cr = m.project(load(c));
-        m.prefetch_access_pre_ev(&cr, t, &mut sink);
+        m.prefetch_access_ev(load(c), t, &mut sink);
         t += m.config().latency.mem + m.config().latency.bus_service + 10;
-        let cr = m.project(load(a));
-        m.demand_access_pre_ev(Entity::Main, &cr, t, &mut sink);
+        m.demand_access_ev(Entity::Main, load(a), t, &mut sink);
         let s = m.finish_stats_ev(&mut sink);
         assert_eq!(s.pollution.reuse_evictions, 1);
         let reuse_events: Vec<_> = sink

@@ -1,11 +1,11 @@
 //! A compiled trace stores only `vaddr`, `site` and `kind` per reference
-//! and derives `block / set / tag` on every [`CompiledTrace::get`]. Those
-//! derived projections must equal what [`MemorySystem::project`] computes
-//! for the same reference, for every kernel and every geometry a trace
-//! can be compiled for.
+//! and carries no cache geometry: [`CompiledTrace::get`] hands back the
+//! trace's own [`MemRef`]s and [`MemorySystem`] projects them onto its
+//! sets. So one compiled trace must replay as the trace itself on every
+//! machine, for every kernel.
 
-use sp_cachesim::{CacheConfig, CacheGeometry, HwBackend, MemorySystem};
-use sp_trace::CompiledTrace;
+use sp_cachesim::{CacheConfig, CacheGeometry, Entity, HwBackend, MemStats, MemorySystem};
+use sp_trace::{CompiledTrace, HotLoopTrace, MemRef};
 use sp_workloads::{KernelKind, KernelSpec};
 
 /// The two benchmark machines plus geometries at the edges of the
@@ -40,38 +40,56 @@ fn machines() -> Vec<(&'static str, CacheConfig)> {
     ]
 }
 
+/// The engine's original (main-thread-only) replay done by hand: every
+/// reference a blocking demand access, then the iteration's compute.
+/// Returns the final clock and the counters.
+fn hand_walk(trace: &HotLoopTrace, cfg: CacheConfig) -> (u64, MemStats) {
+    let mut m = MemorySystem::new(cfg);
+    let mut t = 0;
+    for it in &trace.iters {
+        for r in it.refs() {
+            t = m.demand_access(Entity::Main, *r, t).complete_at;
+        }
+        t += it.compute_cycles;
+    }
+    (t, m.finish())
+}
+
 #[test]
-fn derived_projections_match_the_scalar_projection() {
+fn compiled_replay_yields_the_trace_refs_on_every_machine() {
     let machines = machines();
     for kind in KernelKind::ALL {
         let trace = KernelSpec::tiny(kind).build().trace();
+        let ct = CompiledTrace::compile(&trace);
+        let walked: Vec<MemRef> = trace
+            .iters
+            .iter()
+            .flat_map(|it| it.refs())
+            .copied()
+            .collect();
+        let replayed: Vec<MemRef> = (0..ct.total_refs()).map(|i| ct.get(i)).collect();
+        assert_eq!(replayed, walked, "{}", kind.name());
+        // One compiled trace serves every machine: the engine's replay
+        // of it is the hand walk of the trace on each.
         for (name, cfg) in &machines {
-            let ct = CompiledTrace::compile(&trace, cfg.trace_geometry());
-            let m = MemorySystem::new(*cfg);
-            let mut n = 0;
-            for (i, r) in trace.iters.iter().flat_map(|it| it.refs()).enumerate() {
-                assert_eq!(
-                    ct.get(i),
-                    m.project(*r),
-                    "{} on {name}: reference {i}",
-                    kind.name()
-                );
-                n += 1;
-            }
-            assert_eq!(n, ct.total_refs(), "{} on {name}", kind.name());
+            let Ok(run) = sp_core::run_original_passes_compiled(&ct, *cfg, 1);
+            assert_eq!(
+                (run.runtime, run.stats),
+                hand_walk(&trace, *cfg),
+                "{} on {name}",
+                kind.name()
+            );
         }
     }
 }
 
 #[test]
 fn edge_geometries_are_what_they_claim() {
-    let sets = |g: CacheGeometry| g.level_geometry().sets;
-    let lines = |g: CacheGeometry| g.level_geometry().line_size;
     let m = machines();
-    assert_eq!(sets(m[2].1.l1), 1);
-    assert_eq!((lines(m[3].1.l1), lines(m[3].1.l2)), (32, 32));
-    assert_eq!((lines(m[4].1.l1), lines(m[4].1.l2)), (128, 128));
-    assert_eq!(sets(m[5].1.l2), 4096);
+    assert_eq!(m[2].1.l1.sets(), 1);
+    assert_eq!((m[3].1.l1.line_size, m[3].1.l2.line_size), (32, 32));
+    assert_eq!((m[4].1.l1.line_size, m[4].1.l2.line_size), (128, 128));
+    assert_eq!(m[5].1.l2.sets(), 4096);
     for (_, cfg) in &m {
         cfg.validate();
     }

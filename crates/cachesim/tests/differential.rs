@@ -6,15 +6,15 @@
 //! The tests drive it and the production [`SetAssocCache`] with identical
 //! operation streams (seeded synthetic mixes and the EM3D/MCF/MST
 //! test-scale traces) and demand bit-identical outcomes at every step,
-//! plus bit-identical [`MemStats`] between the scalar and precompiled
-//! `MemorySystem` entry points.
+//! plus bit-identical [`MemStats`] between an sp-core run over a compiled
+//! trace and a hand-driven `MemorySystem` walk of the same trace.
 
 use sp_cachesim::cache::{Evicted, Line};
 use sp_cachesim::replacement::PolicyEngine;
 use sp_cachesim::{
     CacheConfig, CacheGeometry, Entity, HwBackend, MemStats, MemorySystem, Policy, SetAssocCache,
 };
-use sp_trace::{MemRef, VAddr};
+use sp_trace::{HotLoopTrace, VAddr};
 use sp_workloads::{Benchmark, KernelKind, ScaleTier, Workload, WorkloadBuilder};
 
 /// The pre-overhaul cache: one `Line` struct per way, linear probe over
@@ -354,54 +354,51 @@ fn mst_trace_matches_reference() {
     differential_trace(Benchmark::Mst);
 }
 
-/// The scalar entry points (`demand_access`, which projects on the fly)
-/// and the precompiled entry points (`demand_access_pre` over
-/// [`MemorySystem::project`]ed records) must produce bit-identical
+/// The engine's original (main-thread-only) replay done by hand: every
+/// reference a blocking demand access, then the iteration's compute.
+fn hand_walk(trace: &HotLoopTrace, cfg: CacheConfig) -> MemStats {
+    let mut m = MemorySystem::new(cfg);
+    let mut t = 0;
+    for it in &trace.iters {
+        for r in it.refs() {
+            t = m.demand_access(Entity::Main, *r, t).complete_at;
+        }
+        t += it.compute_cycles;
+    }
+    m.finish()
+}
+
+/// An sp-core run over the compiled trace and a hand-driven
+/// [`MemorySystem`] walk of the trace itself must produce bit-identical
 /// statistics — hit classes, per-entity fills, and all three pollution
-/// counters — over the real workload traces.
-fn scalar_vs_precompiled_cfg(cfg: CacheConfig, refs: &[MemRef], label: &str) -> MemStats {
-    let mut scalar = MemorySystem::new(cfg);
-    let mut t = 0u64;
-    for r in refs {
-        t = scalar.demand_access(Entity::Main, *r, t).complete_at;
-    }
-
-    let mut pre = MemorySystem::new(cfg);
-    let compiled: Vec<_> = refs.iter().map(|r| pre.project(*r)).collect();
-    let mut t = 0u64;
-    for cr in &compiled {
-        t = pre.demand_access_pre(Entity::Main, cr, t).complete_at;
-    }
-
-    let (s, p) = (scalar.finish(), pre.finish());
-    assert_eq!(s, p, "{label}: scalar and precompiled stats diverged");
-    s
-}
-
-fn trace_refs(trace: &sp_trace::HotLoopTrace) -> Vec<MemRef> {
-    trace.tagged_refs().map(|(_, r)| *r).collect()
-}
-
-fn scalar_vs_precompiled(b: Benchmark) -> MemStats {
-    let refs = trace_refs(&Workload::tiny(b).trace());
-    scalar_vs_precompiled_cfg(CacheConfig::scaled_default(), &refs, &format!("{b:?}"))
+/// counters.
+fn engine_vs_hand_walk(cfg: CacheConfig, trace: &HotLoopTrace, label: &str) -> MemStats {
+    let ct = sp_core::compile_trace(trace, &cfg);
+    let Ok(run) = sp_core::run_original_passes_compiled(&ct, cfg, 1);
+    assert_eq!(
+        run.stats,
+        hand_walk(trace, cfg),
+        "{label}: engine and hand walk diverged"
+    );
+    run.stats
 }
 
 #[test]
-fn workload_stats_scalar_equals_precompiled() {
+fn workload_stats_engine_run_equals_hand_walk() {
     for b in [Benchmark::Em3d, Benchmark::Mcf, Benchmark::Mst] {
-        let stats = scalar_vs_precompiled(b);
+        let trace = Workload::tiny(b).trace();
+        let stats = engine_vs_hand_walk(CacheConfig::scaled_default(), &trace, &format!("{b:?}"));
         assert!(stats.main.total_misses > 0, "{b:?} should miss");
     }
 }
 
-/// Every hardware backend over every LDS trace: the scalar and
-/// precompiled entry points must stay bit-identical when the new
+/// Every hardware backend over every LDS trace: the engine run and the
+/// hand walk must stay bit-identical when the new
 /// pointer-chase and perceptron prefetchers are the ones injecting
 /// fills, and each backend's fill attribution must land in its own
 /// `l2_fills_by` slot.
 #[test]
-fn lds_backend_stats_scalar_equals_precompiled() {
+fn lds_backend_stats_engine_run_equals_hand_walk() {
     // Activity and fill attribution for the new backends, aggregated
     // across the LDS kernels: one kernel may legitimately stay quiet in
     // this main-thread-only harness (per-kernel activity under the full
@@ -417,11 +414,11 @@ fn lds_backend_stats_scalar_equals_precompiled() {
         ..CacheConfig::scaled_default()
     };
     for kind in KernelKind::LDS {
-        let refs = trace_refs(&WorkloadBuilder::new(kind).tier(ScaleTier::Tiny).trace());
+        let trace = WorkloadBuilder::new(kind).tier(ScaleTier::Tiny).trace();
         for backend in HwBackend::ALL {
             let cfg = small.with_hw_backend(backend);
             let label = format!("{} under {}", kind.name(), backend.name());
-            let stats = scalar_vs_precompiled_cfg(cfg, &refs, &label);
+            let stats = engine_vs_hand_walk(cfg, &trace, &label);
             assert!(stats.main.total_misses > 0, "{label}: should miss");
             match backend {
                 HwBackend::PointerChase => {

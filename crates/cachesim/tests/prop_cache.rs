@@ -115,11 +115,11 @@ fn eviction_reports_real_victims() {
     });
 }
 
-/// Geometry roundtrip holds for arbitrary addresses and shapes.
+/// Geometry roundtrip holds, and the mapping is the division mapping,
+/// for arbitrary addresses and shapes.
 #[test]
 fn geometry_roundtrip() {
     check(256, |rng| {
-        let addr = rng.gen_range(0u64..(1 << 40));
         let size = 1u64 << rng.gen_range(10u32..24);
         let ways = 1u32 << rng.gen_range(0u32..5);
         let line = 1u64 << rng.gen_range(5u32..8);
@@ -127,9 +127,23 @@ fn geometry_roundtrip() {
             return; // shape would have fewer lines than ways
         }
         let g = CacheGeometry::new(size, ways, line);
-        let block = g.block_of(addr);
-        assert_eq!(g.block_from(g.set_of(addr), g.tag_of(addr)), block);
-        assert!(g.set_of(addr) < g.sets());
+        let sets = g.sets();
+        assert_eq!(sets * u64::from(ways) * line, size);
+        // The shift/mask mapping is the division mapping, over the whole
+        // address space up to the last block.
+        let top = u64::MAX - line + 1;
+        for addr in [
+            rng.gen_range(0u64..(1 << 40)),
+            rng.gen_range(0..=top),
+            top,
+            0,
+        ] {
+            let block = g.block_of(addr);
+            assert_eq!(block, addr / line * line, "{addr:#x} in {g:?}");
+            assert_eq!(g.set_of(addr), (addr / line) % sets, "{addr:#x} in {g:?}");
+            assert_eq!(g.tag_of(addr), addr / line / sets, "{addr:#x} in {g:?}");
+            assert_eq!(g.block_from(g.set_of(addr), g.tag_of(addr)), block);
+        }
     });
 }
 

@@ -195,15 +195,14 @@ fn sweep(a: &Args) -> Result<(), String> {
     let jobs: usize = a.get_or("jobs", 0)?; // 0 = all cores
     let (s, ev, rep) = if a.switch("events") {
         let ct = std::sync::Arc::new(sp_core::compile_trace(&trace, &cfg));
-        let (s, ev, rep) = sp_core::sweep_events_compiled_jobs_with(
+        let Ok((s, ev, rep)) = sp_core::sweep_events_compiled_jobs_with(
             &ct,
             cfg,
             rp,
             &ds,
             sp_core::EngineOptions::default(),
             jobs,
-        )
-        .map_err(|e| e.to_string())?;
+        );
         (s, Some(ev), rep)
     } else {
         let (s, rep) = sp_core::sweep_distances_jobs(&trace, cfg, rp, &ds, jobs);
@@ -303,7 +302,7 @@ fn report(a: &Args) -> Result<(), String> {
     }
     let jobs: usize = a.get_or("jobs", 0)?; // 0 = all cores
     let ct = std::sync::Arc::new(sp_core::compile_trace(&trace, &cfg));
-    let (s, epochs, rep) = sp_core::sweep_epochs_compiled_jobs_with(
+    let Ok((s, epochs, rep)) = sp_core::sweep_epochs_compiled_jobs_with(
         &ct,
         cfg,
         rp,
@@ -311,8 +310,7 @@ fn report(a: &Args) -> Result<(), String> {
         sp_core::EngineOptions::default(),
         epoch_len,
         jobs,
-    )
-    .map_err(|e| e.to_string())?;
+    );
     // Differential self-check: every series must fold back to its run's
     // aggregate counters exactly before the artifacts are published.
     for (series, run) in std::iter::once((&epochs.baseline, &s.baseline))
@@ -419,15 +417,14 @@ fn trace_cmd(a: &Args) -> Result<(), String> {
         default.dedup();
         let ds = a.distances(&default)?;
         let ct = std::sync::Arc::new(sp_core::compile_trace(&trace, &cfg));
-        let (s, rep) = sp_core::sweep_compiled_jobs_with(
+        let Ok((s, rep)) = sp_core::sweep_compiled_jobs_with(
             &ct,
             cfg,
             rp,
             &ds,
             sp_core::EngineOptions::default(),
             jobs,
-        )
-        .map_err(|e| e.to_string())?;
+        );
         (sp_obs::span::drain(), s.points.len(), rep)
     };
     sp_obs::span::stop_recording();
@@ -463,7 +460,7 @@ fn events(a: &Args) -> Result<(), String> {
     let limit: usize = a.get_or("limit", 0)?; // 0 = keep every event
     let ct = sp_core::compile_trace(&trace, &cfg);
     let mut sink = RingSink::new(limit, default_early_threshold(&cfg.latency));
-    let run = if original {
+    let Ok(run) = if original {
         sp_core::run_original_passes_compiled_ev(&ct, cfg, passes, &mut sink)
     } else {
         let opts = sp_core::EngineOptions {
@@ -472,8 +469,7 @@ fn events(a: &Args) -> Result<(), String> {
         };
         let params = SpParams::from_distance_rp(distance, rp);
         sp_core::run_sp_with_compiled_ev(&ct, cfg, params, opts, &mut sink)
-    }
-    .map_err(|e| e.to_string())?;
+    };
 
     if original {
         println!("{}: original run, passes {passes}", trace.name);

@@ -15,7 +15,8 @@ use sp_cachesim::events::{
 use sp_cachesim::CacheConfig;
 use sp_obs::span::SpanGuard;
 use sp_runner::{run_jobs, Job, RunnerReport};
-use sp_trace::{CompiledTrace, GeometryMismatch, HotLoopTrace};
+use sp_trace::{CompiledTrace, HotLoopTrace};
+use std::convert::Infallible;
 use std::sync::Arc;
 
 /// One point of a prefetch-distance sweep.
@@ -114,16 +115,16 @@ pub fn sweep_distances_jobs_with(
     jobs: usize,
 ) -> (Sweep, RunnerReport) {
     let ct = Arc::new(compile_trace(trace, &cache_cfg));
-    sweep_compiled_jobs_with(&ct, cache_cfg, rp, distances, opts, jobs)
-        .expect("compiled for this geometry")
+    let Ok(swept) = sweep_compiled_jobs_with(&ct, cache_cfg, rp, distances, opts, jobs);
+    swept
 }
 
 /// [`sweep_distances_jobs_with`] over an already-compiled trace — the
-/// form long-lived services use, compiling once per `(trace, geometry)`
-/// and sweeping many times. All grid points share the `Arc`'d
-/// projections; each worker thread reuses one parked simulator across
-/// the grid points it claims. Errors if `ct` was compiled for a
-/// different address mapping than `cache_cfg`'s.
+/// form long-lived services use, compiling once per trace and sweeping
+/// many times, on any cache configuration. All grid points share the
+/// `Arc`'d references; each worker thread reuses one parked simulator
+/// across the grid points it claims. Never fails; the `Infallible`
+/// error type only keeps existing `Result` callers compiling.
 pub fn sweep_compiled_jobs_with(
     ct: &Arc<CompiledTrace>,
     cache_cfg: CacheConfig,
@@ -131,7 +132,7 @@ pub fn sweep_compiled_jobs_with(
     distances: &[u32],
     opts: EngineOptions,
     jobs: usize,
-) -> Result<(Sweep, RunnerReport), GeometryMismatch> {
+) -> Result<(Sweep, RunnerReport), Infallible> {
     let (sweep, (), _, report) = sweep_grid(
         ct,
         cache_cfg,
@@ -142,7 +143,7 @@ pub fn sweep_compiled_jobs_with(
         None,
         || NullSink,
         |_| (),
-    )?;
+    );
     Ok((sweep, report))
 }
 
@@ -171,7 +172,7 @@ pub fn sweep_events_compiled_jobs_with(
     distances: &[u32],
     opts: EngineOptions,
     jobs: usize,
-) -> Result<(Sweep, SweepEvents, RunnerReport), GeometryMismatch> {
+) -> Result<(Sweep, SweepEvents, RunnerReport), Infallible> {
     let threshold = default_early_threshold(&cache_cfg.latency);
     let (sweep, baseline, points, report) = sweep_grid(
         ct,
@@ -183,7 +184,7 @@ pub fn sweep_events_compiled_jobs_with(
         Some("events"),
         move || SummarySink::new(threshold),
         |sink| sink.summary,
-    )?;
+    );
     Ok((sweep, SweepEvents { baseline, points }, report))
 }
 
@@ -216,7 +217,7 @@ pub fn sweep_epochs_compiled_jobs_with(
     opts: EngineOptions,
     epoch_len: u64,
     jobs: usize,
-) -> Result<(Sweep, SweepEpochs, RunnerReport), GeometryMismatch> {
+) -> Result<(Sweep, SweepEpochs, RunnerReport), Infallible> {
     let threshold = default_early_threshold(&cache_cfg.latency);
     let (sweep, baseline, points, report) = sweep_grid(
         ct,
@@ -228,7 +229,7 @@ pub fn sweep_epochs_compiled_jobs_with(
         Some("epochs"),
         move || EpochSink::new(epoch_len, threshold),
         EpochSink::finish,
-    )?;
+    );
     Ok((sweep, SweepEpochs { baseline, points }, report))
 }
 
@@ -249,12 +250,11 @@ fn sweep_grid<K, T>(
     flavour: Option<&'static str>,
     new_sink: impl Fn() -> K + Copy + Send + 'static,
     finish: fn(K) -> T,
-) -> Result<(Sweep, T, Vec<T>, RunnerReport), GeometryMismatch>
+) -> (Sweep, T, Vec<T>, RunnerReport)
 where
     K: EventSink + 'static,
     T: Send + 'static,
 {
-    ct.ensure_geometry(cache_cfg.trace_geometry())?;
     // Each grid point gets a deterministic child of the caller's
     // correlation ID (baseline = .1, distance i = .i+2), captured here
     // and re-established inside the job so spans recorded on pool
@@ -277,14 +277,13 @@ where
                     Some(d) => sp_obs::span!("point", distance = d),
                 };
                 let mut sink = new_sink();
-                let run = match distance {
+                let Ok(run) = match distance {
                     None => run_original_passes_compiled_ev(&ct, cache_cfg, opts.passes, &mut sink),
                     Some(d) => {
                         let params = SpParams::from_distance_rp(d, rp);
                         run_sp_with_compiled_ev(&ct, cache_cfg, params, opts, &mut sink)
                     }
-                }
-                .expect("geometry checked");
+                };
                 (run, finish(sink))
             }) as Job<'static, (RunResult, T)>
         })
@@ -294,7 +293,7 @@ where
     let baseline = runs.remove(0);
     let base_output = outputs.remove(0);
     let sweep = assemble_sweep(baseline, distances, rp, runs);
-    Ok((sweep, base_output, outputs, report))
+    (sweep, base_output, outputs, report)
 }
 
 /// Normalize a grid of SP runs against the baseline.
@@ -443,22 +442,20 @@ mod tests {
     }
 
     #[test]
-    fn compiled_sweep_matches_and_rejects_wrong_geometry() {
+    fn one_compiled_sweep_serves_every_geometry() {
         let t = synth::random(300, 3, 0, 1 << 20, 23, 2);
-        let c = cfg();
-        let ct = std::sync::Arc::new(crate::engine::compile_trace(&t, &c));
-        let plain = sweep_distances(&t, c, 0.5, &[2, 8]);
-        let (compiled, rep) =
-            sweep_compiled_jobs_with(&ct, c, 0.5, &[2, 8], EngineOptions::default(), 1).unwrap();
-        assert_eq!(plain, compiled);
-        assert_eq!(rep.jobs, 3);
+        let ct = std::sync::Arc::new(crate::engine::compile_trace(&t, &cfg()));
         let other = CacheConfig {
             l2: CacheGeometry::new(32 * 1024, 4, 64),
-            ..c
+            ..cfg()
         };
-        let err = sweep_compiled_jobs_with(&ct, other, 0.5, &[2], EngineOptions::default(), 1)
-            .unwrap_err();
-        assert_eq!(err.requested, other.trace_geometry());
+        for c in [cfg(), other] {
+            let plain = sweep_distances(&t, c, 0.5, &[2, 8]);
+            let Ok((compiled, rep)) =
+                sweep_compiled_jobs_with(&ct, c, 0.5, &[2, 8], EngineOptions::default(), 1);
+            assert_eq!(plain, compiled);
+            assert_eq!(rep.jobs, 3);
+        }
     }
 
     #[test]
@@ -466,11 +463,10 @@ mod tests {
         let t = synth::random(300, 3, 0, 1 << 20, 23, 2);
         let c = cfg();
         let ct = std::sync::Arc::new(crate::engine::compile_trace(&t, &c));
-        let (plain, _) =
-            sweep_compiled_jobs_with(&ct, c, 0.5, &[2, 8], EngineOptions::default(), 1).unwrap();
-        let (observed, events, _) =
-            sweep_events_compiled_jobs_with(&ct, c, 0.5, &[2, 8], EngineOptions::default(), 1)
-                .unwrap();
+        let Ok((plain, _)) =
+            sweep_compiled_jobs_with(&ct, c, 0.5, &[2, 8], EngineOptions::default(), 1);
+        let Ok((observed, events, _)) =
+            sweep_events_compiled_jobs_with(&ct, c, 0.5, &[2, 8], EngineOptions::default(), 1);
         assert_eq!(plain, observed, "observing a sweep must not change it");
         assert_eq!(events.points.len(), 2);
         assert_eq!(
@@ -483,9 +479,8 @@ mod tests {
             assert_eq!(summary.first_uses, point.run.stats.prefetches_useful);
         }
         // Event folds are jobs-width deterministic like the sweep itself.
-        let par =
-            sweep_events_compiled_jobs_with(&ct, c, 0.5, &[2, 8], EngineOptions::default(), 4)
-                .unwrap();
+        let Ok(par) =
+            sweep_events_compiled_jobs_with(&ct, c, 0.5, &[2, 8], EngineOptions::default(), 4);
         assert_eq!(par.0, observed);
         assert_eq!(par.1, events);
     }
@@ -495,11 +490,10 @@ mod tests {
         let t = synth::random(300, 3, 0, 1 << 20, 23, 2);
         let c = cfg();
         let ct = std::sync::Arc::new(crate::engine::compile_trace(&t, &c));
-        let (plain, _) =
-            sweep_compiled_jobs_with(&ct, c, 0.5, &[2, 8], EngineOptions::default(), 1).unwrap();
-        let (recorded, epochs, _) =
-            sweep_epochs_compiled_jobs_with(&ct, c, 0.5, &[2, 8], EngineOptions::default(), 64, 1)
-                .unwrap();
+        let Ok((plain, _)) =
+            sweep_compiled_jobs_with(&ct, c, 0.5, &[2, 8], EngineOptions::default(), 1);
+        let Ok((recorded, epochs, _)) =
+            sweep_epochs_compiled_jobs_with(&ct, c, 0.5, &[2, 8], EngineOptions::default(), 64, 1);
         assert_eq!(plain, recorded, "recording a sweep must not change it");
         assert_eq!(epochs.points.len(), 2);
         // Every window but the last is exactly the epoch length, and the
@@ -529,9 +523,8 @@ mod tests {
             assert_eq!(series.pollution_stats(), run.stats.pollution);
         }
         // Epoch series are jobs-width deterministic like the sweep.
-        let par =
-            sweep_epochs_compiled_jobs_with(&ct, c, 0.5, &[2, 8], EngineOptions::default(), 64, 4)
-                .unwrap();
+        let Ok(par) =
+            sweep_epochs_compiled_jobs_with(&ct, c, 0.5, &[2, 8], EngineOptions::default(), 64, 4);
         assert_eq!(par.0, recorded);
         assert_eq!(par.1, epochs);
     }

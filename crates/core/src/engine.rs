@@ -27,8 +27,9 @@ use crate::params::SpParams;
 use crate::skip::HelperStep;
 use sp_cachesim::events::{EventSink, NullSink};
 use sp_cachesim::{CacheConfig, Cycle, Entity, MemStats, MemorySystem};
-use sp_trace::{AccessKind, CompiledTrace, GeometryMismatch, HotLoopTrace};
+use sp_trace::{AccessKind, CompiledTrace, HotLoopTrace};
 use std::cell::RefCell;
+use std::convert::Infallible;
 
 thread_local! {
     /// One parked simulator per thread, tagged with the configuration it
@@ -57,12 +58,16 @@ fn release_sim(cfg: CacheConfig, sim: MemorySystem) {
     PARKED_SIM.with(|p| *p.borrow_mut() = Some((cfg, sim)));
 }
 
-/// Compile `trace` for the address mapping of `cache_cfg` — the
-/// projections every replay of this (trace, geometry) pair shares. Wrap
-/// the result in an `Arc` to fan it out across sweep grid points.
-pub fn compile_trace(trace: &HotLoopTrace, cache_cfg: &CacheConfig) -> CompiledTrace {
+/// Compile `trace` for replay, inside the `compile` span. Wrap the
+/// result in an `Arc` to fan it out across sweep grid points.
+///
+/// A compiled trace carries no cache geometry — the memory system
+/// projects every reference itself — so one compiled trace replays on
+/// any configuration and `_cache_cfg` is unused. It stays in the
+/// signature only so existing callers keep compiling.
+pub fn compile_trace(trace: &HotLoopTrace, _cache_cfg: &CacheConfig) -> CompiledTrace {
     let _sp = sp_obs::span!("compile", refs = trace.total_refs());
-    CompiledTrace::compile(trace, cache_cfg.trace_geometry())
+    CompiledTrace::compile(trace)
 }
 
 /// Result of one simulated run.
@@ -132,18 +137,19 @@ pub fn run_original_passes(
     passes: usize,
 ) -> RunResult {
     let ct = compile_trace(trace, &cache_cfg);
-    run_original_passes_compiled(&ct, cache_cfg, passes).expect("compiled for this geometry")
+    let Ok(run) = run_original_passes_compiled(&ct, cache_cfg, passes);
+    run
 }
 
 /// [`run_original_passes`] over an already-compiled trace: every pass
-/// replays the precomputed projections, and the per-thread simulator is
-/// reused. Errors (instead of simulating garbage) if `ct` was compiled
-/// for a different address mapping than `cache_cfg`'s.
+/// replays the flattened references, and the per-thread simulator is
+/// reused. Never fails; the `Infallible` error type only keeps existing
+/// `Result` callers compiling.
 pub fn run_original_passes_compiled(
     ct: &CompiledTrace,
     cache_cfg: CacheConfig,
     passes: usize,
-) -> Result<RunResult, GeometryMismatch> {
+) -> Result<RunResult, Infallible> {
     run_original_passes_compiled_ev(ct, cache_cfg, passes, &mut NullSink)
 }
 
@@ -155,16 +161,15 @@ pub fn run_original_passes_compiled_ev<S: EventSink>(
     cache_cfg: CacheConfig,
     passes: usize,
     sink: &mut S,
-) -> Result<RunResult, GeometryMismatch> {
+) -> Result<RunResult, Infallible> {
     assert!(passes > 0, "need at least one pass");
-    ct.ensure_geometry(cache_cfg.trace_geometry())?;
     let _sp = sp_obs::span!("simulate", mode = "original", passes = passes);
     let mut mem = acquire_sim(cache_cfg);
     let mut clock: Cycle = 0;
     for _ in 0..passes {
         for it in 0..ct.outer_iters() {
             for i in ct.iter_refs(it) {
-                let res = mem.demand_access_pre_ev(Entity::Main, &ct.get(i), clock, sink);
+                let res = mem.demand_access_ev(Entity::Main, ct.get(i), clock, sink);
                 clock = res.complete_at;
             }
             clock += ct.compute_cycles(it);
@@ -260,7 +265,7 @@ pub fn run_sp_with_compiled(
     cache_cfg: CacheConfig,
     params: SpParams,
     opts: EngineOptions,
-) -> Result<RunResult, GeometryMismatch> {
+) -> Result<RunResult, Infallible> {
     let mut schedule = StaticSchedule::new(params);
     run_scheduled_compiled(ct, cache_cfg, &mut schedule, opts)
 }
@@ -273,7 +278,7 @@ pub fn run_sp_with_compiled_ev<S: EventSink>(
     params: SpParams,
     opts: EngineOptions,
     sink: &mut S,
-) -> Result<RunResult, GeometryMismatch> {
+) -> Result<RunResult, Infallible> {
     let mut schedule = StaticSchedule::new(params);
     run_scheduled_compiled_ev(ct, cache_cfg, &mut schedule, opts, sink)
 }
@@ -288,17 +293,18 @@ pub fn run_scheduled(
     opts: EngineOptions,
 ) -> RunResult {
     let ct = compile_trace(trace, &cache_cfg);
-    run_scheduled_compiled(&ct, cache_cfg, schedule, opts).expect("compiled for this geometry")
+    let Ok(run) = run_scheduled_compiled(&ct, cache_cfg, schedule, opts);
+    run
 }
 
 /// [`run_scheduled`] over an already-compiled trace: both threads replay
-/// the precomputed projections, and the per-thread simulator is reused.
+/// the flattened references, and the per-thread simulator is reused.
 pub fn run_scheduled_compiled(
     ct: &CompiledTrace,
     cache_cfg: CacheConfig,
     schedule: &mut dyn HelperSchedule,
     opts: EngineOptions,
-) -> Result<RunResult, GeometryMismatch> {
+) -> Result<RunResult, Infallible> {
     run_scheduled_compiled_ev(ct, cache_cfg, schedule, opts, &mut NullSink)
 }
 
@@ -309,9 +315,8 @@ pub fn run_scheduled_compiled_ev<S: EventSink>(
     schedule: &mut dyn HelperSchedule,
     opts: EngineOptions,
     sink: &mut S,
-) -> Result<RunResult, GeometryMismatch> {
+) -> Result<RunResult, Infallible> {
     assert!(opts.passes > 0, "need at least one pass");
-    ct.ensure_geometry(cache_cfg.trace_geometry())?;
     let _sp = sp_obs::span!("simulate", mode = "scheduled", passes = opts.passes);
     // Virtual iteration space: `passes` back-to-back executions of the
     // hot loop; iteration v executes trace iteration v % len.
@@ -411,8 +416,7 @@ fn step_main<S: EventSink>(
     let refs = ct.iter_refs(it);
     let total = refs.len();
     if c.ref_idx < total {
-        let res =
-            mem.demand_access_pre_ev(Entity::Main, &ct.get(refs.start + c.ref_idx), c.clock, sink);
+        let res = mem.demand_access_ev(Entity::Main, ct.get(refs.start + c.ref_idx), c.clock, sink);
         c.clock = res.complete_at;
         c.ref_idx += 1;
     }
@@ -459,19 +463,17 @@ fn step_helper<S: EventSink>(
             break;
         }
         if idx < backbone_len {
-            let res = mem.helper_load_pre_ev(&ct.get(backbone.start + idx), c.clock, sink);
+            let res = mem.helper_load_ev(ct.get(backbone.start + idx), c.clock, sink);
             c.clock = res.complete_at;
             idx += 1;
             break;
         }
-        let cr = ct.get(inner.start + (idx - backbone_len));
-        if cr.kind == AccessKind::Load {
+        let r = ct.get(inner.start + (idx - backbone_len));
+        if r.kind == AccessKind::Load {
             let res = if opts.blocking_helper {
-                mem.helper_load_pre_ev(&cr, c.clock, sink)
+                mem.helper_load_ev(r, c.clock, sink)
             } else {
-                // The projections are kind-independent, so the compiled
-                // record stands in for `mem_ref().as_prefetch()` directly.
-                mem.prefetch_access_pre_ev(&cr, c.clock, sink)
+                mem.prefetch_access_ev(r, c.clock, sink)
             };
             c.clock = res.complete_at;
             idx += 1;
@@ -672,44 +674,27 @@ mod tests {
     }
 
     #[test]
-    fn compiled_runs_match_trace_runs_exactly() {
+    fn one_compiled_trace_replays_on_any_geometry() {
         let t = synth::random(250, 3, 0, 1 << 20, 31, 2);
-        let c = cfg();
-        let ct = compile_trace(&t, &c);
-        assert_eq!(
-            run_original_passes(&t, c, 2),
-            run_original_passes_compiled(&ct, c, 2).unwrap()
-        );
-        let params = SpParams::new(4, 4);
-        assert_eq!(
-            run_sp(&t, c, params),
-            run_sp_with_compiled(&ct, c, params, EngineOptions::default()).unwrap()
-        );
-        let opts = EngineOptions {
-            blocking_helper: false,
-            ..EngineOptions::default()
-        };
-        assert_eq!(
-            run_sp_with(&t, c, params, opts),
-            run_sp_with_compiled(&ct, c, params, opts).unwrap()
-        );
-    }
-
-    #[test]
-    fn compiled_run_rejects_mismatched_geometry() {
-        let t = synth::sequential(50, 1, 0, 64, 0);
         let ct = compile_trace(&t, &cfg());
         let other = CacheConfig {
             l2: sp_cachesim::CacheGeometry::new(32 * 1024, 4, 64),
             ..cfg()
         };
-        let err = run_original_passes_compiled(&ct, other, 1).unwrap_err();
-        assert_eq!(err.compiled_for, cfg().trace_geometry());
-        assert_eq!(err.requested, other.trace_geometry());
-        assert!(
-            run_sp_with_compiled(&ct, other, SpParams::new(2, 2), EngineOptions::default())
-                .is_err()
-        );
+        let params = SpParams::new(4, 4);
+        let idealized = EngineOptions {
+            blocking_helper: false,
+            ..EngineOptions::default()
+        };
+        for c in [cfg(), other] {
+            let Ok(original) = run_original_passes_compiled(&ct, c, 2);
+            assert_eq!(run_original_passes(&t, c, 2), original);
+            for opts in [EngineOptions::default(), idealized] {
+                let Ok(sp) = run_sp_with_compiled(&ct, c, params, opts);
+                assert_eq!(run_sp_with(&t, c, params, opts), sp);
+            }
+        }
+        assert_ne!(run_original(&t, cfg()), run_original(&t, other));
     }
 
     #[test]

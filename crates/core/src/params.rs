@@ -101,7 +101,7 @@ mod tests {
     }
 
     #[test]
-    fn from_distance_rp_half_gives_equal_ski_pre() {
+    fn from_distance_rp_half_splits_the_round_evenly() {
         for d in [1u32, 2, 10, 800, 3150] {
             let p = SpParams::from_distance_rp(d, 0.5);
             assert_eq!(p.a_ski, d);

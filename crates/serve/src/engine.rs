@@ -1,14 +1,13 @@
 //! Request execution: turn a parsed [`Command`] into the encoded
 //! `result` payload the daemon caches and returns.
 //!
-//! The engine is shared by every pool worker. Workload traces are
-//! memoized per `(benchmark, scale)` — trace synthesis is deterministic,
-//! so regenerating one per request would only burn time; the handful of
-//! distinct traces is far smaller than the result cache. Compiled traces
-//! (the per-geometry address projections sweeps replay) are memoized one
-//! level further, per `(benchmark, scale, trace digest, geometry)`, so
-//! repeated requests against one cache configuration pay for projection
-//! exactly once.
+//! The engine is shared by every pool worker. Each workload trace and
+//! its compiled (flattened) form are memoized together per
+//! `(kernel, scale tier)` — trace synthesis is deterministic, so
+//! regenerating one per request would only burn time, and the handful of
+//! distinct traces is far smaller than the result cache. A compiled
+//! trace carries no cache geometry, so one entry serves every L2 a
+//! client asks for.
 
 use crate::json::Json;
 use crate::lock;
@@ -16,29 +15,19 @@ use crate::protocol::{scale_name, Command, SimSpec};
 use sp_bench::{kernel_row, Scale};
 use sp_cachesim::{EpochSeries, EventSummary, PfClass, PollutionCase, DEFAULT_EPOCH_LEN};
 use sp_core::{
-    compile_trace, recommend_distance, sweep_compiled_jobs_with, sweep_epochs_compiled_jobs_with,
+    recommend_distance, sweep_compiled_jobs_with, sweep_epochs_compiled_jobs_with,
     sweep_events_compiled_jobs_with, Sweep, SweepEpochs, SweepEvents,
 };
-use sp_trace::{CompiledTrace, HotLoopTrace, TraceGeometry};
-use sp_workloads::{KernelKind, WorkloadBuilder};
+use sp_trace::{CompiledTrace, HotLoopTrace};
+use sp_workloads::{KernelKind, ScaleTier, WorkloadBuilder};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-fn bench_index(k: KernelKind) -> u8 {
-    KernelKind::ALL
-        .iter()
-        .position(|&a| a == k)
-        .expect("ALL holds every kind") as u8
-}
-
-fn scale_index(s: Scale) -> u8 {
-    match s {
-        Scale::Test => 0,
-        Scale::Scaled => 1,
-    }
-}
+/// A memoized workload: the trace (for the affinity bound) and its
+/// compiled form (for replay).
+type Memoized = (Arc<HotLoopTrace>, Arc<CompiledTrace>);
 
 /// Aggregate prefetch-lifecycle counters folded over every eventful run
 /// the daemon has executed — the source behind the `sp_events_*` series
@@ -124,14 +113,13 @@ impl EpochTotals {
     }
 }
 
-/// The daemon's simulation executor: a trace memo plus the encoding of
-/// each result kind. Stateless apart from the memo and the event
+/// The daemon's simulation executor: a workload memo plus the encoding
+/// of each result kind. Stateless apart from the memo and the event
 /// totals, so any number of pool workers can execute through one shared
 /// instance.
 #[derive(Default)]
 pub struct SimEngine {
-    traces: Mutex<HashMap<(u8, u8), Arc<HotLoopTrace>>>,
-    compiled: Mutex<HashMap<(u64, TraceGeometry), Arc<CompiledTrace>>>,
+    memo: Mutex<HashMap<(KernelKind, ScaleTier), Memoized>>,
     events: EventTotals,
     epochs: EpochTotals,
 }
@@ -152,39 +140,27 @@ impl SimEngine {
         &self.epochs
     }
 
-    fn trace(&self, bench: KernelKind, scale: Scale) -> Arc<HotLoopTrace> {
-        let key = (bench_index(bench), scale_index(scale));
-        if let Some(t) = lock(&self.traces).get(&key) {
-            return Arc::clone(t);
+    /// The trace of `bench` at `scale` and its compiled form, built on
+    /// first use and shared by every later request.
+    fn workload(&self, bench: KernelKind, scale: Scale) -> Memoized {
+        let key = (bench, scale.tier());
+        if let Some(memoized) = lock(&self.memo).get(&key) {
+            return memoized.clone();
         }
-        // Synthesize outside the lock — scaled traces take a while, and
-        // a second thread racing to the same key just recomputes the
-        // identical (deterministic) trace.
-        let _sp = sp_obs::span!("load", bench = bench.name(), scale = format!("{scale:?}"));
-        let t = Arc::new(WorkloadBuilder::new(bench).tier(scale.tier()).trace());
-        lock(&self.traces)
+        // Build outside the lock — scaled traces take a while, and a
+        // second thread racing to the same key just recomputes the
+        // identical (deterministic) pair.
+        let t = {
+            let _sp = sp_obs::span!("load", bench = bench.name(), scale = format!("{scale:?}"));
+            WorkloadBuilder::new(bench).tier(key.1).trace()
+        };
+        let ct = {
+            let _sp = sp_obs::span!("compile", refs = t.total_refs());
+            Arc::new(CompiledTrace::compile(&t))
+        };
+        lock(&self.memo)
             .entry(key)
-            .or_insert_with(|| Arc::clone(&t))
-            .clone()
-    }
-
-    /// The compiled form of `trace` for `cfg`'s geometry, memoized by
-    /// `(trace digest, geometry)` — content-addressed, so two scales (or
-    /// future recorded traces) never collide.
-    fn compiled(
-        &self,
-        trace: &Arc<HotLoopTrace>,
-        cfg: &sp_cachesim::CacheConfig,
-    ) -> Arc<CompiledTrace> {
-        let key = (sp_trace::trace_digest(trace), cfg.trace_geometry());
-        if let Some(ct) = lock(&self.compiled).get(&key) {
-            return Arc::clone(ct);
-        }
-        // Compile outside the lock, same rationale as `trace`.
-        let ct = Arc::new(compile_trace(trace, cfg));
-        lock(&self.compiled)
-            .entry(key)
-            .or_insert_with(|| Arc::clone(&ct))
+            .or_insert_with(|| (Arc::new(t), ct))
             .clone()
     }
 
@@ -217,13 +193,12 @@ impl SimEngine {
     }
 
     fn run_sweep(&self, spec: &SimSpec, distances: &[u32]) -> String {
-        let trace = self.trace(spec.bench, spec.scale);
-        let compiled = self.compiled(&trace, &spec.cache.config);
+        let (trace, compiled) = self.workload(spec.bench, spec.scale);
         let bound = recommend_distance(&trace, &spec.cache.config).max_distance;
         // Requests parallelize across the pool, not within a job
         // (jobs = 1).
         if spec.epochs {
-            let (sweep, epochs, _report) = sweep_epochs_compiled_jobs_with(
+            let Ok((sweep, epochs, _report)) = sweep_epochs_compiled_jobs_with(
                 &compiled,
                 spec.cache.config,
                 spec.rp,
@@ -231,8 +206,7 @@ impl SimEngine {
                 spec.opts,
                 DEFAULT_EPOCH_LEN,
                 1,
-            )
-            .expect("compiled for this request's geometry");
+            );
             self.epochs.record(&epochs.baseline);
             for point in &epochs.points {
                 self.epochs.record(point);
@@ -241,15 +215,14 @@ impl SimEngine {
             return sweep_json(spec, bound, &sweep, None, Some(&epochs)).encode();
         }
         if spec.events {
-            let (sweep, events, _report) = sweep_events_compiled_jobs_with(
+            let Ok((sweep, events, _report)) = sweep_events_compiled_jobs_with(
                 &compiled,
                 spec.cache.config,
                 spec.rp,
                 distances,
                 spec.opts,
                 1,
-            )
-            .expect("compiled for this request's geometry");
+            );
             self.events.record(&events.baseline);
             for point in &events.points {
                 self.events.record(point);
@@ -257,15 +230,14 @@ impl SimEngine {
             let _sp = sp_obs::span!("serialize");
             return sweep_json(spec, bound, &sweep, Some(&events), None).encode();
         }
-        let (sweep, _report) = sweep_compiled_jobs_with(
+        let Ok((sweep, _report)) = sweep_compiled_jobs_with(
             &compiled,
             spec.cache.config,
             spec.rp,
             distances,
             spec.opts,
             1,
-        )
-        .expect("compiled for this request's geometry");
+        );
         let _sp = sp_obs::span!("serialize");
         sweep_json(spec, bound, &sweep, None, None).encode()
     }
@@ -425,11 +397,20 @@ mod tests {
         let first = engine.execute(&cmd).unwrap();
         let second = engine.execute(&cmd).unwrap();
         assert_eq!(first, second, "same command, byte-identical payloads");
-        assert_eq!(lock(&engine.traces).len(), 1, "trace memoized once");
+        assert_eq!(lock(&engine.memo).len(), 1, "workload memoized once");
+        // Other L2s replay the same compiled trace; the 8 KB one is small
+        // enough to change the tiny EM3D result.
+        for l2_kb in [128, 8] {
+            let other = command(&format!(
+                "{{\"type\":\"point\",\"bench\":\"em3d\",\"distance\":8,\"l2_kb\":{l2_kb}}}"
+            ));
+            let payload = engine.execute(&other).unwrap();
+            assert_eq!(payload == first, l2_kb == 128, "l2_kb {l2_kb}: {payload}");
+        }
         assert_eq!(
-            lock(&engine.compiled).len(),
+            lock(&engine.memo).len(),
             1,
-            "compiled trace memoized once per (digest, geometry)"
+            "one compiled trace serves every L2"
         );
         let v = Json::parse(&first).unwrap();
         assert_eq!(v.get("bench").and_then(Json::as_str), Some("EM3D"));

@@ -3,6 +3,10 @@
 //! crates (DESIGN §6), so this is ~300 lines of recursive-descent
 //! parser plus a deterministic encoder instead of a serde dependency.
 //!
+//! The parser accepts exactly RFC 8259 documents: raw control
+//! characters inside strings, leading zeros, `+1`, `.5`, `5.` and
+//! trailing commas are errors naming the byte where they occur.
+//!
 //! Determinism matters here: cached results are compared and digested
 //! byte-for-byte, so the encoder is stable — object keys keep insertion
 //! order, integers in the `f64`-exact range print without a decimal
@@ -260,7 +264,14 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Stri
                 pairs.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
+                    Some(b',') => {
+                        *pos += 1;
+                        skip_ws(bytes, pos);
+                        if bytes.get(*pos) == Some(&b'}') {
+                            // A trailing comma promises another member.
+                            return Err(format!("expected value at byte {pos}", pos = *pos));
+                        }
+                    }
                     Some(b'}') => {
                         *pos += 1;
                         return Ok(Json::Obj(pairs));
@@ -269,7 +280,8 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Stri
                 }
             }
         }
-        Some(_) => parse_number(bytes, pos),
+        Some(b'-' | b'0'..=b'9') => parse_number(bytes, pos),
+        Some(_) => Err(format!("expected value at byte {pos}", pos = *pos)),
     }
 }
 
@@ -330,14 +342,20 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 }
                 *pos += 1;
             }
+            Some(&c) if c < 0x20 => {
+                return Err(format!(
+                    "unescaped control character U+{c:04X} in string at byte {pos}",
+                    pos = *pos
+                ))
+            }
             Some(_) => {
-                // Copy the run of plain bytes up to the next quote or
-                // backslash in one step, so a long string parses in
-                // linear time. Both stops are ASCII, so on a `&str`
-                // input the run ends on a char boundary.
+                // Copy the run of plain bytes up to the next quote,
+                // backslash or control character in one step, so a long
+                // string parses in linear time. Every stop is ASCII, so
+                // on a `&str` input the run ends on a char boundary.
                 let run = bytes[*pos..]
                     .iter()
-                    .position(|&b| b == b'"' || b == b'\\')
+                    .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
                     .map_or(bytes.len(), |n| *pos + n);
                 out.push_str(std::str::from_utf8(&bytes[*pos..run]).map_err(|_| "invalid utf-8")?);
                 *pos = run;
@@ -346,15 +364,36 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
     }
 }
 
+/// RFC 8259 `number`: `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`.
 fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     let start = *pos;
+    let digits = |pos: &mut usize| -> Result<usize, String> {
+        let from = *pos;
+        while bytes.get(*pos).is_some_and(u8::is_ascii_digit) {
+            *pos += 1;
+        }
+        match *pos - from {
+            0 => Err(format!("expected digit at byte {pos}", pos = *pos)),
+            n => Ok(n),
+        }
+    };
     if bytes.get(*pos) == Some(&b'-') {
         *pos += 1;
     }
-    while *pos < bytes.len()
-        && matches!(bytes[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-    {
+    let int_start = *pos;
+    if digits(pos)? > 1 && bytes.get(int_start) == Some(&b'0') {
+        return Err(format!("leading zero in number at byte {start}"));
+    }
+    if bytes.get(*pos) == Some(&b'.') {
         *pos += 1;
+        digits(pos)?;
+    }
+    if matches!(bytes.get(*pos), Some(b'e' | b'E')) {
+        *pos += 1;
+        if matches!(bytes.get(*pos), Some(b'+' | b'-')) {
+            *pos += 1;
+        }
+        digits(pos)?;
     }
     let text = std::str::from_utf8(&bytes[start..*pos]).map_err(|_| "invalid number")?;
     text.parse::<f64>()
@@ -437,22 +476,48 @@ mod tests {
 
     #[test]
     fn rejects_malformed_input() {
-        for bad in [
-            "",
-            "{",
-            "[1,",
-            "{\"a\"}",
-            "{\"a\":}",
-            "nul",
-            "01x",
-            "\"unterminated",
-            "1 2",
-            "{\"a\":1} extra",
-            "\"\\u12\"",
-            "\"\\q\"",
+        for (bad, why) in [
+            ("", "unexpected end of input"),
+            ("{", "expected string at byte 1"),
+            ("[1,", "unexpected end of input"),
+            ("{\"a\"}", "expected ':' at byte 4"),
+            ("{\"a\":}", "expected value at byte 5"),
+            ("nul", "expected \"null\" at byte 0"),
+            ("01x", "leading zero in number at byte 0"),
+            ("\"unterminated", "unterminated string"),
+            ("1 2", "trailing content at byte 2"),
+            ("{\"a\":1} extra", "trailing content at byte 8"),
+            ("\"\\u12\"", "truncated \\u escape"),
+            ("\"\\q\"", "bad escape at byte 2"),
+            // RFC 8259: no trailing commas,
+            ("[1,]", "expected value at byte 3"),
+            ("{\"a\":1,}", "expected value at byte 7"),
+            // no raw control characters inside strings,
+            ("\"a\u{1}b\"", "character U+0001 in string at byte 2"),
+            ("\"\u{0}\"", "control character U+0000 in string at byte 1"),
+            ("\"\u{1f}\"", "control character U+001F in string at byte 1"),
+            ("{\"a\nb\":1}", "character U+000A in string at byte 3"),
+            // and numbers only of the form -?(0|[1-9]d*)(.d+)?([eE][+-]?d+)?.
+            ("01", "leading zero in number at byte 0"),
+            ("-01", "leading zero in number at byte 0"),
+            ("[00]", "leading zero in number at byte 1"),
+            ("+1", "expected value at byte 0"),
+            (".5", "expected value at byte 0"),
+            ("5.", "expected digit at byte 2"),
+            ("1.e5", "expected digit at byte 2"),
+            ("-", "expected digit at byte 1"),
+            ("--1", "expected digit at byte 1"),
+            ("1e", "expected digit at byte 2"),
+            ("1e+", "expected digit at byte 3"),
         ] {
-            assert!(Json::parse(bad).is_err(), "accepted malformed {bad:?}");
+            let err = Json::parse(bad).expect_err(bad);
+            assert!(err.contains(why), "{bad:?}: {err:?} lacks {why:?}");
         }
+        // The grammar's edges that stay valid.
+        for (good, n) in [("0", 0.0), ("-0", -0.0), ("10", 10.0), ("1.5e-3", 1.5e-3)] {
+            assert_eq!(Json::parse(good), Ok(Json::Num(n)), "{good:?}");
+        }
+        assert_eq!(Json::parse("1E+2"), Ok(Json::Num(100.0)));
     }
 
     #[test]

@@ -371,6 +371,15 @@ mod tests {
     }
 
     #[test]
+    fn digest_survives_codec_roundtrip() {
+        let t = synth::sequential(64, 4, 0x8000, 64, 3);
+        assert_eq!(digest(&t), digest(&roundtrip(&t)));
+        // Distinct traces get distinct digests.
+        let other = synth::sequential(64, 4, 0x8040, 64, 3);
+        assert_ne!(digest(&t), digest(&other));
+    }
+
+    #[test]
     fn varint_roundtrip_extremes() {
         for v in [0u64, 1, 127, 128, 300, u32::MAX as u64, u64::MAX] {
             let mut buf = Vec::new();

@@ -1,148 +1,29 @@
-//! Precompiled traces: a [`HotLoopTrace`] flattened for replay against
-//! one cache geometry.
+//! Precompiled traces: a [`HotLoopTrace`] flattened for replay.
 //!
 //! A distance sweep replays the identical trace once per grid point. A
 //! [`CompiledTrace`] flattens the trace once into struct-of-arrays
 //! storage — three columns per reference (`vaddr`, `site`, `kind`: 13
 //! bytes) plus per-iteration metadata — and the result is shared (`Arc`)
 //! across all grid points, all passes, and repeated service requests.
-//! The cache projections (`block / set / tag`) are not stored:
-//! [`CompiledTrace::get`] derives them from `vaddr` with the shifts and
-//! masks of the trace's [`TraceGeometry`].
 //!
-//! The projections are only valid for the geometry the trace was
-//! compiled for, so every consumer must call
-//! [`CompiledTrace::ensure_geometry`] (or compare
-//! [`CompiledTrace::geometry`]) before replaying — a mismatch is a typed
-//! [`GeometryMismatch`] error, never a silently wrong simulation.
+//! A compiled trace knows nothing of caches: [`CompiledTrace::get`]
+//! returns the plain [`MemRef`], and the memory system projects it onto
+//! its own sets and tags. One compiled trace therefore replays against
+//! any cache configuration, and the address mapping lives in exactly one
+//! place (`sp_cachesim::CacheGeometry`).
 
-use crate::codec;
 use crate::record::{AccessKind, MemRef, SiteId, VAddr};
 use crate::stream::HotLoopTrace;
-use std::fmt;
 use std::ops::Range;
 
-/// Address-mapping parameters of one cache level: line size and set
-/// count, both powers of two. This is the projection-relevant subset of
-/// a full cache geometry (capacity and associativity do not affect the
-/// block/set/tag split).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct LevelGeometry {
-    /// Line (block) size in bytes.
-    pub line_size: u64,
-    /// Number of sets.
-    pub sets: u64,
-}
-
-impl LevelGeometry {
-    /// Build and validate a level geometry.
-    ///
-    /// # Panics
-    /// If either parameter is zero or not a power of two.
-    pub fn new(line_size: u64, sets: u64) -> Self {
-        assert!(
-            line_size.is_power_of_two(),
-            "line size must be a power of two"
-        );
-        assert!(sets.is_power_of_two(), "set count must be a power of two");
-        LevelGeometry { line_size, sets }
-    }
-
-    /// Block-aligned address of `addr`.
-    #[inline]
-    pub fn block_of(self, addr: VAddr) -> VAddr {
-        addr & !(self.line_size - 1)
-    }
-
-    /// Index of the set `addr` maps to.
-    #[inline]
-    pub fn set_of(self, addr: VAddr) -> u64 {
-        (addr >> self.line_size.trailing_zeros()) & (self.sets - 1)
-    }
-
-    /// Tag of `addr` (the block address bits above the set index).
-    #[inline]
-    pub fn tag_of(self, addr: VAddr) -> u64 {
-        addr >> (self.line_size.trailing_zeros() + self.sets.trailing_zeros())
-    }
-}
-
-/// The two-level mapping a trace is compiled against (private L1 and
-/// shared L2). Hashable, so it can key compiled-trace memo tables.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct TraceGeometry {
-    /// Per-core private L1 mapping.
-    pub l1: LevelGeometry,
-    /// Shared L2 mapping.
-    pub l2: LevelGeometry,
-}
-
-/// A compiled trace was offered to a simulator with a different
-/// geometry. Using the projections anyway would silently index the
-/// wrong sets, so this is a hard, typed error.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GeometryMismatch {
-    /// Geometry the trace was compiled for.
-    pub compiled_for: TraceGeometry,
-    /// Geometry the consumer wanted to run against.
-    pub requested: TraceGeometry,
-}
-
-impl fmt::Display for GeometryMismatch {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "trace compiled for {:?} cannot run against {:?}",
-            self.compiled_for, self.requested
-        )
-    }
-}
-
-impl std::error::Error for GeometryMismatch {}
-
-/// One reference with its cache projections.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CompiledRef {
-    /// Simulated virtual address (hardware prefetchers train on it).
-    pub vaddr: VAddr,
-    /// L2-block-aligned address (MSHR / pollution bookkeeping key).
-    pub block: VAddr,
-    /// L1 set index.
-    pub l1_set: u32,
-    /// L1 tag.
-    pub l1_tag: u64,
-    /// L2 set index.
-    pub l2_set: u32,
-    /// L2 tag.
-    pub l2_tag: u64,
-    /// Operation kind.
-    pub kind: AccessKind,
-    /// Static reference site.
-    pub site: SiteId,
-}
-
-impl CompiledRef {
-    /// The scalar reference this record was compiled from.
-    pub fn mem_ref(&self) -> MemRef {
-        MemRef {
-            vaddr: self.vaddr,
-            site: self.site,
-            kind: self.kind,
-        }
-    }
-}
-
-/// A [`HotLoopTrace`] compiled for one [`TraceGeometry`]: flat
-/// struct-of-arrays per-reference columns plus per-iteration metadata
-/// (reference ranges, backbone split, compute cycles).
+/// A [`HotLoopTrace`] flattened for replay: struct-of-arrays
+/// per-reference columns plus per-iteration metadata (reference ranges,
+/// backbone split, compute cycles).
 ///
 /// Build once with [`CompiledTrace::compile`], wrap in an `Arc`, and
 /// replay from every grid point / pass / request.
 #[derive(Debug, Clone)]
 pub struct CompiledTrace {
-    geometry: TraceGeometry,
-    digest: u64,
-    name: String,
     // Per-reference SoA columns, indexed by flat reference position.
     vaddr: Vec<VAddr>,
     site: Vec<SiteId>,
@@ -156,15 +37,12 @@ pub struct CompiledTrace {
 }
 
 impl CompiledTrace {
-    /// Compile `trace` for `geometry`. Deterministic: the same trace and
-    /// geometry always produce identical arrays.
-    pub fn compile(trace: &HotLoopTrace, geometry: TraceGeometry) -> Self {
+    /// Compile `trace`. Deterministic: the same trace always produces
+    /// identical arrays.
+    pub fn compile(trace: &HotLoopTrace) -> Self {
         let n = trace.total_refs();
         let iters = trace.outer_iters();
         let mut c = CompiledTrace {
-            geometry,
-            digest: codec::digest(trace),
-            name: trace.name.clone(),
             vaddr: Vec::with_capacity(n),
             site: Vec::with_capacity(n),
             kind: Vec::with_capacity(n),
@@ -186,21 +64,6 @@ impl CompiledTrace {
         c
     }
 
-    /// The geometry this trace was compiled for.
-    pub fn geometry(&self) -> TraceGeometry {
-        self.geometry
-    }
-
-    /// Content digest of the source trace ([`codec::digest`]).
-    pub fn digest(&self) -> u64 {
-        self.digest
-    }
-
-    /// Name of the source trace.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// Number of outer-loop iterations.
     pub fn outer_iters(&self) -> usize {
         self.backbone_len.len()
@@ -209,19 +72,6 @@ impl CompiledTrace {
     /// Total number of references.
     pub fn total_refs(&self) -> usize {
         self.vaddr.len()
-    }
-
-    /// Guard against replaying with the wrong projections: `Ok` only if
-    /// `requested` matches the compiled geometry.
-    pub fn ensure_geometry(&self, requested: TraceGeometry) -> Result<(), GeometryMismatch> {
-        if self.geometry == requested {
-            Ok(())
-        } else {
-            Err(GeometryMismatch {
-                compiled_for: self.geometry,
-                requested,
-            })
-        }
     }
 
     /// Flat index range of iteration `it`'s references (backbone first,
@@ -257,21 +107,13 @@ impl CompiledTrace {
         self.compute_cycles[it]
     }
 
-    /// The reference at flat index `i`, with its projections derived
-    /// from `vaddr` under the compiled geometry.
+    /// The reference at flat index `i`.
     #[inline]
-    pub fn get(&self, i: usize) -> CompiledRef {
-        let vaddr = self.vaddr[i];
-        let TraceGeometry { l1, l2 } = self.geometry;
-        CompiledRef {
-            vaddr,
-            block: l2.block_of(vaddr),
-            l1_set: l1.set_of(vaddr) as u32,
-            l1_tag: l1.tag_of(vaddr),
-            l2_set: l2.set_of(vaddr) as u32,
-            l2_tag: l2.tag_of(vaddr),
-            kind: self.kind[i],
+    pub fn get(&self, i: usize) -> MemRef {
+        MemRef {
+            vaddr: self.vaddr[i],
             site: self.site[i],
+            kind: self.kind[i],
         }
     }
 }
@@ -282,54 +124,24 @@ mod tests {
     use crate::stream::IterRecord;
     use crate::synth;
 
-    fn geo() -> TraceGeometry {
-        TraceGeometry {
-            l1: LevelGeometry::new(64, 64),
-            l2: LevelGeometry::new(64, 4096),
-        }
-    }
-
     #[test]
-    fn level_geometry_matches_division_mapping() {
-        let g = LevelGeometry::new(64, 64);
-        for addr in [0u64, 63, 64, 4096, 0xdead_beef, u64::MAX - 63] {
-            assert_eq!(g.block_of(addr), addr & !63);
-            assert_eq!(g.set_of(addr), (addr / 64) % 64);
-            assert_eq!(g.tag_of(addr), addr / 64 / 64);
-        }
-    }
-
-    #[test]
-    fn compiled_projections_match_scalar_walk() {
+    fn replay_yields_the_trace_refs_in_order() {
         let t = synth::pointer_chase(40, 64, 7, 3);
-        let g = geo();
-        let c = CompiledTrace::compile(&t, g);
+        let c = CompiledTrace::compile(&t);
         assert_eq!(c.outer_iters(), t.outer_iters());
         assert_eq!(c.total_refs(), t.total_refs());
-        let mut i = 0usize;
-        for (_, r) in t.tagged_refs() {
-            let cr = c.get(i);
-            assert_eq!(cr.mem_ref(), *r);
-            assert_eq!(cr.block, g.l2.block_of(r.vaddr));
-            assert_eq!(cr.l1_set as u64, g.l1.set_of(r.vaddr));
-            assert_eq!(cr.l1_tag, g.l1.tag_of(r.vaddr));
-            assert_eq!(cr.l2_set as u64, g.l2.set_of(r.vaddr));
-            assert_eq!(cr.l2_tag, g.l2.tag_of(r.vaddr));
-            i += 1;
-        }
-        assert_eq!(i, c.total_refs());
+        let replayed: Vec<MemRef> = (0..c.total_refs()).map(|i| c.get(i)).collect();
+        let walked: Vec<MemRef> = t.tagged_refs().map(|(_, r)| *r).collect();
+        assert_eq!(replayed, walked);
     }
 
     #[test]
     fn per_reference_columns_are_vaddr_site_and_kind() {
         let t = synth::pointer_chase(40, 64, 7, 3);
-        let c = CompiledTrace::compile(&t, geo());
+        let c = CompiledTrace::compile(&t);
         // Exhaustive: a new column fails to compile here until it is
         // accounted for below.
         let CompiledTrace {
-            geometry: _,
-            digest: _,
-            name: _,
             vaddr,
             site,
             kind,
@@ -364,7 +176,7 @@ mod tests {
             inner: vec![],
             compute_cycles: 9,
         });
-        let c = CompiledTrace::compile(&t, geo());
+        let c = CompiledTrace::compile(&t);
         assert_eq!(c.iter_refs(0), 0..3);
         assert_eq!(c.iter_backbone(0), 0..2);
         assert_eq!(c.iter_inner(0), 2..3);
@@ -377,57 +189,18 @@ mod tests {
     #[test]
     fn compilation_is_deterministic() {
         let t = synth::random(30, 5, 0, 1 << 24, 11, 2);
-        let a = CompiledTrace::compile(&t, geo());
-        let b = CompiledTrace::compile(&t, geo());
-        assert_eq!(a.digest(), b.digest());
+        let a = CompiledTrace::compile(&t);
+        let b = CompiledTrace::compile(&t);
+        assert_eq!(a.total_refs(), b.total_refs());
         for i in 0..a.total_refs() {
             assert_eq!(a.get(i), b.get(i));
         }
     }
 
     #[test]
-    fn digest_survives_codec_roundtrip() {
-        let t = synth::sequential(64, 4, 0x8000, 64, 3);
-        let mut buf = Vec::new();
-        codec::write_trace(&t, &mut buf).unwrap();
-        let back = codec::read_trace(&mut buf.as_slice()).unwrap();
-        assert_eq!(codec::digest(&t), codec::digest(&back));
-        assert_eq!(
-            CompiledTrace::compile(&t, geo()).digest(),
-            CompiledTrace::compile(&back, geo()).digest()
-        );
-        // Distinct traces get distinct digests.
-        let other = synth::sequential(64, 4, 0x8040, 64, 3);
-        assert_ne!(codec::digest(&t), codec::digest(&other));
-    }
-
-    #[test]
-    fn geometry_mismatch_is_a_typed_error() {
-        let t = synth::pointer_chase(8, 64, 5, 0);
-        let c = CompiledTrace::compile(&t, geo());
-        assert_eq!(c.ensure_geometry(geo()), Ok(()));
-        let other = TraceGeometry {
-            l1: LevelGeometry::new(64, 64),
-            l2: LevelGeometry::new(64, 2048),
-        };
-        let err = c.ensure_geometry(other).unwrap_err();
-        assert_eq!(err.compiled_for, geo());
-        assert_eq!(err.requested, other);
-        let msg = err.to_string();
-        assert!(msg.contains("compiled for"), "{msg}");
-    }
-
-    #[test]
     fn empty_trace_compiles() {
-        let c = CompiledTrace::compile(&HotLoopTrace::new("empty"), geo());
+        let c = CompiledTrace::compile(&HotLoopTrace::new("empty"));
         assert_eq!(c.outer_iters(), 0);
         assert_eq!(c.total_refs(), 0);
-        assert_eq!(c.name(), "empty");
-    }
-
-    #[test]
-    #[should_panic(expected = "power of two")]
-    fn rejects_non_pow2_sets() {
-        let _ = LevelGeometry::new(64, 3);
     }
 }

@@ -30,8 +30,8 @@ pub mod rng;
 pub mod stream;
 pub mod synth;
 
-pub use codec::{digest as trace_digest, load as load_trace, save as save_trace};
-pub use compiled::{CompiledRef, CompiledTrace, GeometryMismatch, LevelGeometry, TraceGeometry};
+pub use codec::{load as load_trace, save as save_trace};
+pub use compiled::CompiledTrace;
 pub use record::{AccessKind, MemRef, SiteId, VAddr};
 pub use rng::SmallRng;
 pub use stream::{HotLoopTrace, IterRecord, TraceStats};

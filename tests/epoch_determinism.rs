@@ -36,7 +36,7 @@ fn epoch_series_are_byte_identical_at_any_jobs_width() {
         let trace = Workload::tiny(b).trace();
         let ct = Arc::new(compile_trace(&trace, &cfg));
         let ds = grid(b);
-        let (sweep, epochs, rep) = sweep_epochs_compiled_jobs_with(
+        let Ok((sweep, epochs, rep)) = sweep_epochs_compiled_jobs_with(
             &ct,
             cfg,
             0.5,
@@ -44,8 +44,7 @@ fn epoch_series_are_byte_identical_at_any_jobs_width() {
             EngineOptions::default(),
             EPOCH_LEN,
             1,
-        )
-        .expect("compiled for this geometry");
+        );
         assert_eq!(rep.jobs, ds.len() + 1, "baseline + one job per distance");
         let expected = ndjson(&sweep, &epochs);
         assert!(
@@ -53,7 +52,7 @@ fn epoch_series_are_byte_identical_at_any_jobs_width() {
             "{b:?}: every distance must record windows"
         );
         for jobs in [2, 4, 8] {
-            let (s, e, _) = sweep_epochs_compiled_jobs_with(
+            let Ok((s, e, _)) = sweep_epochs_compiled_jobs_with(
                 &ct,
                 cfg,
                 0.5,
@@ -61,8 +60,7 @@ fn epoch_series_are_byte_identical_at_any_jobs_width() {
                 EngineOptions::default(),
                 EPOCH_LEN,
                 jobs,
-            )
-            .expect("compiled for this geometry");
+            );
             assert_eq!(sweep, s, "{b:?}: sweep diverged at --jobs {jobs}");
             assert_eq!(
                 expected,
@@ -79,7 +77,7 @@ fn epoch_totals_fold_exactly_to_the_run_counters() {
     for b in [Benchmark::Em3d, Benchmark::Mcf, Benchmark::Mst] {
         let trace = Workload::tiny(b).trace();
         let ct = Arc::new(compile_trace(&trace, &cfg));
-        let (sweep, epochs, _) = sweep_epochs_compiled_jobs_with(
+        let Ok((sweep, epochs, _)) = sweep_epochs_compiled_jobs_with(
             &ct,
             cfg,
             0.5,
@@ -87,8 +85,7 @@ fn epoch_totals_fold_exactly_to_the_run_counters() {
             EngineOptions::default(),
             EPOCH_LEN,
             2,
-        )
-        .expect("compiled for this geometry");
+        );
         let pairs: Vec<(&EpochSeries, &sp_core::RunResult)> =
             std::iter::once((&epochs.baseline, &sweep.baseline))
                 .chain(

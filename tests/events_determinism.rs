@@ -26,14 +26,13 @@ fn grid(b: Benchmark) -> Vec<u32> {
 /// the running fold.
 fn eventful_run(ct: &CompiledTrace, cfg: CacheConfig, d: u32) -> (String, EventSummary) {
     let mut sink = RingSink::new(0, default_early_threshold(&cfg.latency));
-    run_sp_with_compiled_ev(
+    let Ok(_) = run_sp_with_compiled_ev(
         ct,
         cfg,
         SpParams::from_distance_rp(d, 0.5),
         EngineOptions::default(),
         &mut sink,
-    )
-    .expect("compiled for this geometry");
+    );
     (sink.to_ndjson(), sink.summary)
 }
 
@@ -68,14 +67,12 @@ fn event_sweeps_are_identical_at_any_jobs_width() {
         let trace = Workload::tiny(b).trace();
         let ct = Arc::new(compile_trace(&trace, &cfg));
         let ds = grid(b);
-        let (serial_sweep, serial_events, rep) =
-            sweep_events_compiled_jobs_with(&ct, cfg, 0.5, &ds, EngineOptions::default(), 1)
-                .expect("compiled for this geometry");
+        let Ok((serial_sweep, serial_events, rep)) =
+            sweep_events_compiled_jobs_with(&ct, cfg, 0.5, &ds, EngineOptions::default(), 1);
         assert_eq!(rep.jobs, ds.len() + 1, "baseline + one job per distance");
         for jobs in [2, 4] {
-            let (sweep, events, _) =
-                sweep_events_compiled_jobs_with(&ct, cfg, 0.5, &ds, EngineOptions::default(), jobs)
-                    .expect("compiled for this geometry");
+            let Ok((sweep, events, _)) =
+                sweep_events_compiled_jobs_with(&ct, cfg, 0.5, &ds, EngineOptions::default(), jobs);
             assert_eq!(
                 serial_sweep, sweep,
                 "{b:?}: sweep diverged at --jobs {jobs}"

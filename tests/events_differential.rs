@@ -33,9 +33,9 @@ fn pollution_stats_equal_the_fold_of_eviction_events() {
         for d in distances(b) {
             let params = SpParams::from_distance_rp(d, 0.5);
             let opts = EngineOptions::default();
-            let plain = run_sp_with_compiled(&ct, cfg, params, opts).unwrap();
+            let Ok(plain) = run_sp_with_compiled(&ct, cfg, params, opts);
             let mut sink = SummarySink::new(default_early_threshold(&cfg.latency));
-            let observed = run_sp_with_compiled_ev(&ct, cfg, params, opts, &mut sink).unwrap();
+            let Ok(observed) = run_sp_with_compiled_ev(&ct, cfg, params, opts, &mut sink);
             // The sink must not perturb the simulation in any way.
             assert_eq!(plain, observed, "{b:?} d={d}: sink changed the run");
             let s = &sink.summary;
@@ -79,9 +79,9 @@ fn original_runs_fold_consistently_too() {
     for b in [Benchmark::Em3d, Benchmark::Mcf, Benchmark::Mst] {
         let trace = Workload::tiny(b).trace();
         let ct = compile_trace(&trace, &cfg);
-        let plain = run_original_passes_compiled(&ct, cfg, 2).unwrap();
+        let Ok(plain) = run_original_passes_compiled(&ct, cfg, 2);
         let mut sink = RingSink::new(16, default_early_threshold(&cfg.latency));
-        let observed = run_original_passes_compiled_ev(&ct, cfg, 2, &mut sink).unwrap();
+        let Ok(observed) = run_original_passes_compiled_ev(&ct, cfg, 2, &mut sink);
         assert_eq!(plain, observed, "{b:?}: sink changed the original run");
         assert!(sink.len() <= 16, "{b:?}: ring respects its bound");
         let s = &sink.summary;

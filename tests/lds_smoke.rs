@@ -51,9 +51,9 @@ fn every_lds_kernel_runs_under_every_backend() {
             let ct = compile_trace(&trace, &cfg);
             let params = SpParams::from_distance_rp(8, 0.5);
             let opts = EngineOptions::default();
-            let plain = run_sp_with_compiled(&ct, cfg, params, opts).unwrap();
+            let Ok(plain) = run_sp_with_compiled(&ct, cfg, params, opts);
             let mut sink = SummarySink::new(default_early_threshold(&cfg.latency));
-            let observed = run_sp_with_compiled_ev(&ct, cfg, params, opts, &mut sink).unwrap();
+            let Ok(observed) = run_sp_with_compiled_ev(&ct, cfg, params, opts, &mut sink);
             let ctx = format!("{} under {}", kind.name(), backend.name());
 
             // The sink must not perturb the simulation.

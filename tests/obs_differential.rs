@@ -24,14 +24,14 @@ fn recording_does_not_perturb_sweep_results() {
     let opts = EngineOptions::default();
 
     // Reference run: recording disabled (the default build mode).
-    let (off, _) = sweep_compiled_jobs_with(&ct, cfg, 0.5, &ds, opts, 2).unwrap();
+    let Ok((off, _)) = sweep_compiled_jobs_with(&ct, cfg, 0.5, &ds, opts, 2);
 
     // Same sweep with the recorder on and a correlation ID in scope.
     sp_obs::span::start_recording();
     let corr = sp_obs::CorrId::next_root();
-    let (on, _) = {
+    let Ok((on, _)) = {
         let _cg = sp_obs::corr::set_current(corr);
-        sweep_compiled_jobs_with(&ct, cfg, 0.5, &ds, opts, 2).unwrap()
+        sweep_compiled_jobs_with(&ct, cfg, 0.5, &ds, opts, 2)
     };
     let spans = sp_obs::span::drain();
     sp_obs::span::stop_recording();
@@ -46,7 +46,7 @@ fn recording_does_not_perturb_sweep_results() {
 
     // Disabled again: identical results, and nothing reaches the
     // collector.
-    let (again, _) = sweep_compiled_jobs_with(&ct, cfg, 0.5, &ds, opts, 2).unwrap();
+    let Ok((again, _)) = sweep_compiled_jobs_with(&ct, cfg, 0.5, &ds, opts, 2);
     assert_eq!(off, again, "post-recording run drifted");
     assert!(
         sp_obs::span::drain().is_empty(),

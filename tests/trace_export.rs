@@ -29,8 +29,7 @@ fn export_is_valid_trace_event_json_with_correlated_pipeline() {
             Workload::tiny(Benchmark::Em3d).trace()
         };
         let ct = Arc::new(compile_trace(&trace, &cfg));
-        let _ =
-            sweep_compiled_jobs_with(&ct, cfg, 0.5, &[2, 8], EngineOptions::default(), 2).unwrap();
+        let Ok(_) = sweep_compiled_jobs_with(&ct, cfg, 0.5, &[2, 8], EngineOptions::default(), 2);
     }
     let spans = sp_obs::span::drain();
     sp_obs::span::stop_recording();

@@ -26,8 +26,8 @@ fn tree(ct: &Arc<CompiledTrace>, cfg: CacheConfig, jobs: usize) -> Vec<(String, 
     let corr = sp_obs::CorrId::next_root();
     {
         let _cg = sp_obs::corr::set_current(corr);
-        let _ = sweep_compiled_jobs_with(ct, cfg, 0.5, &[2, 8, 32], EngineOptions::default(), jobs)
-            .unwrap();
+        let Ok(_) =
+            sweep_compiled_jobs_with(ct, cfg, 0.5, &[2, 8, 32], EngineOptions::default(), jobs);
     }
     let spans = sp_obs::span::drain();
     sp_obs::span::stop_recording();
