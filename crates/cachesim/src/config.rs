@@ -177,22 +177,63 @@ impl CacheConfig {
         self
     }
 
-    /// Validate cross-field invariants.
+    /// Check the configuration's cross-field rules, for constants.
     ///
     /// # Panics
-    /// If the L1 line size differs from the L2's (the hierarchy moves
-    /// whole L2 lines), or there are no cores.
+    /// On any [`check`](Self::check) error.
     pub fn validate(&self) {
-        assert!(self.cores >= 1, "need at least one core");
-        assert_eq!(
-            self.l1.line_size, self.l2.line_size,
-            "L1 and L2 must share a line size"
-        );
-        assert!(self.mshr_entries > 0, "need at least one MSHR");
-        assert!(
-            self.pchase_entries > 0 && self.pchase_depth > 0,
-            "pointer-chase table and depth must be non-zero"
-        );
+        self.check().unwrap_or_else(|e| panic!("{e}"));
+    }
+
+    /// Check the configuration's cross-field rules: one line size for L1
+    /// and L2 (the hierarchy moves whole L2 lines), and non-zero cores,
+    /// MSHR entries and pointer-chase table. Each level's own shape is
+    /// [`CacheGeometry::try_new`]'s to check.
+    pub fn check(&self) -> Result<(), ConfigError> {
+        if self.l1.line_size != self.l2.line_size {
+            return Err(ConfigError::LineMismatch);
+        }
+        let counts = [self.cores as usize, self.mshr_entries, self.pchase_entries];
+        if counts.contains(&0) || self.pchase_depth == 0 {
+            return Err(ConfigError::ZeroCount);
+        }
+        Ok(())
+    }
+}
+
+/// A broken rule of [`CacheGeometry::try_new`] or [`CacheConfig::check`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ConfigError {
+    /// The capacity is zero or not a power of two.
+    SizeNotPowerOfTwo,
+    /// The associativity is zero or not a power of two.
+    WaysNotPowerOfTwo,
+    /// The line size is zero or not a power of two.
+    LineNotPowerOfTwo,
+    /// The capacity holds fewer lines than one set has ways.
+    NoFullSet,
+    /// The capacity exceeds [`crate::geometry::MAX_CACHE_BYTES`].
+    SizeTooLarge,
+    /// The associativity exceeds [`crate::geometry::MAX_WAYS`].
+    TooManyWays,
+    /// L1 and L2 line sizes differ.
+    LineMismatch,
+    /// Zero cores, MSHR entries, or pointer-chase table entries or depth.
+    ZeroCount,
+}
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            ConfigError::SizeNotPowerOfTwo => "cache size must be a power of two",
+            ConfigError::WaysNotPowerOfTwo => "associativity must be a power of two",
+            ConfigError::LineNotPowerOfTwo => "line size must be a power of two",
+            ConfigError::NoFullSet => "cache must hold at least one set",
+            ConfigError::SizeTooLarge => "cache size must be at most 256 MiB",
+            ConfigError::TooManyWays => "associativity must be at most 128",
+            ConfigError::LineMismatch => "L1 and L2 must share a line size",
+            ConfigError::ZeroCount => "cores, MSHRs and the pointer-chase table must be non-zero",
+        })
     }
 }
 
@@ -271,8 +312,20 @@ mod tests {
     #[test]
     #[should_panic(expected = "share a line size")]
     fn validate_rejects_mismatched_lines() {
+        // `check` names each broken rule; `validate` panics with it.
+        let broken = |f: fn(&mut CacheConfig)| {
+            let mut c = CacheConfig::scaled_default();
+            f(&mut c);
+            c.check().unwrap_err()
+        };
+        assert_eq!(broken(|c| c.cores = 0), ConfigError::ZeroCount);
+        assert_eq!(broken(|c| c.mshr_entries = 0), ConfigError::ZeroCount);
+        assert_eq!(broken(|c| c.pchase_entries = 0), ConfigError::ZeroCount);
+        assert_eq!(broken(|c| c.pchase_depth = 0), ConfigError::ZeroCount);
+        assert_eq!(CacheConfig::core2_q6600().check(), Ok(()));
         let mut c = CacheConfig::scaled_default();
         c.l1 = CacheGeometry::new(4 * 1024, 8, 32);
+        assert_eq!(c.check(), Err(ConfigError::LineMismatch));
         c.validate();
     }
 }

@@ -1,5 +1,6 @@
 //! Cache geometry and address mapping.
 
+use crate::config::ConfigError;
 use sp_trace::VAddr;
 
 /// Geometry of one cache level: capacity, associativity, line size.
@@ -16,38 +17,50 @@ pub struct CacheGeometry {
     pub line_size: u64,
 }
 
+/// Largest capacity [`CacheGeometry::try_new`] accepts: 256 MiB, 64× the
+/// Core 2's 4 MiB L2. The simulator allocates per-line state up front.
+pub const MAX_CACHE_BYTES: u64 = 256 << 20;
+
+/// Most ways [`CacheGeometry::try_new`] accepts: replacement keeps one
+/// `u8` recency rank per way.
+pub const MAX_WAYS: u32 = 128;
+
 impl CacheGeometry {
-    /// Build and validate a geometry.
+    /// Build a geometry from constants.
     ///
     /// # Panics
-    /// If any parameter is zero or not a power of two, or if the capacity
-    /// is not divisible into at least one full set.
+    /// On any [`try_new`](Self::try_new) error.
     pub fn new(size_bytes: u64, ways: u32, line_size: u64) -> Self {
-        assert!(
-            size_bytes.is_power_of_two(),
-            "cache size must be a power of two"
-        );
-        assert!(
-            line_size.is_power_of_two(),
-            "line size must be a power of two"
-        );
-        assert!(ways > 0, "associativity must be positive");
-        assert!(
-            ways.is_power_of_two(),
-            "associativity must be a power of two"
-        );
-        let lines = size_bytes / line_size;
-        assert!(
-            lines >= ways as u64,
-            "cache must hold at least one set ({} lines < {} ways)",
-            lines,
-            ways
-        );
-        CacheGeometry {
+        Self::try_new(size_bytes, ways, line_size).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Build a geometry, checking every rule: capacity, associativity and
+    /// line size are non-zero powers of two, the capacity holds at least
+    /// one full set, and neither capacity nor associativity passes its
+    /// cap ([`MAX_CACHE_BYTES`], [`MAX_WAYS`]). Rules are checked in that
+    /// order; the first broken one is returned.
+    pub fn try_new(size_bytes: u64, ways: u32, line_size: u64) -> Result<Self, ConfigError> {
+        // Every rule is evaluated; `max(1)` keeps a zero line (reported
+        // by the rule before) from dividing by zero.
+        let rules = [
+            (size_bytes.is_power_of_two(), ConfigError::SizeNotPowerOfTwo),
+            (ways.is_power_of_two(), ConfigError::WaysNotPowerOfTwo),
+            (line_size.is_power_of_two(), ConfigError::LineNotPowerOfTwo),
+            (
+                size_bytes / line_size.max(1) >= ways as u64,
+                ConfigError::NoFullSet,
+            ),
+            (size_bytes <= MAX_CACHE_BYTES, ConfigError::SizeTooLarge),
+            (ways <= MAX_WAYS, ConfigError::TooManyWays),
+        ];
+        if let Some((_, broken)) = rules.into_iter().find(|(holds, _)| !holds) {
+            return Err(broken);
+        }
+        Ok(CacheGeometry {
             size_bytes,
             ways,
             line_size,
-        }
+        })
     }
 
     /// `log2(line_size)` — the offset-bit count.
@@ -160,6 +173,22 @@ mod tests {
     #[test]
     #[should_panic(expected = "power of two")]
     fn rejects_non_pow2_size() {
+        // `try_new` names the first broken rule; `new` panics with it.
+        let err = |s, w, l| CacheGeometry::try_new(s, w, l).unwrap_err();
+        assert_eq!(err(0, 4, 64), ConfigError::SizeNotPowerOfTwo);
+        assert_eq!(err(3000, 4, 64), ConfigError::SizeNotPowerOfTwo);
+        assert_eq!(err(4096, 0, 64), ConfigError::WaysNotPowerOfTwo);
+        assert_eq!(err(4096, 3, 64), ConfigError::WaysNotPowerOfTwo);
+        assert_eq!(err(4096, 4, 0), ConfigError::LineNotPowerOfTwo);
+        assert_eq!(err(4096, 4, 7), ConfigError::LineNotPowerOfTwo);
+        // 2 lines < 4 ways.
+        assert_eq!(err(128, 4, 64), ConfigError::NoFullSet);
+        assert_eq!(err(MAX_CACHE_BYTES * 2, 16, 64), ConfigError::SizeTooLarge);
+        assert!(CacheGeometry::try_new(MAX_CACHE_BYTES, 16, 64).is_ok());
+        assert_eq!(err(1 << 20, 256, 64), ConfigError::TooManyWays);
+        assert!(CacheGeometry::try_new(1 << 20, MAX_WAYS, 64).is_ok());
+        // Earlier rules win: a bad size is reported before bad ways.
+        assert_eq!(err(3000, 3, 7), ConfigError::SizeNotPowerOfTwo);
         let _ = CacheGeometry::new(3000, 4, 64);
     }
 

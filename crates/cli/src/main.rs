@@ -1,44 +1,21 @@
 //! `spt` — command-line explorer for the Skip-Prefetching toolkit.
 //!
-//! ```text
-//! spt affinity   [--bench B] [--size S] [--l2-kb N --ways N --line N]
-//! spt sweep      [--bench B] [--rp R] [--distances d1,d2,...] [--jobs N] [--svg F]
-//! spt delinquent [--bench B]
-//! spt phases     [--bench B]
-//! spt reuse      [--bench B]
-//! spt adaptive   [--bench B] [--start D] [--epoch N] [--bounded on|off]
-//! spt selection
-//! spt dump       [--bench B] [--size S] --out trace.spt
-//! spt events     [--bench B] [--distance D] [--rp R] [--original] [--out F.ndjson]
-//! spt trace      [--bench B] [--distances d1,...] [--jobs N] --out profile.json
-//! spt report     [--bench B] [--rp R] [--epoch-len N] [--ndjson F] [--out F.md]
-//! ```
-//!
-//! Every analysis command also accepts `--trace FILE` to replay a trace
-//! recorded with `spt dump` instead of building a workload.
-//!
-//! Common flags: `--bench` (any workload-builder kernel:
-//! em3d|mcf|mst|treeadd|health|matmul|hashjoin|bfs|skiplist|btree),
-//! `--size scaled|tiny`, `--cache scaled|core2`, `--hw-prefetch on|off`,
-//! `--prefetcher streamer+dpl|streamer|dpl|pointer-chase|perceptron`,
-//! `--l2-kb/--ways/--line` geometry overrides.
+//! Every command and its flags are declared once, in
+//! [`sp_cli::help::COMMANDS`]: `spt --help` lists the commands, and
+//! `spt <command> --help` prints one command's page.
 
 #![forbid(unsafe_code)]
 
-mod args;
-mod help;
 mod serve_cmd;
 mod slo;
 mod top_cmd;
 
-use args::Args;
 use sp_cachesim::CacheConfig;
+use sp_cli::args::Args;
+use sp_cli::help;
 use sp_core::prelude::*;
 use sp_core::{run_sp_adaptive, sampled_set_affinity, FeedbackController};
-use sp_profiler::{
-    detect_phases, rank_delinquent_loads, reuse_histogram, select_benchmarks, BurstSampler,
-    PhaseConfig,
-};
+use sp_profiler::{rank_delinquent_loads, reuse_histogram, select_benchmarks, BurstSampler};
 use sp_workloads::Candidate;
 
 fn main() {
@@ -47,20 +24,22 @@ fn main() {
         print!("{}", USAGE);
         return;
     }
+    let Some(cmd) = help::command(&argv[0]) else {
+        eprintln!(
+            "spt: unknown command {}; expected one of {}",
+            argv[0],
+            help::COMMANDS.map(|c| c.name()).join("|")
+        );
+        std::process::exit(2);
+    };
     // `spt <command> --help` prints the command's own page (handled
     // before Args::parse, which requires every `--flag` to have a value).
     if argv.iter().skip(1).any(|a| a == "--help" || a == "help") {
-        match help::command_help(&argv[0]) {
-            Some(page) => print!("{page}"),
-            None => {
-                eprintln!("spt: unknown command {}", argv[0]);
-                std::process::exit(2);
-            }
-        }
+        print!("{}", cmd.help());
         return;
     }
     sp_obs::logger::init_from_env();
-    match Args::parse(argv).and_then(run) {
+    match Args::parse(cmd, argv.into_iter().skip(1)).and_then(run) {
         Ok(()) => {}
         Err(e) => {
             eprintln!("spt: {e}");
@@ -82,7 +61,6 @@ COMMANDS:
                --jobs N fans distances out on N threads (default all
                cores; output is identical whatever N is)
   delinquent   rank reference sites by L2 misses
-  phases       access-phase detection
   reuse        LRU stack-distance histogram + miss ratio vs associativity
   adaptive     run the FDP-style dynamic distance controller
   selection    benchmark screen by L2-miss cycle share (paper SIV.B)
@@ -122,11 +100,10 @@ Run `spt <command> --help` for a command's full flag reference.
 ";
 
 fn run(a: Args) -> Result<(), String> {
-    match a.command.as_str() {
+    match a.command.name() {
         "affinity" => affinity(&a),
         "sweep" => sweep(&a),
         "delinquent" => delinquent(&a),
-        "phases" => phases(&a),
         "reuse" => reuse(&a),
         "adaptive" => adaptive(&a),
         "selection" => selection_cmd(&a),
@@ -137,10 +114,7 @@ fn run(a: Args) -> Result<(), String> {
         "serve" => serve_cmd::serve(&a),
         "loadgen" => serve_cmd::loadgen(&a),
         "top" => top_cmd::top(&a),
-        other => Err(format!(
-            "unknown command {other}; expected one of {}",
-            help::COMMANDS.join("|")
-        )),
+        other => unreachable!("{other} is in help::COMMANDS but not dispatched"),
     }
 }
 
@@ -177,21 +151,9 @@ fn affinity(a: &Args) -> Result<(), String> {
 fn sweep(a: &Args) -> Result<(), String> {
     let cfg = a.cache_config()?;
     let trace = a.trace()?;
-    let rec = recommend_distance(&trace, &cfg);
-    let bound = rec.max_distance.unwrap_or(u32::MAX);
-    let mut default: Vec<u32> = [
-        bound / 4,
-        bound / 2,
-        bound,
-        bound.saturating_mul(2),
-        bound.saturating_mul(4),
-    ]
-    .into_iter()
-    .filter(|&d| d >= 1)
-    .collect();
-    default.dedup(); // unbounded traces collapse to one u32::MAX entry
-    let ds = a.distances(&default)?;
-    let rp: f64 = a.get_or("rp", 0.5)?;
+    let bound = recommend_distance(&trace, &cfg).max_distance;
+    let ds = grid(a, bound)?;
+    let rp = a.rp_for(&ds)?;
     let jobs: usize = a.get_or("jobs", 0)?; // 0 = all cores
     let (s, ev, rep) = if a.switch("events") {
         let ct = std::sync::Arc::new(sp_core::compile_trace(&trace, &cfg));
@@ -208,7 +170,7 @@ fn sweep(a: &Args) -> Result<(), String> {
         let (s, rep) = sp_core::sweep_distances_jobs(&trace, cfg, rp, &ds, jobs);
         (s, None, rep)
     };
-    println!("bound = {bound}; RP = {rp}");
+    println!("bound = {}; RP = {rp}", bound_text(bound));
     if let Some(svg_path) = a.get("svg") {
         use sp_bench::plot::{line_chart, save_svg, ChartConfig, Series};
         let xs: Vec<f64> = s.points.iter().map(|p| p.distance as f64).collect();
@@ -228,7 +190,11 @@ fn sweep(a: &Args) -> Result<(), String> {
             ),
         ];
         let chart = line_chart(
-            &format!("{} distance sweep (bound {bound})", trace.name),
+            &format!(
+                "{} distance sweep (bound {})",
+                trace.name,
+                bound_text(bound)
+            ),
             "prefetch distance (log)",
             "normalized to original",
             &series,
@@ -244,7 +210,7 @@ fn sweep(a: &Args) -> Result<(), String> {
     for p in &s.points {
         println!(
             "{}{:>8} {:>9.3} {:>9.3} {:>+8.2} {:>+8.2} {:>+8.2} {:>10}",
-            if p.distance <= bound { " " } else { "!" },
+            past_bound(p.distance, bound),
             p.distance,
             p.runtime_norm,
             p.hot_misses_norm,
@@ -265,7 +231,7 @@ fn sweep(a: &Args) -> Result<(), String> {
         for (p, s) in s.points.iter().zip(&ev.points) {
             println!(
                 "{}{:>8} {:>8} {:>8} {:>8} {:>7} {:>8} {:>7} {:>7}",
-                if p.distance <= bound { " " } else { "!" },
+                past_bound(p.distance, bound),
                 p.distance,
                 s.pollution[0],
                 s.pollution[1],
@@ -281,25 +247,48 @@ fn sweep(a: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// `spt report`: run an epoch-recorded distance sweep — the cache
-/// flight recorder — and render the artifacts: a per-window NDJSON
-/// series (`--ndjson`) and a self-contained markdown report with
-/// per-metric sparklines and the distances-by-epochs displacement
-/// heatmap (`--out`, or stdout). The series is differentially
-/// self-checked against the run-aggregate counters before anything
-/// is written.
+/// The `--distances` grid, by default brackets around the bound
+/// (`bound/4 .. 4*bound`); with no bound, the benchmark's reproduction
+/// grid, as `spt report` uses.
+fn grid(a: &Args, bound: Option<u32>) -> Result<Vec<u32>, String> {
+    let default: Vec<u32> = match bound {
+        Some(b) => {
+            let mut ds: Vec<u32> = [b / 4, b / 2, b, b.saturating_mul(2), b.saturating_mul(4)]
+                .into_iter()
+                .filter(|&d| d >= 1)
+                .collect();
+            ds.dedup();
+            ds
+        }
+        None => sp_bench::distances_for_kernel(a.kernel()?).to_vec(),
+    };
+    a.distances(&default)
+}
+
+/// The bound as printed: `-` when the trace has none.
+fn bound_text(bound: Option<u32>) -> String {
+    bound.map_or_else(|| "-".into(), |b| b.to_string())
+}
+
+/// The row marker: `!` for a distance past the bound.
+fn past_bound(distance: u32, bound: Option<u32>) -> &'static str {
+    if bound.is_some_and(|b| distance > b) {
+        "!"
+    } else {
+        " "
+    }
+}
+
+/// `spt report`: an epoch-recorded sweep, self-checked against the run
+/// counters before the markdown report and NDJSON series are written.
 fn report(a: &Args) -> Result<(), String> {
     let cfg = a.cache_config()?;
     let trace = a.trace()?;
-    let rec = recommend_distance(&trace, &cfg);
-    let bound = rec.max_distance;
+    let bound = recommend_distance(&trace, &cfg).max_distance;
     let kernel = a.kernel()?;
     let ds = a.distances(sp_bench::distances_for_kernel(kernel))?;
-    let rp: f64 = a.get_or("rp", 0.5)?;
+    let rp = a.rp_for(&ds)?;
     let epoch_len: u64 = a.get_or("epoch-len", sp_cachesim::DEFAULT_EPOCH_LEN)?;
-    if epoch_len == 0 {
-        return Err("--epoch-len 0: a window must cover at least one reference".into());
-    }
     let jobs: usize = a.get_or("jobs", 0)?; // 0 = all cores
     let ct = std::sync::Arc::new(sp_core::compile_trace(&trace, &cfg));
     let Ok((s, epochs, rep)) = sp_core::sweep_epochs_compiled_jobs_with(
@@ -339,7 +328,7 @@ fn report(a: &Args) -> Result<(), String> {
     };
     println!(
         "bound = {}; RP = {rp}; epoch = {epoch_len} refs",
-        bound.map(|b| b.to_string()).unwrap_or_else(|| "-".into())
+        bound_text(bound)
     );
     println!(
         "{:>9} {:>8} {:>10} {:>8} {:>8}",
@@ -349,11 +338,7 @@ fn report(a: &Args) -> Result<(), String> {
         let t = series.totals();
         println!(
             "{}{:>8} {:>8} {:>10} {:>8} {:>8}",
-            if bound.is_none_or(|b| p.distance <= b) {
-                " "
-            } else {
-                "!"
-            },
+            past_bound(p.distance, bound),
             p.distance,
             series.len(),
             t.total_pollution(),
@@ -380,18 +365,14 @@ fn report(a: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// `spt trace`: run a distance sweep with the span recorder enabled and
-/// export the collected spans as Chrome trace-event JSON (loadable in
-/// Perfetto or chrome://tracing). Every span carries the same root
-/// correlation ID, so the load → compile → simulate → fold pipeline for
-/// each grid point can be followed across worker threads.
+/// `spt trace`: a distance sweep with the span recorder on, exported as
+/// Chrome trace-event JSON under one root correlation ID.
 fn trace_cmd(a: &Args) -> Result<(), String> {
     let out = a
         .get("out")
         .ok_or("trace needs --out FILE (Chrome trace JSON)")?
         .to_string();
     let cfg = a.cache_config()?;
-    let rp: f64 = a.get_or("rp", 0.5)?;
     let jobs: usize = a.get_or("jobs", 0)?; // 0 = all cores
 
     sp_obs::span::start_recording();
@@ -402,20 +383,8 @@ fn trace_cmd(a: &Args) -> Result<(), String> {
             let _sp = sp_obs::span!("load");
             a.trace()?
         };
-        let rec = recommend_distance(&trace, &cfg);
-        let bound = rec.max_distance.unwrap_or(u32::MAX);
-        let mut default: Vec<u32> = [
-            bound / 4,
-            bound / 2,
-            bound,
-            bound.saturating_mul(2),
-            bound.saturating_mul(4),
-        ]
-        .into_iter()
-        .filter(|&d| d >= 1)
-        .collect();
-        default.dedup();
-        let ds = a.distances(&default)?;
+        let ds = grid(a, recommend_distance(&trace, &cfg).max_distance)?;
+        let rp = a.rp_for(&ds)?;
         let ct = std::sync::Arc::new(sp_core::compile_trace(&trace, &cfg));
         let Ok((s, rep)) = sp_core::sweep_compiled_jobs_with(
             &ct,
@@ -455,7 +424,7 @@ fn events(a: &Args) -> Result<(), String> {
     let rec = recommend_distance(&trace, &cfg);
     let original = a.switch("original");
     let distance: u32 = a.get_or("distance", rec.max_distance.unwrap_or(8))?;
-    let rp: f64 = a.get_or("rp", 0.5)?;
+    let rp = a.rp_for(&[distance])?;
     let passes: usize = a.get_or("passes", 1)?;
     let limit: usize = a.get_or("limit", 0)?; // 0 = keep every event
     let ct = sp_core::compile_trace(&trace, &cfg);
@@ -467,7 +436,7 @@ fn events(a: &Args) -> Result<(), String> {
             passes,
             ..Default::default()
         };
-        let params = SpParams::from_distance_rp(distance, rp);
+        let params = SpParams::from_distance_rp(distance, rp); // checked by rp_for
         sp_core::run_sp_with_compiled_ev(&ct, cfg, params, opts, &mut sink)
     };
 
@@ -477,9 +446,7 @@ fn events(a: &Args) -> Result<(), String> {
         println!(
             "{}: SP run, distance {distance} (bound {}), RP {rp}, passes {passes}",
             trace.name,
-            rec.max_distance
-                .map(|b| b.to_string())
-                .unwrap_or_else(|| "-".into()),
+            bound_text(rec.max_distance),
         );
     }
     println!(
@@ -596,23 +563,6 @@ fn delinquent(a: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn phases(a: &Args) -> Result<(), String> {
-    let trace = a.trace()?;
-    let phases = detect_phases(&trace, PhaseConfig::default());
-    println!(
-        "{} phases over {} iterations",
-        phases.len(),
-        trace.outer_iters()
-    );
-    for p in phases {
-        println!(
-            "  [{:>8}, {:>8})  {:>7.1} refs/iter  {:>6.2} new blocks/iter",
-            p.start_iter, p.end_iter, p.refs_per_iter, p.blocks_per_iter
-        );
-    }
-    Ok(())
-}
-
 fn reuse(a: &Args) -> Result<(), String> {
     let cfg = a.cache_config()?;
     let trace = a.trace()?;
@@ -639,8 +589,9 @@ fn adaptive(a: &Args) -> Result<(), String> {
     let rec = recommend_distance(&trace, &cfg);
     let start: u32 = a.get_or("start", rec.max_distance.map(|b| b * 4).unwrap_or(64))?;
     let epoch: usize = a.get_or("epoch", 128)?;
-    let mut ctl = FeedbackController::new(start, a.get_or("rp", 0.5)?);
-    let bounded = matches!(a.get("bounded"), Some("on")) || a.get("bounded").is_none();
+    // The controller moves within distances >= 1, so RP 1 never fits.
+    let mut ctl = FeedbackController::new(start, a.rp_for(&[start.max(1)])?);
+    let bounded = a.get("bounded") != Some("off");
     if bounded {
         if let Some(b) = rec.max_distance {
             ctl = ctl.bounded(b);
@@ -677,9 +628,12 @@ fn adaptive(a: &Args) -> Result<(), String> {
 
 fn dump(a: &Args) -> Result<(), String> {
     let out = a.get("out").ok_or("dump needs --out FILE")?;
+    // The trace does not depend on the cache, but its declared flags
+    // are still checked.
+    a.cache_config()?;
     let trace = a.trace()?;
     let path = std::path::Path::new(out);
-    sp_prefetch_save(&trace, path)?;
+    sp_trace::save_trace(&trace, path).map_err(|e| e.to_string())?;
     let bytes = std::fs::metadata(path).map_err(|e| e.to_string())?.len();
     println!(
         "wrote {} ({} iters, {} refs, {} bytes, {:.1} B/ref)",
@@ -690,10 +644,6 @@ fn dump(a: &Args) -> Result<(), String> {
         bytes as f64 / trace.total_refs().max(1) as f64
     );
     Ok(())
-}
-
-fn sp_prefetch_save(t: &sp_trace::HotLoopTrace, path: &std::path::Path) -> Result<(), String> {
-    sp_trace::save_trace(t, path).map_err(|e| e.to_string())
 }
 
 fn selection_cmd(a: &Args) -> Result<(), String> {
@@ -737,6 +687,6 @@ mod tests {
             .filter(|l| !l.starts_with(' '))
             .map(|l| l.split_whitespace().next().unwrap())
             .collect();
-        assert_eq!(listed, help::COMMANDS);
+        assert_eq!(listed, help::COMMANDS.map(|c| c.name()));
     }
 }

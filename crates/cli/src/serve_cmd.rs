@@ -1,32 +1,14 @@
 //! `spt serve` — run the sp-serve daemon — and `spt loadgen` — drive a
-//! seeded request mix against one and report throughput, outcome
-//! counters, and latency percentiles from the shared
-//! [`sp_obs::LogLinearHist`].
-//!
-//! Loadgen runs in one of two arrival models:
-//!
-//! * **Closed loop** (default, back-compat): `--concurrency N` clients
-//!   each send their next request only after the previous reply. This
-//!   measures the service at its own pace — queueing delay under
-//!   overload is *hidden*, because a slow reply delays the next send
-//!   (coordinated omission).
-//! * **Open loop** (`--rate R`): requests are launched on a fixed
-//!   schedule — constant spacing or seeded-Poisson gaps
-//!   (`--arrivals constant|poisson`) — regardless of reply progress,
-//!   and every latency is measured from the request's **intended**
-//!   send time. A reply that queued behind a stall is charged the full
-//!   wait, so tail percentiles reflect what an independent client
-//!   population would actually experience.
-//!
-//! Either mode can write a per-second NDJSON time series
-//! (`--series FILE`, atomic write), a Prometheus body (`--prom FILE`,
-//! the `sp_loadgen_*` families of [`loadgen_families`], rendered and
-//! linted by sp-serve's metrics module like the daemon's), and gate on
-//! `--slo "p99<=5ms,..."` (see [`crate::slo`]), exiting non-zero on
-//! violation.
+//! seeded request mix against one, closed- or open-loop, and report
+//! throughput, outcome counters, and latency percentiles from the
+//! shared [`sp_obs::LogLinearHist`]. Their flags and the two arrival
+//! models are described on their help pages ([`sp_cli::help::COMMANDS`]).
+//! The optional Prometheus body holds the `sp_loadgen_*` families of
+//! [`loadgen_families`], rendered and linted by sp-serve's metrics
+//! module like the daemon's; the SLO gate is [`crate::slo`].
 
-use crate::args::Args;
 use crate::slo::{Measured, Slo};
+use sp_cli::args::Args;
 use sp_obs::LogLinearHist;
 use sp_serve::metrics::{build_info, render_prometheus, Family};
 use sp_serve::{fnv1a64, Json, Server, ServerConfig};
@@ -432,39 +414,21 @@ pub fn loadgen(a: &Args) -> Result<(), String> {
     let requests: usize = a.get_or("requests", 50)?;
     let concurrency: usize = a.get_or("concurrency", 4)?;
     let seed: u64 = a.get_or("seed", 1)?;
-    let shutdown = match a.get("shutdown") {
-        None | Some("off") => false,
-        Some("on") => true,
-        Some(other) => return Err(format!("--shutdown: expected on|off, got {other}")),
-    };
-    let rate: Option<f64> = match a.get("rate") {
-        None => None,
-        Some(v) => {
-            let r: f64 = v
-                .parse()
-                .map_err(|_| format!("--rate: cannot parse {v:?}"))?;
-            if !(r.is_finite() && r > 0.0) {
-                return Err("--rate must be a positive requests/second".into());
-            }
-            Some(r)
-        }
-    };
-    let poisson = match a.get("arrivals") {
-        None | Some("constant") => false,
-        Some("poisson") => true,
-        Some(other) => {
-            return Err(format!(
-                "--arrivals: expected constant|poisson, got {other}"
-            ))
-        }
-    };
+    let shutdown = a.get("shutdown") == Some("on");
+    let rate = a
+        .get("rate")
+        .map(|v| match v.parse::<f64>() {
+            Ok(r) if r.is_finite() && r > 0.0 => Ok(r),
+            _ => Err(format!(
+                "--rate must be a positive requests/second, got {v:?}"
+            )),
+        })
+        .transpose()?;
+    let poisson = a.get("arrivals") == Some("poisson");
     if poisson && rate.is_none() {
         return Err("--arrivals needs --rate (open-loop mode)".into());
     }
     let slo = a.get("slo").map(Slo::parse).transpose()?;
-    if requests == 0 || concurrency == 0 {
-        return Err("--requests and --concurrency must be positive".into());
-    }
     let mix = request_mix(seed, requests);
     let mix_digest = mix
         .iter()

@@ -1,16 +1,10 @@
 //! `spt top` — a live terminal dashboard over a running sp-serve
-//! daemon. Polls the NDJSON `stats` command at `--interval-ms`, keeps
-//! short histories, and redraws in place with plain ANSI (cursor-up +
-//! line-clear — no terminal library), rendering throughput, cache hit
-//! ratio, queue depth, worker utilization, and latency percentiles
-//! with [`sp_bench::sparkline`] history rows.
-//!
-//! `--once` polls a single time and prints one static frame (no ANSI);
-//! `--once --json` prints the raw `stats` result object for scripting
-//! — the shape is golden-pinned by `tests/top_snapshot.rs` and
-//! schema-checked in CI.
+//! daemon: polls the NDJSON `stats` command, keeps short histories, and
+//! redraws in place with plain ANSI (cursor-up + line-clear — no
+//! terminal library) and [`sp_bench::sparkline`] history rows. The
+//! `--once --json` shape is golden-pinned by `tests/top_snapshot.rs`.
 
-use crate::args::Args;
+use sp_cli::args::Args;
 use sp_serve::Json;
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Write};
@@ -239,9 +233,6 @@ pub fn top(a: &Args) -> Result<(), String> {
     let count: u64 = a.get_or("count", 0)?;
     if json && !once {
         return Err("--json needs --once (live mode is for terminals)".into());
-    }
-    if interval_ms == 0 {
-        return Err("--interval-ms must be positive".into());
     }
     if once {
         let v = poll_stats(&addr)?;

@@ -151,11 +151,15 @@ impl AdaptivePolicy for FeedbackController {
         if fb.pollution_rate() > self.pollution_hi || fb.accuracy() < self.accuracy_lo {
             self.distance = (self.distance / 2).max(self.min_distance);
         } else if fb.lateness() > self.lateness_hi {
-            self.distance = self
+            let grown = self
                 .distance
                 .saturating_mul(2)
                 .min(self.max_distance)
                 .max(1);
+            // Grow only while a round of `grown` still fits a u32.
+            if SpParams::try_from_distance_rp(grown, self.rp).is_ok() {
+                self.distance = grown;
+            }
         }
         self.params()
     }
@@ -322,6 +326,10 @@ mod tests {
         };
         let next = p.adjust(&fb);
         assert_eq!(next.a_ski, 4, "distance must double on high lateness");
+        // At RP 0.5 a round of distance 2^31 is 2^32 iterations, past a
+        // u32: hold at 2^30 instead of doubling.
+        let mut p = FeedbackController::new(1 << 30, 0.5);
+        assert_eq!(p.adjust(&fb).a_ski, 1 << 30);
     }
 
     #[test]

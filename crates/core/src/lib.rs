@@ -71,7 +71,7 @@ pub use engine::{
     run_scheduled_compiled_ev, run_sp, run_sp_with, run_sp_with_compiled, run_sp_with_compiled_ev,
     EngineOptions, HelperSchedule, RunResult, StaticSchedule,
 };
-pub use params::SpParams;
+pub use params::{ParamsError, SpParams};
 pub use pollution::{BehaviorChange, PollutionSummary};
 pub use skip::{helper_refs, plan, summarize, HelperStep, PlanSummary};
 

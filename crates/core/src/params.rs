@@ -56,33 +56,64 @@ impl SpParams {
         self.a_ski
     }
 
+    /// Derive `(A_SKI, A_PRE)` from constants.
+    ///
+    /// # Panics
+    /// On any [`try_from_distance_rp`](Self::try_from_distance_rp) error.
+    pub fn from_distance_rp(distance: u32, rp: f64) -> Self {
+        Self::try_from_distance_rp(distance, rp).unwrap_or_else(|e| panic!("{e}"))
+    }
+
     /// Derive `(A_SKI, A_PRE)` from a prefetch distance and a target
     /// ratio — the parameterization the paper's sweeps use (they fix
     /// `RP = 0.5` and grow the distance, so `A_PRE = A_SKI`).
     ///
     /// `A_PRE` is rounded to the nearest positive integer satisfying
-    /// `A_PRE / (A_SKI + A_PRE) ≈ rp`; for `rp >= 1.0` the distance must
-    /// be 0 (conventional helper prefetching covers everything).
-    ///
-    /// # Panics
-    /// If `rp` is not in `(0, 1]`, or `rp == 1` with a nonzero distance.
-    pub fn from_distance_rp(distance: u32, rp: f64) -> Self {
-        assert!(rp > 0.0 && rp <= 1.0, "RP must be in (0, 1]");
+    /// `A_PRE / (A_SKI + A_PRE) ≈ rp`. `RP = 1` means `A_SKI = 0`
+    /// (conventional helper prefetching covers everything), so it takes
+    /// only distance 0. The round `A_SKI + A_PRE` must fit a `u32`.
+    pub fn try_from_distance_rp(distance: u32, rp: f64) -> Result<Self, ParamsError> {
+        if !(rp > 0.0 && rp <= 1.0) {
+            return Err(ParamsError::RatioOutOfRange);
+        }
         if (rp - 1.0).abs() < 1e-12 {
-            assert!(
-                distance == 0,
-                "RP = 1 means A_SKI = 0; a nonzero distance is inconsistent"
-            );
-            return SpParams::new(0, 1);
+            if distance != 0 {
+                return Err(ParamsError::DistanceAtFullRatio);
+            }
+            return Ok(SpParams::new(0, 1));
         }
         let a_pre = ((distance as f64 * rp / (1.0 - rp)).round() as u32).max(1);
-        SpParams::new(distance, a_pre)
+        if distance.checked_add(a_pre).is_none() {
+            return Err(ParamsError::RoundTooLong);
+        }
+        Ok(SpParams::new(distance, a_pre))
     }
 
     /// Conventional helper-threaded prefetching (the paper's contrast
     /// case): the helper covers *every* delinquent load (`RP = 1`).
     pub fn conventional() -> Self {
         SpParams::new(0, 1)
+    }
+}
+
+/// A broken rule of [`SpParams::try_from_distance_rp`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ParamsError {
+    /// `rp` is outside `(0, 1]` or NaN.
+    RatioOutOfRange,
+    /// `rp == 1` with a nonzero distance.
+    DistanceAtFullRatio,
+    /// `A_SKI + A_PRE` overflows a `u32`.
+    RoundTooLong,
+}
+
+impl std::fmt::Display for ParamsError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            ParamsError::RatioOutOfRange => "RP must be in (0, 1]",
+            ParamsError::DistanceAtFullRatio => "RP = 1 makes a nonzero distance inconsistent",
+            ParamsError::RoundTooLong => "A_SKI + A_PRE must fit a u32",
+        })
     }
 }
 
@@ -154,5 +185,18 @@ mod tests {
     #[should_panic(expected = "RP must be in")]
     fn rp_out_of_range_rejected() {
         let _ = SpParams::from_distance_rp(5, 0.0);
+    }
+
+    #[test]
+    fn try_from_distance_rp_names_each_broken_rule() {
+        let err = |d, rp| SpParams::try_from_distance_rp(d, rp).unwrap_err();
+        for rp in [0.0, -0.5, 1.5, 2.0, f64::NAN] {
+            assert_eq!(err(5, rp), ParamsError::RatioOutOfRange);
+        }
+        assert_eq!(err(4, 1.0), ParamsError::DistanceAtFullRatio);
+        assert_eq!(err(u32::MAX, 0.5), ParamsError::RoundTooLong);
+        // The largest even split still fits.
+        let p = SpParams::try_from_distance_rp(u32::MAX / 2, 0.5).unwrap();
+        assert_eq!(p.round_len(), u32::MAX - 1);
     }
 }

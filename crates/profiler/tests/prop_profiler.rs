@@ -1,10 +1,10 @@
-//! Property tests: burst sampling, phase detection, and delinquent-load
-//! ranking invariants.
+//! Property tests: burst sampling and delinquent-load ranking
+//! invariants.
 //!
 //! Deterministic randomized cases via `sp_testkit::check` (std-only).
 
 use sp_cachesim::{CacheGeometry, Policy};
-use sp_profiler::{detect_phases, rank_delinquent_loads, BurstSampler, PhaseConfig};
+use sp_profiler::{rank_delinquent_loads, BurstSampler};
 use sp_testkit::{check, gen_vec, SmallRng};
 use sp_trace::{synth, HotLoopTrace, IterRecord, MemRef, SiteId};
 
@@ -64,34 +64,6 @@ fn zero_off_records_everything() {
         let on = rng.gen_range(1usize..20);
         let s = BurstSampler::new(on, 0);
         assert_eq!(s.recorded_iters(&t), t.outer_iters());
-    });
-}
-
-/// Phases partition the trace contiguously from 0 to the end.
-#[test]
-fn phases_partition() {
-    check(64, |rng| {
-        let t = arb_trace(rng);
-        let window = rng.gen_range(1usize..32);
-        let cfg = PhaseConfig {
-            window,
-            ..PhaseConfig::default()
-        };
-        let phases = detect_phases(&t, cfg);
-        if t.outer_iters() == 0 {
-            assert!(phases.is_empty());
-        } else {
-            assert_eq!(phases.first().unwrap().start_iter, 0);
-            assert_eq!(phases.last().unwrap().end_iter, t.outer_iters());
-            for w in phases.windows(2) {
-                assert_eq!(w[0].end_iter, w[1].start_iter);
-            }
-            for p in &phases {
-                assert!(!p.is_empty());
-                assert!(p.refs_per_iter >= 0.0);
-                assert!(p.blocks_per_iter <= p.refs_per_iter + 1e-9);
-            }
-        }
     });
 }
 

@@ -39,8 +39,8 @@
 
 use crate::json::Json;
 use sp_bench::Scale;
-use sp_cachesim::{CacheConfig, CacheGeometry, HwBackend};
-use sp_core::EngineOptions;
+use sp_cachesim::{CacheConfig, CacheGeometry, ConfigError, HwBackend, MAX_CACHE_BYTES, MAX_WAYS};
+use sp_core::{EngineOptions, ParamsError, SpParams};
 use sp_workloads::KernelKind;
 
 /// Resolved cache selection for a request (preset plus overrides).
@@ -58,42 +58,24 @@ impl CacheSpec {
             "core2" => CacheConfig::core2_q6600(),
             other => return Err(format!("unknown cache preset {other:?}")),
         };
-        let l2_kb = match v.get("l2_kb") {
-            None => config.l2.size_bytes / 1024,
-            Some(n) => n.as_u64().ok_or("l2_kb must be a positive integer")?,
-        };
-        let ways = match v.get("ways") {
+        let l2_kb = uint(v, "l2_kb", "positive")?.unwrap_or(config.l2.size_bytes / 1024);
+        let ways = match uint(v, "ways", "positive")? {
             None => config.l2.ways,
-            Some(n) => n.as_u64().ok_or("ways must be a positive integer")? as u32,
+            Some(n) => u32::try_from(n).map_err(|_| "ways too large".to_string())?,
         };
-        let line = match v.get("line") {
-            None => config.l2.line_size,
-            Some(n) => n.as_u64().ok_or("line must be a positive integer")?,
-        };
-        // CacheGeometry::new panics on invalid shapes; a bad request must
-        // get an error reply instead, so validate its rules up front.
-        if l2_kb == 0 || !l2_kb.is_power_of_two() {
-            return Err("l2_kb must be a power of two".into());
-        }
-        if ways == 0 || !ways.is_power_of_two() {
-            return Err("ways must be a power of two".into());
-        }
-        if line != config.l1.line_size {
-            return Err(format!(
-                "line must match the L1 line size ({})",
-                config.l1.line_size
-            ));
-        }
-        if l2_kb * 1024 / line < ways as u64 {
-            return Err("cache must hold at least one full set".into());
-        }
-        config.l2 = CacheGeometry::new(l2_kb * 1024, ways, line);
+        let line = uint(v, "line", "positive")?.unwrap_or(config.l2.line_size);
+        config.l2 = l2_kb
+            .checked_mul(1024)
+            .ok_or(ConfigError::SizeTooLarge)
+            .and_then(|bytes| CacheGeometry::try_new(bytes, ways, line))
+            .map_err(|e| cache_detail(e, &config))?;
+        config.check().map_err(|e| cache_detail(e, &config))?;
         if let Some(pf) = v.get("prefetcher") {
             let name = pf.as_str().ok_or("prefetcher must be a string")?;
             config.hw_backend = HwBackend::parse(name)?;
         }
-        if let Some(hw) = v.get("hw_prefetch") {
-            config.hw_prefetchers = hw.as_bool().ok_or("hw_prefetch must be a boolean")?;
+        if let Some(hw) = boolean(v, "hw_prefetch")? {
+            config.hw_prefetchers = hw;
         }
         Ok(CacheSpec { config })
     }
@@ -108,6 +90,33 @@ impl CacheSpec {
             if c.hw_prefetchers { "on" } else { "off" },
             c.hw_backend.name()
         )
+    }
+}
+
+/// The reply detail for a cache rule a request breaks.
+fn cache_detail(e: ConfigError, config: &CacheConfig) -> String {
+    match e {
+        ConfigError::SizeNotPowerOfTwo => "l2_kb must be a power of two".into(),
+        ConfigError::SizeTooLarge => format!("l2_kb must be at most {}", MAX_CACHE_BYTES / 1024),
+        ConfigError::WaysNotPowerOfTwo => "ways must be a power of two".into(),
+        ConfigError::TooManyWays => format!("ways must be at most {MAX_WAYS}"),
+        ConfigError::LineNotPowerOfTwo | ConfigError::LineMismatch => {
+            format!("line must match the L1 line size ({})", config.l1.line_size)
+        }
+        ConfigError::NoFullSet => "cache must hold at least one full set".into(),
+        // The presets fix every other field.
+        other => other.to_string(),
+    }
+}
+
+/// The reply detail for an SP-parameter rule `(distance, rp)` breaks.
+fn params_detail(e: ParamsError, distance: u32, rp: f64) -> String {
+    match e {
+        ParamsError::RatioOutOfRange => format!("rp must be in (0, 1], got {rp}"),
+        ParamsError::DistanceAtFullRatio => {
+            format!("rp 1 means distance 0, got distance {distance}")
+        }
+        ParamsError::RoundTooLong => format!("distance {distance} is too large at rp {rp}"),
     }
 }
 
@@ -144,35 +153,27 @@ impl SimSpec {
         let rp = v.get("rp").map_or(Ok(0.5), |n| {
             n.as_f64().ok_or_else(|| "rp must be a number".to_string())
         })?;
-        if !(rp > 0.0 && rp <= 1.0) {
-            return Err(format!("rp must be in (0, 1], got {rp}"));
-        }
+        // Distance 0 is valid at every ratio, so this checks the ratio
+        // alone; each distance is checked against it once it is known.
+        SpParams::try_from_distance_rp(0, rp).map_err(|e| params_detail(e, 0, rp))?;
         let mut opts = EngineOptions::default();
-        if let Some(b) = v.get("blocking_helper") {
-            opts.blocking_helper = b.as_bool().ok_or("blocking_helper must be a boolean")?;
+        if let Some(b) = boolean(v, "blocking_helper")? {
+            opts.blocking_helper = b;
         }
-        if let Some(p) = v.get("passes") {
-            let p = p.as_u64().ok_or("passes must be a positive integer")?;
+        if let Some(p) = uint(v, "passes", "positive")? {
             if p == 0 || p > 16 {
                 return Err("passes must be in 1..=16".into());
             }
             opts.passes = p as usize;
         }
-        let events = match v.get("events") {
-            None => false,
-            Some(e) => e.as_bool().ok_or("events must be a boolean")?,
-        };
-        let epochs = match v.get("epochs") {
-            None => false,
-            Some(e) => e.as_bool().ok_or("epochs must be a boolean")?,
-        };
+        let events = boolean(v, "events")?.unwrap_or(false);
+        let epochs = boolean(v, "epochs")?.unwrap_or(false);
         if events && epochs {
             return Err("events and epochs are mutually exclusive".into());
         }
         // Accepted and validated so that clients which still send it get
         // the same replies; it has no effect on the simulation.
-        if let Some(l) = v.get("lanes") {
-            let l = l.as_u64().ok_or("lanes must be a positive integer")?;
+        if let Some(l) = uint(v, "lanes", "positive")? {
             if l == 0 || l > 64 {
                 return Err("lanes must be in 1..=64".into());
             }
@@ -186,6 +187,14 @@ impl SimSpec {
             events,
             epochs,
         })
+    }
+
+    /// Reject a distance the spec's ratio cannot schedule, before any
+    /// job is queued.
+    fn check_distance(&self, distance: u32) -> Result<(), String> {
+        SpParams::try_from_distance_rp(distance, self.rp)
+            .map(drop)
+            .map_err(|e| params_detail(e, distance, self.rp))
     }
 
     fn key_fragment(&self) -> String {
@@ -206,6 +215,19 @@ impl SimSpec {
             if self.events { "on" } else { "off" }
         )
     }
+}
+
+/// The unsigned integer at `key`, if present; any other value is a
+/// `"{key} must be a {what} integer"` error.
+fn uint(v: &Json, key: &str, what: &str) -> Result<Option<u64>, String> {
+    let bad = || format!("{key} must be a {what} integer");
+    v.get(key).map(|n| n.as_u64().ok_or_else(bad)).transpose()
+}
+
+/// The boolean at `key`, if present.
+fn boolean(v: &Json, key: &str) -> Result<Option<bool>, String> {
+    let bad = || format!("{key} must be a boolean");
+    v.get(key).map(|b| b.as_bool().ok_or_else(bad)).transpose()
 }
 
 fn parse_bench(v: &Json) -> Result<KernelKind, String> {
@@ -286,13 +308,7 @@ impl Request {
     pub fn parse(line: &str) -> Result<Request, String> {
         let v = Json::parse(line)?;
         let id = v.get("id").cloned();
-        let timeout_ms = match v.get("timeout_ms") {
-            None => None,
-            Some(t) => Some(
-                t.as_u64()
-                    .ok_or("timeout_ms must be a non-negative integer")?,
-            ),
-        };
+        let timeout_ms = uint(&v, "timeout_ms", "non-negative")?;
         let kind = v
             .get("type")
             .and_then(Json::as_str)
@@ -303,10 +319,7 @@ impl Request {
             "metrics" => Command::Metrics,
             "shutdown" => Command::Shutdown,
             "burn" => {
-                let ms = match v.get("ms") {
-                    None => 10,
-                    Some(n) => n.as_u64().ok_or("ms must be a non-negative integer")?,
-                };
+                let ms = uint(&v, "ms", "non-negative")?.unwrap_or(10);
                 if ms > 60_000 {
                     return Err("burn ms capped at 60000".into());
                 }
@@ -319,15 +332,11 @@ impl Request {
             },
             "point" => {
                 let spec = SimSpec::parse(&v)?;
-                let distance = match v.get("distance") {
+                let distance = match uint(&v, "distance", "non-negative")? {
                     None => 8,
-                    Some(d) => {
-                        let d = d
-                            .as_u64()
-                            .ok_or("distance must be a non-negative integer")?;
-                        u32::try_from(d).map_err(|_| "distance too large".to_string())?
-                    }
+                    Some(d) => u32::try_from(d).map_err(|_| "distance too large".to_string())?,
                 };
+                spec.check_distance(distance)?;
                 Command::Point { spec, distance }
             }
             "sweep" => {
@@ -349,6 +358,9 @@ impl Request {
                             .collect::<Result<Vec<u32>, String>>()?
                     }
                 };
+                for &d in &distances {
+                    spec.check_distance(d)?;
+                }
                 Command::Sweep { spec, distances }
             }
             other => return Err(format!("unknown request type {other:?}")),
@@ -646,8 +658,45 @@ mod tests {
             "{\"type\":\"sweep\",\"line\":32}",
             "{\"type\":\"burn\",\"ms\":99999999}",
             "{\"type\":\"point\",\"distance\":-1}",
+            "{\"type\":\"point\",\"distance\":8,\"rp\":1}",
+            "{\"type\":\"sweep\",\"distances\":[0,4],\"rp\":1}",
+            "{\"type\":\"point\",\"distance\":4294967295}",
+            "{\"type\":\"sweep\",\"ways\":4294967300}",
+            "{\"type\":\"sweep\",\"ways\":256}",
+            "{\"type\":\"sweep\",\"l2_kb\":3}",
+            "{\"type\":\"sweep\",\"l2_kb\":524288}",
+            "{\"type\":\"sweep\",\"l2_kb\":18014398509481984}",
         ] {
             assert!(Request::parse(bad).is_err(), "accepted {bad:?}");
+        }
+    }
+
+    #[test]
+    fn cache_and_ratio_rules_keep_their_reply_details() {
+        for (line, detail) in [
+            ("\"l2_kb\":0", "l2_kb must be a power of two"),
+            ("\"l2_kb\":3,\"ways\":3", "l2_kb must be a power of two"),
+            ("\"ways\":0", "ways must be a power of two"),
+            ("\"ways\":3,\"line\":7", "ways must be a power of two"),
+            ("\"line\":7", "line must match the L1 line size (64)"),
+            ("\"line\":128", "line must match the L1 line size (64)"),
+            (
+                "\"l2_kb\":1,\"ways\":64",
+                "cache must hold at least one full set",
+            ),
+            ("\"l2_kb\":524288", "l2_kb must be at most 262144"),
+            ("\"ways\":4294967300", "ways too large"),
+            ("\"ways\":256", "ways must be at most 128"),
+            ("\"rp\":0", "rp must be in (0, 1], got 0"),
+            ("\"rp\":1.5", "rp must be in (0, 1], got 1.5"),
+            ("\"rp\":1", "rp 1 means distance 0, got distance 8"),
+            (
+                "\"distance\":4294967295",
+                "distance 4294967295 is too large at rp 0.5",
+            ),
+        ] {
+            let req = format!("{{\"type\":\"point\",{line}}}");
+            assert_eq!(Request::parse(&req).unwrap_err(), detail, "{req}");
         }
     }
 

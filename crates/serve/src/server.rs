@@ -538,7 +538,14 @@ fn execute_queued(
             ctx.outcome = "internal";
             error_response(&req.id, "internal", &detail)
         }
-        Err(_) => {
+        // The pool caught a panic and dropped the task's sender: no
+        // result is coming, so this is not a timeout.
+        Err(mpsc::RecvTimeoutError::Disconnected) => {
+            shared.metrics.errors.fetch_add(1, Ordering::Relaxed);
+            ctx.outcome = "internal";
+            error_response(&req.id, "internal", "worker panicked")
+        }
+        Err(mpsc::RecvTimeoutError::Timeout) => {
             shared.metrics.timeouts.fetch_add(1, Ordering::Relaxed);
             ctx.outcome = "timeout";
             error_response(

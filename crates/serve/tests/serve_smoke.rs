@@ -617,3 +617,37 @@ fn stats_and_metrics_agree_on_every_shared_value() {
     assert!(sample(body, "sp_request_latency_us_sum") >= stat(stats, "latency.sum_us"));
     shut_down(c, server);
 }
+
+#[test]
+fn unschedulable_and_oversized_requests_are_bad_requests_before_any_job() {
+    let (addr, server) = start(ServerConfig {
+        workers: 1,
+        queue: 4,
+        ..ServerConfig::default()
+    });
+    let mut c = Client::connect(addr);
+    for line in [
+        // RP 1 leaves no room to skip: only distance 0 is a schedule.
+        "{\"type\":\"point\",\"bench\":\"em3d\",\"scale\":\"test\",\"distance\":8,\"rp\":1}",
+        "{\"type\":\"sweep\",\"bench\":\"em3d\",\"scale\":\"test\",\"distances\":[0,4],\"rp\":1}",
+        // A_SKI + A_PRE would overflow a u32.
+        "{\"type\":\"point\",\"bench\":\"em3d\",\"scale\":\"test\",\"distance\":4294967295}",
+        // Just above the capacity cap: a 512 MiB L2.
+        "{\"type\":\"point\",\"bench\":\"em3d\",\"scale\":\"test\",\"l2_kb\":524288}",
+        // Past the associativity cap: recency ranks are one byte.
+        "{\"type\":\"point\",\"bench\":\"em3d\",\"scale\":\"test\",\"ways\":256}",
+    ] {
+        let reply = c.roundtrip(line);
+        assert_eq!(
+            reply.get("error").and_then(Json::as_str),
+            Some("bad_request"),
+            "{line} -> {reply:?}"
+        );
+    }
+    let stats = c.roundtrip("{\"type\":\"stats\"}");
+    let stats = stats.get("result").expect("stats result");
+    assert_eq!(stat(stats, "workers.panicked"), 0, "{stats:?}");
+    assert_eq!(stat(stats, "requests.timeouts"), 0, "{stats:?}");
+    assert_eq!(stat(stats, "workers.completed"), 0, "no job was queued");
+    shut_down(c, server);
+}

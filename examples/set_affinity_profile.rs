@@ -5,14 +5,14 @@
 //! cargo run --release --example set_affinity_profile
 //! ```
 //!
-//! For each workload: detect access phases, rank the delinquent loads
+//! For each workload: rank the delinquent loads
 //! (the loads the helper thread should cover), burst-sample the stream,
 //! and compare the sampled Set Affinity estimate with the full-stream
 //! analysis and the paper's Table 2 ranges.
 
 use sp_prefetch::cachesim::CacheConfig;
 use sp_prefetch::core::{original_set_affinity, sampled_set_affinity};
-use sp_prefetch::profiler::{detect_phases, rank_delinquent_loads, BurstSampler, PhaseConfig};
+use sp_prefetch::profiler::{rank_delinquent_loads, BurstSampler};
 use sp_prefetch::workloads::{Benchmark, Workload};
 
 fn main() {
@@ -26,19 +26,6 @@ fn main() {
         let w = Workload::scaled(b);
         let trace = w.trace();
         println!("=== {} ({}) ===", b.name(), w.input_description());
-
-        // Phase behaviour (paper §IV.C: hot functions show phases).
-        let phases = detect_phases(&trace, PhaseConfig::default());
-        println!("  phases: {}", phases.len());
-        for p in phases.iter().take(3) {
-            println!(
-                "    iters [{}, {}): {:.1} refs/iter, {:.2} new blocks/iter",
-                p.start_iter, p.end_iter, p.refs_per_iter, p.blocks_per_iter
-            );
-        }
-        if phases.len() > 3 {
-            println!("    ... ({} more)", phases.len() - 3);
-        }
 
         // Delinquent loads: which static sites miss the most.
         let ranked = rank_delinquent_loads(&trace, cfg.l2, cfg.policy);
