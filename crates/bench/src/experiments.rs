@@ -5,17 +5,18 @@
 //! report alongside the artifact. `jobs = 1` is the serial reference;
 //! the artifact is identical at any width.
 
-use sp_cachesim::{CacheConfig, Policy};
+use sp_cachesim::{default_early_threshold, CacheConfig, EpochSeries, EpochSink, Policy};
 use sp_core::prelude::*;
 use sp_core::{
-    estimate_calr, map_jobs, run_jobs, run_sp_adaptive, sampled_set_affinity, FeedbackController,
-    RunnerReport, Sweep,
+    estimate_calr, map_jobs, run_jobs, sampled_set_affinity, AdaptiveSchedule, FeedbackController,
+    PerPoint, RunnerReport, Sweep,
 };
 use sp_profiler::{select_benchmarks, Burst, BurstSampler, SelectionRow};
-use sp_trace::HotLoopTrace;
+use sp_trace::{CompiledTrace, HotLoopTrace};
 use sp_workloads::{Benchmark, Candidate, KernelKind, ScaleTier, Workload, WorkloadBuilder};
 use std::iter::once;
 use std::ops::RangeInclusive;
+use std::sync::Arc;
 
 /// Which input sizes the drivers simulate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -262,8 +263,9 @@ pub const FIG5_EPOCH_L2_WAYS: u32 = 2;
 /// must be cheap to regenerate and independent of `--smoke`. Identical
 /// to what `spt report --bench mcf --size tiny --l2-kb 16 --ways 2
 /// --epoch-len 256` computes.
-#[allow(clippy::type_complexity)]
-pub fn fig5_epoch_fixture(jobs: usize) -> (Sweep, sp_core::SweepEpochs, Option<u32>, RunnerReport) {
+pub fn fig5_epoch_fixture(
+    jobs: usize,
+) -> (Sweep, PerPoint<EpochSeries>, Option<u32>, RunnerReport) {
     let mut cfg = CacheConfig::scaled_default();
     cfg.l2 = sp_cachesim::CacheGeometry::new(
         FIG5_EPOCH_L2_KB * 1024,
@@ -273,15 +275,17 @@ pub fn fig5_epoch_fixture(jobs: usize) -> (Sweep, sp_core::SweepEpochs, Option<u
     cfg.validate();
     let trace = Scale::Test.workload(Benchmark::Mcf).trace();
     let bound = recommend_distance(&trace, &cfg).max_distance;
-    let ct = std::sync::Arc::new(sp_core::compile_trace(&trace, &cfg));
-    let Ok((sweep, epochs, report)) = sp_core::sweep_epochs_compiled_jobs_with(
+    let ct = Arc::new(CompiledTrace::compile(&trace));
+    let threshold = default_early_threshold(&cfg.latency);
+    let (sweep, epochs, report) = sweep(
         &ct,
         cfg,
         0.5,
         distances_for(Benchmark::Mcf),
-        sp_core::EngineOptions::default(),
-        FIG5_EPOCH_LEN,
+        EngineOptions::default(),
         jobs,
+        move || EpochSink::new(FIG5_EPOCH_LEN, threshold),
+        EpochSink::finish,
     );
     (sweep, epochs, bound, report)
 }
@@ -311,7 +315,18 @@ pub fn fig_behavior(
     let w = scale.workload(b);
     let trace = w.trace();
     let rec = recommend_distance(&trace, &cfg);
-    let (sweep, report) = sweep_distances_jobs(&trace, cfg, 0.5, distances_for(b), jobs);
+    let ct = Arc::new(CompiledTrace::compile(&trace));
+    let opts = EngineOptions::default();
+    let (sweep, _, report) = sweep(
+        &ct,
+        cfg,
+        0.5,
+        distances_for(b),
+        opts,
+        jobs,
+        || NullSink,
+        |_| (),
+    );
     (
         BehaviorSeries {
             benchmark: b.name(),
@@ -384,7 +399,7 @@ pub struct SpRow {
 type Variant = (&'static str, CacheConfig, SpParams, EngineOptions);
 
 /// Run each variant and the original program once per distinct machine,
-/// one fan-out job per run.
+/// one fan-out job per run, all replaying one compiled `trace`.
 fn sp_rows(trace: &HotLoopTrace, variants: &[Variant], jobs: usize) -> (Vec<SpRow>, RunnerReport) {
     let mut machines: Vec<CacheConfig> = Vec::new();
     let base_of: Vec<usize> = variants
@@ -398,11 +413,12 @@ fn sp_rows(trace: &HotLoopTrace, variants: &[Variant], jobs: usize) -> (Vec<SpRo
         .collect();
     let runs = machines.iter().map(|&cfg| (cfg, None));
     let runs = runs.chain(variants.iter().map(|&(_, cfg, p, o)| (cfg, Some((p, o)))));
+    let ct = CompiledTrace::compile(trace);
     let (runs, report) = map_jobs(
         runs.collect(),
         |(cfg, sp)| match sp {
-            None => run_original(trace, cfg),
-            Some((params, opts)) => run_sp_with(trace, cfg, params, opts),
+            None => run(&ct, cfg, None, EngineOptions::default(), &mut NullSink),
+            Some((mut params, opts)) => run(&ct, cfg, Some(&mut params), opts, &mut NullSink),
         },
         jobs,
     );
@@ -716,21 +732,26 @@ pub fn ablation_adaptive(
         ("dynamic+bound", Some(free.bounded(bound))),
     ];
     let runs = once(None).chain(policies.iter().map(|(_, c)| Some(c.clone())));
+    let ct = CompiledTrace::compile(&trace);
+    let opts = EngineOptions::default();
     let (runs, report) = map_jobs(
         runs.collect(),
-        |run| match run {
-            None => (run_original(&trace, cfg), vec![]),
-            Some(None) => (
-                run_sp(&trace, cfg, SpParams::from_distance_rp(bound / 2, 0.5)),
-                vec![bound / 2],
-            ),
-            Some(Some(mut c)) => {
+        |policy| match policy {
+            None => (run(&ct, cfg, None, opts, &mut NullSink), vec![]),
+            Some(None) => {
+                let mut params = SpParams::from_distance_rp(bound / 2, 0.5);
+                let r = run(&ct, cfg, Some(&mut params), opts, &mut NullSink);
+                (r, vec![bound / 2])
+            }
+            Some(Some(c)) => {
                 let start = c.distance();
-                let r = run_sp_adaptive(&trace, cfg, &mut c, ADAPTIVE_EPOCH);
+                let mut schedule = AdaptiveSchedule::new(c, ADAPTIVE_EPOCH);
+                let r = run(&ct, cfg, Some(&mut schedule), opts, &mut NullSink);
+                let epochs = schedule.into_epochs();
                 (
-                    r.run,
+                    r,
                     once(start)
-                        .chain(r.epochs.iter().map(|e| e.next_distance))
+                        .chain(epochs.iter().map(|e| e.next_distance))
                         .collect(),
                 )
             }

@@ -4,7 +4,7 @@
 
 use crate::experiments::{AdaptiveRow, HwPrefetcherRow, SamplingRow, SpRow, Table2Row};
 use sp_cachesim::EpochSeries;
-use sp_core::{RunnerReport, Sweep, SweepEpochs};
+use sp_core::{PerPoint, RunnerReport, Sweep};
 use std::io::Write;
 use std::path::Path;
 
@@ -361,7 +361,7 @@ pub struct EpochReportMeta<'a> {
 /// first (tagged `"distance":null`), then each swept distance's
 /// windows in sweep order (tagged `"distance":D`). One window per
 /// line, so the stream greps and folds without a JSON parser.
-pub fn epoch_ndjson(sweep: &Sweep, epochs: &SweepEpochs) -> String {
+pub fn epoch_ndjson(sweep: &Sweep, epochs: &PerPoint<EpochSeries>) -> String {
     assert_eq!(
         sweep.points.len(),
         epochs.points.len(),
@@ -394,7 +394,7 @@ fn spark_row(label: &str, values: &[u64]) -> String {
 pub fn epoch_report_markdown(
     meta: &EpochReportMeta<'_>,
     sweep: &Sweep,
-    epochs: &SweepEpochs,
+    epochs: &PerPoint<EpochSeries>,
 ) -> String {
     assert_eq!(
         sweep.points.len(),
@@ -543,18 +543,20 @@ mod tests {
         assert_eq!(sparkline(&[1, 2, 4]), sparkline(&[100, 200, 400]));
     }
 
-    fn tiny_epoch_sweep() -> (Sweep, SweepEpochs) {
+    fn tiny_epoch_sweep() -> (Sweep, PerPoint<EpochSeries>) {
         let w = sp_workloads::Workload::tiny(sp_workloads::Benchmark::Em3d);
         let cfg = sp_cachesim::CacheConfig::scaled_default();
-        let ct = std::sync::Arc::new(sp_core::compile_trace(&w.trace(), &cfg));
-        let Ok((sweep, epochs, _)) = sp_core::sweep_epochs_compiled_jobs_with(
+        let ct = std::sync::Arc::new(sp_trace::CompiledTrace::compile(&w.trace()));
+        let threshold = sp_cachesim::default_early_threshold(&cfg.latency);
+        let (sweep, epochs, _) = sp_core::sweep(
             &ct,
             cfg,
             0.5,
             &[2, 8],
             sp_core::EngineOptions::default(),
-            256,
             1,
+            move || sp_cachesim::EpochSink::new(256, threshold),
+            sp_cachesim::EpochSink::finish,
         );
         (sweep, epochs)
     }

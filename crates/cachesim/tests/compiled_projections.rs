@@ -72,7 +72,8 @@ fn compiled_replay_yields_the_trace_refs_on_every_machine() {
         // One compiled trace serves every machine: the engine's replay
         // of it is the hand walk of the trace on each.
         for (name, cfg) in &machines {
-            let Ok(run) = sp_core::run_original_passes_compiled(&ct, *cfg, 1);
+            let opts = sp_core::EngineOptions::default();
+            let run = sp_core::run(&ct, *cfg, None, opts, &mut sp_cachesim::NullSink);
             assert_eq!(
                 (run.runtime, run.stats),
                 hand_walk(&trace, *cfg),

@@ -374,7 +374,8 @@ fn hand_walk(trace: &HotLoopTrace, cfg: CacheConfig) -> MemStats {
 /// counters.
 fn engine_vs_hand_walk(cfg: CacheConfig, trace: &HotLoopTrace, label: &str) -> MemStats {
     let ct = sp_core::compile_trace(trace, &cfg);
-    let Ok(run) = sp_core::run_original_passes_compiled(&ct, cfg, 1);
+    let opts = sp_core::EngineOptions::default();
+    let run = sp_core::run(&ct, cfg, None, opts, &mut sp_cachesim::NullSink);
     assert_eq!(
         run.stats,
         hand_walk(trace, cfg),

@@ -14,9 +14,10 @@ use sp_cachesim::CacheConfig;
 use sp_cli::args::Args;
 use sp_cli::help;
 use sp_core::prelude::*;
-use sp_core::{run_sp_adaptive, sampled_set_affinity, FeedbackController};
+use sp_core::{sampled_set_affinity, AdaptiveSchedule, FeedbackController, HelperSchedule};
 use sp_profiler::{rank_delinquent_loads, reuse_histogram, select_benchmarks, BurstSampler};
 use sp_workloads::Candidate;
+use std::sync::Arc;
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -155,19 +156,15 @@ fn sweep(a: &Args) -> Result<(), String> {
     let ds = grid(a, bound)?;
     let rp = a.rp_for(&ds)?;
     let jobs: usize = a.get_or("jobs", 0)?; // 0 = all cores
+    let ct = Arc::new(compile_trace(&trace, &cfg));
+    let opts = EngineOptions::default();
     let (s, ev, rep) = if a.switch("events") {
-        let ct = std::sync::Arc::new(sp_core::compile_trace(&trace, &cfg));
-        let Ok((s, ev, rep)) = sp_core::sweep_events_compiled_jobs_with(
-            &ct,
-            cfg,
-            rp,
-            &ds,
-            sp_core::EngineOptions::default(),
-            jobs,
-        );
+        let threshold = sp_cachesim::default_early_threshold(&cfg.latency);
+        let new_sink = move || sp_cachesim::SummarySink::new(threshold);
+        let (s, ev, rep) = sp_core::sweep(&ct, cfg, rp, &ds, opts, jobs, new_sink, |k| k.summary);
         (s, Some(ev), rep)
     } else {
-        let (s, rep) = sp_core::sweep_distances_jobs(&trace, cfg, rp, &ds, jobs);
+        let (s, _, rep) = sp_core::sweep(&ct, cfg, rp, &ds, opts, jobs, || NullSink, |_| ());
         (s, None, rep)
     };
     println!("bound = {}; RP = {rp}", bound_text(bound));
@@ -290,21 +287,16 @@ fn report(a: &Args) -> Result<(), String> {
     let rp = a.rp_for(&ds)?;
     let epoch_len: u64 = a.get_or("epoch-len", sp_cachesim::DEFAULT_EPOCH_LEN)?;
     let jobs: usize = a.get_or("jobs", 0)?; // 0 = all cores
-    let ct = std::sync::Arc::new(sp_core::compile_trace(&trace, &cfg));
-    let Ok((s, epochs, rep)) = sp_core::sweep_epochs_compiled_jobs_with(
-        &ct,
-        cfg,
-        rp,
-        &ds,
-        sp_core::EngineOptions::default(),
-        epoch_len,
-        jobs,
-    );
+    let ct = Arc::new(compile_trace(&trace, &cfg));
+    let threshold = sp_cachesim::default_early_threshold(&cfg.latency);
+    let new_sink = move || sp_cachesim::EpochSink::new(epoch_len, threshold);
+    let opts = EngineOptions::default();
+    let finish = sp_cachesim::EpochSink::finish;
+    let (s, epochs, rep) = sp_core::sweep(&ct, cfg, rp, &ds, opts, jobs, new_sink, finish);
     // Differential self-check: every series must fold back to its run's
     // aggregate counters exactly before the artifacts are published.
-    for (series, run) in std::iter::once((&epochs.baseline, &s.baseline))
-        .chain(epochs.points.iter().zip(s.points.iter().map(|p| &p.run)))
-    {
+    let runs = std::iter::once(&s.baseline).chain(s.points.iter().map(|p| &p.run));
+    for (series, run) in epochs.iter().zip(runs) {
         let t = series.totals();
         let m = &run.stats.main;
         if t.main != [m.l1_hits, m.total_hits, m.partial_hits, m.total_misses]
@@ -385,15 +377,9 @@ fn trace_cmd(a: &Args) -> Result<(), String> {
         };
         let ds = grid(a, recommend_distance(&trace, &cfg).max_distance)?;
         let rp = a.rp_for(&ds)?;
-        let ct = std::sync::Arc::new(sp_core::compile_trace(&trace, &cfg));
-        let Ok((s, rep)) = sp_core::sweep_compiled_jobs_with(
-            &ct,
-            cfg,
-            rp,
-            &ds,
-            sp_core::EngineOptions::default(),
-            jobs,
-        );
+        let ct = Arc::new(compile_trace(&trace, &cfg));
+        let opts = EngineOptions::default();
+        let (s, _, rep) = sp_core::sweep(&ct, cfg, rp, &ds, opts, jobs, || NullSink, |_| ());
         (sp_obs::span::drain(), s.points.len(), rep)
     };
     sp_obs::span::stop_recording();
@@ -427,18 +413,15 @@ fn events(a: &Args) -> Result<(), String> {
     let rp = a.rp_for(&[distance])?;
     let passes: usize = a.get_or("passes", 1)?;
     let limit: usize = a.get_or("limit", 0)?; // 0 = keep every event
-    let ct = sp_core::compile_trace(&trace, &cfg);
+    let ct = compile_trace(&trace, &cfg);
     let mut sink = RingSink::new(limit, default_early_threshold(&cfg.latency));
-    let Ok(run) = if original {
-        sp_core::run_original_passes_compiled_ev(&ct, cfg, passes, &mut sink)
-    } else {
-        let opts = sp_core::EngineOptions {
-            passes,
-            ..Default::default()
-        };
-        let params = SpParams::from_distance_rp(distance, rp); // checked by rp_for
-        sp_core::run_sp_with_compiled_ev(&ct, cfg, params, opts, &mut sink)
+    let mut params = SpParams::from_distance_rp(distance, rp); // checked by rp_for
+    let helper = (!original).then_some(&mut params as &mut dyn HelperSchedule);
+    let opts = EngineOptions {
+        passes,
+        ..Default::default()
     };
+    let run = sp_core::run(&ct, cfg, helper, opts, &mut sink);
 
     if original {
         println!("{}: original run, passes {passes}", trace.name);
@@ -597,19 +580,23 @@ fn adaptive(a: &Args) -> Result<(), String> {
             ctl = ctl.bounded(b);
         }
     }
-    let base = run_original(&trace, cfg);
-    let r = run_sp_adaptive(&trace, cfg, &mut ctl, epoch);
+    let ct = compile_trace(&trace, &cfg);
+    let opts = EngineOptions::default();
+    let base = sp_core::run(&ct, cfg, None, opts, &mut NullSink);
+    let mut schedule = AdaptiveSchedule::new(ctl, epoch);
+    let r = sp_core::run(&ct, cfg, Some(&mut schedule), opts, &mut NullSink);
+    let epochs = schedule.into_epochs();
     println!(
         "start {start}, epoch {epoch}, bound {:?} ({}); runtime {:.3} vs original",
         rec.max_distance,
         if bounded { "clamped" } else { "unclamped" },
-        r.run.runtime as f64 / base.runtime as f64
+        r.runtime as f64 / base.runtime as f64
     );
     println!(
         "{:>6} {:>9} {:>9} {:>9} {:>9} {:>10}",
         "epoch", "distance", "accuracy", "lateness", "pollution", "next dist"
     );
-    for e in r.epochs.iter().take(24) {
+    for e in epochs.iter().take(24) {
         println!(
             "{:>6} {:>9} {:>9.2} {:>9.2} {:>9.2} {:>10}",
             e.feedback.epoch,
@@ -620,8 +607,8 @@ fn adaptive(a: &Args) -> Result<(), String> {
             e.next_distance
         );
     }
-    if r.epochs.len() > 24 {
-        println!("  ... ({} more epochs)", r.epochs.len() - 24);
+    if epochs.len() > 24 {
+        println!("  ... ({} more epochs)", epochs.len() - 24);
     }
     Ok(())
 }

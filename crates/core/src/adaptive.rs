@@ -15,14 +15,13 @@
 //!   safety ceiling for the dynamic policy (the natural synthesis of the
 //!   two ideas).
 //!
-//! The controller plugs into the engine through
-//! [`crate::engine::HelperSchedule`].
+//! The controller plugs into the engine as an [`AdaptiveSchedule`], one
+//! more [`crate::engine::HelperSchedule`].
 
-use crate::engine::{run_scheduled, EngineOptions, HelperSchedule, RunResult};
+use crate::engine::HelperSchedule;
 use crate::params::SpParams;
 use crate::skip::HelperStep;
-use sp_cachesim::{CacheConfig, Cycle, MemStats, MemorySystem};
-use sp_trace::HotLoopTrace;
+use sp_cachesim::{Cycle, MemStats, MemorySystem};
 
 /// Per-epoch feedback handed to an [`AdaptivePolicy`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -174,18 +173,11 @@ pub struct EpochRecord {
     pub next_distance: u32,
 }
 
-/// Result of an adaptive run: the usual [`RunResult`] plus the epoch log.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AdaptiveRunResult {
-    /// The run outcome.
-    pub run: RunResult,
-    /// Per-epoch feedback and decisions, in order.
-    pub epochs: Vec<EpochRecord>,
-}
-
-/// The engine-facing schedule wrapping an [`AdaptivePolicy`].
-struct AdaptiveSchedule<'a, P: AdaptivePolicy> {
-    policy: &'a mut P,
+/// The engine-facing schedule wrapping an [`AdaptivePolicy`]: pass it
+/// to [`crate::run`] as the helper, then read the epoch log with
+/// [`AdaptiveSchedule::into_epochs`].
+pub struct AdaptiveSchedule<P: AdaptivePolicy> {
+    policy: P,
     cur: SpParams,
     epoch_len: usize,
     /// Iteration at which the current epoch (and its round phase) began.
@@ -195,7 +187,32 @@ struct AdaptiveSchedule<'a, P: AdaptivePolicy> {
     records: Vec<EpochRecord>,
 }
 
-impl<P: AdaptivePolicy> HelperSchedule for AdaptiveSchedule<'_, P> {
+impl<P: AdaptivePolicy> AdaptiveSchedule<P> {
+    /// Steer SP with `policy`, adjusting every `epoch_len` outer
+    /// iterations of the main thread.
+    ///
+    /// # Panics
+    /// If `epoch_len == 0`.
+    pub fn new(policy: P, epoch_len: usize) -> Self {
+        assert!(epoch_len > 0, "epoch length must be positive");
+        AdaptiveSchedule {
+            cur: policy.initial(),
+            policy,
+            epoch_len,
+            epoch_start: 0,
+            epoch_index: 0,
+            last: MemStats::default(),
+            records: Vec::new(),
+        }
+    }
+
+    /// Per-epoch feedback and decisions, in order.
+    pub fn into_epochs(self) -> Vec<EpochRecord> {
+        self.records
+    }
+}
+
+impl<P: AdaptivePolicy> HelperSchedule for AdaptiveSchedule<P> {
     fn step(&self, iter: usize) -> HelperStep {
         // Same round structure as the static plan, but phased from the
         // epoch start so a distance change restarts the rounds cleanly.
@@ -242,67 +259,44 @@ impl<P: AdaptivePolicy> HelperSchedule for AdaptiveSchedule<'_, P> {
     }
 }
 
-/// Run SP with an adaptive distance policy, adjusting every `epoch_len`
-/// outer iterations of the main thread.
-pub fn run_sp_adaptive<P: AdaptivePolicy>(
-    trace: &HotLoopTrace,
-    cache_cfg: CacheConfig,
-    policy: &mut P,
-    epoch_len: usize,
-) -> AdaptiveRunResult {
-    assert!(epoch_len > 0, "epoch length must be positive");
-    let mut schedule = AdaptiveSchedule {
-        cur: policy.initial(),
-        policy,
-        epoch_len,
-        epoch_start: 0,
-        epoch_index: 0,
-        last: MemStats::default(),
-        records: Vec::new(),
-    };
-    let run = run_scheduled(trace, cache_cfg, &mut schedule, EngineOptions::default());
-    AdaptiveRunResult {
-        run,
-        epochs: schedule.records,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sp_cachesim::CacheGeometry;
-    use sp_trace::synth;
+    use crate::engine::tests::cfg;
+    use crate::engine::{run, EngineOptions, RunResult};
+    use sp_cachesim::NullSink;
+    use sp_trace::{synth, CompiledTrace, HotLoopTrace};
 
-    fn cfg() -> CacheConfig {
-        CacheConfig {
-            cores: 2,
-            l1: CacheGeometry::new(1024, 2, 64),
-            l2: CacheGeometry::new(16 * 1024, 4, 64),
-            hw_prefetchers: false,
-            ..CacheConfig::scaled_default()
-        }
+    fn adaptive(
+        t: &HotLoopTrace,
+        policy: FeedbackController,
+        epoch_len: usize,
+    ) -> (RunResult, Vec<EpochRecord>) {
+        let mut schedule = AdaptiveSchedule::new(policy, epoch_len);
+        let ct = CompiledTrace::compile(t);
+        let opts = EngineOptions::default();
+        let r = run(&ct, cfg(), Some(&mut schedule), opts, &mut NullSink);
+        (r, schedule.into_epochs())
     }
 
     #[test]
     fn epochs_cover_the_run() {
         let t = synth::sequential(1000, 2, 0, 64, 0);
-        let mut p = FeedbackController::new(4, 0.5);
-        let r = run_sp_adaptive(&t, cfg(), &mut p, 100);
+        let (run, epochs) = adaptive(&t, FeedbackController::new(4, 0.5), 100);
         // 1000 iterations / 100 per epoch -> 10 boundary crossings, the
         // last at iteration 999 (no following epoch).
-        assert_eq!(r.epochs.len(), 10);
-        for (i, e) in r.epochs.iter().enumerate() {
+        assert_eq!(epochs.len(), 10);
+        for (i, e) in epochs.iter().enumerate() {
             assert_eq!(e.feedback.epoch, i);
         }
-        assert_eq!(r.run.outer_iters, 1000);
+        assert_eq!(run.outer_iters, 1000);
     }
 
     #[test]
     fn distance_stays_within_configured_range() {
         let t = synth::random(2000, 4, 0, 1 << 20, 3, 0);
-        let mut p = FeedbackController::new(8, 0.5).bounded(32);
-        let r = run_sp_adaptive(&t, cfg(), &mut p, 50);
-        for e in &r.epochs {
+        let (_, epochs) = adaptive(&t, FeedbackController::new(8, 0.5).bounded(32), 50);
+        for e in &epochs {
             assert!(
                 e.next_distance >= 1 && e.next_distance <= 32,
                 "{:?}",
@@ -385,18 +379,13 @@ mod tests {
     #[test]
     fn adaptive_run_is_deterministic() {
         let t = synth::random(800, 3, 0, 1 << 18, 9, 2);
-        let run = || {
-            let mut p = FeedbackController::new(4, 0.5).bounded(64);
-            run_sp_adaptive(&t, cfg(), &mut p, 100)
-        };
+        let run = || adaptive(&t, FeedbackController::new(4, 0.5).bounded(64), 100);
         assert_eq!(run(), run());
     }
 
     #[test]
     #[should_panic(expected = "positive")]
     fn zero_epoch_rejected() {
-        let t = synth::sequential(10, 1, 0, 64, 0);
-        let mut p = FeedbackController::new(1, 0.5);
-        let _ = run_sp_adaptive(&t, cfg(), &mut p, 0);
+        let _ = AdaptiveSchedule::new(FeedbackController::new(1, 0.5), 0);
     }
 }

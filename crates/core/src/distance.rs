@@ -2,18 +2,12 @@
 //! 4–6, and the bound-driven distance recommendation.
 
 use crate::affinity::{original_set_affinity, SetAffinityReport};
-use crate::engine::{
-    compile_trace, run_original_passes_compiled_ev, run_sp_with_compiled_ev, EngineOptions,
-    RunResult,
-};
+use crate::engine::{run, EngineOptions, HelperSchedule, RunResult};
 use crate::params::SpParams;
 use crate::pollution::{BehaviorChange, PollutionSummary};
 use sp_cachesim::epoch::{EpochSeries, EpochSink};
-use sp_cachesim::events::{
-    default_early_threshold, EventSink, EventSummary, NullSink, SummarySink,
-};
+use sp_cachesim::events::{default_early_threshold, EventSink, NullSink};
 use sp_cachesim::CacheConfig;
-use sp_obs::span::SpanGuard;
 use sp_runner::{run_jobs, Job, RunnerReport};
 use sp_trace::{CompiledTrace, HotLoopTrace};
 use std::convert::Infallible;
@@ -65,192 +59,52 @@ impl Sweep {
     }
 }
 
-/// Run the paper's sweep: the original program once, then SP at each
-/// `distance` with the prefetch ratio fixed at `rp` (the paper uses
-/// `RP = 0.5` for all three benchmarks, §V.B).
-pub fn sweep_distances(
-    trace: &HotLoopTrace,
-    cache_cfg: CacheConfig,
-    rp: f64,
-    distances: &[u32],
-) -> Sweep {
-    sweep_distances_jobs(trace, cache_cfg, rp, distances, 1).0
+/// Per-point outputs of a sweep's sinks, parallel to [`Sweep`]: the
+/// baseline's, then one per swept distance in the given order.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PerPoint<T> {
+    /// The original (no-helper) run's output.
+    pub baseline: T,
+    /// One output per swept distance, in the given order.
+    pub points: Vec<T>,
 }
 
-/// [`sweep_distances`] fanned out on up to `jobs` worker threads
-/// (`0` = all cores), plus the executor's timing report.
+impl<T> PerPoint<T> {
+    /// The baseline's output, then each distance's, in sweep order.
+    pub fn iter(&self) -> impl Iterator<Item = &T> {
+        std::iter::once(&self.baseline).chain(&self.points)
+    }
+}
+
+/// Run the paper's sweep over `ct` on `cache_cfg`: the original program
+/// once, then SP at each `distance` with the prefetch ratio fixed at `rp`
+/// (the paper uses `RP = 0.5` for all three benchmarks, §V.B). Baseline
+/// and SP points share `opts.passes`, so the normalizations stay
+/// apples-to-apples.
 ///
-/// Every grid point (the baseline and each distance) owns its
-/// `MemorySystem` and shares nothing, so the jobs are independent; the
-/// runner returns them in submission order, making the assembled
-/// `Sweep` **identical** to the serial one whatever `jobs` is (see
-/// `tests/parallel_determinism.rs`).
-pub fn sweep_distances_jobs(
-    trace: &HotLoopTrace,
-    cache_cfg: CacheConfig,
-    rp: f64,
-    distances: &[u32],
-    jobs: usize,
-) -> (Sweep, RunnerReport) {
-    sweep_distances_jobs_with(
-        trace,
-        cache_cfg,
-        rp,
-        distances,
-        EngineOptions::default(),
-        jobs,
-    )
-}
-
-/// [`sweep_distances_jobs`] with explicit [`EngineOptions`] — the form
-/// sp-serve executes, where a request may select the idealized helper
-/// model or multi-pass runs. Baseline and SP points share the same
-/// `opts.passes`, so the normalizations stay apples-to-apples.
-pub fn sweep_distances_jobs_with(
-    trace: &HotLoopTrace,
-    cache_cfg: CacheConfig,
-    rp: f64,
-    distances: &[u32],
-    opts: EngineOptions,
-    jobs: usize,
-) -> (Sweep, RunnerReport) {
-    let ct = Arc::new(compile_trace(trace, &cache_cfg));
-    let Ok(swept) = sweep_compiled_jobs_with(&ct, cache_cfg, rp, distances, opts, jobs);
-    swept
-}
-
-/// [`sweep_distances_jobs_with`] over an already-compiled trace — the
-/// form long-lived services use, compiling once per trace and sweeping
-/// many times, on any cache configuration. All grid points share the
-/// `Arc`'d references; each worker thread reuses one parked simulator
-/// across the grid points it claims. Never fails; the `Infallible`
-/// error type only keeps existing `Result` callers compiling.
-pub fn sweep_compiled_jobs_with(
+/// Every grid point attaches a fresh sink from `new_sink` and reduces it
+/// with `finish` to that point's output: `|| NullSink` and `|_| ()` for a
+/// plain sweep, a [`sp_cachesim::SummarySink`] to report *why* a distance
+/// crossed the `SA/2` bound (which displacement case fired, how
+/// timeliness shifted), an [`sp_cachesim::EpochSink`] to report *when*.
+///
+/// The baseline and each distance are independent jobs on up to `jobs`
+/// worker threads (`0` = all cores), submitted baseline first; each
+/// worker reuses one parked simulator across the points it claims, and
+/// all share the `Arc`'d trace. The runner returns results in submission
+/// order, so the sweep and its outputs are **identical** whatever `jobs`
+/// is (see `tests/parallel_determinism.rs`).
+#[allow(clippy::too_many_arguments)]
+pub fn sweep<K, T>(
     ct: &Arc<CompiledTrace>,
     cache_cfg: CacheConfig,
     rp: f64,
     distances: &[u32],
     opts: EngineOptions,
     jobs: usize,
-) -> Result<(Sweep, RunnerReport), Infallible> {
-    let (sweep, (), _, report) = sweep_grid(
-        ct,
-        cache_cfg,
-        rp,
-        distances,
-        opts,
-        jobs,
-        None,
-        || NullSink,
-        |_| (),
-    );
-    Ok((sweep, report))
-}
-
-/// Per-point event summaries of an observed sweep, parallel to
-/// [`Sweep::points`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct SweepEvents {
-    /// The original (no-helper) run's fold.
-    pub baseline: EventSummary,
-    /// One fold per swept distance, in the given order.
-    pub points: Vec<EventSummary>,
-}
-
-/// [`sweep_compiled_jobs_with`] with a [`SummarySink`] attached to every
-/// grid point, so the sweep can report *why* a distance crossed the
-/// `SA/2` bound — which displacement case fired, in which sets, and how
-/// prefetch timeliness shifted — instead of just that hits dropped.
-/// Event folds ride in each job's return value, so the result is
-/// submission-order deterministic at any `jobs` width like the plain
-/// sweep. Early/on-time classification uses
-/// [`default_early_threshold`] of the configuration's latencies.
-pub fn sweep_events_compiled_jobs_with(
-    ct: &Arc<CompiledTrace>,
-    cache_cfg: CacheConfig,
-    rp: f64,
-    distances: &[u32],
-    opts: EngineOptions,
-    jobs: usize,
-) -> Result<(Sweep, SweepEvents, RunnerReport), Infallible> {
-    let threshold = default_early_threshold(&cache_cfg.latency);
-    let (sweep, baseline, points, report) = sweep_grid(
-        ct,
-        cache_cfg,
-        rp,
-        distances,
-        opts,
-        jobs,
-        Some("events"),
-        move || SummarySink::new(threshold),
-        |sink| sink.summary,
-    );
-    Ok((sweep, SweepEvents { baseline, points }, report))
-}
-
-/// Per-point epoch telemetry series of a recorded sweep, parallel to
-/// [`Sweep::points`]. Named `SweepEpochs` (windows are
-/// [`sp_cachesim::EpochWindow`]s) — distinct from the adaptive
-/// controller's coarse per-interval [`crate::adaptive::EpochRecord`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct SweepEpochs {
-    /// The original (no-helper) run's series.
-    pub baseline: EpochSeries,
-    /// One series per swept distance, in the given order.
-    pub points: Vec<EpochSeries>,
-}
-
-/// [`sweep_compiled_jobs_with`] with an [`EpochSink`] recording every
-/// grid point, so the sweep reports *when* pollution happens — the
-/// per-window displacement/timeliness/pressure series `spt report`
-/// renders and the adaptive controller will steer on — not just the
-/// run totals. `epoch_len` is the window length in main-thread
-/// references ([`sp_cachesim::DEFAULT_EPOCH_LEN`] ≈ 10k); series ride
-/// each job's return value, so the result is submission-order
-/// deterministic at any `jobs` width.
-#[allow(clippy::type_complexity)]
-pub fn sweep_epochs_compiled_jobs_with(
-    ct: &Arc<CompiledTrace>,
-    cache_cfg: CacheConfig,
-    rp: f64,
-    distances: &[u32],
-    opts: EngineOptions,
-    epoch_len: u64,
-    jobs: usize,
-) -> Result<(Sweep, SweepEpochs, RunnerReport), Infallible> {
-    let threshold = default_early_threshold(&cache_cfg.latency);
-    let (sweep, baseline, points, report) = sweep_grid(
-        ct,
-        cache_cfg,
-        rp,
-        distances,
-        opts,
-        jobs,
-        Some("epochs"),
-        move || EpochSink::new(epoch_len, threshold),
-        EpochSink::finish,
-    );
-    Ok((sweep, SweepEpochs { baseline, points }, report))
-}
-
-/// The one sweep driver behind the plain, event-observed and recorded
-/// sweeps. The baseline and one SP run per distance are independent
-/// runner jobs, submitted baseline first; each attaches a fresh sink
-/// from `new_sink` and reduces it with `finish` to that point's output.
-/// Returns the assembled sweep, the baseline's output, and one output
-/// per distance. `flavour` tags the `sweep` span (`events = true`, …).
-#[allow(clippy::too_many_arguments, clippy::type_complexity)]
-fn sweep_grid<K, T>(
-    ct: &Arc<CompiledTrace>,
-    cache_cfg: CacheConfig,
-    rp: f64,
-    distances: &[u32],
-    opts: EngineOptions,
-    jobs: usize,
-    flavour: Option<&'static str>,
     new_sink: impl Fn() -> K + Copy + Send + 'static,
     finish: fn(K) -> T,
-) -> (Sweep, T, Vec<T>, RunnerReport)
+) -> (Sweep, PerPoint<T>, RunnerReport)
 where
     K: EventSink + 'static,
     T: Send + 'static,
@@ -260,11 +114,7 @@ where
     // and re-established inside the job so spans recorded on pool
     // threads still correlate with the originating request.
     let corr = sp_obs::corr::current();
-    let _sp = SpanGuard::enter("sweep", || {
-        let mut fields = vec![("points", distances.len().to_string())];
-        fields.extend(flavour.map(|f| (f, true.to_string())));
-        fields
-    });
+    let _sp = sp_obs::span!("sweep", points = distances.len());
     let points = std::iter::once(None).chain(distances.iter().copied().map(Some));
     let grid: Vec<Job<'static, (RunResult, T)>> = points
         .enumerate()
@@ -277,23 +127,80 @@ where
                     Some(d) => sp_obs::span!("point", distance = d),
                 };
                 let mut sink = new_sink();
-                let Ok(run) = match distance {
-                    None => run_original_passes_compiled_ev(&ct, cache_cfg, opts.passes, &mut sink),
-                    Some(d) => {
-                        let params = SpParams::from_distance_rp(d, rp);
-                        run_sp_with_compiled_ev(&ct, cache_cfg, params, opts, &mut sink)
-                    }
-                };
+                let mut params = distance.map(|d| SpParams::from_distance_rp(d, rp));
+                let helper = params.as_mut().map(|p| p as &mut dyn HelperSchedule);
+                let run = run(&ct, cache_cfg, helper, opts, &mut sink);
                 (run, finish(sink))
             }) as Job<'static, (RunResult, T)>
         })
         .collect();
     let (results, report) = run_jobs(grid, jobs);
-    let (mut runs, mut outputs): (Vec<RunResult>, Vec<T>) = results.into_iter().unzip();
+    let (mut runs, mut points): (Vec<RunResult>, Vec<T>) = results.into_iter().unzip();
     let baseline = runs.remove(0);
-    let base_output = outputs.remove(0);
-    let sweep = assemble_sweep(baseline, distances, rp, runs);
-    (sweep, base_output, outputs, report)
+    let outputs = PerPoint {
+        baseline: points.remove(0),
+        points,
+    };
+    (
+        assemble_sweep(baseline, distances, rp, runs),
+        outputs,
+        report,
+    )
+}
+
+/// A plain [`sweep`]. Frozen for `perfbench/src/adapter.rs`, the
+/// benchmark's only caller; deleted with the other three shims by the
+/// ROADMAP item that gates CI on perfbench op counts and frees the
+/// adapter.
+#[doc(hidden)]
+pub fn sweep_compiled_jobs_with(
+    ct: &Arc<CompiledTrace>,
+    cache_cfg: CacheConfig,
+    rp: f64,
+    distances: &[u32],
+    opts: EngineOptions,
+    jobs: usize,
+) -> Result<(Sweep, RunnerReport), Infallible> {
+    let (swept, _, report) = sweep(
+        ct,
+        cache_cfg,
+        rp,
+        distances,
+        opts,
+        jobs,
+        || NullSink,
+        |_| (),
+    );
+    Ok((swept, report))
+}
+
+/// A [`sweep`] recording every point with an [`EpochSink`] of
+/// `epoch_len` main-thread references. Frozen for
+/// `perfbench/src/adapter.rs`, the benchmark's only caller; deleted with
+/// the other three shims by the ROADMAP item that gates CI on perfbench
+/// op counts and frees the adapter.
+#[doc(hidden)]
+pub fn sweep_epochs_compiled_jobs_with(
+    ct: &Arc<CompiledTrace>,
+    cache_cfg: CacheConfig,
+    rp: f64,
+    distances: &[u32],
+    opts: EngineOptions,
+    epoch_len: u64,
+    jobs: usize,
+) -> Result<(Sweep, PerPoint<EpochSeries>, RunnerReport), Infallible> {
+    let threshold = default_early_threshold(&cache_cfg.latency);
+    let new_sink = move || EpochSink::new(epoch_len, threshold);
+    Ok(sweep(
+        ct,
+        cache_cfg,
+        rp,
+        distances,
+        opts,
+        jobs,
+        new_sink,
+        EpochSink::finish,
+    ))
 }
 
 /// Normalize a grid of SP runs against the baseline.
@@ -354,23 +261,31 @@ pub fn controlled_distance(requested: u32, rec: &DistanceRecommendation) -> u32 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sp_cachesim::CacheGeometry;
+    use crate::engine::tests::cfg;
+    use sp_cachesim::{CacheGeometry, EventSummary, SummarySink};
     use sp_trace::synth;
 
-    fn cfg() -> CacheConfig {
-        CacheConfig {
-            cores: 2,
-            l1: CacheGeometry::new(1024, 2, 64),
-            l2: CacheGeometry::new(16 * 1024, 4, 64),
-            hw_prefetchers: false,
-            ..CacheConfig::scaled_default()
-        }
+    /// A plain sweep of `t`, compiled fresh.
+    fn plain_with(
+        t: &HotLoopTrace,
+        c: CacheConfig,
+        ds: &[u32],
+        opts: EngineOptions,
+        jobs: usize,
+    ) -> (Sweep, RunnerReport) {
+        let ct = Arc::new(CompiledTrace::compile(t));
+        let (s, _, rep) = sweep(&ct, c, 0.5, ds, opts, jobs, || NullSink, |_| ());
+        (s, rep)
+    }
+
+    fn plain(t: &HotLoopTrace, ds: &[u32]) -> Sweep {
+        plain_with(t, cfg(), ds, EngineOptions::default(), 1).0
     }
 
     #[test]
     fn sweep_produces_one_point_per_distance() {
         let t = synth::sequential(800, 2, 0, 64, 0);
-        let s = sweep_distances(&t, cfg(), 0.5, &[1, 4, 16]);
+        let s = plain(&t, &[1, 4, 16]);
         assert_eq!(s.points.len(), 3);
         assert_eq!(s.points[0].distance, 1);
         assert!(s.at(4).is_some());
@@ -381,7 +296,7 @@ mod tests {
     #[test]
     fn normalizations_are_relative_to_the_baseline() {
         let t = synth::sequential(800, 2, 0, 64, 0);
-        let s = sweep_distances(&t, cfg(), 0.5, &[4]);
+        let s = plain(&t, &[4]);
         let p = &s.points[0];
         let expect = p.run.runtime as f64 / s.baseline.runtime as f64;
         assert!((p.runtime_norm - expect).abs() < 1e-12);
@@ -417,18 +332,13 @@ mod tests {
     #[test]
     fn sweep_is_deterministic() {
         let t = synth::random(300, 3, 0, 1 << 20, 23, 2);
-        let a = sweep_distances(&t, cfg(), 0.5, &[2, 8]);
-        let b = sweep_distances(&t, cfg(), 0.5, &[2, 8]);
-        assert_eq!(a, b);
+        assert_eq!(plain(&t, &[2, 8]), plain(&t, &[2, 8]));
     }
 
     #[test]
-    fn sweep_with_default_options_equals_plain_sweep() {
+    fn multi_pass_sweeps_share_passes_with_the_baseline() {
         let t = synth::sequential(600, 2, 0, 64, 0);
-        let plain = sweep_distances(&t, cfg(), 0.5, &[2, 8]);
-        let (with, _) =
-            sweep_distances_jobs_with(&t, cfg(), 0.5, &[2, 8], EngineOptions::default(), 1);
-        assert_eq!(plain, with);
+        let one = plain(&t, &[2, 8]);
         // Non-default options change the simulation (multi-pass baseline
         // warms the cache), but the point count and normalization basis
         // stay consistent.
@@ -436,38 +346,52 @@ mod tests {
             passes: 2,
             ..EngineOptions::default()
         };
-        let (multi, _) = sweep_distances_jobs_with(&t, cfg(), 0.5, &[2, 8], opts, 1);
+        let (multi, _) = plain_with(&t, cfg(), &[2, 8], opts, 1);
         assert_eq!(multi.points.len(), 2);
-        assert!(multi.baseline.runtime > plain.baseline.runtime);
+        assert_eq!(multi.baseline.outer_iters, 2 * one.baseline.outer_iters);
+        assert!(multi.baseline.runtime > one.baseline.runtime);
     }
 
     #[test]
     fn one_compiled_sweep_serves_every_geometry() {
         let t = synth::random(300, 3, 0, 1 << 20, 23, 2);
-        let ct = std::sync::Arc::new(crate::engine::compile_trace(&t, &cfg()));
+        let ct = Arc::new(CompiledTrace::compile(&t));
         let other = CacheConfig {
             l2: CacheGeometry::new(32 * 1024, 4, 64),
             ..cfg()
         };
         for c in [cfg(), other] {
-            let plain = sweep_distances(&t, c, 0.5, &[2, 8]);
-            let Ok((compiled, rep)) =
-                sweep_compiled_jobs_with(&ct, c, 0.5, &[2, 8], EngineOptions::default(), 1);
-            assert_eq!(plain, compiled);
+            let (fresh, _) = plain_with(&t, c, &[2, 8], EngineOptions::default(), 1);
+            let opts = EngineOptions::default();
+            let (reused, _, rep) = sweep(&ct, c, 0.5, &[2, 8], opts, 1, || NullSink, |_| ());
+            assert_eq!(fresh, reused);
             assert_eq!(rep.jobs, 3);
         }
+    }
+
+    fn summaries(
+        ct: &Arc<CompiledTrace>,
+        c: CacheConfig,
+        jobs: usize,
+    ) -> (Sweep, PerPoint<EventSummary>) {
+        let threshold = default_early_threshold(&c.latency);
+        let new_sink = move || SummarySink::new(threshold);
+        let opts = EngineOptions::default();
+        let (s, events, _) = sweep(ct, c, 0.5, &[2, 8], opts, jobs, new_sink, |k| k.summary);
+        (s, events)
     }
 
     #[test]
     fn events_sweep_matches_plain_sweep_and_folds_to_the_counters() {
         let t = synth::random(300, 3, 0, 1 << 20, 23, 2);
         let c = cfg();
-        let ct = std::sync::Arc::new(crate::engine::compile_trace(&t, &c));
-        let Ok((plain, _)) =
-            sweep_compiled_jobs_with(&ct, c, 0.5, &[2, 8], EngineOptions::default(), 1);
-        let Ok((observed, events, _)) =
-            sweep_events_compiled_jobs_with(&ct, c, 0.5, &[2, 8], EngineOptions::default(), 1);
-        assert_eq!(plain, observed, "observing a sweep must not change it");
+        let ct = Arc::new(CompiledTrace::compile(&t));
+        let (observed, events) = summaries(&ct, c, 1);
+        assert_eq!(
+            plain(&t, &[2, 8]),
+            observed,
+            "observing a sweep must not change it"
+        );
         assert_eq!(events.points.len(), 2);
         assert_eq!(
             events.baseline.pollution_stats(),
@@ -479,22 +403,35 @@ mod tests {
             assert_eq!(summary.first_uses, point.run.stats.prefetches_useful);
         }
         // Event folds are jobs-width deterministic like the sweep itself.
-        let Ok(par) =
-            sweep_events_compiled_jobs_with(&ct, c, 0.5, &[2, 8], EngineOptions::default(), 4);
-        assert_eq!(par.0, observed);
-        assert_eq!(par.1, events);
+        assert_eq!(summaries(&ct, c, 4), (observed, events));
     }
 
     #[test]
     fn epoch_sweep_matches_plain_sweep_and_totals_fold_to_the_counters() {
         let t = synth::random(300, 3, 0, 1 << 20, 23, 2);
         let c = cfg();
-        let ct = std::sync::Arc::new(crate::engine::compile_trace(&t, &c));
-        let Ok((plain, _)) =
-            sweep_compiled_jobs_with(&ct, c, 0.5, &[2, 8], EngineOptions::default(), 1);
-        let Ok((recorded, epochs, _)) =
-            sweep_epochs_compiled_jobs_with(&ct, c, 0.5, &[2, 8], EngineOptions::default(), 64, 1);
-        assert_eq!(plain, recorded, "recording a sweep must not change it");
+        let ct = Arc::new(CompiledTrace::compile(&t));
+        let threshold = default_early_threshold(&c.latency);
+        let opts = EngineOptions::default();
+        let record = |jobs| {
+            let new_sink = move || EpochSink::new(64, threshold);
+            sweep(
+                &ct,
+                c,
+                0.5,
+                &[2, 8],
+                opts,
+                jobs,
+                new_sink,
+                EpochSink::finish,
+            )
+        };
+        let (recorded, epochs, _) = record(1);
+        assert_eq!(
+            plain(&t, &[2, 8]),
+            recorded,
+            "recording a sweep must not change it"
+        );
         assert_eq!(epochs.points.len(), 2);
         // Every window but the last is exactly the epoch length, and the
         // series totals are the run-aggregate counters, refined in time.
@@ -523,8 +460,7 @@ mod tests {
             assert_eq!(series.pollution_stats(), run.stats.pollution);
         }
         // Epoch series are jobs-width deterministic like the sweep.
-        let Ok(par) =
-            sweep_epochs_compiled_jobs_with(&ct, c, 0.5, &[2, 8], EngineOptions::default(), 64, 4);
+        let par = record(4);
         assert_eq!(par.0, recorded);
         assert_eq!(par.1, epochs);
     }
@@ -532,9 +468,9 @@ mod tests {
     #[test]
     fn parallel_sweep_matches_serial_and_reports_every_job() {
         let t = synth::random(300, 3, 0, 1 << 20, 23, 2);
-        let serial = sweep_distances(&t, cfg(), 0.5, &[1, 4, 16, 64]);
+        let serial = plain(&t, &[1, 4, 16, 64]);
         for jobs in [2usize, 4] {
-            let (par, rep) = sweep_distances_jobs(&t, cfg(), 0.5, &[1, 4, 16, 64], jobs);
+            let (par, rep) = plain_with(&t, cfg(), &[1, 4, 16, 64], EngineOptions::default(), jobs);
             assert_eq!(par, serial);
             assert_eq!(rep.jobs, 5, "baseline + one job per distance");
             assert!(rep.workers <= jobs);

@@ -1,7 +1,6 @@
 //! Two-core co-simulation of the main thread and the SP helper thread.
 //!
-//! The engine replays a [`HotLoopTrace`] on the shared
-//! [`MemorySystem`]:
+//! [`run`] replays a [`CompiledTrace`] on the shared [`MemorySystem`]:
 //!
 //! * The **main thread** (core 0) executes every iteration in full:
 //!   backbone loads, inner loads/stores (all demand accesses that stall),
@@ -21,11 +20,12 @@
 //!
 //! The engine alternates between the two threads by picking whichever has
 //! the smaller local clock, so the memory system always sees accesses in
-//! global time order.
+//! global time order. The original program is the same loop with no
+//! helper: every step is the main thread's.
 
 use crate::params::SpParams;
 use crate::skip::HelperStep;
-use sp_cachesim::events::{EventSink, NullSink};
+use sp_cachesim::events::EventSink;
 use sp_cachesim::{CacheConfig, Cycle, Entity, MemStats, MemorySystem};
 use sp_trace::{AccessKind, CompiledTrace, HotLoopTrace};
 use std::cell::RefCell;
@@ -123,70 +123,6 @@ impl Default for EngineOptions {
     }
 }
 
-/// Run the original program: main thread only (hardware prefetchers per
-/// `cache_cfg`).
-pub fn run_original(trace: &HotLoopTrace, cache_cfg: CacheConfig) -> RunResult {
-    run_original_passes(trace, cache_cfg, 1)
-}
-
-/// Run the original program for `passes` back-to-back executions of the
-/// hot loop (pass 2+ sees a warm cache).
-pub fn run_original_passes(
-    trace: &HotLoopTrace,
-    cache_cfg: CacheConfig,
-    passes: usize,
-) -> RunResult {
-    let ct = compile_trace(trace, &cache_cfg);
-    let Ok(run) = run_original_passes_compiled(&ct, cache_cfg, passes);
-    run
-}
-
-/// [`run_original_passes`] over an already-compiled trace: every pass
-/// replays the flattened references, and the per-thread simulator is
-/// reused. Never fails; the `Infallible` error type only keeps existing
-/// `Result` callers compiling.
-pub fn run_original_passes_compiled(
-    ct: &CompiledTrace,
-    cache_cfg: CacheConfig,
-    passes: usize,
-) -> Result<RunResult, Infallible> {
-    run_original_passes_compiled_ev(ct, cache_cfg, passes, &mut NullSink)
-}
-
-/// [`run_original_passes_compiled`] with an event sink observing the
-/// replay (see `sp_cachesim::events`). The sink-free entry point
-/// delegates here with [`NullSink`], which compiles the event layer out.
-pub fn run_original_passes_compiled_ev<S: EventSink>(
-    ct: &CompiledTrace,
-    cache_cfg: CacheConfig,
-    passes: usize,
-    sink: &mut S,
-) -> Result<RunResult, Infallible> {
-    assert!(passes > 0, "need at least one pass");
-    let _sp = sp_obs::span!("simulate", mode = "original", passes = passes);
-    let mut mem = acquire_sim(cache_cfg);
-    let mut clock: Cycle = 0;
-    for _ in 0..passes {
-        for it in 0..ct.outer_iters() {
-            for i in ct.iter_refs(it) {
-                let res = mem.demand_access_ev(Entity::Main, ct.get(i), clock, sink);
-                clock = res.complete_at;
-            }
-            clock += ct.compute_cycles(it);
-        }
-    }
-    let stats = mem.finish_stats_ev(sink);
-    release_sim(cache_cfg, mem);
-    Ok(RunResult {
-        runtime: clock,
-        helper_runtime: 0,
-        stats,
-        outer_iters: ct.outer_iters() * passes,
-        helper_waits: 0,
-        helper_jumps: 0,
-    })
-}
-
 /// Per-thread replay cursor.
 struct Cursor {
     /// Outer iteration currently being executed.
@@ -198,8 +134,8 @@ struct Cursor {
 }
 
 /// What the helper does per iteration, and how tightly it is leashed —
-/// implemented by the static SP plan and by the adaptive controller in
-/// [`crate::adaptive`].
+/// implemented by the static SP plan ([`SpParams`]) and by the adaptive
+/// controller ([`crate::adaptive::AdaptiveSchedule`]).
 pub trait HelperSchedule {
     /// The helper's action for outer iteration `iter`.
     fn step(&self, iter: usize) -> HelperStep;
@@ -213,111 +149,50 @@ pub trait HelperSchedule {
     fn on_main_iter(&mut self, _main_iter: usize, _mem: &MemorySystem, _clock: Cycle) {}
 }
 
-/// The paper's static SP schedule: a fixed `(A_SKI, A_PRE)` round plan,
-/// computed modularly so it extends over any number of passes.
-pub struct StaticSchedule {
-    params: SpParams,
-}
-
-impl StaticSchedule {
-    /// Plan `params` over the hot loop.
-    pub fn new(params: SpParams) -> Self {
-        StaticSchedule { params }
-    }
-}
-
-impl HelperSchedule for StaticSchedule {
+impl HelperSchedule for SpParams {
+    /// The paper's static plan: a fixed `(A_SKI, A_PRE)` round, computed
+    /// modularly so it extends over any number of passes.
     fn step(&self, iter: usize) -> HelperStep {
-        if (iter % self.params.round_len() as usize) < self.params.a_ski as usize {
+        if (iter % self.round_len() as usize) < self.a_ski as usize {
             HelperStep::Chase
         } else {
             HelperStep::Prefetch
         }
     }
     fn window(&self) -> usize {
-        self.params.round_len() as usize
+        self.round_len() as usize
     }
     fn jump_distance(&self) -> u32 {
-        self.params.a_ski
+        self.a_ski
     }
 }
 
-/// Run the SP mechanism: main + helper with the given parameters and the
-/// default (blocking-helper) model.
-pub fn run_sp(trace: &HotLoopTrace, cache_cfg: CacheConfig, params: SpParams) -> RunResult {
-    run_sp_with(trace, cache_cfg, params, EngineOptions::default())
-}
-
-/// Run the SP mechanism with explicit engine options.
-pub fn run_sp_with(
-    trace: &HotLoopTrace,
-    cache_cfg: CacheConfig,
-    params: SpParams,
-    opts: EngineOptions,
-) -> RunResult {
-    let mut schedule = StaticSchedule::new(params);
-    run_scheduled(trace, cache_cfg, &mut schedule, opts)
-}
-
-/// [`run_sp_with`] over an already-compiled trace.
-pub fn run_sp_with_compiled(
+/// Replay `ct` on `cache_cfg` for `opts.passes` back-to-back executions
+/// of the hot loop, with `sink` observing every access (pass
+/// [`NullSink`](sp_cachesim::NullSink) to compile the event layer out).
+///
+/// `schedule: None` is the original program: the main thread alone, with
+/// hardware prefetchers per `cache_cfg`. `Some(schedule)` co-simulates
+/// the SP helper thread following `schedule` — an [`SpParams`] round
+/// plan, or an adaptive one ([`crate::adaptive::AdaptiveSchedule`]).
+/// Either way the per-thread simulator is reused.
+///
+/// # Panics
+/// If `opts.passes == 0`.
+pub fn run<S: EventSink>(
     ct: &CompiledTrace,
     cache_cfg: CacheConfig,
-    params: SpParams,
-    opts: EngineOptions,
-) -> Result<RunResult, Infallible> {
-    let mut schedule = StaticSchedule::new(params);
-    run_scheduled_compiled(ct, cache_cfg, &mut schedule, opts)
-}
-
-/// [`run_sp_with_compiled`] with an event sink observing both threads'
-/// accesses.
-pub fn run_sp_with_compiled_ev<S: EventSink>(
-    ct: &CompiledTrace,
-    cache_cfg: CacheConfig,
-    params: SpParams,
+    mut schedule: Option<&mut dyn HelperSchedule>,
     opts: EngineOptions,
     sink: &mut S,
-) -> Result<RunResult, Infallible> {
-    let mut schedule = StaticSchedule::new(params);
-    run_scheduled_compiled_ev(ct, cache_cfg, &mut schedule, opts, sink)
-}
-
-/// The generic two-thread co-simulation loop over any
-/// [`HelperSchedule`]. [`run_sp_with`] instantiates it with the static
-/// plan; `sp_core::adaptive` with a feedback-driven one.
-pub fn run_scheduled(
-    trace: &HotLoopTrace,
-    cache_cfg: CacheConfig,
-    schedule: &mut dyn HelperSchedule,
-    opts: EngineOptions,
 ) -> RunResult {
-    let ct = compile_trace(trace, &cache_cfg);
-    let Ok(run) = run_scheduled_compiled(&ct, cache_cfg, schedule, opts);
-    run
-}
-
-/// [`run_scheduled`] over an already-compiled trace: both threads replay
-/// the flattened references, and the per-thread simulator is reused.
-pub fn run_scheduled_compiled(
-    ct: &CompiledTrace,
-    cache_cfg: CacheConfig,
-    schedule: &mut dyn HelperSchedule,
-    opts: EngineOptions,
-) -> Result<RunResult, Infallible> {
-    run_scheduled_compiled_ev(ct, cache_cfg, schedule, opts, &mut NullSink)
-}
-
-/// [`run_scheduled_compiled`] with an event sink observing the co-sim.
-pub fn run_scheduled_compiled_ev<S: EventSink>(
-    ct: &CompiledTrace,
-    cache_cfg: CacheConfig,
-    schedule: &mut dyn HelperSchedule,
-    opts: EngineOptions,
-    sink: &mut S,
-) -> Result<RunResult, Infallible> {
     assert!(opts.passes > 0, "need at least one pass");
-    let _sp = sp_obs::span!("simulate", mode = "scheduled", passes = opts.passes);
+    let mode = if schedule.is_some() {
+        "scheduled"
+    } else {
+        "original"
+    };
+    let _sp = sp_obs::span!("simulate", mode = mode, passes = opts.passes);
     // Virtual iteration space: `passes` back-to-back executions of the
     // hot loop; iteration v executes trace iteration v % len.
     let n = ct.outer_iters() * opts.passes;
@@ -329,11 +204,13 @@ pub fn run_scheduled_compiled_ev<S: EventSink>(
         clock: 0,
         done: n == 0,
     };
+    // Without a schedule the helper is done before it starts, so every
+    // step below is the main thread's.
     let mut helper = Cursor {
         iter: 0,
         ref_idx: 0,
         clock: 0,
-        done: n == 0,
+        done: n == 0 || schedule.is_none(),
     };
     let mut helper_waits = 0u64;
     let mut helper_jumps = 0u64;
@@ -343,8 +220,9 @@ pub fn run_scheduled_compiled_ev<S: EventSink>(
     // One "step" = one memory access (plus, for the main thread, the
     // iteration's compute when it finishes the iteration's refs).
     while !main.done {
-        // Re-sync the helper against the main thread's progress.
-        if !helper.done {
+        let mut ran_helper = false;
+        if let Some(schedule) = schedule.as_deref_mut().filter(|_| !helper.done) {
+            // Re-sync the helper against the main thread's progress.
             if helper.iter < main.iter {
                 // Fell behind: jump ahead like a real resync.
                 helper.iter = (main.iter + schedule.jump_distance() as usize).min(n);
@@ -364,26 +242,28 @@ pub fn run_scheduled_compiled_ev<S: EventSink>(
                 // Spun until the main thread advanced.
                 helper.clock = helper.clock.max(main.clock);
             }
+            ran_helper = !helper.done && !helper_blocked && helper.clock <= main.clock;
+            if ran_helper {
+                let step = schedule.step(helper.iter);
+                step_helper(
+                    &mut helper,
+                    &mut mem,
+                    ct,
+                    step,
+                    n,
+                    &mut helper_finish,
+                    opts,
+                    sink,
+                );
+            }
         }
-
-        let run_helper = !helper.done && !helper_blocked && helper.clock <= main.clock;
-        if run_helper {
-            let step = schedule.step(helper.iter);
-            step_helper(
-                &mut helper,
-                &mut mem,
-                ct,
-                step,
-                n,
-                &mut helper_finish,
-                opts,
-                sink,
-            );
-        } else {
+        if !ran_helper {
             let before = main.iter;
             step_main(&mut main, &mut mem, ct, n, sink);
             if main.iter != before {
-                schedule.on_main_iter(before, &mem, main.clock);
+                if let Some(schedule) = schedule.as_deref_mut() {
+                    schedule.on_main_iter(before, &mem, main.clock);
+                }
             }
         }
     }
@@ -393,14 +273,47 @@ pub fn run_scheduled_compiled_ev<S: EventSink>(
 
     let stats = mem.finish_stats_ev(sink);
     release_sim(cache_cfg, mem);
-    Ok(RunResult {
+    RunResult {
         runtime: main.clock,
         helper_runtime: helper_finish,
         stats,
         outer_iters: n,
         helper_waits,
         helper_jumps,
-    })
+    }
+}
+
+/// The original program over `passes` executions, as [`run`] with no
+/// helper. Frozen for `perfbench/src/adapter.rs`, the benchmark's only
+/// caller; deleted with the other three shims by the ROADMAP item that
+/// gates CI on perfbench op counts and frees the adapter.
+#[doc(hidden)]
+pub fn run_original_passes_compiled_ev<S: EventSink>(
+    ct: &CompiledTrace,
+    cache_cfg: CacheConfig,
+    passes: usize,
+    sink: &mut S,
+) -> Result<RunResult, Infallible> {
+    let opts = EngineOptions {
+        passes,
+        ..EngineOptions::default()
+    };
+    Ok(run(ct, cache_cfg, None, opts, sink))
+}
+
+/// SP at `params`, as [`run`] with the static schedule. Frozen for
+/// `perfbench/src/adapter.rs`, the benchmark's only caller; deleted with
+/// the other three shims by the ROADMAP item that gates CI on perfbench
+/// op counts and frees the adapter.
+#[doc(hidden)]
+pub fn run_sp_with_compiled_ev<S: EventSink>(
+    ct: &CompiledTrace,
+    cache_cfg: CacheConfig,
+    mut params: SpParams,
+    opts: EngineOptions,
+    sink: &mut S,
+) -> Result<RunResult, Infallible> {
+    Ok(run(ct, cache_cfg, Some(&mut params), opts, sink))
 }
 
 /// Execute the main thread's next access; advances its clock,
@@ -493,12 +406,12 @@ fn step_helper<S: EventSink>(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use sp_cachesim::{CacheGeometry, HitClass};
+    use sp_cachesim::{CacheGeometry, HitClass, NullSink};
     use sp_trace::synth;
 
-    fn cfg() -> CacheConfig {
+    pub(crate) fn cfg() -> CacheConfig {
         CacheConfig {
             cores: 2,
             l1: CacheGeometry::new(1024, 2, 64),
@@ -508,10 +421,46 @@ mod tests {
         }
     }
 
+    fn opts(passes: usize) -> EngineOptions {
+        EngineOptions {
+            passes,
+            ..EngineOptions::default()
+        }
+    }
+
+    /// The original program over `passes` executions of `t`.
+    pub(crate) fn original_passes(t: &HotLoopTrace, c: CacheConfig, passes: usize) -> RunResult {
+        let ct = CompiledTrace::compile(t);
+        run(&ct, c, None, opts(passes), &mut NullSink)
+    }
+
+    pub(crate) fn original(t: &HotLoopTrace, c: CacheConfig) -> RunResult {
+        original_passes(t, c, 1)
+    }
+
+    pub(crate) fn sp_with(
+        t: &HotLoopTrace,
+        c: CacheConfig,
+        mut params: SpParams,
+        o: EngineOptions,
+    ) -> RunResult {
+        run(
+            &CompiledTrace::compile(t),
+            c,
+            Some(&mut params),
+            o,
+            &mut NullSink,
+        )
+    }
+
+    pub(crate) fn sp(t: &HotLoopTrace, c: CacheConfig, params: SpParams) -> RunResult {
+        sp_with(t, c, params, EngineOptions::default())
+    }
+
     #[test]
     fn original_run_accounts_every_reference() {
         let t = synth::random(200, 4, 0, 1 << 22, 3, 5);
-        let r = run_original(&t, cfg());
+        let r = original(&t, cfg());
         assert_eq!(r.stats.main.demand_accesses(), 800);
         assert_eq!(r.stats.helper.demand_accesses(), 0);
         assert!(
@@ -519,13 +468,19 @@ mod tests {
             "compute cycles must be in the runtime"
         );
         assert_eq!(r.outer_iters, 200);
+        // The no-helper run goes through the co-simulation loop; its
+        // helper must never have started.
+        assert_eq!(r.helper_runtime, 0);
+        assert_eq!(r.helper_waits, 0);
+        assert_eq!(r.helper_jumps, 0);
+        assert_eq!(r.stats.prefetches_issued, [0; 5], "hw prefetchers are off");
     }
 
     #[test]
     fn original_run_is_deterministic() {
         let t = synth::random(100, 4, 0, 1 << 20, 9, 2);
-        let a = run_original(&t, cfg());
-        let b = run_original(&t, cfg());
+        let a = original(&t, cfg());
+        let b = original(&t, cfg());
         assert_eq!(a, b);
     }
 
@@ -539,7 +494,7 @@ mod tests {
                 sp_trace::MemRef::load(0x80_0000 + i as u64 * 64, sp_trace::SiteId(2)),
             ];
         }
-        let r = run_sp(&t, cfg(), SpParams::new(4, 4));
+        let r = sp(&t, cfg(), SpParams::new(4, 4));
         // Helper chases every backbone (speculative loads) and covers
         // ~half the iterations' 2 inner loads each: ~400 + ~400.
         let p = r.stats.prefetches_issued[0];
@@ -554,8 +509,8 @@ mod tests {
         // no hw prefetchers): the helper turns a large share into (at
         // least partial) hits.
         let t = synth::sequential(2000, 2, 0, 64, 0);
-        let orig = run_original(&t, cfg());
-        let sp = run_sp(&t, cfg(), SpParams::new(8, 8));
+        let orig = original(&t, cfg());
+        let sp = sp(&t, cfg(), SpParams::new(8, 8));
         assert!(
             sp.stats.main.total_misses < orig.stats.main.total_misses,
             "SP must cut misses: {} vs {}",
@@ -571,7 +526,7 @@ mod tests {
     #[test]
     fn helper_respects_the_sync_window() {
         let t = synth::sequential(1000, 2, 0, 64, 50);
-        let r = run_sp(&t, cfg(), SpParams::new(2, 2));
+        let r = sp(&t, cfg(), SpParams::new(2, 2));
         // With a tight window on a slow main loop, the helper must block
         // at least once.
         assert!(r.helper_waits > 0, "helper should hit the window");
@@ -580,18 +535,18 @@ mod tests {
     #[test]
     fn sp_run_is_deterministic() {
         let t = synth::random(300, 3, 0, 1 << 20, 17, 4);
-        let a = run_sp(&t, cfg(), SpParams::new(4, 4));
-        let b = run_sp(&t, cfg(), SpParams::new(4, 4));
+        let a = sp(&t, cfg(), SpParams::new(4, 4));
+        let b = sp(&t, cfg(), SpParams::new(4, 4));
         assert_eq!(a, b);
     }
 
     #[test]
     fn empty_trace_is_a_noop() {
-        let t = sp_trace::HotLoopTrace::new("empty");
-        let r = run_sp(&t, cfg(), SpParams::new(1, 1));
+        let t = HotLoopTrace::new("empty");
+        let r = sp(&t, cfg(), SpParams::new(1, 1));
         assert_eq!(r.runtime, 0);
         assert_eq!(r.stats.main.demand_accesses(), 0);
-        let o = run_original(&t, cfg());
+        let o = original(&t, cfg());
         assert_eq!(o.runtime, 0);
     }
 
@@ -602,7 +557,7 @@ mod tests {
             it.inner
                 .push(sp_trace::MemRef::store(0x99_0000, sp_trace::SiteId(7)));
         }
-        let r = run_sp(&t, cfg(), SpParams::conventional());
+        let r = sp(&t, cfg(), SpParams::conventional());
         // 100 loads prefetched, stores dropped; allow the engine's own
         // issue accounting only.
         assert_eq!(r.stats.prefetches_issued[0], 100);
@@ -613,12 +568,12 @@ mod tests {
         // Helper prefetches a stream disjoint from the main's; with an
         // uncontended bus the main thread's class counts are unchanged.
         let t = synth::sequential(64, 1, 0, 64, 0);
-        let orig = run_original(&t, cfg());
+        let orig = original(&t, cfg());
         // Conventional helper on the same trace touches the same stream;
         // instead check the degenerate case: distance so large the helper
         // never gets to run past the window... simplest invariant: totals
         // conserve.
-        let sp = run_sp(&t, cfg(), SpParams::new(1, 1));
+        let sp = sp(&t, cfg(), SpParams::new(1, 1));
         assert_eq!(
             sp.stats.main.demand_accesses(),
             orig.stats.main.demand_accesses(),
@@ -629,8 +584,8 @@ mod tests {
     #[test]
     fn multi_pass_executes_the_loop_repeatedly() {
         let t = synth::random(100, 3, 0, 1 << 14, 5, 2);
-        let one = run_original(&t, cfg());
-        let three = run_original_passes(&t, cfg(), 3);
+        let one = original(&t, cfg());
+        let three = original_passes(&t, cfg(), 3);
         assert_eq!(three.outer_iters, 300);
         assert_eq!(
             three.stats.main.demand_accesses(),
@@ -642,8 +597,8 @@ mod tests {
     fn warm_passes_are_cheaper_when_the_footprint_fits() {
         // Footprint ~64 blocks (fits the 16KB L2): pass 2+ mostly hits.
         let t = synth::random(200, 2, 0, 64 * 64, 7, 0);
-        let one = run_original(&t, cfg());
-        let two = run_original_passes(&t, cfg(), 2);
+        let one = original(&t, cfg());
+        let two = original_passes(&t, cfg(), 2);
         assert!(
             two.runtime < one.runtime * 2,
             "second pass must be cheaper: {} vs 2x{}",
@@ -656,11 +611,7 @@ mod tests {
     #[test]
     fn sp_multi_pass_helper_follows_across_passes() {
         let t = synth::sequential(300, 2, 0, 64, 0);
-        let opts = EngineOptions {
-            passes: 3,
-            ..EngineOptions::default()
-        };
-        let r = run_sp_with(&t, cfg(), SpParams::new(4, 4), opts);
+        let r = sp_with(&t, cfg(), SpParams::new(4, 4), opts(3));
         assert_eq!(r.outer_iters, 900);
         // Helper keeps prefetching in later passes.
         assert!(r.stats.prefetches_issued[0] > 400);
@@ -670,7 +621,7 @@ mod tests {
     #[should_panic(expected = "at least one pass")]
     fn zero_passes_rejected() {
         let t = synth::sequential(10, 1, 0, 64, 0);
-        let _ = run_original_passes(&t, cfg(), 0);
+        let _ = original_passes(&t, cfg(), 0);
     }
 
     #[test]
@@ -687,14 +638,15 @@ mod tests {
             ..EngineOptions::default()
         };
         for c in [cfg(), other] {
-            let Ok(original) = run_original_passes_compiled(&ct, c, 2);
-            assert_eq!(run_original_passes(&t, c, 2), original);
-            for opts in [EngineOptions::default(), idealized] {
-                let Ok(sp) = run_sp_with_compiled(&ct, c, params, opts);
-                assert_eq!(run_sp_with(&t, c, params, opts), sp);
+            let reused = run(&ct, c, None, opts(2), &mut NullSink);
+            assert_eq!(original_passes(&t, c, 2), reused);
+            for o in [EngineOptions::default(), idealized] {
+                let mut schedule = params;
+                let reused = run(&ct, c, Some(&mut schedule), o, &mut NullSink);
+                assert_eq!(sp_with(&t, c, params, o), reused);
             }
         }
-        assert_ne!(run_original(&t, cfg()), run_original(&t, other));
+        assert_ne!(original(&t, cfg()), original(&t, other));
     }
 
     #[test]
@@ -709,11 +661,11 @@ mod tests {
             l2: sp_cachesim::CacheGeometry::new(32 * 1024, 4, 64),
             ..cfg()
         };
-        let first = run_original(&t, c);
-        let first_other = run_original(&t, other);
+        let first = original(&t, c);
+        let first_other = original(&t, other);
         for _ in 0..3 {
-            assert_eq!(run_original(&t, c), first);
-            assert_eq!(run_original(&t, other), first_other, "config swap");
+            assert_eq!(original(&t, c), first);
+            assert_eq!(original(&t, other), first_other, "config swap");
         }
     }
 

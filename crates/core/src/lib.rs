@@ -8,14 +8,15 @@
 //! * [`calr`] — CALR profiling and the paper's RP-selection rule.
 //! * [`skip`] — the SP transformation: which outer iterations the helper
 //!   skips vs. pre-executes, and which loads become prefetches.
-//! * [`engine`] — two-core co-simulation of main + helper on the shared
-//!   memory system from `sp-cachesim`.
+//! * [`engine`] — [`run`]: two-core co-simulation of main + helper on
+//!   the shared memory system from `sp-cachesim` (no helper = the
+//!   original program).
 //! * [`affinity`] — the Fig. 3 Set Affinity algorithm, Definitions 1–3,
 //!   and the `distance < min SA / 2` bound.
 //! * [`pollution`] — the paper's behaviour-change metric and pollution
 //!   summaries.
-//! * [`distance`] — the sweep harness behind Figures 2 and 4–6, and the
-//!   bound-driven distance controller.
+//! * [`distance`] — [`sweep`]: the harness behind Figures 2 and 4–6, and
+//!   the bound-driven distance controller.
 //!
 //! ## Quick start
 //!
@@ -32,9 +33,11 @@
 //! // The paper's pipeline: Set Affinity -> distance bound -> SP run.
 //! let rec = recommend_distance(&trace, &cfg);
 //! let d = controlled_distance(64, &rec); // clamp a requested distance
-//! let params = SpParams::from_distance_rp(d, 0.5);
-//! let baseline = run_original(&trace, cfg);
-//! let sp = run_sp(&trace, cfg, params);
+//! let mut params = SpParams::from_distance_rp(d, 0.5);
+//! let ct = compile_trace(&trace, &cfg);
+//! let opts = EngineOptions::default();
+//! let baseline = run(&ct, cfg, None, opts, &mut NullSink);
+//! let sp = run(&ct, cfg, Some(&mut params), opts, &mut NullSink);
 //! assert!(sp.stats.prefetches_issued[0] > 0);
 //! assert_eq!(baseline.outer_iters, sp.outer_iters);
 //! ```
@@ -51,8 +54,7 @@ pub mod pollution;
 pub mod skip;
 
 pub use adaptive::{
-    run_sp_adaptive, AdaptivePolicy, AdaptiveRunResult, EpochFeedback, EpochRecord,
-    FeedbackController,
+    AdaptivePolicy, AdaptiveSchedule, EpochFeedback, EpochRecord, FeedbackController,
 };
 pub use affinity::{
     helper_set_affinity, original_set_affinity, sampled_set_affinity, set_affinity_stream,
@@ -60,17 +62,12 @@ pub use affinity::{
 };
 pub use calr::{estimate_calr, select_params, select_rp, CalrProfile};
 pub use distance::{
-    controlled_distance, recommend_distance, sweep_compiled_jobs_with, sweep_distances,
-    sweep_distances_jobs, sweep_distances_jobs_with, sweep_epochs_compiled_jobs_with,
-    sweep_events_compiled_jobs_with, DistanceRecommendation, Sweep, SweepEpochs, SweepEvents,
+    controlled_distance, recommend_distance, sweep, DistanceRecommendation, PerPoint, Sweep,
     SweepPoint,
 };
-pub use engine::{
-    compile_trace, run_original, run_original_passes, run_original_passes_compiled,
-    run_original_passes_compiled_ev, run_scheduled, run_scheduled_compiled,
-    run_scheduled_compiled_ev, run_sp, run_sp_with, run_sp_with_compiled, run_sp_with_compiled_ev,
-    EngineOptions, HelperSchedule, RunResult, StaticSchedule,
-};
+pub use distance::{sweep_compiled_jobs_with, sweep_epochs_compiled_jobs_with};
+pub use engine::{compile_trace, run, EngineOptions, HelperSchedule, RunResult};
+pub use engine::{run_original_passes_compiled_ev, run_sp_with_compiled_ev};
 pub use params::{ParamsError, SpParams};
 pub use pollution::{BehaviorChange, PollutionSummary};
 pub use skip::{helper_refs, plan, summarize, HelperStep, PlanSummary};
@@ -87,10 +84,10 @@ pub mod prelude {
     pub use crate::affinity::{helper_set_affinity, original_set_affinity, SetAffinityReport};
     pub use crate::calr::{estimate_calr, select_rp};
     pub use crate::distance::{
-        controlled_distance, recommend_distance, sweep_distances, sweep_distances_jobs,
-        DistanceRecommendation,
+        controlled_distance, recommend_distance, sweep, DistanceRecommendation,
     };
-    pub use crate::engine::{run_original, run_sp, run_sp_with, EngineOptions, RunResult};
+    pub use crate::engine::{compile_trace, run, EngineOptions, RunResult};
     pub use crate::params::SpParams;
     pub use crate::pollution::{BehaviorChange, PollutionSummary};
+    pub use sp_cachesim::NullSink;
 }

@@ -78,25 +78,14 @@ impl PollutionSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{run_original, run_sp};
+    use crate::engine::tests::{cfg, original, sp};
     use crate::params::SpParams;
-    use sp_cachesim::{CacheConfig, CacheGeometry};
     use sp_trace::synth;
-
-    fn cfg() -> CacheConfig {
-        CacheConfig {
-            cores: 2,
-            l1: CacheGeometry::new(1024, 2, 64),
-            l2: CacheGeometry::new(16 * 1024, 4, 64),
-            hw_prefetchers: false,
-            ..CacheConfig::scaled_default()
-        }
-    }
 
     #[test]
     fn behaviour_change_zero_against_itself() {
         let t = synth::sequential(500, 2, 0, 64, 0);
-        let orig = run_original(&t, cfg());
+        let orig = original(&t, cfg());
         let b = BehaviorChange::between(&orig, &orig);
         assert_eq!(b.totally_hit_pct, 0.0);
         assert_eq!(b.totally_miss_pct, 0.0);
@@ -107,8 +96,8 @@ mod tests {
     #[test]
     fn sp_on_streaming_trace_is_an_improvement() {
         let t = synth::sequential(2000, 2, 0, 64, 0);
-        let orig = run_original(&t, cfg());
-        let sp = run_sp(&t, cfg(), SpParams::new(8, 8));
+        let orig = original(&t, cfg());
+        let sp = sp(&t, cfg(), SpParams::new(8, 8));
         let b = BehaviorChange::between(&orig, &sp);
         assert!(b.is_improvement(), "{b:?}");
         assert!(b.totally_miss_pct < 0.0);
@@ -117,8 +106,8 @@ mod tests {
     #[test]
     fn deltas_are_percentages_of_original_memory_accesses() {
         let t = synth::sequential(1000, 1, 0, 64, 0);
-        let orig = run_original(&t, cfg());
-        let sp = run_sp(&t, cfg(), SpParams::new(4, 4));
+        let orig = original(&t, cfg());
+        let sp = sp(&t, cfg(), SpParams::new(4, 4));
         let b = BehaviorChange::between(&orig, &sp);
         let base = orig.stats.main.memory_accesses() as f64;
         let expect = (sp.stats.main.total_misses as f64 - orig.stats.main.total_misses as f64)
@@ -130,7 +119,7 @@ mod tests {
     #[test]
     fn pollution_summary_rates_are_bounded() {
         let t = synth::sequential(1000, 2, 0, 64, 0);
-        let sp = run_sp(&t, cfg(), SpParams::new(16, 16));
+        let sp = sp(&t, cfg(), SpParams::new(16, 16));
         let p = PollutionSummary::from_run(&sp);
         assert!(p.per_fill >= 0.0);
         assert!((0.0..=1.0).contains(&p.dead_prefetch_rate));
@@ -139,7 +128,7 @@ mod tests {
     #[test]
     fn no_prefetches_means_zero_dead_rate() {
         let t = synth::sequential(100, 1, 0, 64, 0);
-        let orig = run_original(&t, cfg());
+        let orig = original(&t, cfg());
         let p = PollutionSummary::from_run(&orig);
         assert_eq!(p.dead_prefetch_rate, 0.0);
         assert_eq!(p.stats.total(), 0);

@@ -5,7 +5,7 @@
 
 use sp_cachesim::{CacheConfig, CacheGeometry};
 use sp_core::prelude::*;
-use sp_core::{plan, set_affinity_stream, HelperStep};
+use sp_core::{plan, set_affinity_stream, HelperSchedule, HelperStep};
 use sp_testkit::{check, gen_vec, SmallRng};
 use sp_trace::{synth, HotLoopTrace, IterRecord, MemRef};
 
@@ -18,6 +18,14 @@ fn tiny_cfg() -> CacheConfig {
         mshr_entries: 4,
         ..CacheConfig::scaled_default()
     }
+}
+
+/// Replay `t` on `cfg`: the original program, or SP at `params`.
+fn replay(t: &HotLoopTrace, cfg: CacheConfig, params: Option<SpParams>) -> RunResult {
+    let ct = compile_trace(t, &cfg);
+    let mut params = params;
+    let helper = params.as_mut().map(|p| p as &mut dyn HelperSchedule);
+    run(&ct, cfg, helper, EngineOptions::default(), &mut NullSink)
 }
 
 fn arb_trace(rng: &mut SmallRng) -> HotLoopTrace {
@@ -143,8 +151,8 @@ fn engine_conservation() {
         let a_ski = rng.gen_range(0u32..8);
         let a_pre = rng.gen_range(1u32..8);
         let cfg = tiny_cfg();
-        let orig = run_original(&t, cfg);
-        let sp = run_sp(&t, cfg, SpParams::new(a_ski, a_pre));
+        let orig = replay(&t, cfg, None);
+        let sp = replay(&t, cfg, Some(SpParams::new(a_ski, a_pre)));
         let refs = t.total_refs() as u64;
         assert_eq!(orig.stats.main.demand_accesses(), refs);
         assert_eq!(sp.stats.main.demand_accesses(), refs);
@@ -162,8 +170,8 @@ fn engine_deterministic() {
         let a_ski = rng.gen_range(0u32..6);
         let a_pre = rng.gen_range(1u32..6);
         let cfg = tiny_cfg();
-        let p = SpParams::new(a_ski, a_pre);
-        assert_eq!(run_sp(&t, cfg, p), run_sp(&t, cfg, p));
+        let p = Some(SpParams::new(a_ski, a_pre));
+        assert_eq!(replay(&t, cfg, p), replay(&t, cfg, p));
     });
 }
 

@@ -13,11 +13,11 @@ use crate::json::Json;
 use crate::lock;
 use crate::protocol::{scale_name, Command, SimSpec};
 use sp_bench::{kernel_row, Scale};
-use sp_cachesim::{EpochSeries, EventSummary, PfClass, PollutionCase, DEFAULT_EPOCH_LEN};
-use sp_core::{
-    recommend_distance, sweep_compiled_jobs_with, sweep_epochs_compiled_jobs_with,
-    sweep_events_compiled_jobs_with, Sweep, SweepEpochs, SweepEvents,
+use sp_cachesim::{
+    default_early_threshold, EpochSeries, EpochSink, EventSummary, NullSink, PfClass,
+    PollutionCase, SummarySink, DEFAULT_EPOCH_LEN,
 };
+use sp_core::{recommend_distance, sweep, PerPoint, Sweep};
 use sp_trace::{CompiledTrace, HotLoopTrace};
 use sp_workloads::{KernelKind, ScaleTier, WorkloadBuilder};
 use std::collections::HashMap;
@@ -197,49 +197,37 @@ impl SimEngine {
         let bound = recommend_distance(&trace, &spec.cache.config).max_distance;
         // Requests parallelize across the pool, not within a job
         // (jobs = 1).
-        if spec.epochs {
-            let Ok((sweep, epochs, _report)) = sweep_epochs_compiled_jobs_with(
+        let (cfg, rp, opts) = (spec.cache.config, spec.rp, spec.opts);
+        let threshold = default_early_threshold(&cfg.latency);
+        let (swept, events, epochs) = if spec.epochs {
+            let new_sink = move || EpochSink::new(DEFAULT_EPOCH_LEN, threshold);
+            let (swept, epochs, _) = sweep(
                 &compiled,
-                spec.cache.config,
-                spec.rp,
+                cfg,
+                rp,
                 distances,
-                spec.opts,
-                DEFAULT_EPOCH_LEN,
+                opts,
                 1,
+                new_sink,
+                EpochSink::finish,
             );
-            self.epochs.record(&epochs.baseline);
-            for point in &epochs.points {
-                self.epochs.record(point);
-            }
-            let _sp = sp_obs::span!("serialize");
-            return sweep_json(spec, bound, &sweep, None, Some(&epochs)).encode();
-        }
-        if spec.events {
-            let Ok((sweep, events, _report)) = sweep_events_compiled_jobs_with(
-                &compiled,
-                spec.cache.config,
-                spec.rp,
-                distances,
-                spec.opts,
-                1,
-            );
-            self.events.record(&events.baseline);
-            for point in &events.points {
-                self.events.record(point);
-            }
-            let _sp = sp_obs::span!("serialize");
-            return sweep_json(spec, bound, &sweep, Some(&events), None).encode();
-        }
-        let Ok((sweep, _report)) = sweep_compiled_jobs_with(
-            &compiled,
-            spec.cache.config,
-            spec.rp,
-            distances,
-            spec.opts,
-            1,
-        );
+            epochs.iter().for_each(|series| self.epochs.record(series));
+            (swept, None, Some(epochs))
+        } else if spec.events {
+            let new_sink = move || SummarySink::new(threshold);
+            let (swept, events, _) = sweep(&compiled, cfg, rp, distances, opts, 1, new_sink, |k| {
+                k.summary
+            });
+            events
+                .iter()
+                .for_each(|summary| self.events.record(summary));
+            (swept, Some(events), None)
+        } else {
+            let (swept, _, _) = sweep(&compiled, cfg, rp, distances, opts, 1, || NullSink, |_| ());
+            (swept, None, None)
+        };
         let _sp = sp_obs::span!("serialize");
-        sweep_json(spec, bound, &sweep, None, None).encode()
+        sweep_json(spec, bound, &swept, events.as_ref(), epochs.as_ref()).encode()
     }
 }
 
@@ -253,8 +241,8 @@ fn sweep_json(
     spec: &SimSpec,
     bound: Option<u32>,
     sweep: &Sweep,
-    events: Option<&SweepEvents>,
-    epochs: Option<&SweepEpochs>,
+    events: Option<&PerPoint<EventSummary>>,
+    epochs: Option<&PerPoint<EpochSeries>>,
 ) -> Json {
     let points = sweep
         .points

@@ -13,7 +13,7 @@
 
 use sp_prefetch::cachesim::CacheConfig;
 use sp_prefetch::core::prelude::*;
-use sp_prefetch::core::{run_sp_adaptive, FeedbackController};
+use sp_prefetch::core::{AdaptiveSchedule, FeedbackController};
 use sp_prefetch::workloads::{Benchmark, Workload};
 
 fn main() {
@@ -28,26 +28,32 @@ fn main() {
         .unwrap_or(bound * 8);
     println!("EM3D: Set-Affinity bound {bound}; controller starts at {start}\n");
 
-    let baseline = run_original(&trace, cfg);
+    let ct = compile_trace(&trace, &cfg);
+    let opts = EngineOptions::default();
+    let baseline = run(&ct, cfg, None, opts, &mut NullSink);
     let norm = |rt| rt as f64 / baseline.runtime as f64;
 
     // The paper's static policy.
-    let static_run = run_sp(&trace, cfg, SpParams::from_distance_rp(bound / 2, 0.5));
+    let mut params = SpParams::from_distance_rp(bound / 2, 0.5);
+    let static_run = run(&ct, cfg, Some(&mut params), opts, &mut NullSink);
 
+    // An adaptive run: the outcome plus the controller's epoch log.
+    let adaptive = |ctl: FeedbackController| {
+        let mut schedule = AdaptiveSchedule::new(ctl, 128);
+        let r = run(&ct, cfg, Some(&mut schedule), opts, &mut NullSink);
+        (r, schedule.into_epochs())
+    };
     // Free dynamic controller.
-    let mut free_ctl = FeedbackController::new(start, 0.5);
-    let free = run_sp_adaptive(&trace, cfg, &mut free_ctl, 128);
-
+    let (free, free_epochs) = adaptive(FeedbackController::new(start, 0.5));
     // Hybrid: dynamic, clamped by the bound.
-    let mut hybrid_ctl = FeedbackController::new(start, 0.5).bounded(bound);
-    let hybrid = run_sp_adaptive(&trace, cfg, &mut hybrid_ctl, 128);
+    let (hybrid, hybrid_epochs) = adaptive(FeedbackController::new(start, 0.5).bounded(bound));
 
     println!("epoch-by-epoch distance (free controller):");
     println!(
         "{:>6} {:>9} {:>10} {:>10} {:>10}",
         "epoch", "distance", "accuracy", "lateness", "pollution"
     );
-    for e in free.epochs.iter().take(12) {
+    for e in free_epochs.iter().take(12) {
         println!(
             "{:>6} {:>9} {:>10.2} {:>10.2} {:>10.2}",
             e.feedback.epoch,
@@ -62,14 +68,13 @@ fn main() {
     println!("  static at bound/2:      {:.3}", norm(static_run.runtime));
     println!(
         "  dynamic (start {start}):   {:.3}  (settled at distance {})",
-        norm(free.run.runtime),
-        free.epochs.last().map(|e| e.next_distance).unwrap_or(start)
+        norm(free.runtime),
+        free_epochs.last().map(|e| e.next_distance).unwrap_or(start)
     );
     println!(
         "  dynamic + bound clamp:  {:.3}  (settled at distance {})",
-        norm(hybrid.run.runtime),
-        hybrid
-            .epochs
+        norm(hybrid.runtime),
+        hybrid_epochs
             .last()
             .map(|e| e.next_distance)
             .unwrap_or(start)

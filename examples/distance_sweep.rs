@@ -49,7 +49,9 @@ fn main() {
         rec.affinity.range(),
         bound
     );
-    let sweep = sweep_distances(&trace, cfg, 0.5, &distances);
+    let ct = std::sync::Arc::new(compile_trace(&trace, &cfg));
+    let opts = EngineOptions::default();
+    let (sweep, _, _) = sweep(&ct, cfg, 0.5, &distances, opts, 1, || NullSink, |_| ());
     println!(
         "\n{:>9} {:>9} {:>9} {:>9} {:>8} {:>8} {:>8} {:>10}",
         "distance", "runtime", "mem_acc", "misses", "dTH%", "dTM%", "dPH%", "pollution"

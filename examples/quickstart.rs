@@ -39,8 +39,11 @@ fn main() {
     let rp = select_rp(calr);
     println!("CALR = {calr:.3} => RP = {rp:.2}");
 
-    // 4. Run: original vs SP inside the bound vs SP far outside it.
-    let baseline = run_original(&trace, cfg);
+    // 4. Run: original vs SP inside the bound vs SP far outside it, all
+    //    replaying one compiled trace.
+    let ct = compile_trace(&trace, &cfg);
+    let opts = EngineOptions::default();
+    let baseline = run(&ct, cfg, None, opts, &mut NullSink);
     println!(
         "\n{:>20} {:>12} {:>12} {:>12}",
         "", "runtime", "L2 misses", "pollution"
@@ -53,7 +56,8 @@ fn main() {
         baseline.stats.pollution.total()
     );
     for (label, d) in [("SP (in bound)", bound / 2), ("SP (4x bound)", bound * 4)] {
-        let sp = run_sp(&trace, cfg, SpParams::from_distance_rp(d, rp));
+        let mut params = SpParams::from_distance_rp(d, rp);
+        let sp = run(&ct, cfg, Some(&mut params), opts, &mut NullSink);
         println!(
             "{:>20} {:>12} {:>12} {:>12}   ({:.2}x runtime, distance {})",
             label,

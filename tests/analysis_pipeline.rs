@@ -4,10 +4,12 @@
 
 use sp_prefetch::cachesim::{CacheConfig, CacheGeometry};
 use sp_prefetch::core::prelude::*;
-use sp_prefetch::core::{run_sp_adaptive, FeedbackController};
+use sp_prefetch::core::{AdaptiveSchedule, FeedbackController};
 use sp_prefetch::profiler::{miss_cycle_profile, reuse_histogram, select_benchmarks};
 use sp_prefetch::trace::{load_trace, save_trace};
 use sp_prefetch::workloads::{Benchmark, Candidate, Workload};
+
+mod common;
 
 fn cfg() -> CacheConfig {
     CacheConfig {
@@ -46,8 +48,8 @@ fn recorded_traces_replay_identically() {
         );
         // Co-simulation identical.
         assert_eq!(
-            run_original(&original, c),
-            run_original(&replayed, c),
+            common::original(&original, c),
+            common::original(&replayed, c),
             "{}: simulation must survive record/replay",
             b.name()
         );
@@ -82,9 +84,17 @@ fn adaptive_controller_respects_recommended_bound() {
     let trace = Workload::tiny(Benchmark::Em3d).trace();
     let rec = recommend_distance(&trace, &c);
     let bound = rec.max_distance.expect("tiny EM3D overflows a 16KB L2");
-    let mut ctl = FeedbackController::new(bound * 8, 0.5).bounded(bound);
-    let r = run_sp_adaptive(&trace, c, &mut ctl, 32);
-    for e in &r.epochs {
+    let ctl = FeedbackController::new(bound * 8, 0.5).bounded(bound);
+    let mut schedule = AdaptiveSchedule::new(ctl, 32);
+    let ct = compile_trace(&trace, &c);
+    run(
+        &ct,
+        c,
+        Some(&mut schedule),
+        EngineOptions::default(),
+        &mut NullSink,
+    );
+    for e in &schedule.into_epochs() {
         assert!(
             e.next_distance <= bound,
             "epoch {} chose {}",

@@ -6,8 +6,9 @@
 //! self-check, mirroring `events_determinism.rs` / the event↔counter
 //! check of the events layer).
 
-use sp_cachesim::{CacheConfig, EpochSeries};
-use sp_core::{compile_trace, sweep_epochs_compiled_jobs_with, EngineOptions, Sweep, SweepEpochs};
+use sp_cachesim::{default_early_threshold, CacheConfig, EpochSeries, EpochSink};
+use sp_core::{compile_trace, sweep, EngineOptions, PerPoint, RunnerReport, Sweep};
+use sp_trace::CompiledTrace;
 use sp_workloads::{Benchmark, Workload};
 use std::sync::Arc;
 
@@ -21,7 +22,20 @@ fn grid(b: Benchmark) -> Vec<u32> {
     }
 }
 
-fn ndjson(s: &Sweep, e: &SweepEpochs) -> String {
+/// An epoch-recorded sweep of `ct` over `ds` on up to `jobs` workers.
+fn recorded(
+    ct: &Arc<CompiledTrace>,
+    cfg: CacheConfig,
+    ds: &[u32],
+    jobs: usize,
+) -> (Sweep, PerPoint<EpochSeries>, RunnerReport) {
+    let threshold = default_early_threshold(&cfg.latency);
+    let new_sink = move || EpochSink::new(EPOCH_LEN, threshold);
+    let opts = EngineOptions::default();
+    sweep(ct, cfg, 0.5, ds, opts, jobs, new_sink, EpochSink::finish)
+}
+
+fn ndjson(s: &Sweep, e: &PerPoint<EpochSeries>) -> String {
     let mut out = e.baseline.to_ndjson("\"distance\":null,");
     for (p, series) in s.points.iter().zip(&e.points) {
         out.push_str(&series.to_ndjson(&format!("\"distance\":{},", p.distance)));
@@ -36,15 +50,7 @@ fn epoch_series_are_byte_identical_at_any_jobs_width() {
         let trace = Workload::tiny(b).trace();
         let ct = Arc::new(compile_trace(&trace, &cfg));
         let ds = grid(b);
-        let Ok((sweep, epochs, rep)) = sweep_epochs_compiled_jobs_with(
-            &ct,
-            cfg,
-            0.5,
-            &ds,
-            EngineOptions::default(),
-            EPOCH_LEN,
-            1,
-        );
+        let (sweep, epochs, rep) = recorded(&ct, cfg, &ds, 1);
         assert_eq!(rep.jobs, ds.len() + 1, "baseline + one job per distance");
         let expected = ndjson(&sweep, &epochs);
         assert!(
@@ -52,15 +58,7 @@ fn epoch_series_are_byte_identical_at_any_jobs_width() {
             "{b:?}: every distance must record windows"
         );
         for jobs in [2, 4, 8] {
-            let Ok((s, e, _)) = sweep_epochs_compiled_jobs_with(
-                &ct,
-                cfg,
-                0.5,
-                &ds,
-                EngineOptions::default(),
-                EPOCH_LEN,
-                jobs,
-            );
+            let (s, e, _) = recorded(&ct, cfg, &ds, jobs);
             assert_eq!(sweep, s, "{b:?}: sweep diverged at --jobs {jobs}");
             assert_eq!(
                 expected,
@@ -77,25 +75,9 @@ fn epoch_totals_fold_exactly_to_the_run_counters() {
     for b in [Benchmark::Em3d, Benchmark::Mcf, Benchmark::Mst] {
         let trace = Workload::tiny(b).trace();
         let ct = Arc::new(compile_trace(&trace, &cfg));
-        let Ok((sweep, epochs, _)) = sweep_epochs_compiled_jobs_with(
-            &ct,
-            cfg,
-            0.5,
-            &grid(b),
-            EngineOptions::default(),
-            EPOCH_LEN,
-            2,
-        );
-        let pairs: Vec<(&EpochSeries, &sp_core::RunResult)> =
-            std::iter::once((&epochs.baseline, &sweep.baseline))
-                .chain(
-                    epochs
-                        .points
-                        .iter()
-                        .zip(sweep.points.iter().map(|p| &p.run)),
-                )
-                .collect();
-        for (series, run) in pairs {
+        let (sweep, epochs, _) = recorded(&ct, cfg, &grid(b), 2);
+        let runs = std::iter::once(&sweep.baseline).chain(sweep.points.iter().map(|p| &p.run));
+        for (series, run) in epochs.iter().zip(runs) {
             let t = series.totals();
             let m = &run.stats.main;
             assert_eq!(

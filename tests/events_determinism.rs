@@ -5,11 +5,9 @@
 //! aggregates. Styled on `parallel_determinism.rs`: exact equality,
 //! because any divergence is a scheduling leak into the simulation.
 
-use sp_cachesim::{default_early_threshold, CacheConfig, EventSummary, RingSink};
+use sp_cachesim::{default_early_threshold, CacheConfig, EventSummary, RingSink, SummarySink};
 use sp_core::prelude::*;
-use sp_core::{
-    compile_trace, run_sp_with_compiled_ev, sweep_events_compiled_jobs_with, EngineOptions,
-};
+use sp_core::{PerPoint, RunnerReport, Sweep};
 use sp_trace::CompiledTrace;
 use sp_workloads::{Benchmark, Workload};
 use std::sync::Arc;
@@ -26,14 +24,28 @@ fn grid(b: Benchmark) -> Vec<u32> {
 /// the running fold.
 fn eventful_run(ct: &CompiledTrace, cfg: CacheConfig, d: u32) -> (String, EventSummary) {
     let mut sink = RingSink::new(0, default_early_threshold(&cfg.latency));
-    let Ok(_) = run_sp_with_compiled_ev(
+    let mut params = SpParams::from_distance_rp(d, 0.5);
+    run(
         ct,
         cfg,
-        SpParams::from_distance_rp(d, 0.5),
+        Some(&mut params),
         EngineOptions::default(),
         &mut sink,
     );
     (sink.to_ndjson(), sink.summary)
+}
+
+/// A sweep of `ct` over `ds` with a summary sink on every point.
+fn observed(
+    ct: &Arc<CompiledTrace>,
+    cfg: CacheConfig,
+    ds: &[u32],
+    jobs: usize,
+) -> (Sweep, PerPoint<EventSummary>, RunnerReport) {
+    let threshold = default_early_threshold(&cfg.latency);
+    let new_sink = move || SummarySink::new(threshold);
+    let opts = EngineOptions::default();
+    sweep(ct, cfg, 0.5, ds, opts, jobs, new_sink, |k| k.summary)
 }
 
 #[test]
@@ -67,12 +79,10 @@ fn event_sweeps_are_identical_at_any_jobs_width() {
         let trace = Workload::tiny(b).trace();
         let ct = Arc::new(compile_trace(&trace, &cfg));
         let ds = grid(b);
-        let Ok((serial_sweep, serial_events, rep)) =
-            sweep_events_compiled_jobs_with(&ct, cfg, 0.5, &ds, EngineOptions::default(), 1);
+        let (serial_sweep, serial_events, rep) = observed(&ct, cfg, &ds, 1);
         assert_eq!(rep.jobs, ds.len() + 1, "baseline + one job per distance");
         for jobs in [2, 4] {
-            let Ok((sweep, events, _)) =
-                sweep_events_compiled_jobs_with(&ct, cfg, 0.5, &ds, EngineOptions::default(), jobs);
+            let (sweep, events, _) = observed(&ct, cfg, &ds, jobs);
             assert_eq!(
                 serial_sweep, sweep,
                 "{b:?}: sweep diverged at --jobs {jobs}"

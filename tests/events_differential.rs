@@ -8,10 +8,6 @@
 
 use sp_cachesim::{default_early_threshold, CacheConfig, RingSink, SummarySink};
 use sp_core::prelude::*;
-use sp_core::{
-    compile_trace, run_original_passes_compiled, run_original_passes_compiled_ev,
-    run_sp_with_compiled, run_sp_with_compiled_ev, EngineOptions,
-};
 use sp_workloads::{Benchmark, Workload};
 
 /// Distances chosen to push past each tiny-scale bound so the pollution
@@ -31,11 +27,11 @@ fn pollution_stats_equal_the_fold_of_eviction_events() {
         let trace = Workload::tiny(b).trace();
         let ct = compile_trace(&trace, &cfg);
         for d in distances(b) {
-            let params = SpParams::from_distance_rp(d, 0.5);
+            let mut params = SpParams::from_distance_rp(d, 0.5);
             let opts = EngineOptions::default();
-            let Ok(plain) = run_sp_with_compiled(&ct, cfg, params, opts);
+            let plain = run(&ct, cfg, Some(&mut params), opts, &mut NullSink);
             let mut sink = SummarySink::new(default_early_threshold(&cfg.latency));
-            let Ok(observed) = run_sp_with_compiled_ev(&ct, cfg, params, opts, &mut sink);
+            let observed = run(&ct, cfg, Some(&mut params), opts, &mut sink);
             // The sink must not perturb the simulation in any way.
             assert_eq!(plain, observed, "{b:?} d={d}: sink changed the run");
             let s = &sink.summary;
@@ -79,9 +75,13 @@ fn original_runs_fold_consistently_too() {
     for b in [Benchmark::Em3d, Benchmark::Mcf, Benchmark::Mst] {
         let trace = Workload::tiny(b).trace();
         let ct = compile_trace(&trace, &cfg);
-        let Ok(plain) = run_original_passes_compiled(&ct, cfg, 2);
+        let opts = EngineOptions {
+            passes: 2,
+            ..EngineOptions::default()
+        };
+        let plain = run(&ct, cfg, None, opts, &mut NullSink);
         let mut sink = RingSink::new(16, default_early_threshold(&cfg.latency));
-        let Ok(observed) = run_original_passes_compiled_ev(&ct, cfg, 2, &mut sink);
+        let observed = run(&ct, cfg, None, opts, &mut sink);
         assert_eq!(plain, observed, "{b:?}: sink changed the original run");
         assert!(sink.len() <= 16, "{b:?}: ring respects its bound");
         let s = &sink.summary;

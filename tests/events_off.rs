@@ -13,9 +13,6 @@
 use sp_bench::{distances_for, FIG5_EPOCH_L2_KB, FIG5_EPOCH_L2_WAYS};
 use sp_cachesim::{CacheConfig, CacheGeometry, Cycle, Entity, Event, EventSink, HitClass};
 use sp_core::prelude::*;
-use sp_core::{
-    compile_trace, run_original_passes_compiled_ev, run_sp_with_compiled_ev, EngineOptions,
-};
 use sp_workloads::{Benchmark, Workload};
 
 /// Disabled on both channels, but counts whatever still gets through.
@@ -50,15 +47,15 @@ fn disabled_sinks_are_never_called() {
     for b in [Benchmark::Em3d, Benchmark::Mcf] {
         for cfg in [CacheConfig::scaled_default(), small_l2] {
             let ct = compile_trace(&Workload::tiny(b).trace(), &cfg);
-            let Ok(_) = run_original_passes_compiled_ev(&ct, cfg, 1, &mut sink);
+            run(&ct, cfg, None, EngineOptions::default(), &mut sink);
             for blocking_helper in [true, false] {
                 let opts = EngineOptions {
                     blocking_helper,
                     ..EngineOptions::default()
                 };
                 for &d in distances_for(b) {
-                    let params = SpParams::from_distance_rp(d, 0.5);
-                    let Ok(r) = run_sp_with_compiled_ev(&ct, cfg, params, opts, &mut sink);
+                    let mut params = SpParams::from_distance_rp(d, 0.5);
+                    let r = run(&ct, cfg, Some(&mut params), opts, &mut sink);
                     pollution += r.stats.pollution.total();
                 }
             }

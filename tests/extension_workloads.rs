@@ -6,6 +6,8 @@ use sp_prefetch::cachesim::{CacheConfig, CacheGeometry};
 use sp_prefetch::core::prelude::*;
 use sp_prefetch::workloads::{Health, HealthConfig, TreeAdd, TreeAddConfig};
 
+mod common;
+
 fn cfg() -> CacheConfig {
     CacheConfig {
         l1: CacheGeometry::new(1024, 4, 64),
@@ -25,8 +27,8 @@ fn treeadd_benefits_from_bounded_sp() {
     let bound = rec
         .max_distance
         .expect("2047-node tree overflows a 16KB L2");
-    let base = run_original(&trace, cfg());
-    let sp = run_sp(
+    let base = common::original(&trace, cfg());
+    let sp = common::sp(
         &trace,
         cfg(),
         SpParams::from_distance_rp((bound / 2).max(1), 0.5),
@@ -50,8 +52,8 @@ fn health_benefits_from_bounded_sp() {
     let trace = h.trace();
     let rec = recommend_distance(&trace, &cfg());
     let d = controlled_distance(16, &rec).max(1);
-    let base = run_original(&trace, cfg());
-    let sp = run_sp(&trace, cfg(), SpParams::from_distance_rp(d, 0.5));
+    let base = common::original(&trace, cfg());
+    let sp = common::sp(&trace, cfg(), SpParams::from_distance_rp(d, 0.5));
     assert!(
         sp.stats.main.total_misses < base.stats.main.total_misses,
         "SP must cut Health's misses: {} vs {}",
@@ -76,8 +78,8 @@ fn treeadd_is_lateness_bound_not_pollution_bound() {
     let trace = tree.trace();
     let rec = recommend_distance(&trace, &cfg());
     let bound = rec.max_distance.unwrap();
-    let inside = run_sp(&trace, cfg(), SpParams::from_distance_rp(bound / 2, 0.5));
-    let outside = run_sp(&trace, cfg(), SpParams::from_distance_rp(bound * 8, 0.5));
+    let inside = common::sp(&trace, cfg(), SpParams::from_distance_rp(bound / 2, 0.5));
+    let outside = common::sp(&trace, cfg(), SpParams::from_distance_rp(bound * 8, 0.5));
     // Main-thread would-be misses are absorbed in flight...
     assert!(
         outside.stats.main.partial_hits > outside.stats.main.total_misses,

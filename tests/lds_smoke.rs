@@ -9,8 +9,9 @@
 use sp_cachesim::stats::prefetch_class;
 use sp_cachesim::{default_early_threshold, CacheConfig, Entity, HwBackend, SummarySink};
 use sp_core::prelude::*;
-use sp_core::{compile_trace, run_sp_with_compiled, run_sp_with_compiled_ev, EngineOptions};
 use sp_workloads::{KernelKind, ScaleTier, WorkloadBuilder};
+
+mod common;
 
 /// The prefetch-class indices a backend is allowed to emit under.
 fn active_classes(backend: HwBackend) -> Vec<usize> {
@@ -49,11 +50,11 @@ fn every_lds_kernel_runs_under_every_backend() {
         for backend in HwBackend::ALL {
             let cfg = CacheConfig::scaled_default().with_hw_backend(backend);
             let ct = compile_trace(&trace, &cfg);
-            let params = SpParams::from_distance_rp(8, 0.5);
+            let mut params = SpParams::from_distance_rp(8, 0.5);
             let opts = EngineOptions::default();
-            let Ok(plain) = run_sp_with_compiled(&ct, cfg, params, opts);
+            let plain = run(&ct, cfg, Some(&mut params), opts, &mut NullSink);
             let mut sink = SummarySink::new(default_early_threshold(&cfg.latency));
-            let Ok(observed) = run_sp_with_compiled_ev(&ct, cfg, params, opts, &mut sink);
+            let observed = run(&ct, cfg, Some(&mut params), opts, &mut sink);
             let ctx = format!("{} under {}", kind.name(), backend.name());
 
             // The sink must not perturb the simulation.
@@ -132,7 +133,7 @@ fn lds_kernels_flow_through_the_affinity_pipeline() {
         let rec = recommend_distance(&trace, &cfg);
         let bound = rec.max_distance;
         let d = controlled_distance(64, &rec).max(1);
-        let sp = run_sp(&trace, cfg, SpParams::from_distance_rp(d, 0.5));
+        let sp = common::sp(&trace, cfg, SpParams::from_distance_rp(d, 0.5));
         assert!(
             sp.stats.main.memory_accesses() > 0,
             "{}: empty run (bound {bound:?})",

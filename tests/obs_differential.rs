@@ -9,8 +9,8 @@
 //! process-global, so concurrent tests in this binary would steal each
 //! other's spans.
 
-use sp_cachesim::CacheConfig;
-use sp_core::{compile_trace, sweep_compiled_jobs_with, EngineOptions};
+use sp_cachesim::{CacheConfig, NullSink};
+use sp_core::{compile_trace, sweep, EngineOptions};
 use sp_obs::Subscriber;
 use sp_workloads::{Benchmark, Workload};
 use std::sync::Arc;
@@ -23,15 +23,17 @@ fn recording_does_not_perturb_sweep_results() {
     let ds = [2u32, 8, 32];
     let opts = EngineOptions::default();
 
+    let plain = || sweep(&ct, cfg, 0.5, &ds, opts, 2, || NullSink, |_| ()).0;
+
     // Reference run: recording disabled (the default build mode).
-    let Ok((off, _)) = sweep_compiled_jobs_with(&ct, cfg, 0.5, &ds, opts, 2);
+    let off = plain();
 
     // Same sweep with the recorder on and a correlation ID in scope.
     sp_obs::span::start_recording();
     let corr = sp_obs::CorrId::next_root();
-    let Ok((on, _)) = {
+    let on = {
         let _cg = sp_obs::corr::set_current(corr);
-        sweep_compiled_jobs_with(&ct, cfg, 0.5, &ds, opts, 2)
+        plain()
     };
     let spans = sp_obs::span::drain();
     sp_obs::span::stop_recording();
@@ -46,7 +48,7 @@ fn recording_does_not_perturb_sweep_results() {
 
     // Disabled again: identical results, and nothing reaches the
     // collector.
-    let Ok((again, _)) = sweep_compiled_jobs_with(&ct, cfg, 0.5, &ds, opts, 2);
+    let again = plain();
     assert_eq!(off, again, "post-recording run drifted");
     assert!(
         sp_obs::span::drain().is_empty(),

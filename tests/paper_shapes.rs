@@ -7,6 +7,8 @@ use sp_prefetch::cachesim::CacheConfig;
 use sp_prefetch::core::prelude::*;
 use sp_prefetch::workloads::{Benchmark, Workload};
 
+mod common;
+
 fn cfg() -> CacheConfig {
     CacheConfig::scaled_default()
 }
@@ -38,7 +40,7 @@ fn fig2_curves_rise_with_distance() {
     let trace = Workload::scaled(Benchmark::Em3d).trace();
     let rec = recommend_distance(&trace, &cfg());
     let bound = rec.max_distance.unwrap();
-    let sweep = sweep_distances(&trace, cfg(), 0.5, &[bound / 2, bound * 4]);
+    let sweep = common::sweep_jobs(&trace, cfg(), 0.5, &[bound / 2, bound * 4], 1).0;
     let (inside, outside) = (&sweep.points[0], &sweep.points[1]);
     assert!(
         outside.runtime_norm > inside.runtime_norm + 0.05,
@@ -61,7 +63,7 @@ fn fig4_em3d_behavior_shape() {
     let trace = Workload::scaled(Benchmark::Em3d).trace();
     let rec = recommend_distance(&trace, &cfg());
     let bound = rec.max_distance.unwrap();
-    let sweep = sweep_distances(&trace, cfg(), 0.5, &[bound / 2, bound * 4]);
+    let sweep = common::sweep_jobs(&trace, cfg(), 0.5, &[bound / 2, bound * 4], 1).0;
     let inside = &sweep.points[0];
     let outside = &sweep.points[1];
     // Large miss elimination inside the bound (paper: up to 41%).
@@ -87,7 +89,7 @@ fn fig4_em3d_behavior_shape() {
 fn fig56_mcf_mst_less_sensitive_than_em3d() {
     let degradation_at = |b: Benchmark, d: u32| {
         let trace = Workload::scaled(b).trace();
-        let sweep = sweep_distances(&trace, cfg(), 0.5, &[d]);
+        let sweep = common::sweep_jobs(&trace, cfg(), 0.5, &[d], 1).0;
         sweep.points[0].runtime_norm
     };
     // Distance 320 wrecks EM3D (~1.0, no gain) but MCF and MST still win.
@@ -111,7 +113,7 @@ fn bounded_distance_preserves_speedup_everywhere() {
         let rec = recommend_distance(&trace, &cfg());
         let bound = rec.max_distance.unwrap();
         let d = controlled_distance(bound / 2, &rec);
-        let sweep = sweep_distances(&trace, cfg(), 0.5, &[d]);
+        let sweep = common::sweep_jobs(&trace, cfg(), 0.5, &[d], 1).0;
         let p = &sweep.points[0];
         assert!(
             p.runtime_norm < 0.9,

@@ -8,8 +8,9 @@
 
 use sp_cachesim::{CacheConfig, HwBackend};
 use sp_core::prelude::*;
-use sp_core::sweep_distances_jobs;
 use sp_workloads::{Benchmark, KernelKind, ScaleTier, Workload, WorkloadBuilder};
+
+mod common;
 
 fn grid(b: Benchmark) -> Vec<u32> {
     // Small per-benchmark grids spanning below/above each tiny-scale
@@ -25,11 +26,11 @@ fn sweeps_identical(b: Benchmark) {
     let cfg = sp_cachesim::CacheConfig::scaled_default();
     let trace = Workload::tiny(b).trace();
     let ds = grid(b);
-    let (serial, rep1) = sweep_distances_jobs(&trace, cfg, 0.5, &ds, 1);
+    let (serial, rep1) = common::sweep_jobs(&trace, cfg, 0.5, &ds, 1);
     assert_eq!(rep1.jobs, ds.len() + 1, "baseline + one job per distance");
     assert_eq!(rep1.workers, 1);
     for jobs in [2, 4] {
-        let (parallel, rep) = sweep_distances_jobs(&trace, cfg, 0.5, &ds, jobs);
+        let (parallel, rep) = common::sweep_jobs(&trace, cfg, 0.5, &ds, jobs);
         assert_eq!(rep.jobs, ds.len() + 1);
         // Full structural equality: baseline RunResult, and per-point
         // distance, normalized metrics, behaviour deltas and pollution.
@@ -74,9 +75,9 @@ fn lds_parallel_sweeps_equal_serial_under_new_backends() {
         for backend in [HwBackend::PointerChase, HwBackend::Perceptron] {
             let cfg = CacheConfig::scaled_default().with_hw_backend(backend);
             let ds = vec![2, 4, 8, 16, 32];
-            let (serial, _) = sweep_distances_jobs(&trace, cfg, 0.5, &ds, 1);
+            let (serial, _) = common::sweep_jobs(&trace, cfg, 0.5, &ds, 1);
             for jobs in [2, 4] {
-                let (parallel, _) = sweep_distances_jobs(&trace, cfg, 0.5, &ds, jobs);
+                let (parallel, _) = common::sweep_jobs(&trace, cfg, 0.5, &ds, jobs);
                 assert_eq!(
                     serial,
                     parallel,
@@ -99,12 +100,12 @@ fn raw_run_results_equal_serial_at_any_width() {
         let trace = Workload::tiny(b).trace();
         let expected: Vec<RunResult> = grid(b)
             .iter()
-            .map(|&d| run_sp(&trace, cfg, SpParams::from_distance_rp(d, 0.5)))
+            .map(|&d| common::sp(&trace, cfg, SpParams::from_distance_rp(d, 0.5)))
             .collect();
         for jobs in [1, 2, 4] {
             let (got, _) = sp_core::map_jobs(
                 grid(b),
-                |d| run_sp(&trace, cfg, SpParams::from_distance_rp(d, 0.5)),
+                |d| common::sp(&trace, cfg, SpParams::from_distance_rp(d, 0.5)),
                 jobs,
             );
             assert_eq!(expected, got, "{b:?} at --jobs {jobs}");

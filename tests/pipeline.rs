@@ -6,6 +6,8 @@ use sp_prefetch::core::prelude::*;
 use sp_prefetch::profiler::rank_delinquent_loads;
 use sp_prefetch::workloads::{Benchmark, Workload};
 
+mod common;
+
 /// A small cache so the tiny workloads still pressure the sets.
 fn test_cfg() -> CacheConfig {
     CacheConfig {
@@ -30,8 +32,8 @@ fn full_pipeline_runs_for_every_benchmark() {
         let rec = recommend_distance(&trace, &cfg);
         let d = controlled_distance(1_000_000, &rec);
         let params = SpParams::from_distance_rp(d.min(64), 0.5);
-        let baseline = run_original(&trace, cfg);
-        let sp = run_sp(&trace, cfg, params);
+        let baseline = common::original(&trace, cfg);
+        let sp = common::sp(&trace, cfg, params);
         assert_eq!(
             sp.stats.main.demand_accesses(),
             baseline.stats.main.demand_accesses(),
@@ -52,7 +54,7 @@ fn main_thread_hit_classes_partition_accesses() {
     for b in Benchmark::ALL {
         let w = Workload::tiny(b);
         let trace = w.trace();
-        let r = run_original(&trace, cfg);
+        let r = common::original(&trace, cfg);
         let s = &r.stats.main;
         assert_eq!(
             s.l1_hits + s.total_hits + s.partial_hits + s.total_misses,
@@ -71,12 +73,12 @@ fn sp_within_bound_beats_oversized_distance() {
     let trace = w.trace();
     let rec = recommend_distance(&trace, &cfg);
     let bound = rec.max_distance.expect("tiny EM3D overflows a 16KB L2");
-    let inside = run_sp(
+    let inside = common::sp(
         &trace,
         cfg,
         SpParams::from_distance_rp((bound / 2).max(1), 0.5),
     );
-    let outside = run_sp(&trace, cfg, SpParams::from_distance_rp(bound * 8, 0.5));
+    let outside = common::sp(&trace, cfg, SpParams::from_distance_rp(bound * 8, 0.5));
     assert!(
         inside.runtime < outside.runtime,
         "bounded distance must win: {} vs {}",
@@ -112,8 +114,8 @@ fn helper_set_affinity_is_at_most_original() {
 fn pollution_grows_with_distance() {
     let cfg = test_cfg();
     let trace = Workload::tiny(Benchmark::Em3d).trace();
-    let small = run_sp(&trace, cfg, SpParams::new(2, 2));
-    let large = run_sp(&trace, cfg, SpParams::new(64, 64));
+    let small = common::sp(&trace, cfg, SpParams::new(2, 2));
+    let large = common::sp(&trace, cfg, SpParams::new(64, 64));
     assert!(
         large.stats.pollution.total() > small.stats.pollution.total(),
         "distance 64 must pollute more than 2: {} vs {}",
@@ -127,7 +129,7 @@ fn cross_crate_determinism() {
     let cfg = test_cfg();
     let t1 = Workload::tiny(Benchmark::Mcf).trace();
     let t2 = Workload::tiny(Benchmark::Mcf).trace();
-    let r1 = run_sp(&t1, cfg, SpParams::new(4, 4));
-    let r2 = run_sp(&t2, cfg, SpParams::new(4, 4));
+    let r1 = common::sp(&t1, cfg, SpParams::new(4, 4));
+    let r2 = common::sp(&t2, cfg, SpParams::new(4, 4));
     assert_eq!(r1, r2);
 }

@@ -6,9 +6,10 @@
 //! the harness runs them on parallel threads.
 
 use sp_cachesim::{sim_build_count, CacheConfig};
-use sp_core::sweep_distances_jobs;
 use sp_workloads::{Benchmark, Workload};
 use std::sync::{Mutex, MutexGuard};
+
+mod common;
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
@@ -26,7 +27,7 @@ fn jobs1_sweeps_reuse_one_parked_simulator() {
     let distances = [2u32, 8, 32];
 
     // First sweep may build the thread-local parked simulator.
-    sweep_distances_jobs(&trace, cfg, 0.5, &distances, 1);
+    common::sweep_jobs(&trace, cfg, 0.5, &distances, 1);
     let after_first = sim_build_count();
     assert!(after_first >= 1, "first sweep should build a simulator");
 
@@ -34,7 +35,7 @@ fn jobs1_sweeps_reuse_one_parked_simulator() {
     // regardless of distance grid or workload.
     for b in [Benchmark::Em3d, Benchmark::Mcf, Benchmark::Mst] {
         let t = Workload::tiny(b).trace();
-        sweep_distances_jobs(&t, cfg, 0.5, &[4, 16, 64, 256], 1);
+        common::sweep_jobs(&t, cfg, 0.5, &[4, 16, 64, 256], 1);
     }
     assert_eq!(
         sim_build_count(),

@@ -8,8 +8,8 @@
 //! process-global, so concurrent tests in this binary would steal each
 //! other's spans.
 
-use sp_cachesim::CacheConfig;
-use sp_core::{compile_trace, sweep_compiled_jobs_with, EngineOptions};
+use sp_cachesim::{CacheConfig, NullSink};
+use sp_core::{compile_trace, sweep, EngineOptions};
 use sp_serve::Json;
 use sp_workloads::{Benchmark, Workload};
 use std::collections::HashMap;
@@ -29,7 +29,8 @@ fn export_is_valid_trace_event_json_with_correlated_pipeline() {
             Workload::tiny(Benchmark::Em3d).trace()
         };
         let ct = Arc::new(compile_trace(&trace, &cfg));
-        let Ok(_) = sweep_compiled_jobs_with(&ct, cfg, 0.5, &[2, 8], EngineOptions::default(), 2);
+        let opts = EngineOptions::default();
+        sweep(&ct, cfg, 0.5, &[2, 8], opts, 2, || NullSink, |_| ());
     }
     let spans = sp_obs::span::drain();
     sp_obs::span::stop_recording();

@@ -8,8 +8,8 @@
 //! process-global, so concurrent tests in this binary would steal each
 //! other's spans.
 
-use sp_cachesim::CacheConfig;
-use sp_core::{compile_trace, sweep_compiled_jobs_with, EngineOptions};
+use sp_cachesim::{CacheConfig, NullSink};
+use sp_core::{compile_trace, sweep, EngineOptions};
 use sp_trace::CompiledTrace;
 use sp_workloads::{Benchmark, Workload};
 use std::collections::HashMap;
@@ -26,8 +26,8 @@ fn tree(ct: &Arc<CompiledTrace>, cfg: CacheConfig, jobs: usize) -> Vec<(String, 
     let corr = sp_obs::CorrId::next_root();
     {
         let _cg = sp_obs::corr::set_current(corr);
-        let Ok(_) =
-            sweep_compiled_jobs_with(ct, cfg, 0.5, &[2, 8, 32], EngineOptions::default(), jobs);
+        let opts = EngineOptions::default();
+        sweep(ct, cfg, 0.5, &[2, 8, 32], opts, jobs, || NullSink, |_| ());
     }
     let spans = sp_obs::span::drain();
     sp_obs::span::stop_recording();
