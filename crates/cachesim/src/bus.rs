@@ -49,7 +49,9 @@ impl Bus {
         if start > now {
             self.queued += 1;
         }
-        self.next_free = start + self.service;
+        // Saturating: the final drain installs fills at `Cycle::MAX`, and
+        // a dirty victim's write-back then requests the bus there.
+        self.next_free = start.saturating_add(self.service);
         self.busy_cycles += self.service;
         start
     }
@@ -135,6 +137,15 @@ mod tests {
         assert_eq!(b.queued(), 0);
         assert_eq!(b.busy_cycles(), 0);
         assert_eq!(b.request(0), 0, "bus is idle again");
+    }
+
+    #[test]
+    fn a_request_at_the_end_of_time_saturates() {
+        let mut b = Bus::new(16);
+        assert_eq!(b.request(Cycle::MAX), Cycle::MAX);
+        assert_eq!(b.next_free(), Cycle::MAX);
+        assert_eq!(b.request(Cycle::MAX), Cycle::MAX);
+        assert_eq!(b.busy_cycles(), 32);
     }
 
     #[test]

@@ -3,9 +3,13 @@
 //! Storage is struct-of-arrays: per-line tags, metadata flag bytes, and
 //! filler entities live in three parallel flat vectors, indexed
 //! `set * ways + way`. The way search ([`find_way`](SetAssocCache::find_way))
-//! is a branch-light scan over the set's contiguous `u64` tag slice, and
-//! every mutating operation does exactly one such scan — callers get the
-//! way index back and reuse it instead of re-probing.
+//! compares the set's contiguous `u64` tag slice eight ways at a time,
+//! and every mutating operation does at most one such scan — callers get
+//! the way index back and reuse it instead of re-probing. A caller that
+//! already knows a block is absent (it just missed, or the block has an
+//! in-flight fill) inserts it with [`insert_at`](SetAssocCache::insert_at),
+//! which does no scan at all; [`fill_at`](SetAssocCache::fill_at) is
+//! `find_way`, then a promotion or that same insertion.
 //!
 //! The `*_at` methods take a precomputed `(set, tag)` projection (the
 //! memory system projects each reference once and reuses the pair for
@@ -87,6 +91,27 @@ fn tag_key(tag: u64) -> u64 {
     (tag << 1) | 1
 }
 
+/// The index of `key` in `keys`, which holds it at most once. Each
+/// block of eight keys folds its comparisons into one equality mask with
+/// no early exit inside the block; the first non-zero mask names the
+/// way. Keys past the last whole block are scanned plainly.
+#[inline]
+fn find_key(keys: &[u64], key: u64) -> Option<usize> {
+    let mut blocks = keys.chunks_exact(8);
+    for (b, block) in (&mut blocks).enumerate() {
+        let mut mask = 0u32;
+        for (w, &k) in block.iter().enumerate() {
+            mask |= u32::from(k == key) << w;
+        }
+        if mask != 0 {
+            return Some(b * 8 + mask.trailing_zeros() as usize);
+        }
+    }
+    let rest = blocks.remainder();
+    let way = rest.iter().position(|&k| k == key)?;
+    Some(keys.len() - rest.len() + way)
+}
+
 impl SetAssocCache {
     /// An empty cache of the given geometry and policy.
     pub fn new(geo: CacheGeometry, policy: Policy) -> Self {
@@ -144,15 +169,12 @@ impl SetAssocCache {
     }
 
     /// The way of `set` holding `tag`, if any — the single probe every
-    /// operation is built on: one comparison per way against the set's
-    /// contiguous key slice.
+    /// operation is built on. It compares the set's keys eight ways per
+    /// step into an equality mask, and the remainder plainly.
     #[inline]
     pub fn find_way(&self, set: u32, tag: u64) -> Option<usize> {
         let base = set as usize * self.ways;
-        let key = tag_key(tag);
-        self.tags[base..base + self.ways]
-            .iter()
-            .position(|&t| t == key)
+        find_key(&self.tags[base..base + self.ways], tag_key(tag))
     }
 
     /// Find the way holding `addr`'s block, without touching any state.
@@ -261,9 +283,8 @@ impl SetAssocCache {
     }
 
     /// [`fill`](Self::fill) with the `(set, tag)` projection already
-    /// computed. One probe finds a matching way (upgrade path); a full
-    /// set then goes straight to the policy's victim, and only a set
-    /// below capacity scans for its first invalid way.
+    /// computed: one probe, then a policy promotion of a present block
+    /// or an [`insert_at`](Self::insert_at) of an absent one.
     pub fn fill_at(
         &mut self,
         set: u32,
@@ -276,6 +297,28 @@ impl SetAssocCache {
             self.engine.on_fill(set as usize, w);
             return None;
         }
+        self.insert_at(set, tag, filler, prefetched, false)
+    }
+
+    /// Install `(set, tag)`, which the caller knows is absent (checked in
+    /// debug builds), on behalf of `filler` — the one insertion path. A
+    /// full set goes straight to the policy's victim; only a set below
+    /// capacity scans for its first invalid way. A demand fill
+    /// (`prefetched == false`) is used by the access that requested it;
+    /// `dirty` starts the line dirty (a store waiting on the fill).
+    /// Returns the displaced line's metadata if a valid line was evicted.
+    pub fn insert_at(
+        &mut self,
+        set: u32,
+        tag: u64,
+        filler: Entity,
+        prefetched: bool,
+        dirty: bool,
+    ) -> Option<Evicted> {
+        debug_assert!(
+            self.find_way(set, tag).is_none(),
+            "insert_at of a resident block"
+        );
         let base = set as usize * self.ways;
         let valid = &mut self.valid[set as usize];
         let way = if *valid as usize == self.ways {
@@ -300,12 +343,13 @@ impl SetAssocCache {
         });
         self.tags[idx] = tag_key(tag);
         self.fillers[idx] = filler;
-        self.meta[idx] = if prefetched {
-            FLAG_VALID | FLAG_PREFETCHED
+        let use_flag = if prefetched {
+            FLAG_PREFETCHED
         } else {
-            // A demand fill is used by the access that requested it.
-            FLAG_VALID | FLAG_USED
+            FLAG_USED
         };
+        let dirty_flag = if dirty { FLAG_DIRTY } else { 0 };
+        self.meta[idx] = FLAG_VALID | use_flag | dirty_flag;
         self.engine.on_fill(set as usize, way);
         evicted
     }
@@ -522,6 +566,65 @@ mod tests {
         assert_eq!(ev.block, s0(1));
         // Promoting an absent block reports false and changes nothing.
         assert!(!c.promote(g.set_of(s0(7)) as u32, g.tag_of(s0(7))));
+    }
+
+    /// `find_key` agrees with a plain `position` scan at every slice
+    /// length up to `MAX_WAYS`, whole blocks of eight or not, for keys
+    /// present anywhere and for absent keys.
+    #[test]
+    fn find_key_matches_position_at_every_width() {
+        for ways in 1..=crate::geometry::MAX_WAYS as usize {
+            sp_testkit::check(8, |rng| {
+                // Distinct odd keys with some empty (zero) slots, as a set
+                // holds them.
+                let keys: Vec<u64> = (0..ways)
+                    .map(|w| {
+                        if rng.gen_bool(0.2) {
+                            0
+                        } else {
+                            tag_key(w as u64 * 1000 + rng.gen_range(0u64..1000))
+                        }
+                    })
+                    .collect();
+                for &k in &keys {
+                    let want = keys.iter().position(|&x| x == k);
+                    assert_eq!(find_key(&keys, k), want, "ways {ways}");
+                }
+                let absent = tag_key(ways as u64 * 1000 + 1);
+                assert_eq!(find_key(&keys, absent), None, "ways {ways}");
+            });
+        }
+    }
+
+    /// `find_way` agrees with a `position` scan of the set's stored keys
+    /// at every associativity a geometry admits, through random fills
+    /// and invalidations.
+    #[test]
+    fn find_way_matches_position_at_every_associativity() {
+        for ways in (0..=7).map(|p| 1u32 << p) {
+            let geo = CacheGeometry::new(4 * ways as u64 * 64, ways, 64);
+            sp_testkit::check(8, |rng| {
+                let mut c = SetAssocCache::new(geo, Policy::Lru);
+                let span = geo.size_bytes * 3;
+                for _ in 0..rng.gen_range(0usize..8 * ways as usize) {
+                    let addr = rng.gen_range(0..span);
+                    if rng.gen_bool(0.8) {
+                        c.fill(addr, Entity::Main, false);
+                    } else {
+                        c.invalidate(addr);
+                    }
+                }
+                for _ in 0..64 {
+                    let addr = rng.gen_range(0..span);
+                    let (set, tag) = (geo.set_of(addr) as u32, geo.tag_of(addr));
+                    let base = set as usize * c.ways;
+                    let want = c.tags[base..base + c.ways]
+                        .iter()
+                        .position(|&t| t == tag_key(tag));
+                    assert_eq!(c.find_way(set, tag), want, "ways {ways}");
+                }
+            });
+        }
     }
 
     #[test]

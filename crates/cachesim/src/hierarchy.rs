@@ -243,15 +243,25 @@ impl MemorySystem {
     /// L2 fill flows. Every pollution-counter increment here has exactly
     /// one matching event emission, so folding the stream reproduces the
     /// aggregates.
+    ///
+    /// `block` is the block of a completed MSHR entry, and a block with
+    /// an outstanding entry is never L2-resident (entries are allocated
+    /// only after an L2 miss, and this is the only way into the L2), so
+    /// the fill inserts without probing. `dirty` starts the line dirty:
+    /// a store was waiting on the fill (write-allocate).
     fn l2_install<S: EventSink>(
         &mut self,
         block: VAddr,
         filler: Entity,
         prefetched: bool,
+        dirty: bool,
         now: Cycle,
         sink: &mut S,
     ) {
-        let evicted = self.l2.fill(block, filler, prefetched);
+        let set = self.cfg.l2.set_of(block) as u32;
+        let evicted = self
+            .l2
+            .insert_at(set, self.cfg.l2.tag_of(block), filler, prefetched, dirty);
         if let Some(ev) = evicted {
             self.stats.l2_evictions += 1;
             if self.cfg.inclusion == crate::config::Inclusion::Inclusive {
@@ -275,7 +285,7 @@ impl MemorySystem {
                         sink.emit(Event::PrefetchEvictedUnused {
                             class,
                             block: ev.block,
-                            set: self.cfg.l2.set_of(block) as u32,
+                            set,
                             at: now,
                         });
                     }
@@ -288,7 +298,7 @@ impl MemorySystem {
                                 sink.emit(Event::PollutionEviction {
                                     case: PollutionCase::UnusedHelper,
                                     block: ev.block,
-                                    set: self.cfg.l2.set_of(block) as u32,
+                                    set,
                                     at: now,
                                 });
                             }
@@ -299,7 +309,7 @@ impl MemorySystem {
                                 sink.emit(Event::PollutionEviction {
                                     case: PollutionCase::UnusedHw,
                                     block: ev.block,
-                                    set: self.cfg.l2.set_of(block) as u32,
+                                    set,
                                     at: now,
                                 });
                             }
@@ -323,7 +333,6 @@ impl MemorySystem {
             Entity::HwPerceptron(_) => 5,
         }] += 1;
         if S::ENABLED {
-            let set = self.cfg.l2.set_of(block) as u32;
             // Victim origin mirrors what its own fill was charged as
             // (the `prefetched` flag survives demand touches), so per-set
             // occupancy-by-origin balances fill-for-fill.
@@ -367,12 +376,8 @@ impl MemorySystem {
         // Pop in completion order — installing fills never adds MSHR
         // entries, so the loop drains exactly the entries ready at `now`.
         while let Some(e) = self.mshr.pop_earliest_ready(now) {
-            self.l2_install(e.block, e.requester, e.prefetch, e.ready_at.max(now), sink);
-            if e.store {
-                // A store was waiting on this fill: the line is dirty
-                // from birth (write-allocate).
-                self.l2.touch(e.block, true, false);
-            }
+            let at = e.ready_at.max(now);
+            self.l2_install(e.block, e.requester, e.prefetch, e.store, at, sink);
         }
     }
 
@@ -520,10 +525,11 @@ impl MemorySystem {
                     }
                 }
             }
-            // Install in the core's L1 (fill-on-L2-hit); a dirty L1
-            // victim writes through to the L2 if still present there,
-            // otherwise straight to memory (non-inclusive hierarchy).
-            if let Some(l1_ev) = self.l1[core].fill_at(l1_set, l1_tag, entity, false) {
+            // Install in the core's L1 (fill-on-L2-hit; the L1 probe
+            // above missed, so no second probe); a dirty L1 victim writes
+            // through to the L2 if still present there, otherwise
+            // straight to memory (non-inclusive hierarchy).
+            if let Some(l1_ev) = self.l1[core].insert_at(l1_set, l1_tag, entity, false, false) {
                 if l1_ev.dirty && self.l2.touch(l1_ev.block, true, false).is_none() {
                     self.stats.l1_writeback_misses += 1;
                     self.bus.request(t_l2);

@@ -5,6 +5,15 @@
 //! memory request is issued but before it is serviced". Any access (from
 //! any entity) to a block with an allocated MSHR merges with the
 //! outstanding request instead of issuing a new one.
+//!
+//! The file keeps its entries in completion (`ready_at`) order, ties in
+//! allocation order: an allocation is inserted after every entry that
+//! completes no later than it. The next fill to complete is therefore
+//! always the front entry, and the drain guard, the stall bound and the
+//! pop read it directly. Inside [`MemorySystem`](crate::MemorySystem)
+//! every allocation completes after every outstanding fill, so the
+//! insertion point is always the back; other callers may allocate in any
+//! order.
 
 use crate::clock::Cycle;
 use crate::stats::Entity;
@@ -31,13 +40,9 @@ pub struct InFlight {
 /// A fixed-capacity MSHR file.
 #[derive(Debug, Clone)]
 pub struct MshrFile {
+    /// Outstanding entries in `ready_at` order, ties in allocation order.
     entries: Vec<InFlight>,
     capacity: usize,
-    /// Cached `min(entries[..].ready_at)`, `Cycle::MAX` when empty, so
-    /// the per-access [`none_ready`](Self::none_ready) guard is a single
-    /// compare instead of a scan. Maintained on allocate (min) and
-    /// recomputed on removal.
-    min_ready: Cycle,
 }
 
 impl MshrFile {
@@ -47,14 +52,12 @@ impl MshrFile {
         MshrFile {
             entries: Vec::with_capacity(capacity),
             capacity,
-            min_ready: Cycle::MAX,
         }
     }
 
     /// Drop every outstanding entry, keeping the allocation.
     pub fn reset(&mut self) {
         self.entries.clear();
-        self.min_ready = Cycle::MAX;
     }
 
     /// Outstanding entries.
@@ -72,7 +75,8 @@ impl MshrFile {
         self.entries.len() >= self.capacity
     }
 
-    /// Outstanding entries, in allocation order.
+    /// Outstanding entries, in completion order (ties in allocation
+    /// order).
     pub(crate) fn entries(&self) -> &[InFlight] {
         &self.entries
     }
@@ -103,8 +107,7 @@ impl MshrFile {
         if self.is_full() || self.lookup(entry.block).is_some() {
             return Err(entry);
         }
-        self.min_ready = self.min_ready.min(entry.ready_at);
-        self.entries.push(entry);
+        self.insert(entry);
         Ok(())
     }
 
@@ -118,8 +121,16 @@ impl MshrFile {
             self.lookup(entry.block).is_none(),
             "caller ensured the block has no entry"
         );
-        self.min_ready = self.min_ready.min(entry.ready_at);
-        self.entries.push(entry);
+        self.insert(entry);
+    }
+
+    /// Insert after every entry completing no later than `entry`.
+    #[inline]
+    fn insert(&mut self, entry: InFlight) {
+        let at = self
+            .entries
+            .partition_point(|e| e.ready_at <= entry.ready_at);
+        self.entries.insert(at, entry);
     }
 
     /// `true` if no outstanding fill has completed by `now` — the cheap
@@ -127,17 +138,7 @@ impl MshrFile {
     /// work on the (overwhelmingly common) nothing-to-do path.
     #[inline]
     pub fn none_ready(&self, now: Cycle) -> bool {
-        debug_assert_eq!(
-            self.min_ready,
-            self.entries
-                .iter()
-                .map(|e| e.ready_at)
-                .min()
-                .unwrap_or(Cycle::MAX)
-        );
-        // `min_ready` is MAX when empty; the second test covers an empty
-        // file probed at `now == Cycle::MAX`.
-        self.min_ready > now || self.entries.is_empty()
+        self.entries.first().is_none_or(|e| e.ready_at > now)
     }
 
     /// Remove and return every entry whose fill has completed by `now`,
@@ -154,33 +155,18 @@ impl MshrFile {
     /// earliest completion time, ties broken by allocation order — the
     /// allocation-free form of [`drain_ready`](Self::drain_ready): calling
     /// it until `None` yields exactly `drain_ready`'s sequence.
+    #[inline]
     pub fn pop_earliest_ready(&mut self, now: Cycle) -> Option<InFlight> {
-        let mut best: Option<usize> = None;
-        for (i, e) in self.entries.iter().enumerate() {
-            if e.ready_at <= now && best.is_none_or(|b| e.ready_at < self.entries[b].ready_at) {
-                best = Some(i);
-            }
+        if self.none_ready(now) {
+            return None;
         }
-        let popped = best.map(|i| self.entries.remove(i));
-        if popped.is_some() {
-            self.min_ready = self
-                .entries
-                .iter()
-                .map(|e| e.ready_at)
-                .min()
-                .unwrap_or(Cycle::MAX);
-        }
-        popped
+        Some(self.entries.remove(0))
     }
 
     /// Earliest completion time among outstanding entries (used to decide
     /// how long a demand access must stall when the file is full).
     pub fn earliest_ready(&self) -> Option<Cycle> {
-        if self.entries.is_empty() {
-            None
-        } else {
-            Some(self.min_ready)
-        }
+        self.entries.first().map(|e| e.ready_at)
     }
 }
 

@@ -206,6 +206,174 @@ fn mshr_partial_drain() {
     });
 }
 
+fn any_policy(rng: &mut SmallRng) -> Policy {
+    match rng.gen_range(0u32..4) {
+        0 => Policy::Lru,
+        1 => Policy::Fifo,
+        2 => Policy::Random {
+            seed: rng.gen_range(1u64..1000),
+        },
+        _ => Policy::PlruTree,
+    }
+}
+
+/// `fill_at` on an absent block is `insert_at` of a clean line, and on a
+/// present one the promotion alone, under every policy: two caches, one
+/// filled through `fill_at` and one through `insert_at`/`promote`,
+/// report the same victims and end with the same contents.
+#[test]
+fn fill_at_is_probe_then_insert_at() {
+    check(64, |rng| {
+        let geo = CacheGeometry::new(2048, 1 << rng.gen_range(0u32..=3), 64);
+        let policy = any_policy(rng);
+        let mut a = SetAssocCache::new(geo, policy);
+        let mut b = SetAssocCache::new(geo, policy);
+        for _ in 0..rng.gen_range(1usize..400) {
+            let addr = rng.gen_range(0..geo.size_bytes * 3);
+            let (set, tag) = (geo.set_of(addr) as u32, geo.tag_of(addr));
+            match rng.gen_range(0u32..5) {
+                0 => assert_eq!(a.touch(addr, true, true), b.touch(addr, true, true)),
+                1 => assert_eq!(a.invalidate(addr), b.invalidate(addr)),
+                _ => {
+                    let prefetched = rng.gen_bool(0.5);
+                    let filler = if prefetched {
+                        Entity::Helper
+                    } else {
+                        Entity::Main
+                    };
+                    let via_insert = if b.find_way(set, tag).is_some() {
+                        assert!(b.promote(set, tag));
+                        None
+                    } else {
+                        b.insert_at(set, tag, filler, prefetched, false)
+                    };
+                    assert_eq!(a.fill_at(set, tag, filler, prefetched), via_insert);
+                }
+            }
+        }
+        for set in 0..geo.sets() {
+            assert_eq!(a.set_blocks(set), b.set_blocks(set));
+            for block in a.set_blocks(set) {
+                assert_eq!(a.line_meta(block), b.line_meta(block));
+            }
+        }
+    });
+}
+
+/// Inserting a line dirty equals inserting it clean and then touching it
+/// as a store without marking it used — what the store-waiting L2 fill
+/// used to do — under every policy: same metadata now, same victims
+/// later.
+#[test]
+fn dirty_insert_equals_insert_then_store_touch() {
+    check(64, |rng| {
+        let geo = CacheGeometry::new(1024, 1 << rng.gen_range(0u32..=3), 64);
+        let policy = any_policy(rng);
+        let mut a = SetAssocCache::new(geo, policy);
+        let mut b = SetAssocCache::new(geo, policy);
+        for _ in 0..rng.gen_range(1usize..300) {
+            let addr = rng.gen_range(0..geo.size_bytes * 4);
+            let (set, tag) = (geo.set_of(addr) as u32, geo.tag_of(addr));
+            if a.find_way(set, tag).is_some() {
+                let store = rng.gen_bool(0.3);
+                assert_eq!(a.touch(addr, store, true), b.touch(addr, store, true));
+                continue;
+            }
+            let prefetched = rng.gen_bool(0.5);
+            let dirty = rng.gen_bool(0.5);
+            let ev = a.insert_at(set, tag, Entity::Helper, prefetched, dirty);
+            assert_eq!(b.insert_at(set, tag, Entity::Helper, prefetched, false), ev);
+            if dirty {
+                assert!(b.touch_at(set, tag, true, false).is_some());
+            }
+            assert_eq!(a.line_meta(addr), b.line_meta(addr));
+        }
+        for set in 0..geo.sets() {
+            assert_eq!(a.set_blocks(set), b.set_blocks(set));
+        }
+    });
+}
+
+/// Random out-of-order allocations, merges and pops agree with an
+/// allocation-order list whose next completion is found by a stable
+/// sort on `ready_at` (so ties complete in allocation order).
+#[test]
+fn mshr_matches_a_sorted_list() {
+    check(128, |rng| {
+        let capacity = rng.gen_range(1usize..=16);
+        let mut m = MshrFile::new(capacity);
+        let mut model: Vec<InFlight> = Vec::new();
+        let by_ready = |model: &[InFlight]| {
+            let mut sorted = model.to_vec();
+            sorted.sort_by_key(|e| e.ready_at);
+            sorted
+        };
+        let mut now = 0u64;
+        for _ in 0..rng.gen_range(1usize..300) {
+            let block = 64 * rng.gen_range(0u64..24);
+            match rng.gen_range(0u32..6) {
+                0 | 1 => {
+                    let e = InFlight {
+                        block,
+                        // Few distinct times, so ties are common.
+                        ready_at: now + 8 * rng.gen_range(0u64..8),
+                        requester: Entity::Helper,
+                        prefetch: rng.gen_bool(0.5),
+                        store: false,
+                    };
+                    let fits = model.len() < capacity && model.iter().all(|x| x.block != block);
+                    assert_eq!(m.allocate(e).is_ok(), fits);
+                    if fits {
+                        model.push(e);
+                    }
+                }
+                2 => {
+                    let store = rng.gen_bool(0.5);
+                    let want = model.iter_mut().find(|x| x.block == block).map(|x| {
+                        let before = *x;
+                        x.prefetch = false;
+                        x.store |= store;
+                        InFlight {
+                            store: x.store,
+                            ..before
+                        }
+                    });
+                    assert_eq!(m.merge_demand(block, store), want);
+                }
+                3 => {
+                    now += rng.gen_range(0u64..24);
+                    let want = by_ready(&model).into_iter().find(|e| e.ready_at <= now);
+                    if let Some(w) = want {
+                        let i = model.iter().position(|x| x.block == w.block).unwrap();
+                        model.remove(i);
+                    }
+                    assert_eq!(m.pop_earliest_ready(now), want);
+                }
+                4 => {
+                    now += rng.gen_range(0u64..24);
+                    let (done, rest): (Vec<_>, Vec<_>) = by_ready(&model)
+                        .into_iter()
+                        .partition(|e| e.ready_at <= now);
+                    model.retain(|x| rest.iter().any(|r| r.block == x.block));
+                    assert_eq!(m.drain_ready(now), done);
+                }
+                _ => assert_eq!(
+                    m.lookup(block),
+                    model.iter().copied().find(|x| x.block == block)
+                ),
+            }
+            let sorted = by_ready(&model);
+            assert_eq!(m.len(), model.len());
+            assert_eq!(m.is_full(), model.len() >= capacity);
+            assert_eq!(m.earliest_ready(), sorted.first().map(|e| e.ready_at));
+            assert_eq!(
+                m.none_ready(now),
+                sorted.first().is_none_or(|e| e.ready_at > now)
+            );
+        }
+    });
+}
+
 mod reference_model {
     use super::*;
     use std::collections::HashMap;

@@ -127,10 +127,41 @@ impl Default for EngineOptions {
 struct Cursor {
     /// Outer iteration currently being executed.
     iter: usize,
+    /// The trace iteration `iter` executes, `iter % outer_iters`, carried
+    /// along so no step divides.
+    trace_iter: usize,
     /// Next reference index within the iteration's flattened ref list.
     ref_idx: usize,
     clock: Cycle,
     done: bool,
+}
+
+impl Cursor {
+    /// A cursor at iteration 0.
+    fn start(done: bool) -> Self {
+        Cursor {
+            iter: 0,
+            trace_iter: 0,
+            ref_idx: 0,
+            clock: 0,
+            done,
+        }
+    }
+
+    /// Advance to the next outer iteration of an `n`-iteration run over a
+    /// `len`-iteration trace.
+    #[inline]
+    fn next_iter(&mut self, len: usize, n: usize) {
+        self.iter += 1;
+        self.trace_iter += 1;
+        if self.trace_iter == len {
+            self.trace_iter = 0;
+        }
+        self.ref_idx = 0;
+        if self.iter >= n {
+            self.done = true;
+        }
+    }
 }
 
 /// What the helper does per iteration, and how tightly it is leashed —
@@ -198,20 +229,10 @@ pub fn run<S: EventSink>(
     let n = ct.outer_iters() * opts.passes;
     let mut mem = acquire_sim(cache_cfg);
 
-    let mut main = Cursor {
-        iter: 0,
-        ref_idx: 0,
-        clock: 0,
-        done: n == 0,
-    };
+    let mut main = Cursor::start(n == 0);
     // Without a schedule the helper is done before it starts, so every
     // step below is the main thread's.
-    let mut helper = Cursor {
-        iter: 0,
-        ref_idx: 0,
-        clock: 0,
-        done: n == 0 || schedule.is_none(),
-    };
+    let mut helper = Cursor::start(n == 0 || schedule.is_none());
     let mut helper_waits = 0u64;
     let mut helper_jumps = 0u64;
     let mut helper_blocked = false;
@@ -231,6 +252,9 @@ pub fn run<S: EventSink>(
                 if helper.iter >= n {
                     helper.done = true;
                     helper_finish = helper.clock;
+                } else {
+                    // A resync, not a step: divides once per jump.
+                    helper.trace_iter = helper.iter % ct.outer_iters();
                 }
             }
             let was_blocked = helper_blocked;
@@ -325,7 +349,7 @@ fn step_main<S: EventSink>(
     n: usize,
     sink: &mut S,
 ) {
-    let it = c.iter % ct.outer_iters();
+    let it = c.trace_iter;
     let refs = ct.iter_refs(it);
     let total = refs.len();
     if c.ref_idx < total {
@@ -335,11 +359,7 @@ fn step_main<S: EventSink>(
     }
     if c.ref_idx >= total {
         c.clock += ct.compute_cycles(it);
-        c.iter += 1;
-        c.ref_idx = 0;
-        if c.iter >= n {
-            c.done = true;
-        }
+        c.next_iter(ct.outer_iters(), n);
     }
 }
 
@@ -355,7 +375,7 @@ fn step_helper<S: EventSink>(
     opts: EngineOptions,
     sink: &mut S,
 ) {
-    let it = c.iter % ct.outer_iters();
+    let it = c.trace_iter;
     let prefetching = step == HelperStep::Prefetch;
     // The helper's work list for this iteration: backbone (blocking loads
     // whose fills are still speculative — everything the helper brings in
@@ -396,10 +416,8 @@ fn step_helper<S: EventSink>(
     }
     c.ref_idx = idx;
     if c.ref_idx >= total {
-        c.iter += 1;
-        c.ref_idx = 0;
-        if c.iter >= n {
-            c.done = true;
+        c.next_iter(ct.outer_iters(), n);
+        if c.done {
             *finish = c.clock;
         }
     }

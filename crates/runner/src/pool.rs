@@ -11,7 +11,9 @@
 //! Tasks are fire-and-forget closures; callers that need a result thread
 //! a `std::sync::mpsc` channel through the closure. A panicking task is
 //! caught and counted — one poisoned request must not take a service
-//! worker down with it.
+//! worker down with it — and counted *before* the task's captures drop,
+//! so a caller that learns of the panic from its reply channel closing
+//! already sees it in [`WorkerPool::panicked`].
 
 use crate::{RunnerReport, WorkerStat};
 use std::collections::VecDeque;
@@ -21,7 +23,10 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// A unit of pool work: owned closure, executed once on some worker.
-pub type Task = Box<dyn FnOnce() + Send + 'static>;
+/// The worker calls it by reference (hence `FnMut`), so when it panics
+/// its captures are still alive while the panic is counted, and drop
+/// only afterwards.
+pub type Task = Box<dyn FnMut() + Send + 'static>;
 
 /// Why [`WorkerPool::try_submit`] refused a task.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -236,7 +241,7 @@ fn worker_loop(shared: &PoolShared, worker: usize) {
                 st = shared.available.wait(st).unwrap_or_else(|p| p.into_inner());
             }
         };
-        let Some((task, submitted_us)) = task else {
+        let Some((mut task, submitted_us)) = task else {
             return;
         };
         if sp_obs::span::recording() {
@@ -250,10 +255,12 @@ fn worker_loop(shared: &PoolShared, worker: usize) {
         }
         let t0 = Instant::now();
         let sp = sp_obs::span!("task", worker = worker);
-        if std::panic::catch_unwind(std::panic::AssertUnwindSafe(task)).is_err() {
+        if std::panic::catch_unwind(std::panic::AssertUnwindSafe(&mut task)).is_err() {
             shared.panicked.fetch_add(1, Ordering::Relaxed);
             sp_obs::log_warn!("runner", "pool task panicked", worker = worker);
         }
+        // Only now may a reply sender the task captured disconnect.
+        drop(task);
         drop(sp);
         shared.worker_busy_nanos[worker]
             .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);

@@ -151,6 +151,9 @@ struct Shared {
     default_timeout_ms: u64,
     slow_ms: u64,
     started: Instant,
+    /// Test seam: the next queued job panics on its worker.
+    #[cfg(test)]
+    panic_next: AtomicBool,
 }
 
 impl Shared {
@@ -191,6 +194,8 @@ impl Server {
                 default_timeout_ms: cfg.default_timeout_ms,
                 slow_ms: cfg.slow_ms,
                 started: Instant::now(),
+                #[cfg(test)]
+                panic_next: AtomicBool::new(false),
             }),
         })
     }
@@ -505,6 +510,10 @@ fn execute_queued(
             queue_us.store(submitted.elapsed().as_micros() as u64, Ordering::Relaxed);
             let _cg = corr.map(sp_obs::corr::set_current);
             let _sp = sp_obs::span!("execute");
+            #[cfg(test)]
+            if shared.panic_next.swap(false, Ordering::Relaxed) {
+                panic!("injected worker panic");
+            }
             let outcome = shared.engine.execute(&cmd);
             if let (Some(k), Ok(payload)) = (&key, &outcome) {
                 shared.cache.put(k, payload.clone());
@@ -596,4 +605,64 @@ fn families(shared: &Shared) -> Vec<Family<'_>> {
         shared.engine.epoch_totals(),
         &gauges,
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A worker panic is in `stats` by the time its `internal` reply
+    /// reaches the client: the pool counts the panic before the task's
+    /// reply sender drops.
+    #[test]
+    fn stats_count_a_worker_panic_before_its_reply() {
+        let server = Server::bind(&ServerConfig {
+            addr: "127.0.0.1:0".to_string(),
+            workers: 1,
+            ..ServerConfig::default()
+        })
+        .unwrap();
+        let addr = server.local_addr();
+        let shared = Arc::clone(&server.shared);
+        let daemon = std::thread::spawn(move || server.run());
+        let stream = TcpStream::connect(addr).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut writer = stream;
+        let mut ask = |line: &str| {
+            writeln!(writer, "{line}").unwrap();
+            let mut reply = String::new();
+            reader.read_line(&mut reply).unwrap();
+            Json::parse(reply.trim_end()).unwrap()
+        };
+        let stat = |reply: &Json, group: &str, key: &str| {
+            let result = reply.get("result").expect("stats result");
+            result
+                .get(group)
+                .and_then(|g| g.get(key))
+                .and_then(Json::as_u64)
+        };
+        // Prove the daemon is up before arming the seam.
+        assert_eq!(
+            stat(&ask("{\"type\":\"stats\"}"), "workers", "panicked"),
+            Some(0)
+        );
+        for round in 1..=3 {
+            shared.panic_next.store(true, Ordering::Relaxed);
+            let reply = ask("{\"type\":\"burn\",\"ms\":1}");
+            assert_eq!(reply.get("error").and_then(Json::as_str), Some("internal"));
+            assert_eq!(
+                reply.get("detail").and_then(Json::as_str),
+                Some("worker panicked"),
+                "{reply:?}"
+            );
+            let stats = ask("{\"type\":\"stats\"}");
+            assert_eq!(
+                stat(&stats, "workers", "panicked"),
+                Some(round),
+                "{stats:?}"
+            );
+        }
+        ask("{\"type\":\"shutdown\"}");
+        daemon.join().unwrap().unwrap();
+    }
 }
