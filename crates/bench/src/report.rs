@@ -431,8 +431,12 @@ pub fn epoch_report_markdown(
     let series_block = |out: &mut String, title: &str, s: &EpochSeries| {
         out.push_str(&format!("### {title}\n\n```\n"));
         let misses: Vec<u64> = s.epochs.iter().map(|w| w.main[3]).collect();
-        let pollution: Vec<u64> = s.epochs.iter().map(|w| w.total_pollution()).collect();
-        let late: Vec<u64> = s.epochs.iter().map(|w| w.late).collect();
+        let pollution: Vec<u64> = s
+            .epochs
+            .iter()
+            .map(|w| w.counts.total_pollution())
+            .collect();
+        let late: Vec<u64> = s.epochs.iter().map(|w| w.counts.late).collect();
         out.push_str(&spark_row("misses", &misses));
         out.push_str(&spark_row("pollution", &pollution));
         out.push_str(&spark_row("late pf", &late));
@@ -458,7 +462,7 @@ pub fn epoch_report_markdown(
         .points
         .iter()
         .flat_map(|s| s.epochs.iter())
-        .map(|w| w.total_pollution())
+        .map(|w| w.counts.total_pollution())
         .max()
         .unwrap_or(0);
     let width = sweep
@@ -473,7 +477,7 @@ pub fn epoch_report_markdown(
         let cells: String = s
             .epochs
             .iter()
-            .map(|w| shade(w.total_pollution(), peak))
+            .map(|w| shade(w.counts.total_pollution(), peak))
             .collect();
         out.push_str(&format!(
             "{mark} {:>width$}  {cells}\n",

@@ -1,12 +1,14 @@
 //! Epoch-windowed telemetry: the flight recorder for cache pollution.
 //!
-//! Every surface built so far — [`crate::stats::MemStats`] counters,
-//! [`crate::events::EventSummary`] folds, the Prometheus exposition —
-//! is a *run aggregate*: it says how much pollution happened, never
-//! *when*. The paper's argument is temporal (prefetches land too far
-//! ahead of the main thread's return), and the planned adaptive
-//! distance controller needs a phase-wise signal to steer on. This
-//! module adds that signal without touching the aggregates.
+//! [`crate::stats::MemStats`] counters and
+//! [`crate::events::EventSummary`] folds are *run aggregates*: they say
+//! how much pollution happened, never *when*. The paper's argument is
+//! temporal (prefetches land too far ahead of the main thread's
+//! return), so this module windows the same taxonomy. Each
+//! [`EpochWindow`] embeds the run-level [`LifecycleCounts`] block,
+//! folded by the same function, beside what only a window has: hit
+//! classes per thread, L2 fills by origin, MSHR occupancy and the
+//! window's set shape.
 //!
 //! [`EpochSink`] is an [`EventSink`] that folds the event stream into
 //! fixed-size windows of [`EpochWindow`]s. Windows advance on
@@ -27,10 +29,11 @@
 //!   bit-identical with and without it (differential suites).
 //! * **Exact refinement** — [`EpochSeries::totals`] folds back to the
 //!   run-aggregate counters exactly: per-thread hit classes, issued /
-//!   first-use prefetch counts, and the three displacement cases.
+//!   first-use prefetch counts, and the three displacement cases; its
+//!   lifecycle block equals the run's `EventSummary` counts.
 
 use crate::clock::Cycle;
-use crate::events::{Event, EventSink, PendingFills, Timeliness};
+use crate::events::{Event, EventSink, FillOrigin, LifecycleCounts, PendingFills};
 use crate::stats::{Entity, HitClass, PollutionStats};
 
 /// Default epoch length, in main-thread references.
@@ -71,23 +74,9 @@ pub struct EpochWindow {
     pub main: [u64; 4],
     /// Helper-thread hit classes `[l1, total_hit, partial, miss]`.
     pub helper: [u64; 4],
-    /// Prefetches issued, by class (see [`crate::events::PfClass`]).
-    pub issued: [u64; 5],
-    /// Speculative L2 fills, by class.
-    pub filled: [u64; 5],
-    /// First main-thread uses, by class.
-    pub first_uses: [u64; 5],
-    /// Never-used prefetches evicted, by class.
-    pub evicted_unused: [u64; 5],
-    /// The paper's displacement cases `[reuse, unused_helper,
-    /// unused_hw]`.
-    pub pollution: [u64; 3],
-    /// First uses whose fill was still in flight.
-    pub late: u64,
-    /// First uses within the early threshold of their fill.
-    pub on_time: u64,
-    /// First uses past the early threshold (eviction-risk residency).
-    pub early: u64,
+    /// The window's prefetch lifecycle, displacement cases and
+    /// timeliness split.
+    pub counts: LifecycleCounts,
     /// L2 fills by origin `[demand, helper, hw]`.
     pub l2_fills: [u64; 3],
     /// Peak per-core MSHR occupancy observed at access completion.
@@ -119,20 +108,6 @@ impl EpochWindow {
         }
     }
 
-    /// Total displacement events across the three cases.
-    pub fn total_pollution(&self) -> u64 {
-        self.pollution.iter().sum()
-    }
-
-    /// Timeliness bucket accessor by enum, for report loops.
-    pub fn timeliness(&self, t: Timeliness) -> u64 {
-        match t {
-            Timeliness::Late => self.late,
-            Timeliness::OnTime => self.on_time,
-            Timeliness::Early => self.early,
-        }
-    }
-
     /// Mean MSHR occupancy at completion (0.0 when empty).
     pub fn mshr_mean(&self) -> f64 {
         let t = self.ticks();
@@ -152,19 +127,10 @@ impl EpochWindow {
             self.main[i] += other.main[i];
             self.helper[i] += other.helper[i];
         }
-        for i in 0..5 {
-            self.issued[i] += other.issued[i];
-            self.filled[i] += other.filled[i];
-            self.first_uses[i] += other.first_uses[i];
-            self.evicted_unused[i] += other.evicted_unused[i];
-        }
+        self.counts += other.counts;
         for i in 0..3 {
-            self.pollution[i] += other.pollution[i];
             self.l2_fills[i] += other.l2_fills[i];
         }
-        self.late += other.late;
-        self.on_time += other.on_time;
-        self.early += other.early;
         self.mshr_peak = self.mshr_peak.max(other.mshr_peak);
         self.mshr_sum += other.mshr_sum;
     }
@@ -195,14 +161,14 @@ impl EpochWindow {
             self.helper_refs,
             arr(&self.main),
             arr(&self.helper),
-            arr(&self.issued),
-            arr(&self.filled),
-            arr(&self.first_uses),
-            arr(&self.evicted_unused),
-            arr(&self.pollution),
-            self.late,
-            self.on_time,
-            self.early,
+            arr(&self.counts.issued),
+            arr(&self.counts.filled),
+            arr(&self.counts.first_uses),
+            arr(&self.counts.evicted_unused),
+            arr(&self.counts.pollution),
+            self.counts.late,
+            self.counts.on_time,
+            self.counts.early,
             arr(&self.l2_fills),
             self.mshr_peak,
             self.mshr_sum,
@@ -248,16 +214,10 @@ impl EpochSeries {
         t
     }
 
-    /// The aggregate [`PollutionStats`] this series folds to (same
-    /// contract as [`crate::events::EventSummary::pollution_stats`]).
+    /// The aggregate [`PollutionStats`] this series folds to (see
+    /// [`LifecycleCounts::pollution_stats`]).
     pub fn pollution_stats(&self) -> PollutionStats {
-        let t = self.totals();
-        PollutionStats {
-            reuse_evictions: t.pollution[0],
-            unused_helper_evictions: t.pollution[1],
-            unused_hw_evictions: t.pollution[2],
-            dead_prefetches: t.evicted_unused.iter().sum(),
-        }
+        self.totals().counts.pollution_stats()
     }
 
     /// Encode the series as NDJSON, one window per line (trailing
@@ -370,48 +330,18 @@ impl EventSink for EpochSink {
     const DEMAND_TICKS: bool = true;
 
     fn emit(&mut self, ev: Event) {
-        match ev {
-            Event::PrefetchIssued { class, .. } => self.cur.issued[class.index()] += 1,
-            Event::PrefetchFilled {
-                class,
-                block,
-                set,
-                at,
-            } => {
-                self.cur.filled[class.index()] += 1;
-                self.pending.fill(set, block, at);
+        let (l2_fills, cur_sets) = (&mut self.cur.l2_fills, &mut self.cur_sets);
+        let tally = |origin: FillOrigin, set: u32| {
+            l2_fills[origin.index()] += 1;
+            let set = set as usize;
+            if set >= cur_sets.len() {
+                cur_sets.resize(set + 1, 0);
             }
-            Event::PrefetchFirstUse {
-                class,
-                block,
-                set,
-                at,
-            } => {
-                self.cur.first_uses[class.index()] += 1;
-                match self.pending.first_use(set, block, at, self.early_threshold) {
-                    Timeliness::Late => self.cur.late += 1,
-                    Timeliness::OnTime => self.cur.on_time += 1,
-                    Timeliness::Early => self.cur.early += 1,
-                }
-            }
-            Event::PrefetchEvictedUnused {
-                class, block, set, ..
-            } => {
-                self.cur.evicted_unused[class.index()] += 1;
-                self.pending.take(set, block);
-            }
-            Event::PollutionEviction { case, .. } => {
-                self.cur.pollution[case.index()] += 1;
-            }
-            Event::L2Fill { origin, set, .. } => {
-                self.cur.l2_fills[origin.index()] += 1;
-                let set = set as usize;
-                if set >= self.cur_sets.len() {
-                    self.cur_sets.resize(set + 1, 0);
-                }
-                self.cur_sets[set] += 1;
-            }
-        }
+            cur_sets[set] += 1;
+        };
+        self.cur
+            .counts
+            .fold(&ev, &mut self.pending, self.early_threshold, tally);
     }
 
     fn demand_tick(&mut self, entity: Entity, class: HitClass, _set: u32, mshr: usize, _at: Cycle) {
@@ -507,10 +437,13 @@ mod tests {
             at: 60,
         });
         let series = s.finish();
-        assert_eq!(series.epochs[0].on_time, 0, "fill alone is not a use");
-        assert_eq!(series.epochs[1].on_time, 1, "classified where used");
-        assert_eq!(series.epochs[1].late, 1);
-        let t = series.totals();
+        assert_eq!(
+            series.epochs[0].counts.on_time, 0,
+            "fill alone is not a use"
+        );
+        assert_eq!(series.epochs[1].counts.on_time, 1, "classified where used");
+        assert_eq!(series.epochs[1].counts.late, 1);
+        let t = series.totals().counts;
         assert_eq!((t.late, t.on_time, t.early), (1, 1, 0));
     }
 

@@ -33,16 +33,22 @@
 //! stream reproduces its aggregate pollution statistics *exactly*
 //! (asserted by `tests/events_differential.rs`).
 //!
+//! [`LifecycleCounts`] declares the whole taxonomy once, with its one
+//! fold: [`EventSummary`] runs it over a whole run, the epoch recorder
+//! per window.
+//!
 //! [`Event::L2Fill`] carries the per-set pressure signal: which origin
 //! (demand / helper prefetch / hardware prefetch) filled which set, and
 //! whose line it displaced — enough to reconstruct occupancy-by-origin
 //! and distinct-fill churn per set, making Set Affinity observable at
-//! runtime instead of only profiled.
+//! runtime instead of only profiled. [`RingSink`] tallies it per set.
 
 use crate::clock::{Cycle, LatencyConfig};
-use crate::stats::{Entity, HitClass, PollutionStats};
+use crate::stats::{Entity, HitClass, MemStats, PollutionStats};
 use sp_trace::VAddr;
 use std::collections::{BTreeMap, VecDeque};
+use std::fmt::Debug;
+use std::ops::AddAssign;
 
 /// Software/hardware prefetch class, indexing the same
 /// `[helper, stream, dpl, pchase, perceptron]` arrays as
@@ -198,8 +204,8 @@ impl PollutionCase {
 }
 
 /// One observability event. Events are raw observations — timeliness
-/// and per-set pressure are *derived* by [`EventSummary::absorb`], so
-/// the stream itself stays cheap to emit and encode.
+/// is *derived* by the [`LifecycleCounts`] fold and per-set pressure by
+/// [`RingSink`], so the stream itself stays cheap to emit and encode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Event {
     /// A prefetch was issued (whether or not it leads to a fill; dropped
@@ -426,8 +432,8 @@ impl EventSink for SummarySink {
 }
 
 /// Ring-buffer sink: stores the most recent `capacity` events (or every
-/// event when unbounded) plus the running summary. `spt events` uses
-/// the unbounded form to export NDJSON.
+/// event when unbounded) plus the running summary and per-set pressure.
+/// `spt events` uses the unbounded form to export NDJSON.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RingSink {
     events: VecDeque<Event>,
@@ -435,6 +441,9 @@ pub struct RingSink {
     dropped: u64,
     /// The running fold over *all* events, including dropped ones.
     pub summary: EventSummary,
+    /// Per-set pressure over all events, keyed by L2 set index (only
+    /// touched sets).
+    pub per_set: BTreeMap<u32, SetPressure>,
 }
 
 impl RingSink {
@@ -445,6 +454,7 @@ impl RingSink {
             capacity,
             dropped: 0,
             summary: EventSummary::new(early_threshold),
+            per_set: BTreeMap::new(),
         }
     }
 
@@ -478,6 +488,34 @@ impl RingSink {
         }
         out
     }
+
+    /// Pollution by set quartile: touched sets ranked by fill pressure
+    /// (hottest first, ties broken by set index for determinism) and
+    /// split into four contiguous groups. Overflowed sets — the ones
+    /// whose Set Affinity bounds the prefetch distance — land in Q1,
+    /// so distances past `SA/2` show their pollution concentrating
+    /// there.
+    pub fn pollution_by_quartile(&self) -> [QuartileRow; 4] {
+        let mut sets: Vec<(&u32, &SetPressure)> = self.per_set.iter().collect();
+        // BTreeMap iteration is set-ascending, and the sort is stable,
+        // so equal-pressure sets stay in index order.
+        sets.sort_by_key(|(_, p)| std::cmp::Reverse(p.total_fills()));
+        let mut rows = [QuartileRow::default(); 4];
+        if sets.is_empty() {
+            return rows;
+        }
+        let chunk = sets.len().div_ceil(4);
+        for (i, (_, p)) in sets.iter().enumerate() {
+            let row = &mut rows[(i / chunk).min(3)];
+            row.sets += 1;
+            row.fills += p.total_fills();
+            for c in 0..3 {
+                row.pollution[c] += p.pollution[c];
+            }
+            row.evicted_unused += p.evicted_unused;
+        }
+        rows
+    }
 }
 
 impl EventSink for RingSink {
@@ -485,6 +523,28 @@ impl EventSink for RingSink {
 
     fn emit(&mut self, ev: Event) {
         self.summary.absorb(&ev);
+        match ev {
+            Event::PrefetchEvictedUnused { set, .. } => {
+                self.per_set.entry(set).or_default().evicted_unused += 1;
+            }
+            Event::PollutionEviction { case, set, .. } => {
+                self.per_set.entry(set).or_default().pollution[case.index()] += 1;
+            }
+            Event::L2Fill {
+                origin,
+                victim,
+                set,
+                ..
+            } => {
+                let p = self.per_set.entry(set).or_default();
+                p.fills[origin.index()] += 1;
+                p.occupancy[origin.index()] += 1;
+                if let Some(v) = victim {
+                    p.occupancy[v.index()] -= 1;
+                }
+            }
+            _ => {}
+        }
         if self.capacity > 0 && self.events.len() == self.capacity {
             self.events.pop_front();
             self.dropped += 1;
@@ -517,15 +577,6 @@ impl SetPressure {
     /// Total pollution events in the set (all cases).
     pub fn total_pollution(&self) -> u64 {
         self.pollution.iter().sum()
-    }
-
-    fn merge(&mut self, other: &SetPressure) {
-        for i in 0..3 {
-            self.fills[i] += other.fills[i];
-            self.occupancy[i] += other.occupancy[i];
-            self.pollution[i] += other.pollution[i];
-        }
-        self.evicted_unused += other.evicted_unused;
     }
 }
 
@@ -563,8 +614,8 @@ pub fn default_early_threshold(lat: &LatencyConfig) -> Cycle {
 }
 
 /// Speculatively filled blocks awaiting their first use, with their
-/// fill times: the one timeliness fold both [`EventSummary`] and the
-/// epoch recorder run.
+/// fill times: the timeliness state the [`LifecycleCounts`] fold
+/// resolves first uses against.
 ///
 /// Entries are bucketed by L2 set, so a lookup scans one set's live
 /// prefetches instead of hashing the block address. In the
@@ -654,14 +705,12 @@ impl PartialEq for PendingFills {
     }
 }
 
-/// The deterministic fold over an event stream: lifecycle counts and
-/// accuracy per class, the timeliness histogram, pollution by case, and
-/// per-set pressure. Equal streams fold to equal summaries
-/// (`PartialEq`), which is what the `--jobs` determinism test pins.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EventSummary {
-    /// First-use deltas above this are classified [`Timeliness::Early`].
-    pub early_threshold: Cycle,
+/// The prefetch-lifecycle ledger: per-class lifecycle counts, the
+/// paper's three displacement cases and the timeliness split of first
+/// uses. One block, folded by [`EventSummary`] over a whole run and by
+/// the epoch recorder per window, and summed by sp-serve's totals.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LifecycleCounts {
     /// Prefetches issued, by class.
     pub issued: [u64; 5],
     /// Speculative L2 fills, by class.
@@ -678,33 +727,21 @@ pub struct EventSummary {
     pub on_time: u64,
     /// Useful prefetches that idled past the early threshold.
     pub early: u64,
-    /// Per-set pressure, keyed by L2 set index (only touched sets).
-    pub per_set: BTreeMap<u32, SetPressure>,
-    /// Blocks filled speculatively and neither used nor evicted yet.
-    pending: PendingFills,
 }
 
-impl EventSummary {
-    /// An empty summary classifying first-use deltas against
-    /// `early_threshold` (see [`default_early_threshold`]).
-    pub fn new(early_threshold: Cycle) -> EventSummary {
-        EventSummary {
-            early_threshold,
-            issued: [0; 5],
-            filled: [0; 5],
-            first_uses: [0; 5],
-            evicted_unused: [0; 5],
-            pollution: [0; 3],
-            late: 0,
-            on_time: 0,
-            early: 0,
-            per_set: BTreeMap::new(),
-            pending: PendingFills::default(),
-        }
-    }
-
-    /// Fold one event in.
-    pub fn absorb(&mut self, ev: &Event) {
+impl LifecycleCounts {
+    /// Fold one event in, resolving timeliness against `pending` and
+    /// `early_threshold`. [`Event::L2Fill`] counts nothing here: its
+    /// origin and set go to `on_l2_fill`, for the sinks that tally
+    /// them, from inside the one dispatch on the event.
+    #[inline]
+    pub(crate) fn fold(
+        &mut self,
+        ev: &Event,
+        pending: &mut PendingFills,
+        early_threshold: Cycle,
+        on_l2_fill: impl FnOnce(FillOrigin, u32),
+    ) {
         match *ev {
             Event::PrefetchIssued { class, .. } => self.issued[class.index()] += 1,
             Event::PrefetchFilled {
@@ -714,7 +751,7 @@ impl EventSummary {
                 at,
             } => {
                 self.filled[class.index()] += 1;
-                self.pending.fill(set, block, at);
+                pending.fill(set, block, at);
             }
             Event::PrefetchFirstUse {
                 class,
@@ -723,7 +760,7 @@ impl EventSummary {
                 at,
             } => {
                 self.first_uses[class.index()] += 1;
-                match self.pending.first_use(set, block, at, self.early_threshold) {
+                match pending.first_use(set, block, at, early_threshold) {
                     Timeliness::Late => self.late += 1,
                     Timeliness::OnTime => self.on_time += 1,
                     Timeliness::Early => self.early += 1,
@@ -733,53 +770,16 @@ impl EventSummary {
                 class, block, set, ..
             } => {
                 self.evicted_unused[class.index()] += 1;
-                self.pending.take(set, block);
-                self.per_set.entry(set).or_default().evicted_unused += 1;
+                pending.take(set, block);
             }
-            Event::PollutionEviction { case, set, .. } => {
-                self.pollution[case.index()] += 1;
-                self.per_set.entry(set).or_default().pollution[case.index()] += 1;
-            }
-            Event::L2Fill {
-                origin,
-                victim,
-                set,
-                ..
-            } => {
-                let p = self.per_set.entry(set).or_default();
-                p.fills[origin.index()] += 1;
-                p.occupancy[origin.index()] += 1;
-                if let Some(v) = victim {
-                    p.occupancy[v.index()] -= 1;
-                }
-            }
+            Event::PollutionEviction { case, .. } => self.pollution[case.index()] += 1,
+            Event::L2Fill { origin, set, .. } => on_l2_fill(origin, set),
         }
     }
 
-    /// Fold another (finished) run's summary into this one. Pending
-    /// fills are not carried over — they belong to the other run's
-    /// block-address space.
-    pub fn merge(&mut self, other: &EventSummary) {
-        for i in 0..PfClass::ALL.len() {
-            self.issued[i] += other.issued[i];
-            self.filled[i] += other.filled[i];
-            self.first_uses[i] += other.first_uses[i];
-            self.evicted_unused[i] += other.evicted_unused[i];
-        }
-        for i in 0..PollutionCase::ALL.len() {
-            self.pollution[i] += other.pollution[i];
-        }
-        self.late += other.late;
-        self.on_time += other.on_time;
-        self.early += other.early;
-        for (set, p) in &other.per_set {
-            self.per_set.entry(*set).or_default().merge(p);
-        }
-    }
-
-    /// The aggregate [`PollutionStats`] this event stream folds to.
-    /// Must equal the simulator's own counters exactly — events are a
-    /// refinement of the aggregates, not a second truth.
+    /// The aggregate [`PollutionStats`] these counts fold to. Must equal
+    /// the simulator's own counters exactly — events are a refinement
+    /// of the aggregates, not a second truth.
     pub fn pollution_stats(&self) -> PollutionStats {
         PollutionStats {
             reuse_evictions: self.pollution[PollutionCase::Reuse.index()],
@@ -787,6 +787,45 @@ impl EventSummary {
             unused_hw_evictions: self.pollution[PollutionCase::UnusedHw.index()],
             dead_prefetches: self.evicted_unused.iter().sum(),
         }
+    }
+
+    /// The first counter of `stats` these counts fail to refine, with
+    /// the folded and the counted value, or `None` when they match:
+    /// `issued` against `prefetches_issued`, `first_uses` against
+    /// `prefetches_useful`, and the three cases and the dead-prefetch
+    /// count against `pollution`.
+    pub fn first_mismatch(&self, stats: &MemStats) -> Option<(&'static str, String, String)> {
+        fn check<T: PartialEq + Debug>(
+            field: &'static str,
+            folded: T,
+            counted: T,
+        ) -> Option<(&'static str, String, String)> {
+            (folded != counted).then(|| (field, format!("{folded:?}"), format!("{counted:?}")))
+        }
+        let (f, c) = (self.pollution_stats(), stats.pollution);
+        check("issued", self.issued, stats.prefetches_issued)
+            .or_else(|| check("first_uses", self.first_uses, stats.prefetches_useful))
+            .or_else(|| check("reuse_evictions", f.reuse_evictions, c.reuse_evictions))
+            .or_else(|| {
+                check(
+                    "unused_helper_evictions",
+                    f.unused_helper_evictions,
+                    c.unused_helper_evictions,
+                )
+            })
+            .or_else(|| {
+                check(
+                    "unused_hw_evictions",
+                    f.unused_hw_evictions,
+                    c.unused_hw_evictions,
+                )
+            })
+            .or_else(|| check("dead_prefetches", f.dead_prefetches, c.dead_prefetches))
+    }
+
+    /// Total pollution events across the three cases.
+    pub fn total_pollution(&self) -> u64 {
+        self.pollution.iter().sum()
     }
 
     /// Useful-prefetch ratio for a class (0.0 when none issued), same
@@ -799,44 +838,61 @@ impl EventSummary {
             self.first_uses[i] as f64 / self.issued[i] as f64
         }
     }
+}
+
+/// Element-wise sum (series totals).
+impl AddAssign for LifecycleCounts {
+    fn add_assign(&mut self, other: LifecycleCounts) {
+        for i in 0..PfClass::ALL.len() {
+            self.issued[i] += other.issued[i];
+            self.filled[i] += other.filled[i];
+            self.first_uses[i] += other.first_uses[i];
+            self.evicted_unused[i] += other.evicted_unused[i];
+        }
+        for i in 0..PollutionCase::ALL.len() {
+            self.pollution[i] += other.pollution[i];
+        }
+        self.late += other.late;
+        self.on_time += other.on_time;
+        self.early += other.early;
+    }
+}
+
+/// The deterministic fold over a run's event stream: its
+/// [`LifecycleCounts`] plus the fills still awaiting first use. Equal
+/// streams fold to equal summaries (`PartialEq`), which is what the
+/// `--jobs` determinism test pins.
+#[derive(Debug, Clone, PartialEq)]
+pub struct EventSummary {
+    /// First-use deltas above this are classified [`Timeliness::Early`].
+    pub early_threshold: Cycle,
+    /// The run's lifecycle counts.
+    pub counts: LifecycleCounts,
+    /// Blocks filled speculatively and neither used nor evicted yet.
+    pending: PendingFills,
+}
+
+impl EventSummary {
+    /// An empty summary classifying first-use deltas against
+    /// `early_threshold` (see [`default_early_threshold`]).
+    pub fn new(early_threshold: Cycle) -> EventSummary {
+        EventSummary {
+            early_threshold,
+            counts: LifecycleCounts::default(),
+            pending: PendingFills::default(),
+        }
+    }
+
+    /// Fold one event in.
+    pub fn absorb(&mut self, ev: &Event) {
+        self.counts
+            .fold(ev, &mut self.pending, self.early_threshold, |_, _| {});
+    }
 
     /// Prefetched blocks still resident and unused at end of run
     /// (filled, never demanded, never evicted).
     pub fn unresolved(&self) -> usize {
         self.pending.len()
-    }
-
-    /// Total pollution events across the three cases.
-    pub fn total_pollution(&self) -> u64 {
-        self.pollution.iter().sum()
-    }
-
-    /// Pollution by set quartile: touched sets ranked by fill pressure
-    /// (hottest first, ties broken by set index for determinism) and
-    /// split into four contiguous groups. Overflowed sets — the ones
-    /// whose Set Affinity bounds the prefetch distance — land in Q1,
-    /// so distances past `SA/2` show their pollution concentrating
-    /// there.
-    pub fn pollution_by_quartile(&self) -> [QuartileRow; 4] {
-        let mut sets: Vec<(&u32, &SetPressure)> = self.per_set.iter().collect();
-        // BTreeMap iteration is set-ascending, and the sort is stable,
-        // so equal-pressure sets stay in index order.
-        sets.sort_by_key(|(_, p)| std::cmp::Reverse(p.total_fills()));
-        let mut rows = [QuartileRow::default(); 4];
-        if sets.is_empty() {
-            return rows;
-        }
-        let chunk = sets.len().div_ceil(4);
-        for (i, (_, p)) in sets.iter().enumerate() {
-            let row = &mut rows[(i / chunk).min(3)];
-            row.sets += 1;
-            row.fills += p.total_fills();
-            for c in 0..3 {
-                row.pollution[c] += p.pollution[c];
-            }
-            row.evicted_unused += p.evicted_unused;
-        }
-        rows
     }
 }
 
@@ -889,13 +945,14 @@ mod tests {
             set: 3,
             at: 60,
         });
-        assert_eq!(s.issued, [1, 0, 0, 0, 0]);
-        assert_eq!(s.filled, [1, 1, 0, 0, 0]);
-        assert_eq!(s.first_uses, [2, 1, 0, 0, 0]);
-        assert_eq!((s.late, s.on_time, s.early), (1, 1, 1));
+        let c = &s.counts;
+        assert_eq!(c.issued, [1, 0, 0, 0, 0]);
+        assert_eq!(c.filled, [1, 1, 0, 0, 0]);
+        assert_eq!(c.first_uses, [2, 1, 0, 0, 0]);
+        assert_eq!((c.late, c.on_time, c.early), (1, 1, 1));
         assert_eq!(s.unresolved(), 0);
-        assert!((s.accuracy(PfClass::Helper) - 2.0).abs() < 1e-12);
-        assert_eq!(s.accuracy(PfClass::Dpl), 0.0);
+        assert!((c.accuracy(PfClass::Helper) - 2.0).abs() < 1e-12);
+        assert_eq!(c.accuracy(PfClass::Dpl), 0.0);
     }
 
     #[test]
@@ -947,30 +1004,76 @@ mod tests {
             set: 0,
             at: 2,
         });
-        let p = s.pollution_stats();
+        let p = s.counts.pollution_stats();
         assert_eq!(p.reuse_evictions, 1);
         assert_eq!(p.unused_helper_evictions, 1);
         assert_eq!(p.unused_hw_evictions, 0);
         assert_eq!(p.dead_prefetches, 1);
-        assert_eq!(s.total_pollution(), 2);
+        assert_eq!(s.counts.total_pollution(), 2);
+    }
+
+    #[test]
+    fn first_mismatch_names_each_drifted_counter() {
+        let stats = MemStats {
+            prefetches_issued: [5, 4, 3, 2, 1],
+            prefetches_useful: [3, 2, 1, 1, 0],
+            pollution: PollutionStats {
+                reuse_evictions: 7,
+                unused_helper_evictions: 6,
+                unused_hw_evictions: 5,
+                dead_prefetches: 4,
+            },
+            ..MemStats::default()
+        };
+        let counts = LifecycleCounts {
+            issued: stats.prefetches_issued,
+            first_uses: stats.prefetches_useful,
+            evicted_unused: [1, 1, 2, 0, 0],
+            pollution: [7, 6, 5],
+            ..LifecycleCounts::default()
+        };
+        assert_eq!(counts.first_mismatch(&stats), None);
+        type Drift = fn(&mut LifecycleCounts);
+        let drifts: [(&str, Drift); 6] = [
+            ("issued", |c| c.issued[4] += 1),
+            ("first_uses", |c| c.first_uses[3] -= 1),
+            ("reuse_evictions", |c| c.pollution[0] += 1),
+            ("unused_helper_evictions", |c| c.pollution[1] -= 1),
+            ("unused_hw_evictions", |c| c.pollution[2] += 1),
+            ("dead_prefetches", |c| c.evicted_unused[4] += 1),
+        ];
+        for (field, drift) in drifts {
+            let mut c = counts;
+            drift(&mut c);
+            assert_eq!(c.first_mismatch(&stats).map(|m| m.0), Some(field), "{c:?}");
+        }
+        let mut c = counts;
+        c.issued[4] += 1;
+        let drifted = ("issued", "[5, 4, 3, 2, 2]".into(), "[5, 4, 3, 2, 1]".into());
+        assert_eq!(c.first_mismatch(&stats), Some(drifted));
+        // Fills and timeliness have no run counter to refine.
+        let mut c = counts;
+        c.filled[0] += 1;
+        c.late += 1;
+        assert_eq!(c.first_mismatch(&stats), None);
     }
 
     #[test]
     fn per_set_pressure_tracks_fills_and_occupancy() {
-        let mut s = summary();
-        s.absorb(&Event::L2Fill {
+        let mut r = RingSink::new(0, 100);
+        r.emit(Event::L2Fill {
             origin: FillOrigin::Helper,
             victim: None,
             set: 5,
             at: 1,
         });
-        s.absorb(&Event::L2Fill {
+        r.emit(Event::L2Fill {
             origin: FillOrigin::Demand,
             victim: Some(FillOrigin::Helper),
             set: 5,
             at: 2,
         });
-        let p = s.per_set.get(&5).unwrap();
+        let p = r.per_set.get(&5).unwrap();
         assert_eq!(p.fills, [1, 1, 0]);
         assert_eq!(p.occupancy, [1, 0, 0], "helper line displaced");
         assert_eq!(p.total_fills(), 2);
@@ -978,33 +1081,33 @@ mod tests {
 
     #[test]
     fn quartiles_rank_sets_by_fill_pressure() {
-        let mut s = summary();
+        let mut r = RingSink::new(0, 100);
         // Sets 0..8 with descending pressure: set k gets 8-k fills.
         for set in 0u32..8 {
             for _ in 0..(8 - set) {
-                s.absorb(&Event::L2Fill {
+                r.emit(Event::L2Fill {
                     origin: FillOrigin::Demand,
                     victim: None,
                     set,
                     at: 0,
                 });
             }
-            s.absorb(&Event::PollutionEviction {
+            r.emit(Event::PollutionEviction {
                 case: PollutionCase::Reuse,
                 block: 0,
                 set,
                 at: 0,
             });
         }
-        let q = s.pollution_by_quartile();
+        let q = r.pollution_by_quartile();
         assert_eq!(q.iter().map(|r| r.sets).sum::<usize>(), 8);
         assert_eq!(q[0].sets, 2);
         assert_eq!(q[0].fills, 8 + 7, "hottest two sets first");
         assert_eq!(q[3].fills, 2 + 1);
         assert_eq!(q.iter().map(|r| r.pollution[0]).sum::<u64>(), 8);
-        // Empty summary: all zero rows.
+        // No events: all zero rows.
         assert_eq!(
-            summary().pollution_by_quartile(),
+            RingSink::new(0, 100).pollution_by_quartile(),
             [QuartileRow::default(); 4]
         );
     }
@@ -1022,7 +1125,7 @@ mod tests {
         assert_eq!(r.len(), 2);
         assert_eq!(r.dropped(), 3);
         assert_eq!(
-            r.summary.issued[0], 5,
+            r.summary.counts.issued[0], 5,
             "summary folds every event, dropped or not"
         );
         let blocks: Vec<VAddr> = r
@@ -1092,31 +1195,6 @@ mod tests {
         }
         assert!(evs[5].ndjson().contains("\"victim\":\"demand\""));
         assert!(evs[6].ndjson().contains("\"victim\":null"));
-    }
-
-    #[test]
-    fn merge_sums_counters_and_per_set_rows() {
-        let mut a = summary();
-        let mut b = summary();
-        a.absorb(&Event::PrefetchIssued {
-            class: PfClass::Helper,
-            block: 0,
-            at: 0,
-        });
-        b.absorb(&Event::PrefetchIssued {
-            class: PfClass::Helper,
-            block: 0,
-            at: 0,
-        });
-        b.absorb(&Event::L2Fill {
-            origin: FillOrigin::Hw,
-            victim: None,
-            set: 9,
-            at: 0,
-        });
-        a.merge(&b);
-        assert_eq!(a.issued[0], 2);
-        assert_eq!(a.per_set.get(&9).unwrap().fills[2], 1);
     }
 
     #[test]

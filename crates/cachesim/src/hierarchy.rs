@@ -1078,23 +1078,25 @@ mod tests {
         let baseline = eventful_run(&mut MemorySystem::new(cfg), &mut crate::events::NullSink);
         assert_eq!(observed, baseline, "attaching a sink must not change stats");
 
-        let s = &sink.summary;
+        let s = &sink.summary.counts;
         assert_eq!(s.pollution_stats(), observed.pollution);
         assert_eq!(s.issued, observed.prefetches_issued);
         assert_eq!(s.first_uses, observed.prefetches_useful);
-        let fills: u64 = s
+        let fills: u64 = sink
             .per_set
             .values()
             .map(crate::events::SetPressure::total_fills)
             .sum();
         assert_eq!(fills, observed.l2_fills);
 
-        // Replaying the buffered stream reproduces the running fold.
-        let mut refold = crate::events::EventSummary::new(1600);
+        // Replaying the buffered stream reproduces the running fold and
+        // the per-set tally.
+        let mut refold = crate::events::RingSink::new(0, 1600);
         for ev in sink.events() {
-            refold.absorb(ev);
+            refold.emit(*ev);
         }
-        assert_eq!(&refold, s);
+        assert_eq!(refold.summary, sink.summary);
+        assert_eq!(refold.per_set, sink.per_set);
         assert!(s.issued[0] > 0 && fills > 0, "workload must be eventful");
     }
 

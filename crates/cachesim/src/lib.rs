@@ -50,8 +50,8 @@ pub use clock::{Cycle, LatencyConfig};
 pub use config::{CacheConfig, ConfigError, HwBackend, Inclusion};
 pub use epoch::{EpochSeries, EpochSink, EpochWindow, DEFAULT_EPOCH_LEN};
 pub use events::{
-    default_early_threshold, Event, EventSink, EventSummary, FillOrigin, NullSink, PfClass,
-    PollutionCase, QuartileRow, RingSink, SetPressure, SummarySink, Timeliness,
+    default_early_threshold, Event, EventSink, EventSummary, FillOrigin, LifecycleCounts, NullSink,
+    PfClass, PollutionCase, QuartileRow, RingSink, SetPressure, SummarySink, Timeliness,
 };
 pub use geometry::{CacheGeometry, MAX_CACHE_BYTES, MAX_WAYS};
 pub use hierarchy::{sim_build_count, AccessResult, Entity, HitClass, MemorySystem};

@@ -101,27 +101,27 @@ impl RefEpochs {
 
     fn emit(&mut self, ev: Event) {
         match ev {
-            Event::PrefetchIssued { class, .. } => self.cur.issued[class.index()] += 1,
+            Event::PrefetchIssued { class, .. } => self.cur.counts.issued[class.index()] += 1,
             Event::PrefetchFilled {
                 class, block, at, ..
             } => {
-                self.cur.filled[class.index()] += 1;
+                self.cur.counts.filled[class.index()] += 1;
                 self.pending.fill(block, at);
             }
             Event::PrefetchFirstUse {
                 class, block, at, ..
             } => {
-                self.cur.first_uses[class.index()] += 1;
+                self.cur.counts.first_uses[class.index()] += 1;
                 let (l, o, e) = self.pending.first_use(block, at, self.early_threshold);
-                self.cur.late += l;
-                self.cur.on_time += o;
-                self.cur.early += e;
+                self.cur.counts.late += l;
+                self.cur.counts.on_time += o;
+                self.cur.counts.early += e;
             }
             Event::PrefetchEvictedUnused { class, block, .. } => {
-                self.cur.evicted_unused[class.index()] += 1;
+                self.cur.counts.evicted_unused[class.index()] += 1;
                 self.pending.evict(block);
             }
-            Event::PollutionEviction { case, .. } => self.cur.pollution[case.index()] += 1,
+            Event::PollutionEviction { case, .. } => self.cur.counts.pollution[case.index()] += 1,
             Event::L2Fill { origin, set, .. } => {
                 self.cur.l2_fills[origin.index()] += 1;
                 *self.cur_sets.entry(set).or_insert(0) += 1;
@@ -391,7 +391,7 @@ fn epoch_sink_matches_the_reference_fold() {
         let got = sink.finish();
         let want = reference.finish();
         assert_eq!(got, want, "epoch series diverged ({} steps)", steps.len());
-        totals.add(&cov, want.totals().early);
+        totals.add(&cov, want.totals().counts.early);
     });
     totals.assert_all_exercised();
 }
@@ -420,10 +420,17 @@ fn event_summary_timeliness_matches_the_reference_fold() {
             assert_eq!(summary.unresolved(), reference.pending.len());
         }
         assert_eq!(
-            (summary.late, summary.on_time, summary.early),
+            (
+                summary.counts.late,
+                summary.counts.on_time,
+                summary.counts.early
+            ),
             (reference.late, reference.on_time, reference.early)
         );
-        assert_eq!(summary.late + summary.on_time + summary.early, resolved);
+        assert_eq!(
+            summary.counts.late + summary.counts.on_time + summary.counts.early,
+            resolved
+        );
         totals.add(&cov, reference.early);
     });
     totals.assert_all_exercised();

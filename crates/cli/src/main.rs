@@ -161,7 +161,8 @@ fn sweep(a: &Args) -> Result<(), String> {
     let (s, ev, rep) = if a.switch("events") {
         let threshold = sp_cachesim::default_early_threshold(&cfg.latency);
         let new_sink = move || sp_cachesim::SummarySink::new(threshold);
-        let (s, ev, rep) = sp_core::sweep(&ct, cfg, rp, &ds, opts, jobs, new_sink, |k| k.summary);
+        let finish = |k: sp_cachesim::SummarySink| k.summary.counts;
+        let (s, ev, rep) = sp_core::sweep(&ct, cfg, rp, &ds, opts, jobs, new_sink, finish);
         (s, Some(ev), rep)
     } else {
         let (s, _, rep) = sp_core::sweep(&ct, cfg, rp, &ds, opts, jobs, || NullSink, |_| ());
@@ -300,8 +301,7 @@ fn report(a: &Args) -> Result<(), String> {
         let t = series.totals();
         let m = &run.stats.main;
         if t.main != [m.l1_hits, m.total_hits, m.partial_hits, m.total_misses]
-            || t.issued != run.stats.prefetches_issued
-            || series.pollution_stats() != run.stats.pollution
+            || t.counts.first_mismatch(&run.stats).is_some()
         {
             return Err(
                 "epoch series totals do not fold to the run counters (recorder drift)".into(),
@@ -333,9 +333,9 @@ fn report(a: &Args) -> Result<(), String> {
             past_bound(p.distance, bound),
             p.distance,
             series.len(),
-            t.total_pollution(),
-            t.late,
-            t.early,
+            t.counts.total_pollution(),
+            t.counts.late,
+            t.counts.early,
         );
     }
     if let Some(nd) = a.get("ndjson") {
@@ -438,7 +438,7 @@ fn events(a: &Args) -> Result<(), String> {
         sink.dropped()
     );
 
-    let s = &sink.summary;
+    let s = &sink.summary.counts;
     println!(
         "\n{:<8} {:>9} {:>9} {:>10} {:>8} {:>9}",
         "class", "issued", "filled", "first_use", "dead", "accuracy"
@@ -460,7 +460,7 @@ fn events(a: &Args) -> Result<(), String> {
         s.late,
         s.on_time,
         s.early,
-        s.unresolved()
+        sink.summary.unresolved()
     );
     println!("\npollution evictions (paper's three displacement cases):");
     for case in PollutionCase::ALL {
@@ -476,7 +476,7 @@ fn events(a: &Args) -> Result<(), String> {
         "\n{:<10} {:>6} {:>10} {:>8} {:>8} {:>8} {:>8}",
         "quartile", "sets", "fills", "reuse", "un.help", "un.hw", "dead"
     );
-    for (q, row) in s.pollution_by_quartile().iter().enumerate() {
+    for (q, row) in sink.pollution_by_quartile().iter().enumerate() {
         println!(
             "{:<10} {:>6} {:>10} {:>8} {:>8} {:>8} {:>8}",
             match q {
@@ -494,15 +494,14 @@ fn events(a: &Args) -> Result<(), String> {
         );
     }
 
-    // Differential self-check: the fold of the emitted eviction events
-    // must equal the simulator's own pollution counters exactly. A
+    // Differential self-check: the fold of the emitted events must equal
+    // the simulator's own prefetch and pollution counters exactly. A
     // mismatch means the event layer lost or double-counted something,
     // so fail loudly (CI leans on this exit code).
-    let fold = s.pollution_stats();
-    if fold != run.stats.pollution {
+    if let Some((field, folded, counted)) = s.first_mismatch(&run.stats) {
         return Err(format!(
-            "event fold disagrees with simulator counters: folded {fold:?}, counted {:?}",
-            run.stats.pollution
+            "event fold disagrees with simulator counters on {field}: \
+             folded {folded}, counted {counted}"
         ));
     }
     println!("\nself-check: event fold matches the simulator's pollution counters");

@@ -214,23 +214,17 @@ impl<P: AdaptivePolicy> AdaptiveSchedule<P> {
 
 impl<P: AdaptivePolicy> HelperSchedule for AdaptiveSchedule<P> {
     fn step(&self, iter: usize) -> HelperStep {
-        // Same round structure as the static plan, but phased from the
-        // epoch start so a distance change restarts the rounds cleanly.
-        let round = self.cur.round_len() as usize;
-        let phase = iter.saturating_sub(self.epoch_start) % round;
-        if phase < self.cur.a_ski as usize {
-            HelperStep::Chase
-        } else {
-            HelperStep::Prefetch
-        }
+        // The static plan's rounds, phased from the epoch start so a
+        // distance change restarts the rounds cleanly.
+        self.cur.step(iter.saturating_sub(self.epoch_start))
     }
 
     fn window(&self) -> usize {
-        self.cur.round_len() as usize
+        self.cur.window()
     }
 
     fn jump_distance(&self) -> u32 {
-        self.cur.a_ski
+        self.cur.jump_distance()
     }
 
     fn on_main_iter(&mut self, main_iter: usize, mem: &MemorySystem, _clock: Cycle) {

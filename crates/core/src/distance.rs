@@ -262,7 +262,7 @@ pub fn controlled_distance(requested: u32, rec: &DistanceRecommendation) -> u32 
 mod tests {
     use super::*;
     use crate::engine::tests::cfg;
-    use sp_cachesim::{CacheGeometry, EventSummary, SummarySink};
+    use sp_cachesim::{CacheGeometry, LifecycleCounts, SummarySink};
     use sp_trace::synth;
 
     /// A plain sweep of `t`, compiled fresh.
@@ -373,11 +373,12 @@ mod tests {
         ct: &Arc<CompiledTrace>,
         c: CacheConfig,
         jobs: usize,
-    ) -> (Sweep, PerPoint<EventSummary>) {
+    ) -> (Sweep, PerPoint<LifecycleCounts>) {
         let threshold = default_early_threshold(&c.latency);
         let new_sink = move || SummarySink::new(threshold);
         let opts = EngineOptions::default();
-        let (s, events, _) = sweep(ct, c, 0.5, &[2, 8], opts, jobs, new_sink, |k| k.summary);
+        let finish = |k: SummarySink| k.summary.counts;
+        let (s, events, _) = sweep(ct, c, 0.5, &[2, 8], opts, jobs, new_sink, finish);
         (s, events)
     }
 
@@ -455,8 +456,8 @@ mod tests {
                 t.helper,
                 [h.l1_hits, h.total_hits, h.partial_hits, h.total_misses]
             );
-            assert_eq!(t.issued, run.stats.prefetches_issued);
-            assert_eq!(t.first_uses, run.stats.prefetches_useful);
+            assert_eq!(t.counts.issued, run.stats.prefetches_issued);
+            assert_eq!(t.counts.first_uses, run.stats.prefetches_useful);
             assert_eq!(series.pollution_stats(), run.stats.pollution);
         }
         // Epoch series are jobs-width deterministic like the sweep.

@@ -6,6 +6,7 @@
 //! cannot be advanced otherwise), then pre-executes `A_PRE` full
 //! iterations whose inner-loop loads become prefetches.
 
+use crate::engine::HelperSchedule;
 use crate::params::SpParams;
 use sp_trace::{HotLoopTrace, MemRef};
 
@@ -21,16 +22,7 @@ pub enum HelperStep {
 /// The helper's per-iteration schedule for a hot loop of `n_iters`
 /// outer iterations.
 pub fn plan(params: SpParams, n_iters: usize) -> Vec<HelperStep> {
-    let round = params.round_len() as usize;
-    (0..n_iters)
-        .map(|i| {
-            if (i % round) < params.a_ski as usize {
-                HelperStep::Chase
-            } else {
-                HelperStep::Prefetch
-            }
-        })
-        .collect()
+    (0..n_iters).map(|i| params.step(i)).collect()
 }
 
 /// The prefetch references the helper issues for one pre-executed

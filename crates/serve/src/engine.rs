@@ -14,7 +14,7 @@ use crate::lock;
 use crate::protocol::{scale_name, Command, SimSpec};
 use sp_bench::{kernel_row, Scale};
 use sp_cachesim::{
-    default_early_threshold, EpochSeries, EpochSink, EventSummary, NullSink, PfClass,
+    default_early_threshold, EpochSeries, EpochSink, LifecycleCounts, NullSink, PfClass,
     PollutionCase, SummarySink, DEFAULT_EPOCH_LEN,
 };
 use sp_core::{recommend_distance, sweep, PerPoint, Sweep};
@@ -38,47 +38,23 @@ type Memoized = (Arc<HotLoopTrace>, Arc<CompiledTrace>);
 pub struct EventTotals {
     /// Eventful runs folded in (baseline plus one per sweep point).
     pub runs: AtomicU64,
-    /// Prefetches issued, indexed by [`PfClass::index`].
-    pub issued: [AtomicU64; 5],
-    /// Prefetch L2 fills, by class.
-    pub filled: [AtomicU64; 5],
-    /// Prefetched blocks first used by the main thread, by class.
-    pub first_uses: [AtomicU64; 5],
-    /// Prefetched blocks evicted before any use, by class.
-    pub evicted_unused: [AtomicU64; 5],
-    /// Pollution evictions, indexed by [`PollutionCase::index`].
-    pub pollution: [AtomicU64; 3],
-    /// First uses whose fill had not completed when the demand arrived.
-    pub late: AtomicU64,
-    /// First uses within the early-threshold window of their fill.
-    pub on_time: AtomicU64,
-    /// First uses that idled in the cache past the early threshold.
-    pub early: AtomicU64,
+    /// Their summed lifecycle counts.
+    pub counts: Mutex<LifecycleCounts>,
 }
 
 impl EventTotals {
-    /// Fold one run's event summary into the totals.
-    pub fn record(&self, s: &EventSummary) {
+    /// Fold one run's lifecycle counts into the totals.
+    pub fn record(&self, c: &LifecycleCounts) {
         self.runs.fetch_add(1, Ordering::Relaxed);
-        for i in 0..PfClass::ALL.len() {
-            self.issued[i].fetch_add(s.issued[i], Ordering::Relaxed);
-            self.filled[i].fetch_add(s.filled[i], Ordering::Relaxed);
-            self.first_uses[i].fetch_add(s.first_uses[i], Ordering::Relaxed);
-            self.evicted_unused[i].fetch_add(s.evicted_unused[i], Ordering::Relaxed);
-        }
-        for i in 0..PollutionCase::ALL.len() {
-            self.pollution[i].fetch_add(s.pollution[i], Ordering::Relaxed);
-        }
-        self.late.fetch_add(s.late, Ordering::Relaxed);
-        self.on_time.fetch_add(s.on_time, Ordering::Relaxed);
-        self.early.fetch_add(s.early, Ordering::Relaxed);
+        *lock(&self.counts) += *c;
     }
 }
 
 /// Aggregate epoch-telemetry counters folded over every epoch-recorded
 /// run — the source behind the `sp_epoch_*` families of the Prometheus
-/// exposition. Epoch requests bypass the result cache, so every one of
-/// them records here.
+/// exposition, which render the displacement cases and the timeliness
+/// split. Epoch requests bypass the result cache, so every one of them
+/// records here.
 #[derive(Debug, Default)]
 pub struct EpochTotals {
     /// Epoch-recorded runs folded in (baseline plus one per point).
@@ -87,14 +63,8 @@ pub struct EpochTotals {
     pub windows: AtomicU64,
     /// Main-thread references covered by those windows.
     pub refs: AtomicU64,
-    /// Pollution evictions, indexed by [`PollutionCase::index`].
-    pub pollution: [AtomicU64; 3],
-    /// First uses whose fill had not completed when the demand arrived.
-    pub late: AtomicU64,
-    /// First uses within the early-threshold window of their fill.
-    pub on_time: AtomicU64,
-    /// First uses that idled in the cache past the early threshold.
-    pub early: AtomicU64,
+    /// The runs' summed lifecycle counts.
+    pub counts: Mutex<LifecycleCounts>,
 }
 
 impl EpochTotals {
@@ -104,12 +74,7 @@ impl EpochTotals {
         self.windows.fetch_add(s.len() as u64, Ordering::Relaxed);
         let t = s.totals();
         self.refs.fetch_add(t.refs, Ordering::Relaxed);
-        for i in 0..PollutionCase::ALL.len() {
-            self.pollution[i].fetch_add(t.pollution[i], Ordering::Relaxed);
-        }
-        self.late.fetch_add(t.late, Ordering::Relaxed);
-        self.on_time.fetch_add(t.on_time, Ordering::Relaxed);
-        self.early.fetch_add(t.early, Ordering::Relaxed);
+        *lock(&self.counts) += t.counts;
     }
 }
 
@@ -216,11 +181,9 @@ impl SimEngine {
         } else if spec.events {
             let new_sink = move || SummarySink::new(threshold);
             let (swept, events, _) = sweep(&compiled, cfg, rp, distances, opts, 1, new_sink, |k| {
-                k.summary
+                k.summary.counts
             });
-            events
-                .iter()
-                .for_each(|summary| self.events.record(summary));
+            events.iter().for_each(|counts| self.events.record(counts));
             (swept, Some(events), None)
         } else {
             let (swept, _, _) = sweep(&compiled, cfg, rp, distances, opts, 1, || NullSink, |_| ());
@@ -241,7 +204,7 @@ fn sweep_json(
     spec: &SimSpec,
     bound: Option<u32>,
     sweep: &Sweep,
-    events: Option<&PerPoint<EventSummary>>,
+    events: Option<&PerPoint<LifecycleCounts>>,
     epochs: Option<&PerPoint<EpochSeries>>,
 ) -> Json {
     let points = sweep
@@ -306,19 +269,19 @@ fn epoch_series_json(s: &EpochSeries) -> Json {
         .push("refs", col(&|w| w.refs))
         .push("misses", col(&|w| w.main[3]))
         .push("partial_hits", col(&|w| w.main[2]))
-        .push("issued", col(&|w| w.issued.iter().sum()))
-        .push("first_uses", col(&|w| w.first_uses.iter().sum()))
-        .push("pollution", col(&|w| w.total_pollution()))
-        .push("late", col(&|w| w.late))
-        .push("on_time", col(&|w| w.on_time))
-        .push("early", col(&|w| w.early))
+        .push("issued", col(&|w| w.counts.issued.iter().sum()))
+        .push("first_uses", col(&|w| w.counts.first_uses.iter().sum()))
+        .push("pollution", col(&|w| w.counts.total_pollution()))
+        .push("late", col(&|w| w.counts.late))
+        .push("on_time", col(&|w| w.counts.on_time))
+        .push("early", col(&|w| w.counts.early))
         .push("l2_fills", col(&|w| w.l2_fills.iter().sum()))
         .push("mshr_peak", col(&|w| w.mshr_peak))
 }
 
 /// Encode one run's event summary: lifecycle counts by prefetch class,
 /// pollution evictions by case, and the first-use timeliness split.
-fn event_summary_json(s: &EventSummary) -> Json {
+fn event_summary_json(s: &LifecycleCounts) -> Json {
     let by_class = |vals: &[u64; 5]| {
         let mut o = Json::obj();
         for c in PfClass::ALL {
@@ -435,7 +398,7 @@ mod tests {
         // Baseline + one point folded into the daemon totals.
         assert_eq!(engine.events.runs.load(Ordering::Relaxed), 2);
         assert!(
-            engine.events.issued[0].load(Ordering::Relaxed) > 0,
+            lock(&engine.events.counts).issued[0] > 0,
             "helper prefetches must be issued"
         );
         let v = Json::parse(&eventful).unwrap();

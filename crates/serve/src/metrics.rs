@@ -22,6 +22,7 @@
 
 use crate::engine::{EpochTotals, EventTotals};
 use crate::json::Json;
+use crate::lock;
 use sp_cachesim::{PfClass, PollutionCase};
 use sp_obs::LogLinearHist;
 use std::fmt::Write;
@@ -289,14 +290,11 @@ fn load(a: &AtomicU64) -> u64 {
 }
 
 /// One `(label value, count)` sample per key.
-fn samples<'c>(
+fn samples(
     keys: impl IntoIterator<Item = &'static str>,
-    counts: impl IntoIterator<Item = &'c AtomicU64>,
+    counts: impl IntoIterator<Item = u64>,
 ) -> Vec<(&'static str, u64)> {
-    keys.into_iter()
-        .zip(counts)
-        .map(|(k, c)| (k, load(c)))
-        .collect()
+    keys.into_iter().zip(counts).collect()
 }
 
 /// Every daemon family, in `stats` key order, Prometheus-only families
@@ -313,6 +311,7 @@ pub(crate) fn daemon_families<'a>(
     const TIMELINESS: [&str; 3] = ["late", "on_time", "early"];
     let class = PfClass::ALL.map(PfClass::name);
     let case = PollutionCase::ALL.map(PollutionCase::name);
+    let (evc, epc) = (*lock(&ev.counts), *lock(&ep.counts));
     vec![
         build_info(),
         Family::gauge("sp_uptime_ms", g.uptime_ms)
@@ -324,7 +323,7 @@ pub(crate) fn daemon_families<'a>(
         Family::labelled(
             "sp_requests_by_kind_total",
             "kind",
-            samples(KINDS, &m.by_kind),
+            samples(KINDS, m.by_kind.iter().map(load)),
         )
         .help("Requests by wire type.")
         .at("requests.by_kind"),
@@ -384,37 +383,37 @@ pub(crate) fn daemon_families<'a>(
         Family::labelled(
             "sp_events_prefetch_issued_total",
             "class",
-            samples(class, &ev.issued),
+            samples(class, evc.issued),
         )
         .help("Prefetches issued, by class."),
         Family::labelled(
             "sp_events_prefetch_filled_total",
             "class",
-            samples(class, &ev.filled),
+            samples(class, evc.filled),
         )
         .help("Prefetch L2 fills, by class."),
         Family::labelled(
             "sp_events_prefetch_first_use_total",
             "class",
-            samples(class, &ev.first_uses),
+            samples(class, evc.first_uses),
         )
         .help("Prefetched blocks first used by the main thread, by class."),
         Family::labelled(
             "sp_events_prefetch_evicted_unused_total",
             "class",
-            samples(class, &ev.evicted_unused),
+            samples(class, evc.evicted_unused),
         )
         .help("Prefetched blocks evicted before any use, by class."),
         Family::labelled(
             "sp_events_pollution_total",
             "case",
-            samples(case, &ev.pollution),
+            samples(case, evc.pollution),
         )
         .help("Pollution evictions, by displacement case."),
         Family::labelled(
             "sp_events_timeliness_total",
             "timeliness",
-            samples(TIMELINESS, [&ev.late, &ev.on_time, &ev.early]),
+            samples(TIMELINESS, [evc.late, evc.on_time, evc.early]),
         )
         .help("Prefetch first uses, by timeliness."),
         Family::counter("sp_epoch_runs_total", load(&ep.runs))
@@ -426,13 +425,13 @@ pub(crate) fn daemon_families<'a>(
         Family::labelled(
             "sp_epoch_pollution_total",
             "case",
-            samples(case, &ep.pollution),
+            samples(case, epc.pollution),
         )
         .help("Pollution evictions in epoch-recorded runs, by displacement case."),
         Family::labelled(
             "sp_epoch_timeliness_total",
             "timeliness",
-            samples(TIMELINESS, [&ep.late, &ep.on_time, &ep.early]),
+            samples(TIMELINESS, [epc.late, epc.on_time, epc.early]),
         )
         .help("Prefetch first uses in epoch-recorded runs, by timeliness."),
     ]
@@ -727,41 +726,50 @@ mod tests {
             },
         };
         let mut n = 0u64;
-        let mut set = |a: &AtomicU64| {
+        let mut next = || {
             n += 1;
-            a.store(1000 + 7 * n, Ordering::Relaxed);
+            1000 + 7 * n
         };
         let (m, ev, ep) = (&p.m, &p.ev, &p.ep);
-        set(&m.requests);
-        m.by_kind.iter().for_each(&mut set);
-        for a in [
+        let atomics = std::iter::once(&m.requests).chain(&m.by_kind).chain([
             &m.cache_hits,
             &m.cache_misses,
             &m.busy_rejections,
             &m.timeouts,
             &m.errors,
             &ev.runs,
+        ]);
+        atomics.for_each(|a| a.store(next(), Ordering::Relaxed));
+        let mut evc = lock(&ev.counts);
+        let c = &mut *evc;
+        for arr in [
+            &mut c.issued,
+            &mut c.filled,
+            &mut c.first_uses,
+            &mut c.evicted_unused,
         ] {
-            set(a);
+            arr.iter_mut().for_each(|v| *v = next());
         }
-        for arr in [&ev.issued, &ev.filled, &ev.first_uses, &ev.evicted_unused] {
-            arr.iter().for_each(&mut set);
+        for v in c
+            .pollution
+            .iter_mut()
+            .chain([&mut c.late, &mut c.on_time, &mut c.early])
+        {
+            *v = next();
         }
-        ev.pollution.iter().for_each(&mut set);
-        for a in [
-            &ev.late,
-            &ev.on_time,
-            &ev.early,
-            &ep.runs,
-            &ep.windows,
-            &ep.refs,
-        ] {
-            set(a);
+        for a in [&ep.runs, &ep.windows, &ep.refs] {
+            a.store(next(), Ordering::Relaxed);
         }
-        ep.pollution.iter().for_each(&mut set);
-        for a in [&ep.late, &ep.on_time, &ep.early] {
-            set(a);
+        let mut epc = lock(&ep.counts);
+        let c = &mut *epc;
+        for v in c
+            .pollution
+            .iter_mut()
+            .chain([&mut c.late, &mut c.on_time, &mut c.early])
+        {
+            *v = next();
         }
+        drop((evc, epc));
         for v in [50, 120, 4_500, 9_999_999] {
             m.latency.record(v);
         }
@@ -815,6 +823,39 @@ mod tests {
         let prom = render_prometheus(&families);
         assert_fixture("stats.json", &stats);
         assert_fixture("metrics.prom", &sorted_lines(&mask_git(&prom)));
+    }
+
+    /// The `result` payloads of eventful and epoch-recorded sweeps (tiny
+    /// EM3D on the default machine, hash-join on an 8 KB/4-way
+    /// pointer-chase L2), one per line, and the non-zero
+    /// `sp_events_*`/`sp_epoch_*` samples those runs leave behind.
+    #[test]
+    fn eventful_replies_and_their_totals_are_pinned() {
+        let engine = crate::engine::SimEngine::new();
+        let mut replies = String::new();
+        for kind in ["events", "epochs"] {
+            for spec in [
+                "\"bench\":\"em3d\",\"distances\":[2,8,32]",
+                "\"bench\":\"hashjoin\",\"l2_kb\":8,\"ways\":4,\
+                 \"prefetcher\":\"pointer-chase\",\"distances\":[1,4,16]",
+            ] {
+                let line = format!("{{\"type\":\"sweep\",{spec},\"{kind}\":true}}");
+                let cmd = crate::protocol::Request::parse(&line).unwrap().cmd;
+                replies.push_str(&engine.execute(&cmd).unwrap());
+                replies.push('\n');
+            }
+        }
+        let (m, stages, g) = (Metrics::default(), StageTimes::default(), Gauges::default());
+        let (ev, ep) = (engine.event_totals(), engine.epoch_totals());
+        let prom = render_prometheus(&daemon_families(&m, &stages, ev, ep, &g));
+        let totals: String = prom
+            .lines()
+            .filter(|l| l.starts_with("sp_events_") || l.starts_with("sp_epoch_"))
+            .filter(|l| !l.ends_with(" 0"))
+            .map(|l| format!("{l}\n"))
+            .collect();
+        assert_fixture("eventful_replies.ndjson", &replies);
+        assert_fixture("eventful_totals.prom", &totals);
     }
 
     /// Render the families of a zeroed daemon with `f` applied first.

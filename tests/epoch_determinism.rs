@@ -6,10 +6,13 @@
 //! self-check, mirroring `events_determinism.rs` / the event↔counter
 //! check of the events layer).
 
-use sp_cachesim::{default_early_threshold, CacheConfig, EpochSeries, EpochSink};
+use sp_cachesim::{
+    default_early_threshold, CacheConfig, CacheGeometry, EpochSeries, EpochSink, HwBackend,
+    SummarySink,
+};
 use sp_core::{compile_trace, sweep, EngineOptions, PerPoint, RunnerReport, Sweep};
 use sp_trace::CompiledTrace;
-use sp_workloads::{Benchmark, Workload};
+use sp_workloads::{Benchmark, KernelKind, ScaleTier, Workload, WorkloadBuilder};
 use std::sync::Arc;
 
 const EPOCH_LEN: u64 = 128;
@@ -91,9 +94,12 @@ fn epoch_totals_fold_exactly_to_the_run_counters() {
                 [h.l1_hits, h.total_hits, h.partial_hits, h.total_misses],
                 "{b:?}: helper-thread hit classes must fold exactly"
             );
-            assert_eq!(t.issued, run.stats.prefetches_issued, "{b:?}: issued");
             assert_eq!(
-                t.first_uses, run.stats.prefetches_useful,
+                t.counts.issued, run.stats.prefetches_issued,
+                "{b:?}: issued"
+            );
+            assert_eq!(
+                t.counts.first_uses, run.stats.prefetches_useful,
                 "{b:?}: first uses"
             );
             assert_eq!(
@@ -109,6 +115,46 @@ fn epoch_totals_fold_exactly_to_the_run_counters() {
             for w in &series.epochs[..series.len().saturating_sub(1)] {
                 assert_eq!(w.refs, EPOCH_LEN, "{b:?}: only the last window is partial");
             }
+        }
+    }
+}
+
+/// The two folds of one run's event stream — `SummarySink`'s and the
+/// epoch recorder's — must agree counter for counter, including the
+/// fields no run counter pins (`filled`, `evicted_unused` and the
+/// timeliness split). Covers the original trio on the scaled machine
+/// and an LDS kernel on the 8 KB/4-way pointer-chase L2.
+#[test]
+fn summary_and_epoch_folds_agree_per_run() {
+    let scaled = CacheConfig::scaled_default();
+    let mut small = scaled.with_hw_backend(HwBackend::PointerChase);
+    small.l2 = CacheGeometry::new(8 * 1024, 4, small.l2.line_size);
+    let mut cases: Vec<(String, CacheConfig, Arc<CompiledTrace>, Vec<u32>)> = Vec::new();
+    for b in [Benchmark::Em3d, Benchmark::Mcf, Benchmark::Mst] {
+        let ct = Arc::new(compile_trace(&Workload::tiny(b).trace(), &scaled));
+        cases.push((format!("{b:?}"), scaled, ct, grid(b)));
+    }
+    let lds = WorkloadBuilder::new(KernelKind::HashJoin)
+        .tier(ScaleTier::Tiny)
+        .trace();
+    let ct = Arc::new(compile_trace(&lds, &small));
+    cases.push(("hashjoin/8KB pchase".into(), small, ct, vec![1, 4, 16, 64]));
+
+    for (name, cfg, ct, ds) in cases {
+        let threshold = default_early_threshold(&cfg.latency);
+        let new_sink = move || SummarySink::new(threshold);
+        let opts = EngineOptions::default();
+        let finish = |k: SummarySink| k.summary.counts;
+        let (plain, summaries, _) = sweep(&ct, cfg, 0.5, &ds, opts, 2, new_sink, finish);
+        let (recorded_sweep, epochs, _) = recorded(&ct, cfg, &ds, 2);
+        assert_eq!(plain, recorded_sweep, "{name}: the sinks must not perturb");
+        let mut pollution = 0;
+        for (counts, series) in summaries.iter().zip(epochs.iter()) {
+            assert_eq!(*counts, series.totals().counts, "{name}: lifecycle counts");
+            pollution += counts.total_pollution();
+        }
+        if name.starts_with("hashjoin") {
+            assert!(pollution > 0, "{name}: the small L2 must pollute");
         }
     }
 }

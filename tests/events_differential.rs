@@ -6,7 +6,7 @@
 //! the simulation at all (`RunResult` equality against the sink-free
 //! path).
 
-use sp_cachesim::{default_early_threshold, CacheConfig, RingSink, SummarySink};
+use sp_cachesim::{default_early_threshold, CacheConfig, RingSink};
 use sp_core::prelude::*;
 use sp_workloads::{Benchmark, Workload};
 
@@ -30,11 +30,12 @@ fn pollution_stats_equal_the_fold_of_eviction_events() {
             let mut params = SpParams::from_distance_rp(d, 0.5);
             let opts = EngineOptions::default();
             let plain = run(&ct, cfg, Some(&mut params), opts, &mut NullSink);
-            let mut sink = SummarySink::new(default_early_threshold(&cfg.latency));
+            // A one-event ring: the run-level fold plus per-set pressure.
+            let mut sink = RingSink::new(1, default_early_threshold(&cfg.latency));
             let observed = run(&ct, cfg, Some(&mut params), opts, &mut sink);
             // The sink must not perturb the simulation in any way.
             assert_eq!(plain, observed, "{b:?} d={d}: sink changed the run");
-            let s = &sink.summary;
+            let s = &sink.summary.counts;
             // The differential checks: aggregate counters == event folds.
             assert_eq!(
                 s.pollution_stats(),
@@ -57,7 +58,7 @@ fn pollution_stats_equal_the_fold_of_eviction_events() {
                 "{b:?} d={d}: timeliness must partition first uses"
             );
             // Per-set fills sum to the run's L2 fills.
-            let set_fills: u64 = s.per_set.values().map(|p| p.total_fills()).sum();
+            let set_fills: u64 = sink.per_set.values().map(|p| p.total_fills()).sum();
             assert_eq!(
                 set_fills, observed.stats.l2_fills,
                 "{b:?} d={d}: per-set fill fold"
@@ -84,7 +85,7 @@ fn original_runs_fold_consistently_too() {
         let observed = run(&ct, cfg, None, opts, &mut sink);
         assert_eq!(plain, observed, "{b:?}: sink changed the original run");
         assert!(sink.len() <= 16, "{b:?}: ring respects its bound");
-        let s = &sink.summary;
+        let s = &sink.summary.counts;
         assert_eq!(s.pollution_stats(), observed.stats.pollution, "{b:?}");
         assert_eq!(s.issued, observed.stats.prefetches_issued, "{b:?}");
         assert_eq!(s.issued[0], 0, "{b:?}: no helper prefetches");

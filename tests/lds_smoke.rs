@@ -73,7 +73,7 @@ fn every_lds_kernel_runs_under_every_backend() {
             }
 
             // Events <-> counter self-check: the fold is lossless.
-            let s = &sink.summary;
+            let s = &sink.summary.counts;
             assert_eq!(s.issued, observed.stats.prefetches_issued, "{ctx}: issued");
             assert_eq!(
                 s.first_uses, observed.stats.prefetches_useful,
