@@ -143,8 +143,9 @@ pub fn table2(cfg: &CacheConfig, scale: Scale, jobs: usize) -> (Vec<Table2Row>, 
 
 /// One row of the **paper-scale** Table 2: Set Affinity measured on the
 /// real Core 2 geometry (4MB 16-way L2) with the paper's input sizes,
-/// via the streaming reference iterators (the traces would not fit in
-/// memory materialized). Comparable 1:1 with the paper's SA column.
+/// with each kernel streaming its references straight into the analysis
+/// (the traces would not fit in memory materialized). Comparable 1:1
+/// with the paper's SA column.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Table2PaperRow {
     /// Benchmark name.
@@ -169,7 +170,7 @@ pub struct Table2PaperRow {
 /// and streams its own references.
 pub fn table2_paper(mst_nodes: usize, jobs: usize) -> (Vec<Table2PaperRow>, RunnerReport) {
     use sp_core::runner::Job;
-    use sp_core::set_affinity_stream;
+    use sp_core::SetAffinityAnalyzer;
     use sp_workloads::{Em3d, Em3dConfig, Mcf, McfConfig, Mst, MstConfig};
     let l2 = CacheConfig::core2_q6600().l2;
 
@@ -177,18 +178,16 @@ pub fn table2_paper(mst_nodes: usize, jobs: usize) -> (Vec<Table2PaperRow>, Runn
         Box::new(move || {
             let w = Em3d::build(Em3dConfig::paper());
             let input = format!("{} nodes, arity {}", w.config().nodes, w.config().degree);
-            (
-                input,
-                set_affinity_stream(w.ref_iter().map(|(i, m)| (i, m.vaddr)), l2),
-            )
+            let mut sa = SetAffinityAnalyzer::new(l2);
+            w.emit(&mut sa);
+            (input, sa.report())
         }),
         Box::new(move || {
             let w = Mcf::build(McfConfig::paper());
             let input = format!("{} arcs, {} nodes", w.config().arcs, w.config().nodes);
-            (
-                input,
-                set_affinity_stream(w.ref_iter().map(|(i, m)| (i, m.vaddr)), l2),
-            )
+            let mut sa = SetAffinityAnalyzer::new(l2);
+            w.emit(&mut sa);
+            (input, sa.report())
         }),
         Box::new(move || {
             let w = Mst::build(MstConfig {
@@ -196,10 +195,9 @@ pub fn table2_paper(mst_nodes: usize, jobs: usize) -> (Vec<Table2PaperRow>, Runn
                 ..MstConfig::paper()
             });
             let input = format!("{} nodes", w.config().nodes);
-            (
-                input,
-                set_affinity_stream(w.ref_iter().map(|(i, m)| (i, m.vaddr)), l2),
-            )
+            let mut sa = SetAffinityAnalyzer::new(l2);
+            w.emit(&mut sa);
+            (input, sa.report())
         }),
     ];
     let paper = [
@@ -609,7 +607,7 @@ pub fn ablation_sampling(scale: Scale, jobs: usize) -> (Vec<SamplingRow>, Runner
     let trace = scale.workload(Benchmark::Em3d).trace();
     let l2 = CacheConfig::scaled_default().l2;
     let estimate = |burst: Option<usize>| {
-        let sampler = BurstSampler::new(burst.unwrap_or(trace.iters.len()), burst.unwrap_or(0));
+        let sampler = BurstSampler::new(burst.unwrap_or(trace.outer_iters()), burst.unwrap_or(0));
         let bursts = sampler.sample(&trace);
         let report = match burst {
             Some(_) => sampled_set_affinity(&bursts, l2),

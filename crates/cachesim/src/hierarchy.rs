@@ -355,7 +355,13 @@ impl MemorySystem {
             }
         }
         // The block is resident again; a future miss on it is a fresh one.
-        self.take_prefetch_victim(block);
+        // A main-thread miss took the block before launching this fill,
+        // and an in-flight block cannot be victimised again.
+        if filler == Entity::Main {
+            debug_assert!(!self.prefetch_victims.contains(&block));
+        } else {
+            self.take_prefetch_victim(block);
+        }
     }
 
     /// Remove `block` from the pollution-candidate set, reporting

@@ -46,11 +46,11 @@ fn machines() -> Vec<(&'static str, CacheConfig)> {
 fn hand_walk(trace: &HotLoopTrace, cfg: CacheConfig) -> (u64, MemStats) {
     let mut m = MemorySystem::new(cfg);
     let mut t = 0;
-    for it in &trace.iters {
+    for it in trace.iters.iter() {
         for r in it.refs() {
-            t = m.demand_access(Entity::Main, *r, t).complete_at;
+            t = m.demand_access(Entity::Main, r, t).complete_at;
         }
-        t += it.compute_cycles;
+        t += it.compute_cycles();
     }
     (t, m.finish())
 }
@@ -61,12 +61,7 @@ fn compiled_replay_yields_the_trace_refs_on_every_machine() {
     for kind in KernelKind::ALL {
         let trace = KernelSpec::tiny(kind).build().trace();
         let ct = CompiledTrace::compile(&trace);
-        let walked: Vec<MemRef> = trace
-            .iters
-            .iter()
-            .flat_map(|it| it.refs())
-            .copied()
-            .collect();
+        let walked: Vec<MemRef> = trace.iters.iter().flat_map(|it| it.refs()).collect();
         let replayed: Vec<MemRef> = (0..ct.total_refs()).map(|i| ct.get(i)).collect();
         assert_eq!(replayed, walked, "{}", kind.name());
         // One compiled trace serves every machine: the engine's replay

@@ -359,11 +359,11 @@ fn mst_trace_matches_reference() {
 fn hand_walk(trace: &HotLoopTrace, cfg: CacheConfig) -> MemStats {
     let mut m = MemorySystem::new(cfg);
     let mut t = 0;
-    for it in &trace.iters {
+    for it in trace.iters.iter() {
         for r in it.refs() {
-            t = m.demand_access(Entity::Main, *r, t).complete_at;
+            t = m.demand_access(Entity::Main, r, t).complete_at;
         }
-        t += it.compute_cycles;
+        t += it.compute_cycles();
     }
     m.finish()
 }
@@ -449,7 +449,7 @@ fn reset_roundtrip_is_identity() {
     let run = |mem: &mut MemorySystem, b: Benchmark| -> MemStats {
         let mut t = 0u64;
         for (_, r) in Workload::tiny(b).trace().tagged_refs() {
-            t = mem.demand_access(Entity::Main, *r, t).complete_at;
+            t = mem.demand_access(Entity::Main, r, t).complete_at;
         }
         let stats = mem.finish_stats();
         mem.reset();
@@ -473,7 +473,7 @@ fn reset_roundtrip_clears_learned_backend_state() {
             let mut t = 0u64;
             let trace = WorkloadBuilder::new(kind).tier(ScaleTier::Tiny).trace();
             for (_, r) in trace.tagged_refs() {
-                t = mem.demand_access(Entity::Main, *r, t).complete_at;
+                t = mem.demand_access(Entity::Main, r, t).complete_at;
             }
             let stats = mem.finish_stats();
             mem.reset();

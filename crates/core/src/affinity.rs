@@ -23,12 +23,13 @@
 //! with the binding value being the *minimum* Set Affinity over all
 //! touched sets.
 
+use crate::engine::HelperSchedule;
 use crate::params::SpParams;
-use crate::skip::{helper_refs, plan, HelperStep};
+use crate::skip::{helper_refs, HelperStep};
 use sp_cachesim::CacheGeometry;
 use sp_profiler::Burst;
-use sp_trace::{HotLoopTrace, VAddr};
-use std::collections::HashMap;
+use sp_trace::{HotLoopTrace, MemRef, TraceColumns, TraceSink, VAddr};
+use std::collections::{HashMap, HashSet};
 
 /// Per-set outcome of the analysis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -95,8 +96,89 @@ impl SetAffinityReport {
     }
 }
 
-/// The Fig. 3 algorithm over an arbitrary `(outer_iteration, address)`
-/// stream.
+/// The Fig. 3 algorithm, fed one reference at a time.
+///
+/// For each touched set, track the distinct blocks mapped to it; when the
+/// count first *exceeds* the set's associativity, record the current
+/// outer-iteration count (1-based, "the program executes N iterations")
+/// as that set's affinity.
+///
+/// As a [`TraceSink`] it numbers the iterations itself, so a workload
+/// kernel can stream its references straight into the analysis without
+/// storing them — the path that paper-scale Table 2 takes through about
+/// 2x10^8 references.
+#[derive(Debug, Clone)]
+pub struct SetAffinityAnalyzer {
+    geo: CacheGeometry,
+    sets: HashMap<u64, SetState>,
+    blocks: HashSet<VAddr>,
+    // Outer iteration of the open iteration, when fed as a sink.
+    iter: u32,
+}
+
+impl SetAffinityAnalyzer {
+    /// An analyzer for a cache of geometry `geo` that has seen nothing.
+    pub fn new(geo: CacheGeometry) -> Self {
+        SetAffinityAnalyzer {
+            geo,
+            sets: HashMap::new(),
+            blocks: HashSet::new(),
+            iter: 0,
+        }
+    }
+
+    /// Account one access to `addr` issued in outer iteration `iter`
+    /// (0-based, non-decreasing).
+    pub fn observe(&mut self, iter: u32, addr: VAddr) {
+        if !self.blocks.insert(self.geo.block_of(addr)) {
+            return; // already-seen block: not a new entrant anywhere
+        }
+        let st = self.sets.entry(self.geo.set_of(addr)).or_insert(SetState {
+            distinct_blocks: 0,
+            affinity: None,
+        });
+        st.distinct_blocks += 1;
+        if st.affinity.is_none() && st.distinct_blocks > self.geo.ways {
+            st.affinity = Some(iter + 1); // 1-based iteration count
+        }
+    }
+
+    /// The analysis of everything observed so far.
+    pub fn report(self) -> SetAffinityReport {
+        SetAffinityReport {
+            sets_touched: self.sets.len(),
+            per_set: self
+                .sets
+                .into_iter()
+                .filter_map(|(s, st)| st.affinity.map(|a| (s, a)))
+                .collect(),
+        }
+    }
+}
+
+impl TraceSink for SetAffinityAnalyzer {
+    fn backbone(&mut self, r: MemRef) {
+        self.observe(self.iter, r.vaddr);
+    }
+
+    fn inner(&mut self, r: MemRef) {
+        self.observe(self.iter, r.vaddr);
+    }
+
+    fn end_iter(&mut self, _compute_cycles: u64) {
+        self.iter += 1;
+    }
+}
+
+/// The Fig. 3 analysis of a stored trace's iterations.
+fn analyze(iters: &TraceColumns, geo: CacheGeometry) -> SetAffinityReport {
+    let mut sa = SetAffinityAnalyzer::new(geo);
+    iters.iter().for_each(|it| it.emit(&mut sa));
+    sa.report()
+}
+
+/// **Original Set Affinity** (Definition 2): the full main-thread stream,
+/// no helper, no hardware prefetchers.
 ///
 /// ```
 /// use sp_cachesim::CacheGeometry;
@@ -111,46 +193,8 @@ impl SetAffinityReport {
 /// assert_eq!(report.range(), Some((5, 5)));
 /// assert_eq!(report.distance_bound(), Some(1)); // min SA / 2, exclusive
 /// ```
-///
-/// For each touched set, track the distinct blocks mapped to it; when the
-/// count first *exceeds* the set's associativity, record the current
-/// outer-iteration count (1-based, "the program executes N iterations")
-/// as that set's affinity.
-pub fn set_affinity_stream<I>(stream: I, geo: CacheGeometry) -> SetAffinityReport
-where
-    I: IntoIterator<Item = (u32, VAddr)>,
-{
-    let ways = geo.ways;
-    let mut sets: HashMap<u64, SetState> = HashMap::new();
-    let mut blocks: HashMap<VAddr, ()> = HashMap::new();
-    for (iter, addr) in stream {
-        let block = geo.block_of(addr);
-        if blocks.insert(block, ()).is_some() {
-            continue; // already-seen block: not a new entrant anywhere
-        }
-        let set = geo.set_of(addr);
-        let st = sets.entry(set).or_insert(SetState {
-            distinct_blocks: 0,
-            affinity: None,
-        });
-        st.distinct_blocks += 1;
-        if st.affinity.is_none() && st.distinct_blocks > ways {
-            st.affinity = Some(iter + 1); // 1-based iteration count
-        }
-    }
-    SetAffinityReport {
-        sets_touched: sets.len(),
-        per_set: sets
-            .into_iter()
-            .filter_map(|(s, st)| st.affinity.map(|a| (s, a)))
-            .collect(),
-    }
-}
-
-/// **Original Set Affinity** (Definition 2): the full main-thread stream,
-/// no helper, no hardware prefetchers.
 pub fn original_set_affinity(trace: &HotLoopTrace, geo: CacheGeometry) -> SetAffinityReport {
-    set_affinity_stream(trace.tagged_refs().map(|(i, r)| (i, r.vaddr)), geo)
+    analyze(&trace.iters, geo)
 }
 
 /// **Set Affinity with Helper Thread** (Definition 3): the interleaved
@@ -162,23 +206,22 @@ pub fn helper_set_affinity(
     geo: CacheGeometry,
     params: SpParams,
 ) -> SetAffinityReport {
-    let n = trace.iters.len();
-    let steps = plan(params, n);
+    let iters = &trace.iters;
+    let n = iters.outer_iters();
     let lead = params.a_ski as usize;
-    let stream = (0..n).flat_map(move |i| {
-        let main = trace.iters[i].refs().map(move |r| (i as u32, r.vaddr));
+    let mut sa = SetAffinityAnalyzer::new(geo);
+    for i in 0..n {
+        for r in iters.at(i).refs() {
+            sa.observe(i as u32, r.vaddr);
+        }
         let helper_iter = i + lead;
-        let helper: Vec<(u32, VAddr)> =
-            if helper_iter < n && steps[helper_iter] == HelperStep::Prefetch {
-                helper_refs(&trace.iters[helper_iter].inner)
-                    .map(|r| (i as u32, r.vaddr))
-                    .collect()
-            } else {
-                Vec::new()
-            };
-        main.chain(helper)
-    });
-    set_affinity_stream(stream, geo)
+        if helper_iter < n && params.step(helper_iter) == HelperStep::Prefetch {
+            for r in helper_refs(iters.at(helper_iter).inner()) {
+                sa.observe(i as u32, r.vaddr);
+            }
+        }
+    }
+    sa.report()
 }
 
 /// Estimate Set Affinity from burst samples (the paper's low-overhead
@@ -189,13 +232,7 @@ pub fn helper_set_affinity(
 pub fn sampled_set_affinity(bursts: &[Burst], geo: CacheGeometry) -> SetAffinityReport {
     let mut report = SetAffinityReport::default();
     for b in bursts {
-        let stream = b
-            .iters
-            .iter()
-            .enumerate()
-            .flat_map(|(k, it)| it.refs().map(move |r| (k as u32, r.vaddr)));
-        let r = set_affinity_stream(stream, geo);
-        report.merge(&r);
+        report.merge(&analyze(&b.iters, geo));
     }
     report
 }
@@ -208,6 +245,18 @@ mod tests {
     fn geo() -> CacheGeometry {
         // 64 sets x 4 ways x 64B.
         CacheGeometry::new(16 * 1024, 4, 64)
+    }
+
+    /// One new block of set 0 every 10 iterations, over 600 iterations.
+    fn slow_trace(g: CacheGeometry) -> HotLoopTrace {
+        HotLoopTrace::record("slow", &[], |s| {
+            for i in 0..600u64 {
+                if i % 10 == 0 {
+                    s.inner(MemRef::anon((i / 10) * g.sets() * g.line_size));
+                }
+                s.end_iter(0);
+            }
+        })
     }
 
     #[test]
@@ -237,17 +286,14 @@ mod tests {
     fn repeated_blocks_do_not_advance_affinity() {
         let g = geo();
         // Touch the same 4 blocks of one set forever: never overflows.
-        let mut t = sp_trace::HotLoopTrace::new("t");
-        for _ in 0..100 {
-            let inner = (0..4u64)
-                .map(|b| sp_trace::MemRef::anon(b * g.sets() * g.line_size))
-                .collect();
-            t.iters.push(sp_trace::IterRecord {
-                backbone: Vec::new(),
-                inner,
-                compute_cycles: 0,
-            });
-        }
+        let t = sp_trace::HotLoopTrace::record("t", &[], |s| {
+            for _ in 0..100 {
+                for b in 0..4u64 {
+                    s.inner(MemRef::anon(b * g.sets() * g.line_size));
+                }
+                s.end_iter(0);
+            }
+        });
         let r = original_set_affinity(&t, g);
         assert!(r.per_set.is_empty());
         assert_eq!(r.min(), None);
@@ -281,23 +327,7 @@ mod tests {
         // floor(5/2) - 1 = 1 -> max(1) = 1.
         assert_eq!(r.distance_bound(), Some(1));
         // A larger SA gives a proportionally larger bound.
-        let t2 = {
-            // one new block every 10 iterations
-            let mut t2 = sp_trace::HotLoopTrace::new("slow");
-            for i in 0..600u64 {
-                let inner = if i % 10 == 0 {
-                    vec![sp_trace::MemRef::anon((i / 10) * g.sets() * g.line_size)]
-                } else {
-                    Vec::new()
-                };
-                t2.iters.push(sp_trace::IterRecord {
-                    backbone: Vec::new(),
-                    inner,
-                    compute_cycles: 0,
-                });
-            }
-            t2
-        };
+        let t2 = slow_trace(g);
         let r2 = original_set_affinity(&t2, g);
         assert_eq!(
             r2.min(),
@@ -341,19 +371,7 @@ mod tests {
     fn sampled_estimate_misses_sets_slower_than_the_burst() {
         let g = geo();
         // SA = 41 > burst length 20: unobservable.
-        let mut t = sp_trace::HotLoopTrace::new("slow");
-        for i in 0..600u64 {
-            let inner = if i % 10 == 0 {
-                vec![sp_trace::MemRef::anon((i / 10) * g.sets() * g.line_size)]
-            } else {
-                Vec::new()
-            };
-            t.iters.push(sp_trace::IterRecord {
-                backbone: Vec::new(),
-                inner,
-                compute_cycles: 0,
-            });
-        }
+        let t = slow_trace(g);
         let bursts = sp_profiler::BurstSampler::new(20, 20).sample(&t);
         let est = sampled_set_affinity(&bursts, g);
         assert!(

@@ -35,8 +35,8 @@ pub fn estimate_calr(
     let mut l2c = SetAssocCache::new(l2, policy);
     let mut access_cycles = 0u64;
     let mut compute_cycles = 0u64;
-    for it in &trace.iters {
-        compute_cycles += it.compute_cycles;
+    for it in trace.iters.iter() {
+        compute_cycles += it.compute_cycles();
         for r in it.refs() {
             let is_store = r.kind == sp_trace::AccessKind::Store;
             access_cycles += if l1c.demand_touch(r.vaddr, is_store).is_some() {
@@ -92,6 +92,7 @@ pub fn select_params(calr: f64, distance: u32) -> SpParams {
 mod tests {
     use super::*;
     use sp_trace::synth;
+    use sp_trace::TraceSink;
 
     fn geo() -> (CacheGeometry, CacheGeometry) {
         (
@@ -114,14 +115,11 @@ mod tests {
     fn compute_heavy_loop_has_high_calr() {
         let (l1, l2) = geo();
         // One L1-resident block, huge compute per iteration.
-        let mut t = sp_trace::HotLoopTrace::new("hot");
-        for _ in 0..100 {
-            t.iters.push(sp_trace::IterRecord {
-                backbone: Vec::new(),
-                inner: vec![sp_trace::MemRef::anon(0)],
-                compute_cycles: 1000,
-            });
-        }
+        let t = sp_trace::HotLoopTrace::record("hot", &[], |s| {
+            for _ in 0..100 {
+                s.iteration(&[], &[sp_trace::MemRef::anon(0)], 1000);
+            }
+        });
         let p = estimate_calr(&t, l1, l2, Policy::Lru, LatencyConfig::default());
         assert!(p.calr > 100.0, "calr = {}", p.calr);
     }
@@ -129,12 +127,7 @@ mod tests {
     #[test]
     fn empty_access_stream_gives_infinite_calr() {
         let (l1, l2) = geo();
-        let mut t = sp_trace::HotLoopTrace::new("noaccess");
-        t.iters.push(sp_trace::IterRecord {
-            backbone: Vec::new(),
-            inner: Vec::new(),
-            compute_cycles: 10,
-        });
+        let t = sp_trace::HotLoopTrace::record("noaccess", &[], |s| s.end_iter(10));
         let p = estimate_calr(&t, l1, l2, Policy::Lru, LatencyConfig::default());
         assert!(p.calr.is_infinite());
     }

@@ -27,7 +27,7 @@ use crate::params::SpParams;
 use crate::skip::HelperStep;
 use sp_cachesim::events::EventSink;
 use sp_cachesim::{CacheConfig, Cycle, Entity, MemStats, MemorySystem};
-use sp_trace::{AccessKind, CompiledTrace, HotLoopTrace};
+use sp_trace::{AccessKind, CompiledTrace, HotLoopTrace, TraceColumns};
 use std::cell::RefCell;
 use std::convert::Infallible;
 
@@ -58,8 +58,9 @@ fn release_sim(cfg: CacheConfig, sim: MemorySystem) {
     PARKED_SIM.with(|p| *p.borrow_mut() = Some((cfg, sim)));
 }
 
-/// Compile `trace` for replay, inside the `compile` span. Wrap the
-/// result in an `Arc` to fan it out across sweep grid points.
+/// The replay form of `trace`, inside the `compile` span: a handle to
+/// the trace's own columns, shared and not copied. Wrap the result in an
+/// `Arc` to fan it out across sweep grid points.
 ///
 /// A compiled trace carries no cache geometry — the memory system
 /// projects every reference itself — so one compiled trace replays on
@@ -224,6 +225,9 @@ pub fn run<S: EventSink>(
         "original"
     };
     let _sp = sp_obs::span!("simulate", mode = mode, passes = opts.passes);
+    // Borrow the shared columns once: each access then reads a column
+    // directly, not through the handle.
+    let ct: &TraceColumns = ct;
     // Virtual iteration space: `passes` back-to-back executions of the
     // hot loop; iteration v executes trace iteration v % len.
     let n = ct.outer_iters() * opts.passes;
@@ -345,7 +349,7 @@ pub fn run_sp_with_compiled_ev<S: EventSink>(
 fn step_main<S: EventSink>(
     c: &mut Cursor,
     mem: &mut MemorySystem,
-    ct: &CompiledTrace,
+    ct: &TraceColumns,
     n: usize,
     sink: &mut S,
 ) {
@@ -368,7 +372,7 @@ fn step_main<S: EventSink>(
 fn step_helper<S: EventSink>(
     c: &mut Cursor,
     mem: &mut MemorySystem,
-    ct: &CompiledTrace,
+    ct: &TraceColumns,
     step: HelperStep,
     n: usize,
     finish: &mut Cycle,
@@ -427,7 +431,7 @@ fn step_helper<S: EventSink>(
 pub(crate) mod tests {
     use super::*;
     use sp_cachesim::{CacheGeometry, HitClass, NullSink};
-    use sp_trace::synth;
+    use sp_trace::{synth, MemRef, SiteId, TraceSink};
 
     pub(crate) fn cfg() -> CacheConfig {
         CacheConfig {
@@ -505,13 +509,16 @@ pub(crate) mod tests {
     #[test]
     fn sp_helper_issues_prefetches_at_rp_rate() {
         // Pointer-chase backbone + 2 inner loads per iteration.
-        let mut t = synth::pointer_chase(400, 64, 1, 0);
-        for (i, it) in t.iters.iter_mut().enumerate() {
-            it.inner = vec![
-                sp_trace::MemRef::load(0x40_0000 + i as u64 * 64, sp_trace::SiteId(1)),
-                sp_trace::MemRef::load(0x80_0000 + i as u64 * 64, sp_trace::SiteId(2)),
-            ];
-        }
+        let chase = synth::pointer_chase(400, 64, 1, 0);
+        let t = HotLoopTrace::record("chase", &[], |s| {
+            for it in chase.iters.iter() {
+                let i = it.index() as u64;
+                it.backbone().for_each(|r| s.backbone(r));
+                s.inner(MemRef::load(0x40_0000 + i * 64, SiteId(1)));
+                s.inner(MemRef::load(0x80_0000 + i * 64, SiteId(2)));
+                s.end_iter(it.compute_cycles());
+            }
+        });
         let r = sp(&t, cfg(), SpParams::new(4, 4));
         // Helper chases every backbone (speculative loads) and covers
         // ~half the iterations' 2 inner loads each: ~400 + ~400.
@@ -560,7 +567,7 @@ pub(crate) mod tests {
 
     #[test]
     fn empty_trace_is_a_noop() {
-        let t = HotLoopTrace::new("empty");
+        let t = HotLoopTrace::default();
         let r = sp(&t, cfg(), SpParams::new(1, 1));
         assert_eq!(r.runtime, 0);
         assert_eq!(r.stats.main.demand_accesses(), 0);
@@ -570,11 +577,14 @@ pub(crate) mod tests {
 
     #[test]
     fn helper_never_issues_store_prefetches() {
-        let mut t = synth::sequential(100, 1, 0, 64, 0);
-        for it in t.iters.iter_mut() {
-            it.inner
-                .push(sp_trace::MemRef::store(0x99_0000, sp_trace::SiteId(7)));
-        }
+        let seq = synth::sequential(100, 1, 0, 64, 0);
+        let t = HotLoopTrace::record("seq", &[], |s| {
+            for it in seq.iters.iter() {
+                it.inner().for_each(|r| s.inner(r));
+                s.inner(MemRef::store(0x99_0000, SiteId(7)));
+                s.end_iter(it.compute_cycles());
+            }
+        });
         let r = sp(&t, cfg(), SpParams::conventional());
         // 100 loads prefetched, stores dropped; allow the engine's own
         // issue accounting only.

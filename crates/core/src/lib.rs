@@ -57,7 +57,7 @@ pub use adaptive::{
     AdaptivePolicy, AdaptiveSchedule, EpochFeedback, EpochRecord, FeedbackController,
 };
 pub use affinity::{
-    helper_set_affinity, original_set_affinity, sampled_set_affinity, set_affinity_stream,
+    helper_set_affinity, original_set_affinity, sampled_set_affinity, SetAffinityAnalyzer,
     SetAffinityReport,
 };
 pub use calr::{estimate_calr, select_params, select_rp, CalrProfile};

@@ -29,11 +29,10 @@ pub fn plan(params: SpParams, n_iters: usize) -> Vec<HelperStep> {
 /// iteration: every *load* of the inner loop, converted to a prefetch
 /// (the helper "executes only the load's computation" — stores and
 /// non-loads are dropped).
-pub fn helper_refs(iter_inner: &[MemRef]) -> impl Iterator<Item = MemRef> + '_ {
+pub fn helper_refs(iter_inner: impl Iterator<Item = MemRef>) -> impl Iterator<Item = MemRef> {
     iter_inner
-        .iter()
         .filter(|r| r.kind.helper_visible())
-        .map(|r| r.as_prefetch())
+        .map(MemRef::as_prefetch)
 }
 
 /// Summary of an SP plan over a concrete trace.
@@ -51,19 +50,18 @@ pub struct PlanSummary {
 
 /// Summarize what `params` would make the helper do on `trace`.
 pub fn summarize(params: SpParams, trace: &HotLoopTrace) -> PlanSummary {
-    let steps = plan(params, trace.iters.len());
     let mut covered = 0usize;
     let mut prefetch_refs = 0usize;
-    for (step, it) in steps.iter().zip(&trace.iters) {
-        if *step == HelperStep::Prefetch {
+    for it in trace.iters.iter() {
+        if params.step(it.index()) == HelperStep::Prefetch {
             covered += 1;
-            prefetch_refs += helper_refs(&it.inner).count();
+            prefetch_refs += helper_refs(it.inner()).count();
         }
     }
-    let n = trace.iters.len().max(1);
+    let n = trace.outer_iters().max(1);
     PlanSummary {
         covered_iters: covered,
-        skipped_iters: trace.iters.len() - covered,
+        skipped_iters: trace.outer_iters() - covered,
         prefetch_refs,
         coverage: covered as f64 / n as f64,
     }
@@ -72,7 +70,7 @@ pub fn summarize(params: SpParams, trace: &HotLoopTrace) -> PlanSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sp_trace::{AccessKind, IterRecord, SiteId};
+    use sp_trace::{AccessKind, SiteId, TraceSink};
 
     #[test]
     fn round_structure_is_skip_then_prefetch() {
@@ -97,14 +95,13 @@ mod tests {
     #[test]
     fn coverage_converges_to_rp() {
         let p = SpParams::new(5, 5);
-        let mut t = HotLoopTrace::new("t");
-        for i in 0..1000u64 {
-            t.iters.push(IterRecord {
-                backbone: vec![MemRef::load(i * 64, SiteId(0))],
-                inner: vec![MemRef::load(i * 64 + 8, SiteId(1))],
-                compute_cycles: 0,
-            });
-        }
+        let t = HotLoopTrace::record("t", &[], |s| {
+            for i in 0..1000u64 {
+                s.backbone(MemRef::load(i * 64, SiteId(0)));
+                s.inner(MemRef::load(i * 64 + 8, SiteId(1)));
+                s.end_iter(0);
+            }
+        });
         let s = summarize(p, &t);
         assert!(
             (s.coverage - p.rp()).abs() < 0.01,
@@ -122,7 +119,7 @@ mod tests {
             MemRef::store(64, SiteId(2)),
             MemRef::load(128, SiteId(3)),
         ];
-        let out: Vec<MemRef> = helper_refs(&inner).collect();
+        let out: Vec<MemRef> = helper_refs(inner.into_iter()).collect();
         assert_eq!(out.len(), 2);
         assert!(out.iter().all(|r| r.kind == AccessKind::Prefetch));
         assert_eq!(out[0].vaddr, 0);

@@ -5,9 +5,9 @@
 
 use sp_cachesim::{CacheConfig, CacheGeometry};
 use sp_core::prelude::*;
-use sp_core::{plan, set_affinity_stream, HelperSchedule, HelperStep};
+use sp_core::{plan, HelperSchedule, HelperStep, SetAffinityAnalyzer};
 use sp_testkit::{check, gen_vec, SmallRng};
-use sp_trace::{synth, HotLoopTrace, IterRecord, MemRef};
+use sp_trace::{synth, HotLoopTrace, MemRef, TraceSink};
 
 fn tiny_cfg() -> CacheConfig {
     CacheConfig {
@@ -29,18 +29,14 @@ fn replay(t: &HotLoopTrace, cfg: CacheConfig, params: Option<SpParams>) -> RunRe
 }
 
 fn arb_trace(rng: &mut SmallRng) -> HotLoopTrace {
-    let mut t = HotLoopTrace::new("arb");
     let iters = rng.gen_range(1usize..60);
-    for _ in 0..iters {
-        let backbone = gen_vec(rng, 0..2, |r| MemRef::anon(r.gen_range(0u64..(1 << 16))));
-        let inner = gen_vec(rng, 0..6, |r| MemRef::anon(r.gen_range(0u64..(1 << 16))));
-        t.iters.push(IterRecord {
-            backbone,
-            inner,
-            compute_cycles: rng.gen_range(0u64..30),
-        });
-    }
-    t
+    HotLoopTrace::record("arb", &[], |s| {
+        for _ in 0..iters {
+            let backbone = gen_vec(rng, 0..2, |r| MemRef::anon(r.gen_range(0u64..(1 << 16))));
+            let inner = gen_vec(rng, 0..6, |r| MemRef::anon(r.gen_range(0u64..(1 << 16))));
+            s.iteration(&backbone, &inner, rng.gen_range(0u64..30));
+        }
+    })
 }
 
 /// Every full round of the plan contains exactly `a_ski` chases then
@@ -119,8 +115,12 @@ fn affinity_is_prefix_stable() {
         let extra = arb_trace(rng);
         let geo = CacheGeometry::new(2 * 1024, 2, 64);
         let r1 = original_set_affinity(&t, geo);
-        let mut combined = t.clone();
-        combined.iters.extend(extra.iters);
+        let combined = HotLoopTrace::record("combined", &[], |s| {
+            t.iters
+                .iter()
+                .chain(extra.iters.iter())
+                .for_each(|it| it.emit(s));
+        });
         let r2 = original_set_affinity(&combined, geo);
         for (set, sa) in &r1.per_set {
             assert_eq!(r2.per_set.get(set), Some(sa), "set {set} changed");
@@ -129,15 +129,16 @@ fn affinity_is_prefix_stable() {
     });
 }
 
-/// The generic stream analyzer agrees with the trace wrapper.
+/// The analyzer fed `(iteration, address)` pairs agrees with the
+/// analysis of the trace, which feeds it as a sink.
 #[test]
 fn stream_and_trace_agree() {
     check(64, |rng| {
         let t = arb_trace(rng);
         let geo = CacheGeometry::new(2 * 1024, 2, 64);
-        let a = original_set_affinity(&t, geo);
-        let b = set_affinity_stream(t.tagged_refs().map(|(i, r)| (i, r.vaddr)), geo);
-        assert_eq!(a, b);
+        let mut sa = SetAffinityAnalyzer::new(geo);
+        t.tagged_refs().for_each(|(i, r)| sa.observe(i, r.vaddr));
+        assert_eq!(original_set_affinity(&t, geo), sa.report());
     });
 }
 
@@ -156,7 +157,7 @@ fn engine_conservation() {
         let refs = t.total_refs() as u64;
         assert_eq!(orig.stats.main.demand_accesses(), refs);
         assert_eq!(sp.stats.main.demand_accesses(), refs);
-        let compute: u64 = t.iters.iter().map(|it| it.compute_cycles).sum();
+        let compute: u64 = t.iters.iter().map(|it| it.compute_cycles()).sum();
         assert!(orig.runtime >= compute);
         assert!(sp.runtime >= compute);
     });

@@ -82,6 +82,7 @@ pub fn delinquent_sites(ranked: &[SiteMissStats], coverage: f64) -> Vec<SiteId> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sp_trace::TraceSink;
     use sp_workloads::{Em3d, Em3dConfig};
 
     fn small_l2() -> CacheGeometry {
@@ -147,18 +148,12 @@ mod tests {
         let ranked = rank_delinquent_loads(&t, small_l2(), Policy::Lru);
         assert_eq!(ranked.len(), 1);
         assert_eq!(ranked[0].misses, 1);
-        let t2 = {
-            // Re-touching trace: all hits after warmup.
-            let mut t2 = sp_trace::HotLoopTrace::new("hits");
+        // Re-touching trace: all hits after warmup.
+        let t2 = sp_trace::HotLoopTrace::record("hits", &[], |s| {
             for _ in 0..10 {
-                t2.iters.push(sp_trace::IterRecord {
-                    backbone: Vec::new(),
-                    inner: vec![sp_trace::MemRef::anon(0)],
-                    compute_cycles: 0,
-                });
+                s.iteration(&[], &[sp_trace::MemRef::anon(0)], 0);
             }
-            t2
-        };
+        });
         let ranked2 = rank_delinquent_loads(&t2, small_l2(), Policy::Lru);
         assert_eq!(ranked2[0].misses, 1, "only the cold miss");
     }

@@ -107,6 +107,7 @@ mod tests {
     use super::*;
     use sp_cachesim::{Entity, Policy, SetAssocCache};
     use sp_trace::synth;
+    use sp_trace::TraceSink;
 
     fn geo() -> CacheGeometry {
         CacheGeometry::new(4 * 1024, 4, 64) // 16 sets x 4 ways
@@ -172,14 +173,11 @@ mod tests {
 
     #[test]
     fn single_block_rereference_has_distance_zero() {
-        let mut t = HotLoopTrace::new("t");
-        for _ in 0..50 {
-            t.iters.push(sp_trace::IterRecord {
-                backbone: Vec::new(),
-                inner: vec![sp_trace::MemRef::anon(0x40)],
-                compute_cycles: 0,
-            });
-        }
+        let t = HotLoopTrace::record("t", &[], |s| {
+            for _ in 0..50 {
+                s.iteration(&[], &[sp_trace::MemRef::anon(0x40)], 0);
+            }
+        });
         let h = reuse_histogram(&t, geo());
         assert_eq!(h.cold, 1);
         assert_eq!(h.histogram[0], 49);
@@ -195,15 +193,16 @@ mod tests {
         // Cycle over 3 conflicting blocks in one set: distance 2 each
         // after warmup -> needs 3 ways for ~0 misses.
         let g = geo();
-        let mut t = HotLoopTrace::new("t");
-        for i in 0..90u64 {
-            let b = i % 3;
-            t.iters.push(sp_trace::IterRecord {
-                backbone: Vec::new(),
-                inner: vec![sp_trace::MemRef::anon(b * g.sets() * g.line_size)],
-                compute_cycles: 0,
-            });
-        }
+        let t = HotLoopTrace::record("t", &[], |s| {
+            for i in 0..90u64 {
+                let b = i % 3;
+                s.iteration(
+                    &[],
+                    &[sp_trace::MemRef::anon(b * g.sets() * g.line_size)],
+                    0,
+                );
+            }
+        });
         let h = reuse_histogram(&t, g);
         assert!(h.miss_ratio(2) > 0.9, "2 ways thrash");
         assert!(h.miss_ratio(3) < 0.05, "3 ways hold the cycle");
@@ -212,7 +211,7 @@ mod tests {
 
     #[test]
     fn empty_trace() {
-        let h = reuse_histogram(&HotLoopTrace::new("e"), geo());
+        let h = reuse_histogram(&HotLoopTrace::default(), geo());
         assert_eq!(h.total, 0);
         assert_eq!(h.miss_ratio(4), 0.0);
     }

@@ -6,26 +6,26 @@
 //! sampling"*. A burst records `on` consecutive outer iterations in full,
 //! then skips `off` iterations, repeating over the whole hot loop.
 
-use sp_trace::{HotLoopTrace, IterRecord};
+use sp_trace::{CompiledTrace, HotLoopTrace};
 
 /// One recorded burst: a contiguous window of the hot loop.
 #[derive(Debug, Clone)]
 pub struct Burst {
     /// Outer-loop iteration index at which the burst starts.
     pub start_iter: usize,
-    /// The recorded iterations, in order.
-    pub iters: Vec<IterRecord>,
+    /// The recorded iterations, in order (a copy of the window).
+    pub iters: CompiledTrace,
 }
 
 impl Burst {
     /// Number of iterations recorded.
     pub fn len(&self) -> usize {
-        self.iters.len()
+        self.iters.outer_iters()
     }
 
     /// `true` if the burst recorded nothing.
     pub fn is_empty(&self) -> bool {
-        self.iters.is_empty()
+        self.len() == 0
     }
 }
 
@@ -74,12 +74,12 @@ impl BurstSampler {
     pub fn sample(&self, trace: &HotLoopTrace) -> Vec<Burst> {
         let mut bursts = Vec::new();
         let mut i = self.start;
-        let n = trace.iters.len();
+        let n = trace.outer_iters();
         while i < n {
             let end = (i + self.on).min(n);
             bursts.push(Burst {
                 start_iter: i,
-                iters: trace.iters[i..end].to_vec(),
+                iters: trace.iters.slice(i..end),
             });
             i = end + self.off;
         }
@@ -125,7 +125,7 @@ mod tests {
         let bursts = s.sample(&t);
         for b in &bursts {
             for (k, it) in b.iters.iter().enumerate() {
-                assert_eq!(*it, t.iters[b.start_iter + k]);
+                assert_eq!(it, t.iters.at(b.start_iter + k));
             }
         }
     }

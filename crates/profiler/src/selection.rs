@@ -56,8 +56,8 @@ pub fn miss_cycle_profile(trace: &HotLoopTrace, cfg: &CacheConfig) -> MissCycleP
         l2_hit_cycles: 0,
         miss_cycles: 0,
     };
-    for it in &trace.iters {
-        p.compute_cycles += it.compute_cycles;
+    for it in trace.iters.iter() {
+        p.compute_cycles += it.compute_cycles();
         for r in it.refs() {
             let store = r.kind == sp_trace::AccessKind::Store;
             if l1.demand_touch(r.vaddr, store).is_some() {
@@ -113,6 +113,7 @@ mod tests {
     use super::*;
     use sp_cachesim::CacheGeometry;
     use sp_trace::synth;
+    use sp_trace::TraceSink;
 
     fn cfg() -> CacheConfig {
         CacheConfig {
@@ -136,14 +137,11 @@ mod tests {
     #[test]
     fn compute_loop_is_not_miss_dominated() {
         // One resident block, heavy compute.
-        let mut t = sp_trace::HotLoopTrace::new("hot");
-        for _ in 0..200 {
-            t.iters.push(sp_trace::IterRecord {
-                backbone: Vec::new(),
-                inner: vec![sp_trace::MemRef::anon(0)],
-                compute_cycles: 500,
-            });
-        }
+        let t = sp_trace::HotLoopTrace::record("hot", &[], |s| {
+            for _ in 0..200 {
+                s.iteration(&[], &[sp_trace::MemRef::anon(0)], 500);
+            }
+        });
         let p = miss_cycle_profile(&t, &cfg());
         assert!(p.miss_share() < 0.01, "share {}", p.miss_share());
     }
@@ -151,17 +149,11 @@ mod tests {
     #[test]
     fn selection_sorts_and_thresholds() {
         let mem_bound = synth::sequential(300, 4, 0, 64, 1);
-        let cpu_bound = {
-            let mut t = sp_trace::HotLoopTrace::new("cpu");
+        let cpu_bound = sp_trace::HotLoopTrace::record("cpu", &[], |s| {
             for _ in 0..100 {
-                t.iters.push(sp_trace::IterRecord {
-                    backbone: Vec::new(),
-                    inner: vec![sp_trace::MemRef::anon(0)],
-                    compute_cycles: 1000,
-                });
+                s.iteration(&[], &[sp_trace::MemRef::anon(0)], 1000);
             }
-            t
-        };
+        });
         let rows = select_benchmarks(
             &[("cpu".into(), cpu_bound), ("mem".into(), mem_bound)],
             &cfg(),
@@ -174,7 +166,7 @@ mod tests {
 
     #[test]
     fn empty_trace_has_zero_share() {
-        let t = sp_trace::HotLoopTrace::new("empty");
+        let t = sp_trace::HotLoopTrace::default();
         let p = miss_cycle_profile(&t, &cfg());
         assert_eq!(p.miss_share(), 0.0);
         assert_eq!(p.total(), 0);

@@ -6,22 +6,18 @@
 use sp_cachesim::{CacheGeometry, Policy};
 use sp_profiler::{rank_delinquent_loads, BurstSampler};
 use sp_testkit::{check, gen_vec, SmallRng};
-use sp_trace::{synth, HotLoopTrace, IterRecord, MemRef, SiteId};
+use sp_trace::{synth, HotLoopTrace, MemRef, SiteId, TraceSink};
 
 fn arb_trace(rng: &mut SmallRng) -> HotLoopTrace {
-    let mut t = HotLoopTrace::new("arb");
     let iters = rng.gen_range(0usize..80);
-    for _ in 0..iters {
-        let inner = gen_vec(rng, 0..6, |r| {
-            MemRef::load(r.gen_range(0u64..(1 << 16)), SiteId(r.gen_range(0u32..5)))
-        });
-        t.iters.push(IterRecord {
-            backbone: Vec::new(),
-            inner,
-            compute_cycles: rng.gen_range(0u64..20),
-        });
-    }
-    t
+    HotLoopTrace::record("arb", &[], |s| {
+        for _ in 0..iters {
+            let inner = gen_vec(rng, 0..6, |r| {
+                MemRef::load(r.gen_range(0u64..(1 << 16)), SiteId(r.gen_range(0u32..5)))
+            });
+            s.iteration(&[], &inner, rng.gen_range(0u64..20));
+        }
+    })
 }
 
 /// Bursts are disjoint, ordered, within bounds, and exactly tile the
@@ -46,7 +42,7 @@ fn bursts_are_well_formed() {
             prev_end = b.start_iter + b.len();
             // Burst contents match the trace window exactly.
             for (k, it) in b.iters.iter().enumerate() {
-                assert_eq!(it, &t.iters[b.start_iter + k]);
+                assert_eq!(it, t.iters.at(b.start_iter + k));
             }
         }
         assert_eq!(

@@ -1,13 +1,13 @@
 //! Request execution: turn a parsed [`Command`] into the encoded
 //! `result` payload the daemon caches and returns.
 //!
-//! The engine is shared by every pool worker. Each workload trace and
-//! its compiled (flattened) form are memoized together per
-//! `(kernel, scale tier)` — trace synthesis is deterministic, so
-//! regenerating one per request would only burn time, and the handful of
-//! distinct traces is far smaller than the result cache. A compiled
-//! trace carries no cache geometry, so one entry serves every L2 a
-//! client asks for.
+//! The engine is shared by every pool worker. Each workload trace is
+//! memoized per `(kernel, scale tier)` — trace synthesis is
+//! deterministic, so regenerating one per request would only burn time,
+//! and the handful of distinct traces is far smaller than the result
+//! cache. A trace is stored once, as the columns replay reads, so a
+//! request's compiled form is a shared handle to them; it carries no
+//! cache geometry, so one entry serves every L2 a client asks for.
 
 use crate::json::Json;
 use crate::lock;
@@ -17,17 +17,13 @@ use sp_cachesim::{
     default_early_threshold, EpochSeries, EpochSink, LifecycleCounts, NullSink, PfClass,
     PollutionCase, SummarySink, DEFAULT_EPOCH_LEN,
 };
-use sp_core::{recommend_distance, sweep, PerPoint, Sweep};
-use sp_trace::{CompiledTrace, HotLoopTrace};
+use sp_core::{compile_trace, recommend_distance, sweep, PerPoint, Sweep};
+use sp_trace::HotLoopTrace;
 use sp_workloads::{KernelKind, ScaleTier, WorkloadBuilder};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-
-/// A memoized workload: the trace (for the affinity bound) and its
-/// compiled form (for replay).
-type Memoized = (Arc<HotLoopTrace>, Arc<CompiledTrace>);
 
 /// Aggregate prefetch-lifecycle counters folded over every eventful run
 /// the daemon has executed — the source behind the `sp_events_*` series
@@ -84,7 +80,7 @@ impl EpochTotals {
 /// instance.
 #[derive(Default)]
 pub struct SimEngine {
-    memo: Mutex<HashMap<(KernelKind, ScaleTier), Memoized>>,
+    memo: Mutex<HashMap<(KernelKind, ScaleTier), Arc<HotLoopTrace>>>,
     events: EventTotals,
     epochs: EpochTotals,
 }
@@ -105,27 +101,23 @@ impl SimEngine {
         &self.epochs
     }
 
-    /// The trace of `bench` at `scale` and its compiled form, built on
-    /// first use and shared by every later request.
-    fn workload(&self, bench: KernelKind, scale: Scale) -> Memoized {
+    /// The trace of `bench` at `scale`, built on first use and shared by
+    /// every later request.
+    fn workload(&self, bench: KernelKind, scale: Scale) -> Arc<HotLoopTrace> {
         let key = (bench, scale.tier());
         if let Some(memoized) = lock(&self.memo).get(&key) {
             return memoized.clone();
         }
         // Build outside the lock — scaled traces take a while, and a
         // second thread racing to the same key just recomputes the
-        // identical (deterministic) pair.
+        // identical (deterministic) trace.
         let t = {
             let _sp = sp_obs::span!("load", bench = bench.name(), scale = format!("{scale:?}"));
             WorkloadBuilder::new(bench).tier(key.1).trace()
         };
-        let ct = {
-            let _sp = sp_obs::span!("compile", refs = t.total_refs());
-            Arc::new(CompiledTrace::compile(&t))
-        };
         lock(&self.memo)
             .entry(key)
-            .or_insert_with(|| (Arc::new(t), ct))
+            .or_insert_with(|| Arc::new(t))
             .clone()
     }
 
@@ -158,11 +150,12 @@ impl SimEngine {
     }
 
     fn run_sweep(&self, spec: &SimSpec, distances: &[u32]) -> String {
-        let (trace, compiled) = self.workload(spec.bench, spec.scale);
+        let trace = self.workload(spec.bench, spec.scale);
         let bound = recommend_distance(&trace, &spec.cache.config).max_distance;
         // Requests parallelize across the pool, not within a job
         // (jobs = 1).
         let (cfg, rp, opts) = (spec.cache.config, spec.rp, spec.opts);
+        let compiled = Arc::new(compile_trace(&trace, &cfg));
         let threshold = default_early_threshold(&cfg.latency);
         let (swept, events, epochs) = if spec.epochs {
             let new_sink = move || EpochSink::new(DEFAULT_EPOCH_LEN, threshold);

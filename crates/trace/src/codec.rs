@@ -22,8 +22,9 @@
 //! varints. Typical workload traces encode at ~4–6 bytes per reference
 //! versus 24 in memory.
 
+use crate::compiled::TraceBuilder;
 use crate::record::{AccessKind, MemRef, SiteId};
-use crate::stream::{HotLoopTrace, IterRecord};
+use crate::stream::{HotLoopTrace, TraceSink};
 use std::io::{self, Read, Write};
 
 const MAGIC: &[u8; 4] = b"SPTR";
@@ -118,7 +119,7 @@ fn byte_kind(b: u8) -> io::Result<AccessKind> {
 /// let mut buf = Vec::new();
 /// write_trace(&t, &mut buf).unwrap();
 /// let back = read_trace(&mut buf.as_slice()).unwrap();
-/// assert_eq!(back.iters, t.iters);
+/// assert_eq!(back, t);
 /// ```
 pub fn write_trace(trace: &HotLoopTrace, w: &mut impl Write) -> io::Result<()> {
     w.write_all(MAGIC)?;
@@ -128,12 +129,12 @@ pub fn write_trace(trace: &HotLoopTrace, w: &mut impl Write) -> io::Result<()> {
     for s in &trace.site_names {
         write_string(w, s)?;
     }
-    write_varint(w, trace.iters.len() as u64)?;
+    write_varint(w, trace.outer_iters() as u64)?;
     let mut prev_addr = 0i64;
-    for it in &trace.iters {
-        write_varint(w, it.backbone.len() as u64)?;
-        write_varint(w, it.inner.len() as u64)?;
-        write_varint(w, it.compute_cycles)?;
+    for it in trace.iters.iter() {
+        write_varint(w, it.backbone().len() as u64)?;
+        write_varint(w, it.inner().len() as u64)?;
+        write_varint(w, it.compute_cycles())?;
         for r in it.refs() {
             write_ref(w, r, &mut prev_addr)?;
         }
@@ -141,7 +142,7 @@ pub fn write_trace(trace: &HotLoopTrace, w: &mut impl Write) -> io::Result<()> {
     Ok(())
 }
 
-fn write_ref(w: &mut impl Write, r: &MemRef, prev: &mut i64) -> io::Result<()> {
+fn write_ref(w: &mut impl Write, r: MemRef, prev: &mut i64) -> io::Result<()> {
     w.write_all(&[kind_byte(r.kind)])?;
     // ANON (u32::MAX) is by far the most common site in synthetic
     // streams; bias the encoding so it costs one byte instead of five.
@@ -204,36 +205,34 @@ pub fn read_trace(r: &mut impl Read) -> io::Result<HotLoopTrace> {
         site_names.push(read_string(r, 1 << 16)?);
     }
     let n_iters = read_varint(r)?;
-    let mut iters = Vec::new();
-    let mut prev_addr = 0i64;
+    // Counts come from the file: references are appended as they decode,
+    // so a count the bytes cannot back fails at end of input rather than
+    // reserving memory up front.
+    let mut iters = TraceBuilder::new();
+    let (mut prev_addr, mut refs) = (0i64, 0u64);
     for _ in 0..n_iters {
-        let n_backbone = read_varint(r)? as usize;
-        let n_inner = read_varint(r)? as usize;
-        if n_backbone > 1 << 24 || n_inner > 1 << 24 {
+        let n_backbone = read_varint(r)?;
+        let n_inner = read_varint(r)?;
+        refs = refs.saturating_add(n_backbone).saturating_add(n_inner);
+        if n_backbone > 1 << 24 || n_inner > 1 << 24 || refs > u32::MAX as u64 {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 "absurd iteration size",
             ));
         }
         let compute_cycles = read_varint(r)?;
-        let mut backbone = Vec::with_capacity(n_backbone);
         for _ in 0..n_backbone {
-            backbone.push(read_ref(r, &mut prev_addr)?);
+            iters.backbone(read_ref(r, &mut prev_addr)?);
         }
-        let mut inner = Vec::with_capacity(n_inner);
         for _ in 0..n_inner {
-            inner.push(read_ref(r, &mut prev_addr)?);
+            iters.inner(read_ref(r, &mut prev_addr)?);
         }
-        iters.push(IterRecord {
-            backbone,
-            inner,
-            compute_cycles,
-        });
+        iters.end_iter(compute_cycles);
     }
     Ok(HotLoopTrace {
         name,
         site_names,
-        iters,
+        iters: iters.finish(),
     })
 }
 
@@ -291,10 +290,10 @@ mod tests {
 
     #[test]
     fn empty_trace_roundtrips() {
-        let t = HotLoopTrace::new("empty");
+        let t = HotLoopTrace::record("empty", &[], |_| {});
         let back = roundtrip(&t);
         assert_eq!(back.name, "empty");
-        assert!(back.iters.is_empty());
+        assert_eq!(back.outer_iters(), 0);
     }
 
     #[test]
@@ -304,27 +303,23 @@ mod tests {
             synth::random(40, 4, 0, 1 << 30, 3, 2),
             synth::pointer_chase(64, 64, 9, 1),
         ] {
-            let back = roundtrip(&t);
-            assert_eq!(back.iters, t.iters);
-            assert_eq!(back.name, t.name);
+            assert_eq!(roundtrip(&t), t);
         }
     }
 
     #[test]
     fn site_names_and_kinds_survive() {
-        let mut t = HotLoopTrace::new("named");
-        t.site_names = vec!["a->b".into(), "c[i]".into()];
-        t.iters.push(IterRecord {
-            backbone: vec![MemRef::load(100, SiteId(0))],
-            inner: vec![
-                MemRef::store(200, SiteId(1)),
-                MemRef::load(50, SiteId(0)).as_prefetch(),
-            ],
-            compute_cycles: 42,
+        let t = HotLoopTrace::record("named", &["a->b", "c[i]"], |s| {
+            s.iteration(
+                &[MemRef::load(100, SiteId(0))],
+                &[
+                    MemRef::store(200, SiteId(1)),
+                    MemRef::load(50, SiteId(0)).as_prefetch(),
+                ],
+                42,
+            );
         });
-        let back = roundtrip(&t);
-        assert_eq!(back.site_names, t.site_names);
-        assert_eq!(back.iters, t.iters);
+        assert_eq!(roundtrip(&t), t);
     }
 
     #[test]
@@ -366,7 +361,8 @@ mod tests {
         let t = synth::random(30, 3, 0, 1 << 20, 11, 4);
         save(&t, &path).unwrap();
         let back = load(&path).unwrap();
-        assert_eq!(back.iters, t.iters);
+        assert_eq!(back, t);
+        assert_eq!(digest(&back), digest(&t));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -377,6 +373,25 @@ mod tests {
         // Distinct traces get distinct digests.
         let other = synth::sequential(64, 4, 0x8040, 64, 3);
         assert_ne!(digest(&t), digest(&other));
+    }
+
+    /// A short file whose iterations claim 2^24 references each fails
+    /// at end of input; nothing is reserved from the claimed counts.
+    #[test]
+    fn claimed_counts_the_bytes_cannot_back_are_an_error() {
+        let mut buf = Vec::new();
+        buf.extend_from_slice(b"SPTR\x01");
+        write_string(&mut buf, "huge").unwrap();
+        write_varint(&mut buf, 0).unwrap(); // no site names
+        write_varint(&mut buf, 1 << 20).unwrap(); // iterations
+        write_varint(&mut buf, 1 << 24).unwrap(); // backbone refs
+        write_varint(&mut buf, 1 << 24).unwrap(); // inner refs
+        write_varint(&mut buf, 0).unwrap(); // compute cycles
+        for a in [64, 128] {
+            write_ref(&mut buf, MemRef::anon(a), &mut 0).unwrap();
+        }
+        let err = read_trace(&mut buf.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
     }
 
     #[test]

@@ -1,29 +1,30 @@
-//! Precompiled traces: a [`HotLoopTrace`] flattened for replay.
+//! The one stored form of a trace: three struct-of-arrays columns per
+//! reference (`vaddr`, `site`, `kind`: 13 bytes) plus per-iteration
+//! metadata.
 //!
-//! A distance sweep replays the identical trace once per grid point. A
-//! [`CompiledTrace`] flattens the trace once into struct-of-arrays
-//! storage — three columns per reference (`vaddr`, `site`, `kind`: 13
-//! bytes) plus per-iteration metadata — and the result is shared (`Arc`)
-//! across all grid points, all passes, and repeated service requests.
+//! Workloads push references into a [`TraceBuilder`], which appends them
+//! as they arrive. [`TraceBuilder::finish`] seals the columns into a
+//! [`CompiledTrace`], the shared handle a
+//! [`HotLoopTrace`](crate::HotLoopTrace) carries as its `iters` and that
+//! every grid point, pass and service request replays from. Compiling a
+//! trace for replay clones that handle; it never copies the columns.
 //!
-//! A compiled trace knows nothing of caches: [`CompiledTrace::get`]
+//! A compiled trace knows nothing of caches: [`TraceColumns::get`]
 //! returns the plain [`MemRef`], and the memory system projects it onto
-//! its own sets and tags. One compiled trace therefore replays against
-//! any cache configuration, and the address mapping lives in exactly one
-//! place (`sp_cachesim::CacheGeometry`).
+//! its own sets and tags. One trace therefore replays against any cache
+//! configuration, and the address mapping lives in exactly one place
+//! (`sp_cachesim::CacheGeometry`).
 
 use crate::record::{AccessKind, MemRef, SiteId, VAddr};
-use crate::stream::HotLoopTrace;
-use std::ops::Range;
+use crate::stream::TraceSink;
+use std::ops::{Deref, Range};
+use std::sync::Arc;
 
-/// A [`HotLoopTrace`] flattened for replay: struct-of-arrays
-/// per-reference columns plus per-iteration metadata (reference ranges,
-/// backbone split, compute cycles).
-///
-/// Build once with [`CompiledTrace::compile`], wrap in an `Arc`, and
-/// replay from every grid point / pass / request.
-#[derive(Debug, Clone)]
-pub struct CompiledTrace {
+/// Flat reference columns and per-iteration metadata of one trace,
+/// reached through a [`CompiledTrace`]. The replay loop borrows it once
+/// per run, so each access reads a column directly.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TraceColumns {
     // Per-reference SoA columns, indexed by flat reference position.
     vaddr: Vec<VAddr>,
     site: Vec<SiteId>,
@@ -36,34 +37,20 @@ pub struct CompiledTrace {
     compute_cycles: Vec<u64>,
 }
 
-impl CompiledTrace {
-    /// Compile `trace`. Deterministic: the same trace always produces
-    /// identical arrays.
-    pub fn compile(trace: &HotLoopTrace) -> Self {
-        let n = trace.total_refs();
-        let iters = trace.outer_iters();
-        let mut c = CompiledTrace {
-            vaddr: Vec::with_capacity(n),
-            site: Vec::with_capacity(n),
-            kind: Vec::with_capacity(n),
-            ref_start: Vec::with_capacity(iters + 1),
-            backbone_len: Vec::with_capacity(iters),
-            compute_cycles: Vec::with_capacity(iters),
-        };
-        c.ref_start.push(0);
-        for it in &trace.iters {
-            for r in it.refs() {
-                c.vaddr.push(r.vaddr);
-                c.site.push(r.site);
-                c.kind.push(r.kind);
-            }
-            c.ref_start.push(c.vaddr.len() as u32);
-            c.backbone_len.push(it.backbone.len() as u32);
-            c.compute_cycles.push(it.compute_cycles);
+impl Default for TraceColumns {
+    fn default() -> Self {
+        TraceColumns {
+            vaddr: Vec::new(),
+            site: Vec::new(),
+            kind: Vec::new(),
+            ref_start: vec![0],
+            backbone_len: Vec::new(),
+            compute_cycles: Vec::new(),
         }
-        c
     }
+}
 
+impl TraceColumns {
     /// Number of outer-loop iterations.
     pub fn outer_iters(&self) -> usize {
         self.backbone_len.len()
@@ -75,16 +62,10 @@ impl CompiledTrace {
     }
 
     /// Flat index range of iteration `it`'s references (backbone first,
-    /// program order — same order as [`crate::IterRecord::refs`]).
+    /// program order).
     #[inline]
     pub fn iter_refs(&self, it: usize) -> Range<usize> {
         self.ref_start[it] as usize..self.ref_start[it + 1] as usize
-    }
-
-    /// How many of iteration `it`'s references are backbone references.
-    #[inline]
-    pub fn backbone_len(&self, it: usize) -> usize {
-        self.backbone_len[it] as usize
     }
 
     /// Flat index range of iteration `it`'s backbone references.
@@ -116,13 +97,171 @@ impl CompiledTrace {
             kind: self.kind[i],
         }
     }
+
+    /// A view of iteration `it`.
+    pub fn at(&self, it: usize) -> Iteration<'_> {
+        Iteration { cols: self, it }
+    }
+
+    /// Every iteration, in program order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = Iteration<'_>> + '_ {
+        (0..self.outer_iters()).map(|it| self.at(it))
+    }
+}
+
+/// One outer-loop iteration of a trace, viewed in place.
+///
+/// The split between backbone and inner references mirrors the
+/// structure the SP transformation needs (paper Fig. 1): in a *skipped*
+/// iteration the helper thread still executes the backbone (it must
+/// chase `curr_node->next` to advance) but omits the inner loop; in a
+/// *pre-executed* iteration it executes both.
+#[derive(Debug, Clone, Copy)]
+pub struct Iteration<'a> {
+    cols: &'a TraceColumns,
+    it: usize,
+}
+
+impl<'a> Iteration<'a> {
+    /// This iteration's index in the outer loop.
+    pub fn index(self) -> usize {
+        self.it
+    }
+
+    /// Pure computation cycles attributed to this iteration (arithmetic
+    /// between accesses). Together with the access latencies this
+    /// defines the loop's CALR (computation/access-latency ratio).
+    pub fn compute_cycles(self) -> u64 {
+        self.cols.compute_cycles(self.it)
+    }
+
+    /// All references of the iteration, backbone first (program order).
+    pub fn refs(self) -> impl ExactSizeIterator<Item = MemRef> + 'a {
+        self.cols.iter_refs(self.it).map(|i| self.cols.get(i))
+    }
+
+    /// References required to advance the outer loop (the LDS pointer
+    /// chase through the node list).
+    pub fn backbone(self) -> impl ExactSizeIterator<Item = MemRef> + 'a {
+        self.cols.iter_backbone(self.it).map(|i| self.cols.get(i))
+    }
+
+    /// Inner-loop references — the delinquent loads the helper
+    /// prefetches.
+    pub fn inner(self) -> impl ExactSizeIterator<Item = MemRef> + 'a {
+        self.cols.iter_inner(self.it).map(|i| self.cols.get(i))
+    }
+
+    /// Push this iteration into `s`, as its producer did.
+    pub fn emit(self, s: &mut impl TraceSink) {
+        self.backbone().for_each(|r| s.backbone(r));
+        self.inner().for_each(|r| s.inner(r));
+        s.end_iter(self.compute_cycles());
+    }
+}
+
+/// Two iterations are equal when their backbone references, inner
+/// references and compute cycles are, wherever they sit.
+impl PartialEq for Iteration<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.backbone().eq(other.backbone())
+            && self.inner().eq(other.inner())
+            && self.compute_cycles() == other.compute_cycles()
+    }
+}
+
+/// A trace's columns behind a shared handle (cloning shares them);
+/// derefs to [`TraceColumns`].
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct CompiledTrace(Arc<TraceColumns>);
+
+impl Deref for CompiledTrace {
+    type Target = TraceColumns;
+
+    fn deref(&self) -> &TraceColumns {
+        &self.0
+    }
+}
+
+impl CompiledTrace {
+    /// The replay form of `trace`: its own columns, shared, not copied.
+    pub fn compile(trace: &crate::HotLoopTrace) -> Self {
+        trace.iters.clone()
+    }
+
+    /// A new trace holding a copy of iterations `iters` (burst sampling
+    /// records windows of the hot loop).
+    pub fn slice(&self, iters: Range<usize>) -> CompiledTrace {
+        let mut b = TraceBuilder::new();
+        iters.for_each(|it| self.at(it).emit(&mut b));
+        b.finish()
+    }
+}
+
+/// The column builder: a [`TraceSink`] that appends each reference to
+/// the flat columns as it arrives.
+#[derive(Debug, Default)]
+pub struct TraceBuilder {
+    cols: TraceColumns,
+    // Backbone references of the open iteration so far.
+    open_backbone: u32,
+}
+
+impl TraceBuilder {
+    /// An empty builder.
+    pub fn new() -> Self {
+        TraceBuilder::default()
+    }
+
+    #[inline]
+    fn push(&mut self, r: MemRef) {
+        self.cols.vaddr.push(r.vaddr);
+        self.cols.site.push(r.site);
+        self.cols.kind.push(r.kind);
+    }
+
+    /// References of the open iteration so far.
+    fn open_refs(&self) -> usize {
+        self.cols.vaddr.len() - *self.cols.ref_start.last().expect("starts at 0") as usize
+    }
+
+    /// Seal the columns. Panics if an iteration is still open.
+    pub fn finish(self) -> CompiledTrace {
+        assert_eq!(self.open_refs(), 0, "trace ends inside an iteration");
+        CompiledTrace(Arc::new(self.cols))
+    }
+}
+
+impl TraceSink for TraceBuilder {
+    #[inline]
+    fn backbone(&mut self, r: MemRef) {
+        debug_assert_eq!(
+            self.open_refs(),
+            self.open_backbone as usize,
+            "backbone reference after an inner one"
+        );
+        self.push(r);
+        self.open_backbone += 1;
+    }
+
+    #[inline]
+    fn inner(&mut self, r: MemRef) {
+        self.push(r);
+    }
+
+    fn end_iter(&mut self, compute_cycles: u64) {
+        let end = u32::try_from(self.cols.vaddr.len()).expect("a trace holds at most 2^32 refs");
+        self.cols.ref_start.push(end);
+        self.cols.backbone_len.push(self.open_backbone);
+        self.cols.compute_cycles.push(compute_cycles);
+        self.open_backbone = 0;
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stream::IterRecord;
-    use crate::synth;
+    use crate::{synth, HotLoopTrace};
 
     #[test]
     fn replay_yields_the_trace_refs_in_order() {
@@ -131,8 +270,15 @@ mod tests {
         assert_eq!(c.outer_iters(), t.outer_iters());
         assert_eq!(c.total_refs(), t.total_refs());
         let replayed: Vec<MemRef> = (0..c.total_refs()).map(|i| c.get(i)).collect();
-        let walked: Vec<MemRef> = t.tagged_refs().map(|(_, r)| *r).collect();
+        let walked: Vec<MemRef> = t.tagged_refs().map(|(_, r)| r).collect();
         assert_eq!(replayed, walked);
+    }
+
+    #[test]
+    fn compile_shares_the_trace_columns() {
+        let t = synth::random(30, 5, 0, 1 << 24, 11, 2);
+        let c = CompiledTrace::compile(&t);
+        assert!(std::ptr::eq(c.vaddr.as_ptr(), t.iters.vaddr.as_ptr()));
     }
 
     #[test]
@@ -141,14 +287,14 @@ mod tests {
         let c = CompiledTrace::compile(&t);
         // Exhaustive: a new column fails to compile here until it is
         // accounted for below.
-        let CompiledTrace {
+        let TraceColumns {
             vaddr,
             site,
             kind,
             ref_start,
             backbone_len,
             compute_cycles,
-        } = &c;
+        } = &*c;
         let n = c.total_refs();
         assert!(n > 0);
         let per_ref = size_of::<VAddr>() + size_of::<SiteId>() + size_of::<AccessKind>();
@@ -165,16 +311,13 @@ mod tests {
 
     #[test]
     fn iteration_ranges_split_backbone_and_inner() {
-        let mut t = HotLoopTrace::new("split");
-        t.iters.push(IterRecord {
-            backbone: vec![MemRef::anon(0), MemRef::anon(64)],
-            inner: vec![MemRef::anon(128)],
-            compute_cycles: 5,
-        });
-        t.iters.push(IterRecord {
-            backbone: vec![MemRef::anon(256)],
-            inner: vec![],
-            compute_cycles: 9,
+        let t = HotLoopTrace::record("split", &[], |s| {
+            s.iteration(
+                &[MemRef::anon(0), MemRef::anon(64)],
+                &[MemRef::anon(128)],
+                5,
+            );
+            s.iteration(&[MemRef::anon(256)], &[], 9);
         });
         let c = CompiledTrace::compile(&t);
         assert_eq!(c.iter_refs(0), 0..3);
@@ -184,23 +327,34 @@ mod tests {
         assert_eq!(c.iter_inner(1), 4..4);
         assert_eq!(c.compute_cycles(0), 5);
         assert_eq!(c.compute_cycles(1), 9);
+        let it = c.at(0);
+        assert_eq!(it.backbone().map(|r| r.vaddr).collect::<Vec<_>>(), [0, 64]);
+        assert_eq!(it.inner().map(|r| r.vaddr).collect::<Vec<_>>(), [128]);
+        assert_eq!((it.refs().len(), it.compute_cycles()), (3, 5));
     }
 
     #[test]
-    fn compilation_is_deterministic() {
+    fn slice_copies_a_window_of_iterations() {
         let t = synth::random(30, 5, 0, 1 << 24, 11, 2);
-        let a = CompiledTrace::compile(&t);
-        let b = CompiledTrace::compile(&t);
-        assert_eq!(a.total_refs(), b.total_refs());
-        for i in 0..a.total_refs() {
-            assert_eq!(a.get(i), b.get(i));
-        }
+        let w = t.iters.slice(10..20);
+        assert_eq!(w.outer_iters(), 10);
+        assert!(w.iter().eq(t.iters.iter().skip(10).take(10)));
+        assert_eq!(t.iters.slice(0..30), t.iters);
+        assert_eq!(t.iters.slice(30..30).total_refs(), 0);
     }
 
     #[test]
     fn empty_trace_compiles() {
-        let c = CompiledTrace::compile(&HotLoopTrace::new("empty"));
+        let c = CompiledTrace::compile(&HotLoopTrace::default());
         assert_eq!(c.outer_iters(), 0);
         assert_eq!(c.total_refs(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "inside an iteration")]
+    fn unfinished_iteration_is_rejected() {
+        let mut b = TraceBuilder::new();
+        b.inner(MemRef::anon(0));
+        let _ = b.finish();
     }
 }

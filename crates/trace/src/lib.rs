@@ -10,12 +10,15 @@
 //! (paper §II.A, Fig. 1), and the CMP co-simulation — consumes this
 //! representation.
 //!
-//! The central type is [`HotLoopTrace`]: one [`IterRecord`] per outer-loop
-//! iteration, with the references split into the **backbone** (the pointer
-//! chase that advances the outer loop — the helper thread must execute
-//! these even in skipped iterations) and the **inner** references (the
-//! delinquent loads of the inner loop — the helper thread prefetches these
-//! only in its `A_PRE` pre-executed iterations).
+//! The central type is [`HotLoopTrace`]: a named hot loop whose
+//! iterations are stored once, as the flat reference columns the
+//! simulator replays ([`CompiledTrace`]). Each outer iteration splits its
+//! references into the **backbone** (the pointer chase that advances the
+//! outer loop — the helper thread must execute these even in skipped
+//! iterations) and the **inner** references (the delinquent loads of the
+//! inner loop — the helper thread prefetches these only in its `A_PRE`
+//! pre-executed iterations). Producers push references into a
+//! [`TraceSink`]; [`TraceBuilder`] is the sink that stores them.
 //!
 //! [`synth`] provides deterministic synthetic streams used by unit tests
 //! and property tests; [`codec`] persists recorded traces in a compact
@@ -31,7 +34,7 @@ pub mod stream;
 pub mod synth;
 
 pub use codec::{load as load_trace, save as save_trace};
-pub use compiled::CompiledTrace;
+pub use compiled::{CompiledTrace, Iteration, TraceBuilder, TraceColumns};
 pub use record::{AccessKind, MemRef, SiteId, VAddr};
 pub use rng::SmallRng;
-pub use stream::{HotLoopTrace, IterRecord, TraceStats};
+pub use stream::{HotLoopTrace, TraceSink};

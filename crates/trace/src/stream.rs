@@ -1,76 +1,76 @@
-//! Hot-loop traces: per-outer-iteration reference streams.
+//! Hot-loop traces: per-outer-iteration reference streams, and the sink
+//! every producer pushes them into.
 
-use crate::record::{AccessKind, MemRef, VAddr};
-use std::collections::HashSet;
+use crate::compiled::{CompiledTrace, TraceBuilder};
+use crate::record::MemRef;
 
-/// The references and computation attributed to **one outer-loop
-/// iteration** of a hot loop.
+/// Receives a hot loop's references in program order, one outer
+/// iteration at a time: first its backbone references, then its inner
+/// references, then [`end_iter`](TraceSink::end_iter).
 ///
-/// The split between `backbone` and `inner` mirrors the structure the
-/// SP transformation needs (paper Fig. 1): in a *skipped* iteration the
-/// helper thread still executes the backbone (it must chase
-/// `curr_node->next` to advance), but omits the inner loop; in a
-/// *pre-executed* iteration it executes both.
+/// Every workload kernel emits into this trait. [`TraceBuilder`] stores
+/// the stream as a trace's columns; a streaming analysis (the Set
+/// Affinity analyzer in `sp-core`) consumes it without storing it.
+pub trait TraceSink {
+    /// A backbone reference of the open iteration (the pointer chase
+    /// that advances the outer loop). All of an iteration's backbone
+    /// references come before its inner ones.
+    fn backbone(&mut self, r: MemRef);
+
+    /// An inner-loop reference of the open iteration.
+    fn inner(&mut self, r: MemRef);
+
+    /// Close the open iteration, attributing `compute_cycles` of pure
+    /// computation to it.
+    fn end_iter(&mut self, compute_cycles: u64);
+
+    /// One whole iteration at once.
+    fn iteration(&mut self, backbone: &[MemRef], inner: &[MemRef], compute_cycles: u64) {
+        backbone.iter().for_each(|&r| self.backbone(r));
+        inner.iter().for_each(|&r| self.inner(r));
+        self.end_iter(compute_cycles);
+    }
+}
+
+/// A profiled hot loop: its name, its reference sites and its
+/// iterations, stored once as flat columns.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct IterRecord {
-    /// References required to advance the outer loop (the LDS pointer
-    /// chase through the node list).
-    pub backbone: Vec<MemRef>,
-    /// Inner-loop references — the delinquent loads the helper prefetches.
-    pub inner: Vec<MemRef>,
-    /// Pure computation cycles attributed to this iteration (arithmetic
-    /// between accesses). Together with the access latencies this defines
-    /// the loop's CALR (computation/access-latency ratio).
-    pub compute_cycles: u64,
-}
-
-impl IterRecord {
-    /// Number of references in this iteration.
-    pub fn len(&self) -> usize {
-        self.backbone.len() + self.inner.len()
-    }
-
-    /// `true` if the iteration issues no references at all.
-    pub fn is_empty(&self) -> bool {
-        self.backbone.is_empty() && self.inner.is_empty()
-    }
-
-    /// All references of the iteration, backbone first (program order).
-    pub fn refs(&self) -> impl Iterator<Item = &MemRef> {
-        self.backbone.iter().chain(self.inner.iter())
-    }
-}
-
-/// A profiled hot loop: one [`IterRecord`] per outer-loop iteration.
-#[derive(Debug, Clone, Default)]
 pub struct HotLoopTrace {
     /// Human-readable name of the hot function (e.g. `"em3d::compute_nodes"`).
     pub name: String,
     /// Names of the static reference sites, indexed by
     /// [`SiteId`](crate::SiteId) value.
     pub site_names: Vec<String>,
-    /// The iterations of the outer hot loop, in program order.
-    pub iters: Vec<IterRecord>,
+    /// The iterations of the outer hot loop, in program order. This is
+    /// the replay form itself: compiling the trace shares it.
+    pub iters: CompiledTrace,
 }
 
 impl HotLoopTrace {
-    /// An empty trace with the given name.
-    pub fn new(name: impl Into<String>) -> Self {
+    /// Record a trace: `emit` pushes every iteration into the column
+    /// builder.
+    pub fn record(
+        name: impl Into<String>,
+        site_names: &[&str],
+        emit: impl FnOnce(&mut TraceBuilder),
+    ) -> Self {
+        let mut b = TraceBuilder::new();
+        emit(&mut b);
         HotLoopTrace {
             name: name.into(),
-            site_names: Vec::new(),
-            iters: Vec::new(),
+            site_names: site_names.iter().map(|s| s.to_string()).collect(),
+            iters: b.finish(),
         }
     }
 
     /// Number of outer-loop iterations.
     pub fn outer_iters(&self) -> usize {
-        self.iters.len()
+        self.iters.outer_iters()
     }
 
     /// Total number of references across all iterations.
     pub fn total_refs(&self) -> usize {
-        self.iters.iter().map(IterRecord::len).sum()
+        self.iters.total_refs()
     }
 
     /// Iterate over `(outer_iteration, reference)` pairs in program order.
@@ -78,98 +78,31 @@ impl HotLoopTrace {
     /// This is the flat stream the Set Affinity analysis (paper Fig. 3)
     /// walks: each reference carries the iteration count of the outer hot
     /// loop at which it was issued.
-    pub fn tagged_refs(&self) -> impl Iterator<Item = (u32, &MemRef)> {
+    pub fn tagged_refs(&self) -> impl Iterator<Item = (u32, MemRef)> + '_ {
         self.iters
             .iter()
-            .enumerate()
-            .flat_map(|(i, it)| it.refs().map(move |r| (i as u32, r)))
+            .flat_map(|it| it.refs().map(move |r| (it.index() as u32, r)))
     }
-
-    /// Summary statistics over the trace for a given cache line size.
-    pub fn stats(&self, line_size: u64) -> TraceStats {
-        let mut blocks: HashSet<VAddr> = HashSet::new();
-        let mut loads = 0usize;
-        let mut stores = 0usize;
-        let mut backbone_refs = 0usize;
-        let mut inner_refs = 0usize;
-        let mut compute_cycles = 0u64;
-        for it in &self.iters {
-            backbone_refs += it.backbone.len();
-            inner_refs += it.inner.len();
-            compute_cycles += it.compute_cycles;
-            for r in it.refs() {
-                blocks.insert(r.block(line_size));
-                match r.kind {
-                    AccessKind::Load | AccessKind::Prefetch => loads += 1,
-                    AccessKind::Store => stores += 1,
-                }
-            }
-        }
-        TraceStats {
-            outer_iters: self.iters.len(),
-            total_refs: backbone_refs + inner_refs,
-            backbone_refs,
-            inner_refs,
-            loads,
-            stores,
-            unique_blocks: blocks.len(),
-            footprint_bytes: blocks.len() as u64 * line_size,
-            compute_cycles,
-        }
-    }
-
-    /// Truncate the trace to the first `n` outer iterations (used by the
-    /// burst sampler and by tests). No-op if the trace is shorter.
-    pub fn truncated(&self, n: usize) -> HotLoopTrace {
-        HotLoopTrace {
-            name: self.name.clone(),
-            site_names: self.site_names.clone(),
-            iters: self.iters.iter().take(n).cloned().collect(),
-        }
-    }
-}
-
-/// Aggregate statistics of a [`HotLoopTrace`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceStats {
-    /// Number of outer-loop iterations.
-    pub outer_iters: usize,
-    /// Total references.
-    pub total_refs: usize,
-    /// References in outer-loop backbones.
-    pub backbone_refs: usize,
-    /// References in inner loops (delinquent-load candidates).
-    pub inner_refs: usize,
-    /// Load (and prefetch) references.
-    pub loads: usize,
-    /// Store references.
-    pub stores: usize,
-    /// Distinct cache blocks touched.
-    pub unique_blocks: usize,
-    /// `unique_blocks * line_size`.
-    pub footprint_bytes: u64,
-    /// Total pure-computation cycles in the trace.
-    pub compute_cycles: u64,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::SiteId;
+    use crate::record::{SiteId, VAddr};
 
     fn trace_2x2() -> HotLoopTrace {
-        let mut t = HotLoopTrace::new("t");
-        t.iters.push(IterRecord {
-            backbone: vec![MemRef::load(0, SiteId(0))],
-            inner: vec![MemRef::load(64, SiteId(1)), MemRef::store(128, SiteId(2))],
-            compute_cycles: 10,
-        });
-        t.iters.push(IterRecord {
-            backbone: vec![MemRef::load(256, SiteId(0))],
-            inner: vec![MemRef::load(64, SiteId(1))],
-            compute_cycles: 5,
-        });
-        t
+        HotLoopTrace::record("t", &[], |s| {
+            s.iteration(
+                &[MemRef::load(0, SiteId(0))],
+                &[MemRef::load(64, SiteId(1)), MemRef::store(128, SiteId(2))],
+                10,
+            );
+            s.iteration(
+                &[MemRef::load(256, SiteId(0))],
+                &[MemRef::load(64, SiteId(1))],
+                5,
+            );
+        })
     }
 
     #[test]
@@ -180,45 +113,9 @@ mod tests {
     }
 
     #[test]
-    fn stats_count_unique_blocks_not_refs() {
-        let t = trace_2x2();
-        let s = t.stats(64);
-        assert_eq!(s.outer_iters, 2);
-        assert_eq!(s.total_refs, 5);
-        assert_eq!(s.backbone_refs, 2);
-        assert_eq!(s.inner_refs, 3);
-        assert_eq!(s.loads, 4);
-        assert_eq!(s.stores, 1);
-        // blocks: 0, 64, 128, 256 -> 4 (the second access to 64 dedups)
-        assert_eq!(s.unique_blocks, 4);
-        assert_eq!(s.footprint_bytes, 256);
-        assert_eq!(s.compute_cycles, 15);
-    }
-
-    #[test]
-    fn stats_respect_line_size() {
-        let t = trace_2x2();
-        // With 512-byte lines everything collapses into one block.
-        assert_eq!(t.stats(512).unique_blocks, 1);
-    }
-
-    #[test]
-    fn truncated_keeps_prefix() {
-        let t = trace_2x2();
-        let t1 = t.truncated(1);
-        assert_eq!(t1.outer_iters(), 1);
-        assert_eq!(t1.total_refs(), 3);
-        // Longer than the trace: no-op.
-        assert_eq!(t.truncated(10).outer_iters(), 2);
-    }
-
-    #[test]
-    fn iter_record_len_and_empty() {
-        let it = IterRecord::default();
-        assert!(it.is_empty());
-        assert_eq!(it.len(), 0);
-        let t = trace_2x2();
-        assert_eq!(t.iters[0].len(), 3);
-        assert!(!t.iters[0].is_empty());
+    fn record_keeps_empty_iterations_and_site_names() {
+        let t = HotLoopTrace::record("e", &["a"], |s| s.end_iter(0));
+        assert_eq!((t.outer_iters(), t.total_refs()), (1, 0));
+        assert_eq!(t.site_names, ["a"]);
     }
 }

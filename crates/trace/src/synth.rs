@@ -7,7 +7,7 @@
 
 use crate::record::{MemRef, SiteId};
 use crate::rng::SmallRng;
-use crate::stream::{HotLoopTrace, IterRecord};
+use crate::stream::{HotLoopTrace, TraceSink};
 
 /// A block-sequential scan: iteration `i` touches `refs_per_iter`
 /// consecutive blocks starting at `base + i * refs_per_iter * stride`.
@@ -21,34 +21,27 @@ pub fn sequential(
     stride: u64,
     compute_cycles: u64,
 ) -> HotLoopTrace {
-    let mut t = HotLoopTrace::new("synth::sequential");
-    for i in 0..outer_iters {
-        let start = base + (i * refs_per_iter) as u64 * stride;
-        let inner = (0..refs_per_iter)
-            .map(|j| MemRef::anon(start + j as u64 * stride))
-            .collect();
-        t.iters.push(IterRecord {
-            backbone: Vec::new(),
-            inner,
-            compute_cycles,
-        });
-    }
-    t
+    HotLoopTrace::record("synth::sequential", &[], |s| {
+        for i in 0..outer_iters {
+            let start = base + (i * refs_per_iter) as u64 * stride;
+            for j in 0..refs_per_iter {
+                s.inner(MemRef::anon(start + j as u64 * stride));
+            }
+            s.end_iter(compute_cycles);
+        }
+    })
 }
 
 /// A constant-stride stream with one reference per outer iteration —
 /// the pattern an IP-indexed DPL (stride) prefetcher locks onto.
 pub fn strided(outer_iters: usize, base: u64, stride: i64, compute_cycles: u64) -> HotLoopTrace {
-    let mut t = HotLoopTrace::new("synth::strided");
-    for i in 0..outer_iters {
-        let addr = (base as i64 + i as i64 * stride) as u64;
-        t.iters.push(IterRecord {
-            backbone: Vec::new(),
-            inner: vec![MemRef::load(addr, SiteId(0))],
-            compute_cycles,
-        });
-    }
-    t
+    HotLoopTrace::record("synth::strided", &[], |s| {
+        for i in 0..outer_iters {
+            let addr = (base as i64 + i as i64 * stride) as u64;
+            s.inner(MemRef::load(addr, SiteId(0)));
+            s.end_iter(compute_cycles);
+        }
+    })
 }
 
 /// Uniform-random references over `[base, base + span)`, `refs_per_iter`
@@ -63,18 +56,14 @@ pub fn random(
 ) -> HotLoopTrace {
     assert!(span > 0, "address span must be non-empty");
     let mut rng = SmallRng::seed_from_u64(seed);
-    let mut t = HotLoopTrace::new("synth::random");
-    for _ in 0..outer_iters {
-        let inner = (0..refs_per_iter)
-            .map(|_| MemRef::anon(base + rng.gen_range(0..span)))
-            .collect();
-        t.iters.push(IterRecord {
-            backbone: Vec::new(),
-            inner,
-            compute_cycles,
-        });
-    }
-    t
+    HotLoopTrace::record("synth::random", &[], |s| {
+        for _ in 0..outer_iters {
+            for _ in 0..refs_per_iter {
+                s.inner(MemRef::anon(base + rng.gen_range(0..span)));
+            }
+            s.end_iter(compute_cycles);
+        }
+    })
 }
 
 /// A pointer-chase through `nodes` nodes of `node_size` bytes laid out in
@@ -89,15 +78,12 @@ pub fn pointer_chase(nodes: usize, node_size: u64, seed: u64, compute_cycles: u6
         let j = rng.gen_range(0..=i);
         perm.swap(i, j);
     }
-    let mut t = HotLoopTrace::new("synth::pointer_chase");
-    for &p in &perm {
-        t.iters.push(IterRecord {
-            backbone: vec![MemRef::load(p * node_size, SiteId(0))],
-            inner: Vec::new(),
-            compute_cycles,
-        });
-    }
-    t
+    HotLoopTrace::record("synth::pointer_chase", &[], |s| {
+        for &p in &perm {
+            s.backbone(MemRef::load(p * node_size, SiteId(0)));
+            s.end_iter(compute_cycles);
+        }
+    })
 }
 
 /// A stream that hammers a single cache set: every reference maps to set
@@ -120,21 +106,16 @@ pub fn set_hammer(
     assert!(num_sets.is_power_of_two() && line_size.is_power_of_two());
     assert!(set_index < num_sets);
     let set_stride = num_sets * line_size; // consecutive blocks in one set
-    let mut t = HotLoopTrace::new("synth::set_hammer");
     let mut block = 0u64;
-    for _ in 0..outer_iters {
-        let mut inner = Vec::with_capacity(blocks_per_iter);
-        for _ in 0..blocks_per_iter {
-            inner.push(MemRef::anon(set_index * line_size + block * set_stride));
-            block += 1;
+    HotLoopTrace::record("synth::set_hammer", &[], |s| {
+        for _ in 0..outer_iters {
+            for _ in 0..blocks_per_iter {
+                s.inner(MemRef::anon(set_index * line_size + block * set_stride));
+                block += 1;
+            }
+            s.end_iter(0);
         }
-        t.iters.push(IterRecord {
-            backbone: Vec::new(),
-            inner,
-            compute_cycles: 0,
-        });
-    }
-    t
+    })
 }
 
 #[cfg(test)]
@@ -146,7 +127,7 @@ mod tests {
         let t = sequential(3, 2, 0, 64, 7);
         let addrs: Vec<u64> = t.tagged_refs().map(|(_, r)| r.vaddr).collect();
         assert_eq!(addrs, vec![0, 64, 128, 192, 256, 320]);
-        assert!(t.iters.iter().all(|it| it.compute_cycles == 7));
+        assert!(t.iters.iter().all(|it| it.compute_cycles() == 7));
     }
 
     #[test]
@@ -187,7 +168,7 @@ mod tests {
         assert!(t
             .iters
             .iter()
-            .all(|it| it.backbone.len() == 1 && it.inner.is_empty()));
+            .all(|it| it.backbone().len() == 1 && it.inner().next().is_none()));
     }
 
     #[test]

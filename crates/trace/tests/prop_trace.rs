@@ -1,52 +1,21 @@
-//! Property tests: trace statistics and synthetic-stream guarantees.
+//! Property tests: trace views, the codec and synthetic-stream guarantees.
 //!
 //! Deterministic randomized cases via `sp_testkit::check` (std-only; see
 //! that crate for the replay workflow).
 
 use sp_testkit::{check, gen_vec, SmallRng};
-use sp_trace::{synth, HotLoopTrace, IterRecord, MemRef};
+use sp_trace::{synth, HotLoopTrace, MemRef, TraceSink};
 use std::collections::HashSet;
 
 fn arb_trace(rng: &mut SmallRng) -> HotLoopTrace {
-    let mut t = HotLoopTrace::new("arb");
     let iters = rng.gen_range(0usize..50);
-    for _ in 0..iters {
-        let backbone = gen_vec(rng, 0..4, |r| MemRef::anon(r.gen_range(0u64..(1 << 20))));
-        let inner = gen_vec(rng, 0..8, |r| MemRef::anon(r.gen_range(0u64..(1 << 20))));
-        t.iters.push(IterRecord {
-            backbone,
-            inner,
-            compute_cycles: rng.gen_range(0u64..100),
-        });
-    }
-    t
-}
-
-/// Stats are internally consistent for arbitrary traces.
-#[test]
-fn stats_consistency() {
-    check(64, |rng| {
-        let t = arb_trace(rng);
-        let line = 1u64 << rng.gen_range(5u32..9);
-        let s = t.stats(line);
-        assert_eq!(s.total_refs, t.total_refs());
-        assert_eq!(s.backbone_refs + s.inner_refs, s.total_refs);
-        assert_eq!(s.loads + s.stores, s.total_refs);
-        assert!(s.unique_blocks <= s.total_refs);
-        assert_eq!(s.footprint_bytes, s.unique_blocks as u64 * line);
-        assert_eq!(s.outer_iters, t.outer_iters());
-    });
-}
-
-/// Coarser lines never increase the distinct-block count.
-#[test]
-fn coarser_lines_merge_blocks() {
-    check(64, |rng| {
-        let t = arb_trace(rng);
-        let fine = t.stats(64).unique_blocks;
-        let coarse = t.stats(256).unique_blocks;
-        assert!(coarse <= fine);
-    });
+    HotLoopTrace::record("arb", &[], |s| {
+        for _ in 0..iters {
+            let backbone = gen_vec(rng, 0..4, |r| MemRef::anon(r.gen_range(0u64..(1 << 20))));
+            let inner = gen_vec(rng, 0..8, |r| MemRef::anon(r.gen_range(0u64..(1 << 20))));
+            s.iteration(&backbone, &inner, rng.gen_range(0u64..100));
+        }
+    })
 }
 
 /// `tagged_refs` yields exactly the trace's references in iteration
@@ -67,17 +36,16 @@ fn tagged_refs_in_order() {
     });
 }
 
-/// Truncation takes an exact prefix.
+/// A slice is an exact window of the trace's iterations.
 #[test]
-fn truncation_is_prefix() {
+fn slice_is_a_window() {
     check(64, |rng| {
         let t = arb_trace(rng);
-        let n = rng.gen_range(0usize..60);
-        let p = t.truncated(n);
-        assert_eq!(p.outer_iters(), n.min(t.outer_iters()));
-        for (a, b) in p.iters.iter().zip(&t.iters) {
-            assert_eq!(a, b);
-        }
+        let n = t.outer_iters();
+        let a = rng.gen_range(0..=n);
+        let b = rng.gen_range(a..=n);
+        let w = t.iters.slice(a..b);
+        assert!(w.iter().eq(t.iters.iter().skip(a).take(b - a)));
     });
 }
 
@@ -143,8 +111,8 @@ mod codec_props {
             let mut buf = Vec::new();
             write_trace(&t, &mut buf).unwrap();
             let back = read_trace(&mut buf.as_slice()).unwrap();
-            assert_eq!(back.iters, t.iters);
-            assert_eq!(back.name, t.name);
+            assert_eq!(back, t);
+            assert_eq!(sp_trace::codec::digest(&back), sp_trace::codec::digest(&t));
         });
     }
 

@@ -12,7 +12,7 @@
 
 use crate::arena::Arena;
 use sp_trace::SmallRng;
-use sp_trace::{HotLoopTrace, IterRecord, MemRef, VAddr};
+use sp_trace::{HotLoopTrace, MemRef, TraceSink, VAddr};
 
 /// Reference-site ids used in BFS traces.
 pub mod sites {
@@ -140,49 +140,40 @@ impl Bfs {
         self.order.len()
     }
 
-    /// Emit the traversal's reference stream.
-    pub fn trace(&self) -> HotLoopTrace {
-        let mut t = HotLoopTrace::new("bfs::visit");
-        t.site_names = vec![
-            "frontier[head]".into(),
-            "row_ptr[u]".into(),
-            "col_idx[e]".into(),
-            "prop[v]->dist".into(),
-        ];
-        t.iters = self.iter_records().collect();
-        t
-    }
-
-    /// Stream the visit iterations without materializing the trace.
-    pub fn iter_records(&self) -> impl Iterator<Item = IterRecord> + '_ {
+    /// Push the traversal's reference stream into `s`, one visited
+    /// vertex per outer iteration.
+    pub fn emit(&self, s: &mut impl TraceSink) {
         let d = self.cfg.degree;
-        self.order.iter().enumerate().map(move |(pos, &u)| {
+        for (pos, &u) in self.order.iter().enumerate() {
             let u = u as usize;
-            let mut inner = vec![MemRef::load(self.row_base + u as u64 * 8, sites::ROWPTR)];
+            s.backbone(MemRef::load(
+                self.frontier_base + pos as u64 * 8,
+                sites::FRONTIER,
+            ));
+            s.inner(MemRef::load(self.row_base + u as u64 * 8, sites::ROWPTR));
             for (e, &v) in self.adj[u * d..(u + 1) * d].iter().enumerate() {
-                inner.push(MemRef::load(
+                s.inner(MemRef::load(
                     self.col_base + (u * d + e) as u64 * 8,
                     sites::COLIDX,
                 ));
-                inner.push(MemRef::load(self.prop_addr[v as usize], sites::PROP));
+                s.inner(MemRef::load(self.prop_addr[v as usize], sites::PROP));
             }
-            IterRecord {
-                backbone: vec![MemRef::load(
-                    self.frontier_base + pos as u64 * 8,
-                    sites::FRONTIER,
-                )],
-                inner,
-                compute_cycles: self.cfg.compute_per_visit,
-            }
-        })
+            s.end_iter(self.cfg.compute_per_visit);
+        }
     }
 
-    /// Stream `(outer_iteration, reference)` pairs.
-    pub fn ref_iter(&self) -> impl Iterator<Item = (u32, MemRef)> + '_ {
-        self.iter_records().enumerate().flat_map(|(i, it)| {
-            let refs: Vec<MemRef> = it.refs().copied().collect();
-            refs.into_iter().map(move |r| (i as u32, r))
-        })
+    /// The stream of [`emit`](Self::emit), stored as a trace.
+    pub fn trace(&self) -> HotLoopTrace {
+        HotLoopTrace::record(
+            "bfs::visit",
+            &[
+                "frontier[head]",
+                "row_ptr[u]",
+                "col_idx[e]",
+                "prop[v]->dist",
+            ],
+            |s| self.emit(s),
+        )
     }
 }
 
@@ -213,10 +204,10 @@ mod tests {
         let g = Bfs::build(BfsConfig::tiny());
         let t = g.trace();
         assert_eq!(t.outer_iters(), g.hot_iterations());
-        for it in &t.iters {
-            assert_eq!(it.backbone.len(), 1);
-            let cols = it.inner.iter().filter(|r| r.site == sites::COLIDX).count();
-            let props = it.inner.iter().filter(|r| r.site == sites::PROP).count();
+        for it in t.iters.iter() {
+            assert_eq!(it.backbone().len(), 1);
+            let cols = it.inner().filter(|r| r.site == sites::COLIDX).count();
+            let props = it.inner().filter(|r| r.site == sites::PROP).count();
             assert_eq!((cols, props), (g.cfg.degree, g.cfg.degree));
         }
     }

@@ -13,7 +13,7 @@
 
 use crate::arena::Arena;
 use sp_trace::SmallRng;
-use sp_trace::{HotLoopTrace, IterRecord, MemRef, VAddr};
+use sp_trace::{HotLoopTrace, MemRef, TraceSink, VAddr};
 
 /// Reference-site ids used in B-tree traces.
 pub mod sites {
@@ -140,54 +140,39 @@ impl BTree {
         self.inner_addr.len()
     }
 
-    /// Emit the scan batch's reference stream.
-    pub fn trace(&self) -> HotLoopTrace {
-        let mut t = HotLoopTrace::new("btree::range_scan");
-        t.site_names = vec![
-            "ranges[i]".into(),
-            "node->child[k]".into(),
-            "leaf->next".into(),
-            "leaf->keys[k]".into(),
-        ];
-        t.iters = self.iter_records().collect();
-        t
-    }
-
-    /// Stream the scan iterations without materializing the trace.
-    pub fn iter_records(&self) -> impl Iterator<Item = IterRecord> + '_ {
+    /// Push the scan batch's reference stream into `s`, one range scan
+    /// per outer iteration.
+    pub fn emit(&self, s: &mut impl TraceSink) {
         let line_blocks = (self.cfg.fanout as u64 * 8).div_ceil(64);
-        self.scan_start.iter().enumerate().map(move |(i, &start)| {
-            let mut inner = Vec::new();
+        for (i, &start) in self.scan_start.iter().enumerate() {
+            s.backbone(MemRef::load(self.query_base + i as u64 * 16, sites::QUERY));
             // Descent: at each inner level read the node covering the
             // target leaf.
             for lvl in self.inner_addr.iter() {
                 let per_node = self.leaf_addr.len().div_ceil(lvl.len());
                 let node = (start as usize / per_node.max(1)).min(lvl.len() - 1);
-                inner.push(MemRef::load(lvl[node], sites::INNER));
+                s.inner(MemRef::load(lvl[node], sites::INNER));
             }
             // Leaf walk: header (chain pointer) then the key area.
             for l in 0..self.cfg.span {
                 let leaf = (start as usize + l) % self.leaf_addr.len();
                 let base = self.leaf_addr[leaf];
-                inner.push(MemRef::load(base, sites::LEAF));
+                s.inner(MemRef::load(base, sites::LEAF));
                 for blk in 0..line_blocks {
-                    inner.push(MemRef::load(base + Self::HEADER + blk * 64, sites::KEYS));
+                    s.inner(MemRef::load(base + Self::HEADER + blk * 64, sites::KEYS));
                 }
             }
-            IterRecord {
-                backbone: vec![MemRef::load(self.query_base + i as u64 * 16, sites::QUERY)],
-                inner,
-                compute_cycles: self.cfg.compute_per_leaf * self.cfg.span as u64,
-            }
-        })
+            s.end_iter(self.cfg.compute_per_leaf * self.cfg.span as u64);
+        }
     }
 
-    /// Stream `(outer_iteration, reference)` pairs.
-    pub fn ref_iter(&self) -> impl Iterator<Item = (u32, MemRef)> + '_ {
-        self.iter_records().enumerate().flat_map(|(i, it)| {
-            let refs: Vec<MemRef> = it.refs().copied().collect();
-            refs.into_iter().map(move |r| (i as u32, r))
-        })
+    /// The stream of [`emit`](Self::emit), stored as a trace.
+    pub fn trace(&self) -> HotLoopTrace {
+        HotLoopTrace::record(
+            "btree::range_scan",
+            &["ranges[i]", "node->child[k]", "leaf->next", "leaf->keys[k]"],
+            |s| self.emit(s),
+        )
     }
 }
 
@@ -216,10 +201,10 @@ mod tests {
         let b = BTree::build(BTreeConfig::tiny());
         let t = b.trace();
         assert_eq!(t.outer_iters(), b.hot_iterations());
-        for it in &t.iters {
-            assert_eq!(it.backbone.len(), 1);
-            let inner = it.inner.iter().filter(|r| r.site == sites::INNER).count();
-            let leafs = it.inner.iter().filter(|r| r.site == sites::LEAF).count();
+        for it in t.iters.iter() {
+            assert_eq!(it.backbone().len(), 1);
+            let inner = it.inner().filter(|r| r.site == sites::INNER).count();
+            let leafs = it.inner().filter(|r| r.site == sites::LEAF).count();
             assert_eq!(inner, b.depth(), "one inner read per level");
             assert_eq!(leafs, b.cfg.span, "one header read per walked leaf");
         }

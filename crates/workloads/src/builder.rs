@@ -14,9 +14,11 @@
 //! The kind space is the full workload frontier: the paper's trio, the
 //! §IV.B screening candidates, and the four LDS kernels (hash-join
 //! probe, BFS over CSR, skip-list search, B-tree range scan) added for
-//! the prefetcher-backend comparison. Every kernel emits a deterministic
-//! [`HotLoopTrace`] with backbone/inner delinquent-load structure, so
-//! `recommend_distance` and the Set-Affinity bound apply unchanged.
+//! the prefetcher-backend comparison. Every kernel pushes a deterministic
+//! reference stream with backbone/inner delinquent-load structure into a
+//! [`TraceSink`] — stored as a [`HotLoopTrace`] by `trace()`, or
+//! analysed in flight by `emit()` — so `recommend_distance` and the
+//! Set-Affinity bound apply unchanged.
 
 use crate::bfs::{Bfs, BfsConfig};
 use crate::btree::{BTree, BTreeConfig};
@@ -29,7 +31,7 @@ use crate::mst::{Mst, MstConfig};
 use crate::skiplist::{SkipList, SkipListConfig};
 use crate::treeadd::{TreeAdd, TreeAddConfig};
 use crate::{Benchmark, Candidate};
-use sp_trace::HotLoopTrace;
+use sp_trace::{HotLoopTrace, TraceSink};
 
 /// Every kernel the builder can construct.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -411,7 +413,24 @@ impl BuiltKernel {
         }
     }
 
-    /// The hot loop's reference stream.
+    /// Push the hot loop's reference stream into `s` without storing it
+    /// (what [`trace`](Self::trace) stores).
+    pub fn emit(&self, s: &mut impl TraceSink) {
+        match self {
+            BuiltKernel::Em3d(w) => w.emit(s),
+            BuiltKernel::Mcf(w) => w.emit(s),
+            BuiltKernel::Mst(w) => w.emit(s),
+            BuiltKernel::TreeAdd(w) => w.emit(s),
+            BuiltKernel::Health(w) => w.emit(s),
+            BuiltKernel::Matmul(w) => w.emit(s),
+            BuiltKernel::HashJoin(w) => w.emit(s),
+            BuiltKernel::Bfs(w) => w.emit(s),
+            BuiltKernel::SkipList(w) => w.emit(s),
+            BuiltKernel::BTree(w) => w.emit(s),
+        }
+    }
+
+    /// The hot loop's reference stream, stored as a trace.
     pub fn trace(&self) -> HotLoopTrace {
         match self {
             BuiltKernel::Em3d(w) => w.trace(),

@@ -10,7 +10,7 @@
 
 use crate::arena::Arena;
 use sp_trace::SmallRng;
-use sp_trace::{HotLoopTrace, IterRecord, MemRef, VAddr};
+use sp_trace::{HotLoopTrace, MemRef, TraceSink, VAddr};
 
 /// Reference-site ids used in EM3D traces.
 pub mod sites {
@@ -147,61 +147,45 @@ impl Em3d {
         self.cfg.nodes
     }
 
-    /// The [`IterRecord`] of one outer iteration (node `i`), built on
-    /// demand — the shared source for both [`trace`](Self::trace) and the
-    /// streaming [`iter_records`](Self::iter_records).
-    fn iter_record(&self, i: usize) -> IterRecord {
+    /// Push the reference stream of one `compute_nodes` pass — the
+    /// paper's hot loop (Fig. 1(a)) — into `s`, one node per outer
+    /// iteration. Nothing is stored here, so a paper-scale input (a
+    /// 4x10^5 node, arity-128 stream of several GB) streams straight
+    /// into an analysis.
+    pub fn emit(&self, s: &mut impl TraceSink) {
         let d = self.cfg.degree;
-        let mut inner = Vec::with_capacity(3 * d + 1);
-        for j in 0..d {
-            inner.push(MemRef::load(
-                self.fv_addr[i] + 8 * j as u64,
-                sites::FROM_VALUES,
-            ));
-            let other = self.from[i * d + j] as usize;
-            inner.push(MemRef::load(self.node_addr[other], sites::OTHER_VALUE));
-            inner.push(MemRef::load(
-                self.coeff_addr[i] + 8 * j as u64,
-                sites::COEFF,
-            ));
-        }
-        inner.push(MemRef::store(self.node_addr[i], sites::VALUE_STORE));
-        IterRecord {
-            backbone: vec![MemRef::load(self.node_addr[i], sites::NEXT)],
-            inner,
-            compute_cycles: self.cfg.compute_per_edge * d as u64,
+        for i in 0..self.cfg.nodes {
+            s.backbone(MemRef::load(self.node_addr[i], sites::NEXT));
+            for j in 0..d {
+                s.inner(MemRef::load(
+                    self.fv_addr[i] + 8 * j as u64,
+                    sites::FROM_VALUES,
+                ));
+                let other = self.from[i * d + j] as usize;
+                s.inner(MemRef::load(self.node_addr[other], sites::OTHER_VALUE));
+                s.inner(MemRef::load(
+                    self.coeff_addr[i] + 8 * j as u64,
+                    sites::COEFF,
+                ));
+            }
+            s.inner(MemRef::store(self.node_addr[i], sites::VALUE_STORE));
+            s.end_iter(self.cfg.compute_per_edge * d as u64);
         }
     }
 
-    /// Stream the hot loop's iterations without materializing the whole
-    /// trace — the memory-safe path for paper-scale inputs (a 4x10^5
-    /// node, arity-128 trace would otherwise occupy several GB).
-    pub fn iter_records(&self) -> impl Iterator<Item = IterRecord> + '_ {
-        (0..self.cfg.nodes).map(|i| self.iter_record(i))
-    }
-
-    /// Stream `(outer_iteration, reference)` pairs — what the Set
-    /// Affinity analysis consumes.
-    pub fn ref_iter(&self) -> impl Iterator<Item = (u32, MemRef)> + '_ {
-        self.iter_records().enumerate().flat_map(|(i, it)| {
-            let refs: Vec<MemRef> = it.refs().copied().collect();
-            refs.into_iter().map(move |r| (i as u32, r))
-        })
-    }
-
-    /// Emit the reference stream of one `compute_nodes` pass — the
-    /// paper's hot loop (Fig. 1(a)).
+    /// The stream of [`emit`](Self::emit), stored as a trace.
     pub fn trace(&self) -> HotLoopTrace {
-        let mut t = HotLoopTrace::new("em3d::compute_nodes");
-        t.site_names = vec![
-            "curr_node->next".into(),
-            "curr_node->from_values[j]".into(),
-            "other_node->value".into(),
-            "curr_node->coeffs[j]".into(),
-            "curr_node->value (store)".into(),
-        ];
-        t.iters = self.iter_records().collect();
-        t
+        HotLoopTrace::record(
+            "em3d::compute_nodes",
+            &[
+                "curr_node->next",
+                "curr_node->from_values[j]",
+                "other_node->value",
+                "curr_node->coeffs[j]",
+                "curr_node->value (store)",
+            ],
+            |s| self.emit(s),
+        )
     }
 }
 
@@ -234,12 +218,16 @@ mod tests {
         let g = Em3d::build(Em3dConfig::tiny());
         let t = g.trace();
         assert_eq!(t.outer_iters(), g.hot_iterations());
-        for it in &t.iters {
-            assert_eq!(it.backbone.len(), 1, "one next-pointer chase per iteration");
-            // degree * (from_values + other + coeff) + the value store.
-            assert_eq!(it.inner.len(), 3 * g.cfg.degree + 1);
+        for it in t.iters.iter() {
             assert_eq!(
-                it.compute_cycles,
+                it.backbone().len(),
+                1,
+                "one next-pointer chase per iteration"
+            );
+            // degree * (from_values + other + coeff) + the value store.
+            assert_eq!(it.inner().len(), 3 * g.cfg.degree + 1);
+            assert_eq!(
+                it.compute_cycles(),
                 g.cfg.compute_per_edge * g.cfg.degree as u64
             );
         }
@@ -249,10 +237,10 @@ mod tests {
     fn from_values_loads_are_sequential_within_an_iteration() {
         let g = Em3d::build(Em3dConfig::tiny());
         let t = g.trace();
-        let it = &t.iters[0];
-        let fv: Vec<u64> = it
-            .inner
-            .iter()
+        let fv: Vec<u64> = t
+            .iters
+            .at(0)
+            .inner()
             .filter(|r| r.site == sites::FROM_VALUES)
             .map(|r| r.vaddr)
             .collect();
@@ -267,7 +255,7 @@ mod tests {
         let g = Em3d::build(Em3dConfig::tiny());
         let t = g.trace();
         for (i, it) in t.iters.iter().enumerate() {
-            for r in it.inner.iter().filter(|r| r.site == sites::OTHER_VALUE) {
+            for r in it.inner().filter(|r| r.site == sites::OTHER_VALUE) {
                 let target = g.node_addr.iter().position(|&a| a == r.vaddr).unwrap();
                 let half = g.cfg.nodes / 2;
                 assert_ne!(i < half, target < half);

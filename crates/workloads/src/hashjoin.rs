@@ -12,7 +12,7 @@
 
 use crate::arena::Arena;
 use sp_trace::SmallRng;
-use sp_trace::{HotLoopTrace, IterRecord, MemRef, VAddr};
+use sp_trace::{HotLoopTrace, MemRef, TraceSink, VAddr};
 
 /// Reference-site ids used in hash-join traces.
 pub mod sites {
@@ -144,45 +144,31 @@ impl HashJoin {
         self.cfg.probe
     }
 
-    /// Emit the probe phase's reference stream.
-    pub fn trace(&self) -> HotLoopTrace {
-        let mut t = HotLoopTrace::new("hashjoin::probe");
-        t.site_names = vec![
-            "probe[i].key".into(),
-            "table[h]".into(),
-            "ent->key".into(),
-            "ent->tuple->cols".into(),
-        ];
-        t.iters = self.iter_records().collect();
-        t
-    }
-
-    /// Stream the probe iterations without materializing the trace.
-    pub fn iter_records(&self) -> impl Iterator<Item = IterRecord> + '_ {
-        self.probe_key.iter().enumerate().map(move |(i, &key)| {
+    /// Push the probe phase's reference stream into `s`, one probe per
+    /// outer iteration.
+    pub fn emit(&self, s: &mut impl TraceSink) {
+        for (i, &key) in self.probe_key.iter().enumerate() {
             let b = Self::bucket_of(key, self.cfg.buckets);
-            let mut inner = vec![MemRef::load(self.bucket_base + b as u64 * 8, sites::BUCKET)];
+            s.backbone(MemRef::load(self.probe_base + i as u64 * 16, sites::PROBE));
+            s.inner(MemRef::load(self.bucket_base + b as u64 * 8, sites::BUCKET));
             for &e in &self.chains[b] {
-                inner.push(MemRef::load(self.entry_addr[e as usize], sites::ENTRY));
+                s.inner(MemRef::load(self.entry_addr[e as usize], sites::ENTRY));
                 if self.build_key[e as usize] == key {
-                    inner.push(MemRef::load(self.payload_addr[e as usize], sites::PAYLOAD));
+                    s.inner(MemRef::load(self.payload_addr[e as usize], sites::PAYLOAD));
                     break;
                 }
             }
-            IterRecord {
-                backbone: vec![MemRef::load(self.probe_base + i as u64 * 16, sites::PROBE)],
-                inner,
-                compute_cycles: self.cfg.compute_per_probe,
-            }
-        })
+            s.end_iter(self.cfg.compute_per_probe);
+        }
     }
 
-    /// Stream `(outer_iteration, reference)` pairs.
-    pub fn ref_iter(&self) -> impl Iterator<Item = (u32, MemRef)> + '_ {
-        self.iter_records().enumerate().flat_map(|(i, it)| {
-            let refs: Vec<MemRef> = it.refs().copied().collect();
-            refs.into_iter().map(move |r| (i as u32, r))
-        })
+    /// The stream of [`emit`](Self::emit), stored as a trace.
+    pub fn trace(&self) -> HotLoopTrace {
+        HotLoopTrace::record(
+            "hashjoin::probe",
+            &["probe[i].key", "table[h]", "ent->key", "ent->tuple->cols"],
+            |s| self.emit(s),
+        )
     }
 }
 
@@ -217,10 +203,10 @@ mod tests {
         let j = HashJoin::build(HashJoinConfig::tiny());
         let t = j.trace();
         assert_eq!(t.outer_iters(), j.hot_iterations());
-        for it in &t.iters {
-            assert_eq!(it.backbone.len(), 1);
-            assert_eq!(it.backbone[0].site, sites::PROBE);
-            let buckets = it.inner.iter().filter(|r| r.site == sites::BUCKET).count();
+        for it in t.iters.iter() {
+            assert_eq!(it.backbone().len(), 1);
+            assert_eq!(it.backbone().next().unwrap().site, sites::PROBE);
+            let buckets = it.inner().filter(|r| r.site == sites::BUCKET).count();
             assert_eq!(buckets, 1);
         }
     }

@@ -14,7 +14,7 @@
 
 use crate::arena::Arena;
 use sp_trace::SmallRng;
-use sp_trace::{HotLoopTrace, IterRecord, MemRef, VAddr};
+use sp_trace::{HotLoopTrace, MemRef, TraceSink, VAddr};
 use std::collections::VecDeque;
 
 /// Reference-site ids used in Health traces.
@@ -133,21 +133,15 @@ impl Health {
         self.villages() * self.cfg.steps
     }
 
-    /// Run the simulation, emitting the hot loop's reference stream and
-    /// returning `(trace, total_patients_processed)`.
-    pub fn simulate(&self) -> (HotLoopTrace, u64) {
+    /// Run the simulation, pushing the hot loop's reference stream into
+    /// `s`, one village visit per outer iteration. Each processed patient
+    /// is one `PATIENT` load.
+    pub fn emit(&self, s: &mut impl TraceSink) {
         let cfg = self.cfg;
         let n = self.villages();
         let mut rng = SmallRng::seed_from_u64(cfg.seed ^ 0x51);
         let mut waiting: Vec<VecDeque<u64>> = vec![VecDeque::new(); n];
         let mut next_patient = 0u64;
-        let mut processed = 0u64;
-        let mut t = HotLoopTrace::new("health::sim");
-        t.site_names = vec![
-            "village->next".into(),
-            "patient->hosts".into(),
-            "parent list (store)".into(),
-        ];
         for _ in 0..cfg.steps {
             // New arrivals at the leaves.
             for (v, queue) in waiting.iter_mut().enumerate() {
@@ -160,19 +154,18 @@ impl Health {
             }
             // Post-order visit = reverse level order for a complete tree.
             for v in (0..n).rev() {
-                let mut inner = Vec::new();
+                s.backbone(MemRef::load(self.village_addr[v], sites::VILLAGE));
                 let count = waiting[v].len();
                 let mut transfers = Vec::new();
                 for _ in 0..count {
                     let p = waiting[v].pop_front().expect("counted");
-                    inner.push(MemRef::load(
+                    s.inner(MemRef::load(
                         self.patient_base + p * PATIENT_BYTES,
                         sites::PATIENT,
                     ));
-                    processed += 1;
                     if v != 0 && rng.gen_range(0..cfg.transfer_one_in) == 0 {
                         // Escalate to the parent village.
-                        inner.push(MemRef::store(
+                        s.inner(MemRef::store(
                             self.village_addr[self.parent[v] as usize] + 8,
                             sites::TRANSFER,
                         ));
@@ -182,25 +175,31 @@ impl Health {
                 for p in transfers {
                     waiting[self.parent[v] as usize].push_back(p);
                 }
-                t.iters.push(IterRecord {
-                    backbone: vec![MemRef::load(self.village_addr[v], sites::VILLAGE)],
-                    inner,
-                    compute_cycles: cfg.compute_per_patient * count as u64,
-                });
+                s.end_iter(cfg.compute_per_patient * count as u64);
             }
         }
-        (t, processed)
     }
 
-    /// The hot-loop trace (the paper-facing interface).
+    /// The stream of [`emit`](Self::emit), stored as a trace.
     pub fn trace(&self) -> HotLoopTrace {
-        self.simulate().0
+        HotLoopTrace::record(
+            "health::sim",
+            &["village->next", "patient->hosts", "parent list (store)"],
+            |s| self.emit(s),
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Patients processed over the run: one `PATIENT` load each.
+    fn processed(t: &HotLoopTrace) -> usize {
+        t.tagged_refs()
+            .filter(|(_, r)| r.site == sites::PATIENT)
+            .count()
+    }
 
     #[test]
     fn village_count_matches_levels() {
@@ -228,8 +227,8 @@ mod tests {
         let h = Health::build(HealthConfig::tiny());
         let t = h.trace();
         assert_eq!(t.outer_iters(), h.hot_iterations());
-        for it in &t.iters {
-            assert_eq!(it.backbone.len(), 1, "one village-header chase per visit");
+        for it in t.iters.iter() {
+            assert_eq!(it.backbone().len(), 1, "one village-header chase per visit");
         }
     }
 
@@ -237,17 +236,14 @@ mod tests {
     fn simulation_is_deterministic() {
         let a = Health::build(HealthConfig::tiny());
         let b = Health::build(HealthConfig::tiny());
-        let (ta, pa) = a.simulate();
-        let (tb, pb) = b.simulate();
-        assert_eq!(pa, pb);
-        assert_eq!(ta.iters, tb.iters);
-        assert!(pa > 0);
+        assert_eq!(a.trace(), b.trace());
+        assert!(processed(&a.trace()) > 0);
     }
 
     #[test]
     fn patients_flow_toward_the_root() {
         let h = Health::build(HealthConfig::tiny());
-        let (t, _) = h.simulate();
+        let t = h.trace();
         // The root (village 0) is visited last each step; by the end of
         // the run it must have processed transferred patients, i.e. some
         // root iterations have patient loads.
@@ -255,7 +251,7 @@ mod tests {
         let mut saw_root_patient = false;
         for (i, it) in t.iters.iter().enumerate() {
             let village_visited = n - 1 - (i % n); // reverse level order
-            if village_visited == 0 && it.inner.iter().any(|r| r.site == sites::PATIENT) {
+            if village_visited == 0 && it.inner().any(|r| r.site == sites::PATIENT) {
                 saw_root_patient = true;
             }
         }
@@ -275,9 +271,9 @@ mod tests {
     #[test]
     fn conserved_patients_processed_at_least_arrivals() {
         let h = Health::build(HealthConfig::tiny());
-        let (_, processed) = h.simulate();
+        let processed = processed(&h.trace());
         let leaves = (0..h.villages()).filter(|&v| h.is_leaf(v)).count();
-        let arrivals = (leaves * h.cfg.arrivals_per_leaf * h.cfg.steps) as u64;
+        let arrivals = leaves * h.cfg.arrivals_per_leaf * h.cfg.steps;
         // Every arrival is processed at least once (the step it arrives).
         assert!(processed >= arrivals, "{processed} < {arrivals}");
     }

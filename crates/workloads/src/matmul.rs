@@ -9,7 +9,7 @@
 //! selection must reject it (and its CALR is high, so the RP rule would
 //! degenerate to conventional prefetching anyway).
 
-use sp_trace::{HotLoopTrace, IterRecord, MemRef, VAddr};
+use sp_trace::{HotLoopTrace, MemRef, TraceSink, VAddr};
 
 /// Reference-site ids used in matmul traces.
 pub mod sites {
@@ -93,46 +93,45 @@ impl Matmul {
         base + ((r * self.cfg.n + c) * 8) as u64
     }
 
-    /// Emit the reference stream of one blocked multiply. One outer
-    /// iteration = one tile triple; within it, one representative row
-    /// sweep per tile row (full element enumeration would be enormous and
-    /// adds nothing: reuse within a tile is the point).
-    pub fn trace(&self) -> HotLoopTrace {
-        let mut t = HotLoopTrace::new("matmul::blocked");
-        t.site_names = vec!["a[i][k]".into(), "b[k][j]".into(), "c[i][j]".into()];
+    /// Push the reference stream of one blocked multiply into `s`. One
+    /// outer iteration = one tile triple; within it, one representative
+    /// row sweep per tile row (full element enumeration would be enormous
+    /// and adds nothing: reuse within a tile is the point).
+    pub fn emit(&self, s: &mut impl TraceSink) {
         let (n, bl) = (self.cfg.n, self.cfg.block);
         let tiles = n / bl;
         for ti in 0..tiles {
             for tj in 0..tiles {
                 for tk in 0..tiles {
-                    let mut inner = Vec::with_capacity(3 * bl * bl / 8 * 3);
                     for r in 0..bl {
                         // Touch each cache line of the three tiles' rows.
                         for col in (0..bl).step_by(8) {
-                            inner.push(MemRef::load(
+                            s.inner(MemRef::load(
                                 self.elem(self.a_base, ti * bl + r, tk * bl + col),
                                 sites::A,
                             ));
-                            inner.push(MemRef::load(
+                            s.inner(MemRef::load(
                                 self.elem(self.b_base, tk * bl + r, tj * bl + col),
                                 sites::B,
                             ));
-                            inner.push(MemRef::store(
+                            s.inner(MemRef::store(
                                 self.elem(self.c_base, ti * bl + r, tj * bl + col),
                                 sites::C,
                             ));
                         }
                     }
-                    t.iters.push(IterRecord {
-                        backbone: Vec::new(),
-                        inner,
-                        // bl^3 fused multiply-adds per tile triple.
-                        compute_cycles: self.cfg.compute_per_fma * (bl * bl * bl) as u64,
-                    });
+                    // bl^3 fused multiply-adds per tile triple.
+                    s.end_iter(self.cfg.compute_per_fma * (bl * bl * bl) as u64);
                 }
             }
         }
-        t
+    }
+
+    /// The stream of [`emit`](Self::emit), stored as a trace.
+    pub fn trace(&self) -> HotLoopTrace {
+        HotLoopTrace::record("matmul::blocked", &["a[i][k]", "b[k][j]", "c[i][j]"], |s| {
+            self.emit(s)
+        })
     }
 }
 
@@ -151,17 +150,18 @@ mod tests {
     fn compute_dominates_references() {
         let m = Matmul::build(MatmulConfig::tiny());
         let t = m.trace();
-        let s = t.stats(64);
+        let compute: u64 = t.iters.iter().map(|it| it.compute_cycles()).sum();
         // CALR proxy: compute cycles per reference is large.
-        assert!(s.compute_cycles as f64 / s.total_refs as f64 > 10.0);
+        assert!(compute as f64 / t.total_refs() as f64 > 10.0);
     }
 
     #[test]
     fn footprint_is_three_matrices() {
         let m = Matmul::build(MatmulConfig::tiny());
-        let s = m.trace().stats(64);
+        let blocks: std::collections::HashSet<u64> =
+            m.trace().tagged_refs().map(|(_, r)| r.block(64)).collect();
         let expect = 3 * 16 * 16 * 8 / 64; // bytes / line
-        assert_eq!(s.unique_blocks, expect);
+        assert_eq!(blocks.len(), expect);
     }
 
     #[test]

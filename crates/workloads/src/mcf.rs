@@ -13,7 +13,7 @@
 
 use crate::arena::Arena;
 use sp_trace::SmallRng;
-use sp_trace::{HotLoopTrace, IterRecord, MemRef, VAddr};
+use sp_trace::{HotLoopTrace, MemRef, TraceSink, VAddr};
 
 /// Reference-site ids used in MCF traces.
 pub mod sites {
@@ -133,55 +133,45 @@ impl Mcf {
         self.cfg.arcs
     }
 
-    /// Emit the reference stream of one `primal_bea_mpp` pricing pass.
+    /// Push the reference stream of one `primal_bea_mpp` pricing pass
+    /// into `s`, one arc per outer iteration.
     ///
     /// The outer "backbone" is empty: the scan advances by array index,
     /// so a skipping helper thread pays nothing for skipped arcs (unlike
     /// EM3D's pointer chase).
-    pub fn trace(&self) -> HotLoopTrace {
-        let mut t = HotLoopTrace::new("mcf::primal_bea_mpp");
-        t.site_names = vec![
-            "arcs[i]".into(),
-            "arc->tail->potential".into(),
-            "arc->head->potential".into(),
-            "basket insert".into(),
-        ];
-        t.iters = self.iter_records().collect();
-        t
-    }
-
-    /// Stream the pricing pass's iterations without materializing the
-    /// whole trace (paper-scale MCF has millions of arcs).
-    pub fn iter_records(&self) -> impl Iterator<Item = IterRecord> + '_ {
-        (0..self.cfg.arcs).map(move |i| {
+    pub fn emit(&self, s: &mut impl TraceSink) {
+        for i in 0..self.cfg.arcs {
             let (tail, head) = self.endpoints[i];
-            let mut inner = vec![
-                MemRef::load(self.arc_base + i as u64 * ARC_BYTES, sites::ARC),
-                MemRef::load(self.node_addr[tail as usize], sites::TAIL_POT),
-                MemRef::load(self.node_addr[head as usize], sites::HEAD_POT),
-            ];
+            s.inner(MemRef::load(
+                self.arc_base + i as u64 * ARC_BYTES,
+                sites::ARC,
+            ));
+            s.inner(MemRef::load(self.node_addr[tail as usize], sites::TAIL_POT));
+            s.inner(MemRef::load(self.node_addr[head as usize], sites::HEAD_POT));
             if i % self.cfg.basket_one_in == 0 {
                 // Basket slot index: one entry per `basket_one_in` arcs.
                 let basket_len = (i / self.cfg.basket_one_in) as u64;
-                inner.push(MemRef::store(
+                s.inner(MemRef::store(
                     self.basket_base + basket_len * 16,
                     sites::BASKET,
                 ));
             }
-            IterRecord {
-                backbone: Vec::new(),
-                inner,
-                compute_cycles: self.cfg.compute_per_arc,
-            }
-        })
+            s.end_iter(self.cfg.compute_per_arc);
+        }
     }
 
-    /// Stream `(outer_iteration, reference)` pairs.
-    pub fn ref_iter(&self) -> impl Iterator<Item = (u32, MemRef)> + '_ {
-        self.iter_records().enumerate().flat_map(|(i, it)| {
-            let refs: Vec<MemRef> = it.refs().copied().collect();
-            refs.into_iter().map(move |r| (i as u32, r))
-        })
+    /// The stream of [`emit`](Self::emit), stored as a trace.
+    pub fn trace(&self) -> HotLoopTrace {
+        HotLoopTrace::record(
+            "mcf::primal_bea_mpp",
+            &[
+                "arcs[i]",
+                "arc->tail->potential",
+                "arc->head->potential",
+                "basket insert",
+            ],
+            |s| self.emit(s),
+        )
     }
 }
 
@@ -221,7 +211,7 @@ mod tests {
     fn backbone_is_empty_index_based_scan() {
         let m = Mcf::build(McfConfig::tiny());
         let t = m.trace();
-        assert!(t.iters.iter().all(|it| it.backbone.is_empty()));
+        assert!(t.iters.iter().all(|it| it.backbone().next().is_none()));
     }
 
     #[test]
@@ -230,8 +220,8 @@ mod tests {
         let t = m.trace();
         for (i, it) in t.iters.iter().enumerate() {
             let (tail, head) = m.endpoints[i];
-            assert_eq!(it.inner[1].vaddr, m.node_addr[tail as usize]);
-            assert_eq!(it.inner[2].vaddr, m.node_addr[head as usize]);
+            assert_eq!(it.inner().nth(1).unwrap().vaddr, m.node_addr[tail as usize]);
+            assert_eq!(it.inner().nth(2).unwrap().vaddr, m.node_addr[head as usize]);
         }
     }
 

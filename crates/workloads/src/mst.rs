@@ -16,7 +16,7 @@
 
 use crate::arena::Arena;
 use sp_trace::SmallRng;
-use sp_trace::{HotLoopTrace, IterRecord, MemRef, VAddr};
+use sp_trace::{HotLoopTrace, MemRef, TraceSink, VAddr};
 
 /// Reference-site ids used in MST traces.
 pub mod sites {
@@ -133,58 +133,49 @@ impl Mst {
         n * (n - 1) / 2
     }
 
-    /// Emit the reference stream of the full MST construction.
+    /// Push the reference stream of the full MST construction into `s`,
+    /// one vertex visit per outer iteration (paper-scale MST has ~5x10^7
+    /// of them).
     ///
     /// Deterministic simplification of Olden's control flow: vertices are
     /// inserted in index order (the access *pattern* — list chase + hash
     /// probe per visit — is what matters for cache behaviour, and it is
     /// identical regardless of insertion order).
-    pub fn trace(&self) -> HotLoopTrace {
-        let mut t = HotLoopTrace::new("mst::BlueRule");
-        t.site_names = vec![
-            "tmp->next".into(),
-            "hash->array[j]".into(),
-            "ent->key".into(),
-            "ent->next->key".into(),
-        ];
-        t.iters = self.iter_records().collect();
-        t
-    }
-
-    /// Stream the construction's iterations without materializing the
-    /// O(nodes^2) trace (paper-scale MST has ~5x10^7 iterations).
-    pub fn iter_records(&self) -> impl Iterator<Item = IterRecord> + '_ {
+    pub fn emit(&self, s: &mut impl TraceSink) {
         let n = self.cfg.nodes;
-        (0..n - 1).flat_map(move |inserted| {
-            (inserted + 1..n).map(move |v| {
-                let bucket = self.hash_of[inserted] as u64;
-                let mut inner = vec![
-                    MemRef::load(self.bucket_addr[v] + bucket * 8, sites::BUCKET),
-                    MemRef::load(self.entry_addr[v] + inserted as u64 * 16, sites::ENTRY),
-                ];
-                // Model a chain collision: a second hop whenever the
-                // inserted vertex shares its bucket with its predecessor.
-                if inserted > 0 && self.hash_of[inserted - 1] == self.hash_of[inserted] {
-                    inner.push(MemRef::load(
+        for inserted in 0..n - 1 {
+            let bucket = self.hash_of[inserted] as u64;
+            // Model a chain collision: a second hop whenever the
+            // inserted vertex shares its bucket with its predecessor.
+            let collides = inserted > 0 && self.hash_of[inserted - 1] == self.hash_of[inserted];
+            for v in inserted + 1..n {
+                s.backbone(MemRef::load(self.vertex_addr[v], sites::VLIST));
+                s.inner(MemRef::load(
+                    self.bucket_addr[v] + bucket * 8,
+                    sites::BUCKET,
+                ));
+                s.inner(MemRef::load(
+                    self.entry_addr[v] + inserted as u64 * 16,
+                    sites::ENTRY,
+                ));
+                if collides {
+                    s.inner(MemRef::load(
                         self.entry_addr[v] + (inserted as u64 - 1) * 16,
                         sites::ENTRY2,
                     ));
                 }
-                IterRecord {
-                    backbone: vec![MemRef::load(self.vertex_addr[v], sites::VLIST)],
-                    inner,
-                    compute_cycles: self.cfg.compute_per_visit,
-                }
-            })
-        })
+                s.end_iter(self.cfg.compute_per_visit);
+            }
+        }
     }
 
-    /// Stream `(outer_iteration, reference)` pairs.
-    pub fn ref_iter(&self) -> impl Iterator<Item = (u32, MemRef)> + '_ {
-        self.iter_records().enumerate().flat_map(|(i, it)| {
-            let refs: Vec<MemRef> = it.refs().copied().collect();
-            refs.into_iter().map(move |r| (i as u32, r))
-        })
+    /// The stream of [`emit`](Self::emit), stored as a trace.
+    pub fn trace(&self) -> HotLoopTrace {
+        HotLoopTrace::record(
+            "mst::BlueRule",
+            &["tmp->next", "hash->array[j]", "ent->key", "ent->next->key"],
+            |s| self.emit(s),
+        )
     }
 }
 
@@ -211,10 +202,10 @@ mod tests {
     fn every_iteration_probes_one_hash_table() {
         let m = Mst::build(MstConfig::tiny());
         let t = m.trace();
-        for it in &t.iters {
-            assert_eq!(it.backbone.len(), 1);
-            let buckets = it.inner.iter().filter(|r| r.site == sites::BUCKET).count();
-            let entries = it.inner.iter().filter(|r| r.site == sites::ENTRY).count();
+        for it in t.iters.iter() {
+            assert_eq!(it.backbone().len(), 1);
+            let buckets = it.inner().filter(|r| r.site == sites::BUCKET).count();
+            let entries = it.inner().filter(|r| r.site == sites::ENTRY).count();
             assert_eq!((buckets, entries), (1, 1));
         }
     }

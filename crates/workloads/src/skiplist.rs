@@ -12,7 +12,7 @@
 
 use crate::arena::Arena;
 use sp_trace::SmallRng;
-use sp_trace::{HotLoopTrace, IterRecord, MemRef, VAddr};
+use sp_trace::{HotLoopTrace, MemRef, TraceSink, VAddr};
 
 /// Reference-site ids used in skip-list traces.
 pub mod sites {
@@ -177,39 +177,26 @@ impl SkipList {
         false
     }
 
-    /// Emit the query batch's reference stream.
-    pub fn trace(&self) -> HotLoopTrace {
-        let mut t = HotLoopTrace::new("skiplist::search");
-        t.site_names = vec![
-            "queries[i]".into(),
-            "head->forward[lvl]".into(),
-            "x->forward[lvl]".into(),
-        ];
-        t.iters = self.iter_records().collect();
-        t
-    }
-
-    /// Stream the search iterations without materializing the trace.
-    pub fn iter_records(&self) -> impl Iterator<Item = IterRecord> + '_ {
-        self.queries.iter().enumerate().map(move |(i, &key)| {
-            let mut inner = vec![MemRef::load(self.head_addr, sites::HEAD)];
+    /// Push the query batch's reference stream into `s`, one search
+    /// per outer iteration.
+    pub fn emit(&self, s: &mut impl TraceSink) {
+        for (i, &key) in self.queries.iter().enumerate() {
+            s.backbone(MemRef::load(self.query_base + i as u64 * 8, sites::QUERY));
+            s.inner(MemRef::load(self.head_addr, sites::HEAD));
             self.search_with(key, |node, _| {
-                inner.push(MemRef::load(self.node_addr[node as usize], sites::NODE));
+                s.inner(MemRef::load(self.node_addr[node as usize], sites::NODE));
             });
-            IterRecord {
-                backbone: vec![MemRef::load(self.query_base + i as u64 * 8, sites::QUERY)],
-                inner,
-                compute_cycles: self.cfg.compute_per_search,
-            }
-        })
+            s.end_iter(self.cfg.compute_per_search);
+        }
     }
 
-    /// Stream `(outer_iteration, reference)` pairs.
-    pub fn ref_iter(&self) -> impl Iterator<Item = (u32, MemRef)> + '_ {
-        self.iter_records().enumerate().flat_map(|(i, it)| {
-            let refs: Vec<MemRef> = it.refs().copied().collect();
-            refs.into_iter().map(move |r| (i as u32, r))
-        })
+    /// The stream of [`emit`](Self::emit), stored as a trace.
+    pub fn trace(&self) -> HotLoopTrace {
+        HotLoopTrace::record(
+            "skiplist::search",
+            &["queries[i]", "head->forward[lvl]", "x->forward[lvl]"],
+            |s| self.emit(s),
+        )
     }
 }
 
@@ -253,7 +240,7 @@ mod tests {
         let s = SkipList::build(SkipListConfig::tiny());
         let t = s.trace();
         assert_eq!(t.outer_iters(), s.hot_iterations());
-        let worst = t.iters.iter().map(|it| it.inner.len()).max().unwrap();
+        let worst = t.iters.iter().map(|it| it.inner().len()).max().unwrap();
         // A linear scan would visit ~nodes; towers keep it far smaller.
         assert!(
             worst < s.cfg.nodes / 2,

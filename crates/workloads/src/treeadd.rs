@@ -13,7 +13,7 @@
 //! dereference the node to find its children).
 
 use crate::arena::Arena;
-use sp_trace::{HotLoopTrace, IterRecord, MemRef, VAddr};
+use sp_trace::{HotLoopTrace, MemRef, TraceSink, VAddr};
 
 /// Reference-site ids used in TreeAdd traces.
 pub mod sites {
@@ -103,10 +103,9 @@ impl TreeAdd {
         self.nodes()
     }
 
-    /// Emit the reference stream of one post-order `TreeAdd` walk.
-    pub fn trace(&self) -> HotLoopTrace {
-        let mut t = HotLoopTrace::new("treeadd::TreeAdd");
-        t.site_names = vec!["node->left/right".into(), "node->value".into()];
+    /// Push the reference stream of one post-order `TreeAdd` walk into
+    /// `s`, one node per outer iteration.
+    pub fn emit(&self, s: &mut impl TraceSink) {
         let n = self.nodes();
         // Iterative post-order to avoid recursion depth limits on big
         // trees.
@@ -116,18 +115,24 @@ impl TreeAdd {
                 continue;
             }
             if expanded {
-                t.iters.push(IterRecord {
-                    backbone: vec![MemRef::load(self.node_addr[idx], sites::NODE)],
-                    inner: vec![MemRef::load(self.node_addr[idx] + 8, sites::VALUE)],
-                    compute_cycles: self.cfg.compute_per_node,
-                });
+                s.backbone(MemRef::load(self.node_addr[idx], sites::NODE));
+                s.inner(MemRef::load(self.node_addr[idx] + 8, sites::VALUE));
+                s.end_iter(self.cfg.compute_per_node);
             } else {
                 stack.push((idx, true));
                 stack.push((2 * idx + 2, false));
                 stack.push((2 * idx + 1, false));
             }
         }
-        t
+    }
+
+    /// The stream of [`emit`](Self::emit), stored as a trace.
+    pub fn trace(&self) -> HotLoopTrace {
+        HotLoopTrace::record(
+            "treeadd::TreeAdd",
+            &["node->left/right", "node->value"],
+            |s| self.emit(s),
+        )
     }
 }
 
@@ -148,10 +153,13 @@ mod tests {
         let trace = tree.trace();
         assert_eq!(trace.outer_iters(), tree.nodes());
         let mut seen = std::collections::HashSet::new();
-        for it in &trace.iters {
-            assert_eq!(it.backbone.len(), 1);
-            assert_eq!(it.inner.len(), 1);
-            assert!(seen.insert(it.backbone[0].vaddr), "node visited twice");
+        for it in trace.iters.iter() {
+            assert_eq!(it.backbone().len(), 1);
+            assert_eq!(it.inner().len(), 1);
+            assert!(
+                seen.insert(it.backbone().next().unwrap().vaddr),
+                "node visited twice"
+            );
         }
     }
 
@@ -169,7 +177,7 @@ mod tests {
             .map(|it| {
                 tree.node_addr
                     .iter()
-                    .position(|&a| a == it.backbone[0].vaddr)
+                    .position(|&a| a == it.backbone().next().unwrap().vaddr)
                     .unwrap()
             })
             .collect();

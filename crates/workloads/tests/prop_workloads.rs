@@ -25,8 +25,8 @@ fn em3d_shape() {
         let t = g.trace();
         assert_eq!(t.outer_iters(), cfg.nodes);
         for (i, it) in t.iters.iter().enumerate() {
-            assert_eq!(it.backbone.len(), 1);
-            assert_eq!(it.inner.len(), 3 * degree + 1);
+            assert_eq!(it.backbone().len(), 1);
+            assert_eq!(it.inner().len(), 3 * degree + 1);
             for &o in &g.from[i * degree..(i + 1) * degree] {
                 assert_ne!(i < half, (o as usize) < half, "edge must cross partition");
             }
@@ -126,44 +126,65 @@ fn arena_no_overlap() {
 
 mod streaming_equivalence {
     use super::*;
+    use sp_cachesim::CacheGeometry;
+    use sp_core::{original_set_affinity, SetAffinityAnalyzer, SetAffinityReport};
+    use sp_workloads::{KernelKind, ScaleTier, WorkloadBuilder};
 
-    /// The streaming iterators must produce exactly the materialized
-    /// trace for every workload (the paper-scale analyses rely on this).
-    #[test]
-    fn iter_records_equal_trace() {
-        let em3d = Em3d::build(Em3dConfig::tiny());
-        assert!(em3d.iter_records().eq(em3d.trace().iters.into_iter()));
-        let mcf = Mcf::build(McfConfig::tiny());
-        assert!(mcf.iter_records().eq(mcf.trace().iters.into_iter()));
-        let mst = Mst::build(MstConfig::tiny());
-        assert!(mst.iter_records().eq(mst.trace().iters.into_iter()));
+    /// An L2 small enough that every tiny kernel overflows some set.
+    fn geo() -> CacheGeometry {
+        CacheGeometry::new(8 * 1024, 4, 64)
     }
 
+    fn streamed(emit: impl FnOnce(&mut SetAffinityAnalyzer)) -> SetAffinityReport {
+        let mut sa = SetAffinityAnalyzer::new(geo());
+        emit(&mut sa);
+        sa.report()
+    }
+
+    /// Streaming a kernel into the Set-Affinity sink gives the report of
+    /// the analysis over its stored trace, for every kernel and two
+    /// layout seeds (paper-scale Table 2 relies on this).
     #[test]
-    fn ref_iter_equals_tagged_refs() {
-        let em3d = Em3d::build(Em3dConfig::tiny());
-        let t = em3d.trace();
-        let a: Vec<(u32, sp_trace::MemRef)> = em3d.ref_iter().collect();
-        let b: Vec<(u32, sp_trace::MemRef)> = t.tagged_refs().map(|(i, r)| (i, *r)).collect();
-        assert_eq!(a, b);
+    fn streamed_affinity_equals_stored_trace_affinity() {
+        let mut overflowed = 0;
+        for kind in KernelKind::ALL {
+            for seed in [0x5EED_0001, 0x5EED_0002] {
+                let k = WorkloadBuilder::new(kind)
+                    .tier(ScaleTier::Tiny)
+                    .seed(seed)
+                    .build();
+                let want = original_set_affinity(&k.trace(), geo());
+                assert_eq!(streamed(|sa| k.emit(sa)), want, "{} {seed:#x}", kind.name());
+                overflowed += usize::from(want.min().is_some());
+            }
+        }
+        assert!(overflowed > 0, "no kernel overflowed a set: vacuous");
     }
 
     #[test]
     fn layout_only_builds_still_stream() {
-        // Builds off the default sizes must still produce the full
-        // reference stream.
-        let cfg = Em3dConfig {
+        // Builds off the default sizes stream exactly their stored trace.
+        let g = Em3d::build(Em3dConfig {
             nodes: 64,
             degree: 4,
             ..Em3dConfig::tiny()
-        };
-        let g = Em3d::build(cfg);
-        assert_eq!(g.ref_iter().count(), g.trace().total_refs());
-        let mcfg = MstConfig {
+        });
+        assert_eq!(
+            streamed(|sa| g.emit(sa)),
+            original_set_affinity(&g.trace(), geo())
+        );
+        let m = Mst::build(MstConfig {
             nodes: 16,
             ..MstConfig::tiny()
-        };
-        let m = Mst::build(mcfg);
-        assert!(m.iter_records().count() > 0);
+        });
+        assert_eq!(
+            streamed(|sa| m.emit(sa)),
+            original_set_affinity(&m.trace(), geo())
+        );
+        let c = Mcf::build(McfConfig::tiny());
+        assert_eq!(
+            streamed(|sa| c.emit(sa)),
+            original_set_affinity(&c.trace(), geo())
+        );
     }
 }
