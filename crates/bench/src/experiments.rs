@@ -121,7 +121,7 @@ pub fn kernel_row(cfg: &CacheConfig, scale: Scale, kind: KernelKind) -> Table2Ro
             break;
         }
     }
-    let calr = estimate_calr(&trace, cfg.l1, cfg.l2, cfg.policy, cfg.latency).calr;
+    let calr = estimate_calr(&trace, cfg).calr;
     Table2Row {
         benchmark: kind.name(),
         input: w.input_description(),

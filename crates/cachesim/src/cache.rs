@@ -222,8 +222,9 @@ impl SetAssocCache {
 
     /// [`touch_at`](Self::touch_at) returning only what the L2 demand
     /// path classifies a hit by: whether the line was a never-used
-    /// prefetch before this touch, and who filled it. Skips assembling
-    /// the full pre-touch [`Line`].
+    /// prefetch before this touch, who filled it, and the line's index
+    /// (`set * ways + way`, as [`insert_at`](Self::insert_at) returns
+    /// it). Skips assembling the full pre-touch [`Line`].
     #[inline]
     pub fn touch_classify_at(
         &mut self,
@@ -231,14 +232,14 @@ impl SetAssocCache {
         tag: u64,
         is_store: bool,
         mark_used: bool,
-    ) -> Option<(bool, Entity)> {
+    ) -> Option<(bool, Entity, usize)> {
         let way = self.find_way(set, tag)?;
         let idx = set as usize * self.ways + way;
         let m = self.meta[idx];
         let fresh_prefetch = m & FLAG_PREFETCHED != 0 && m & FLAG_USED == 0;
         let filler = self.fillers[idx];
         self.touch_way(set as usize, way, is_store, mark_used);
-        Some((fresh_prefetch, filler))
+        Some((fresh_prefetch, filler, idx))
     }
 
     /// [`touch_at`](Self::touch_at) when the caller only needs to know
@@ -297,7 +298,7 @@ impl SetAssocCache {
             self.engine.on_fill(set as usize, w);
             return None;
         }
-        self.insert_at(set, tag, filler, prefetched, false)
+        self.insert_at(set, tag, filler, prefetched, false).1
     }
 
     /// Install `(set, tag)`, which the caller knows is absent (checked in
@@ -306,7 +307,9 @@ impl SetAssocCache {
     /// capacity scans for its first invalid way. A demand fill
     /// (`prefetched == false`) is used by the access that requested it;
     /// `dirty` starts the line dirty (a store waiting on the fill).
-    /// Returns the displaced line's metadata if a valid line was evicted.
+    /// Returns the index of the line it filled (`set * ways + way`, for
+    /// callers that keep per-line state of their own) and the displaced
+    /// line's metadata if a valid line was evicted.
     pub fn insert_at(
         &mut self,
         set: u32,
@@ -314,7 +317,7 @@ impl SetAssocCache {
         filler: Entity,
         prefetched: bool,
         dirty: bool,
-    ) -> Option<Evicted> {
+    ) -> (usize, Option<Evicted>) {
         debug_assert!(
             self.find_way(set, tag).is_none(),
             "insert_at of a resident block"
@@ -351,7 +354,7 @@ impl SetAssocCache {
         let dirty_flag = if dirty { FLAG_DIRTY } else { 0 };
         self.meta[idx] = FLAG_VALID | use_flag | dirty_flag;
         self.engine.on_fill(set as usize, way);
-        evicted
+        (idx, evicted)
     }
 
     /// Promote `(set, tag)` per the replacement policy if present (a

@@ -5,36 +5,55 @@
 //! how much pollution happened, never *when*. The paper's argument is
 //! temporal (prefetches land too far ahead of the main thread's
 //! return), so this module windows the same taxonomy. Each
-//! [`EpochWindow`] embeds the run-level [`LifecycleCounts`] block,
-//! folded by the same function, beside what only a window has: hit
-//! classes per thread, L2 fills by origin, MSHR occupancy and the
-//! window's set shape.
+//! [`EpochWindow`] embeds the run-level [`LifecycleCounts`] block beside
+//! what only a window has: hit classes per thread, L2 fills by origin,
+//! MSHR occupancy and the window's set shape.
 //!
-//! [`EpochSink`] is an [`EventSink`] that folds the event stream into
-//! fixed-size windows of [`EpochWindow`]s. Windows advance on
-//! *main-thread references* (via the sink's demand-tick channel), not
-//! on cycles: epoch `i` always means "the main thread's references
-//! `[i*N, (i+1)*N)`", so series at different prefetch distances line
-//! up reference-for-reference — exactly what the per-distance epoch
-//! heatmap in `spt report` compares.
+//! [`EpochSink`] closes a window every `epoch_len` *main-thread
+//! references*, not cycles: epoch `i` always means "the main thread's
+//! references `[i*N, (i+1)*N)`", so series at different prefetch
+//! distances line up reference-for-reference — exactly what the
+//! per-distance epoch heatmap in `spt report` compares.
+//!
+//! # Two paths to one series
+//!
+//! * **Live: counter snapshots.** Attached to a run, the sink receives
+//!   no events and no demand ticks. It opts into the memory system's
+//!   snapshot channel ([`EventSink::SNAPSHOTS`]): at the main-thread
+//!   access that ends a window, and once after the end-of-run drain, the
+//!   memory system shows it its running counters — `MemStats` plus the
+//!   small [`crate::stats::SnapshotCounters`] ledger (per-class prefetch
+//!   fills and dead prefetches, late and early first uses, fills per
+//!   set, MSHR occupancy) — and a window is the difference of two
+//!   snapshots. Timeliness needs no pending-fill table: a pending fill
+//!   *is* a resident, never-used prefetched L2 line, so the memory
+//!   system times a first use against that line's fill cycle.
+//! * **Reference: the event fold.** Fed a captured event stream and its
+//!   demand ticks by hand, the same sink folds them into windows with
+//!   the run-level fold. The differential suite and the benchmark's
+//!   event rung check that both paths give the same series.
 //!
 //! Invariants the test suite pins:
 //!
-//! * **Zero cost disabled** — the recorder rides the existing
-//!   `EventSink` generic; `NullSink` replays compile it out entirely
-//!   (the demand-tick guard mirrors the `ENABLED` guard, and
-//!   `tests/events_off.rs` pins that neither channel is called when
-//!   both are off).
+//! * **Zero cost disabled** — both channels are guarded by associated
+//!   constants, so `NullSink` replays compile the recorder out entirely
+//!   (`tests/events_off.rs` pins that no channel is called when all are
+//!   off).
 //! * **Non-perturbing enabled** — the sink only observes; counters are
 //!   bit-identical with and without it (differential suites).
 //! * **Exact refinement** — [`EpochSeries::totals`] folds back to the
 //!   run-aggregate counters exactly: per-thread hit classes, issued /
 //!   first-use prefetch counts, and the three displacement cases; its
 //!   lifecycle block equals the run's `EventSummary` counts.
+//! * **One series, two paths** — a live series equals the fold of the
+//!   run's events and ticks, window for window
+//!   (`crates/cachesim/tests/epoch_snapshots.rs`).
 
 use crate::clock::Cycle;
-use crate::events::{Event, EventSink, FillOrigin, LifecycleCounts, PendingFills};
-use crate::stats::{Entity, HitClass, PollutionStats};
+use crate::events::{
+    Event, EventSink, FillOrigin, LifecycleCounts, PendingFills, Snapshot, SnapshotPlan,
+};
+use crate::stats::{Entity, HitClass, PollutionStats, ThreadStats};
 
 /// Default epoch length, in main-thread references.
 pub const DEFAULT_EPOCH_LEN: u64 = 10_000;
@@ -135,26 +154,112 @@ impl EpochWindow {
         self.mshr_sum += other.mshr_sum;
     }
 
+    /// The counters of `self` minus those of `earlier`, for two
+    /// running-total windows ([`EpochWindow::run_so_far`]) of one run:
+    /// the change between their snapshots. `mshr_peak` is already a
+    /// per-window high-water mark and is kept as it is.
+    fn since(&self, earlier: &EpochWindow) -> EpochWindow {
+        fn sub<const N: usize>(a: [u64; N], b: [u64; N]) -> [u64; N] {
+            std::array::from_fn(|i| a[i] - b[i])
+        }
+        let (c, e) = (&self.counts, &earlier.counts);
+        EpochWindow {
+            index: self.index,
+            refs: self.refs - earlier.refs,
+            helper_refs: self.helper_refs - earlier.helper_refs,
+            main: sub(self.main, earlier.main),
+            helper: sub(self.helper, earlier.helper),
+            counts: LifecycleCounts {
+                issued: sub(c.issued, e.issued),
+                filled: sub(c.filled, e.filled),
+                first_uses: sub(c.first_uses, e.first_uses),
+                evicted_unused: sub(c.evicted_unused, e.evicted_unused),
+                pollution: sub(c.pollution, e.pollution),
+                late: c.late - e.late,
+                on_time: c.on_time - e.on_time,
+                early: c.early - e.early,
+            },
+            l2_fills: sub(self.l2_fills, earlier.l2_fills),
+            mshr_peak: self.mshr_peak,
+            mshr_sum: self.mshr_sum - earlier.mshr_sum,
+            top_sets: Vec::new(),
+            fill_histogram: Vec::new(),
+        }
+    }
+
+    /// The run so far as one window of running totals, read off a
+    /// counter snapshot (set-shape fields empty). What the event fold
+    /// tracks on its own follows from the counters:
+    ///
+    /// * a pending fill is a resident, never-used prefetched L2 line, so
+    ///   a first use that merged into an in-flight prefetch is late, one
+    ///   whose line idled past the threshold is early, and every other
+    ///   first use is on time;
+    /// * fills by origin are the L2 fills split by the per-class
+    ///   prefetch fills — a prefetch a demand merged into lands as a
+    ///   demand fill.
+    fn run_so_far(snap: &Snapshot<'_>) -> EpochWindow {
+        let (st, c) = (snap.stats, snap.counters);
+        let classes = |t: &ThreadStats| [t.l1_hits, t.total_hits, t.partial_hits, t.total_misses];
+        let (main, helper) = (classes(&st.main), classes(&st.helper));
+        let p = &st.pollution;
+        let useful: u64 = st.prefetches_useful.iter().sum();
+        let hw_fills: u64 = c.filled[1..].iter().sum();
+        EpochWindow {
+            index: 0,
+            refs: main.iter().sum(),
+            helper_refs: helper.iter().sum(),
+            main,
+            helper,
+            counts: LifecycleCounts {
+                issued: st.prefetches_issued,
+                filled: c.filled,
+                first_uses: st.prefetches_useful,
+                evicted_unused: c.evicted_unused,
+                pollution: [
+                    p.reuse_evictions,
+                    p.unused_helper_evictions,
+                    p.unused_hw_evictions,
+                ],
+                late: c.late,
+                on_time: useful - c.late - c.early,
+                early: c.early,
+            },
+            l2_fills: [st.l2_fills - c.filled[0] - hw_fills, c.filled[0], hw_fills],
+            mshr_peak: c.mshr_peak,
+            mshr_sum: c.mshr_sum,
+            top_sets: Vec::new(),
+            fill_histogram: Vec::new(),
+        }
+    }
+
     /// Encode as one NDJSON line (no trailing newline). `extra` is
     /// spliced verbatim after the opening brace — callers use it to
     /// prepend identifying fields (`"distance":8,`); pass `""` for
     /// none.
     pub fn ndjson(&self, extra: &str) -> String {
-        fn arr(xs: &[u64]) -> String {
-            let body: Vec<String> = xs.iter().map(|x| x.to_string()).collect();
-            format!("[{}]", body.join(","))
+        let mut out = String::new();
+        self.write_ndjson(&mut out, extra);
+        out
+    }
+
+    /// Append [`EpochWindow::ndjson`]'s line to `out`, formatting every
+    /// field in place (no per-field temporaries).
+    fn write_ndjson(&self, out: &mut String, extra: &str) {
+        use std::fmt::Write;
+        fn arr(xs: &[u64]) -> JsonArray<'_, u64> {
+            JsonArray(xs, |x, f| write!(f, "{x}"))
         }
-        let tops: Vec<String> = self
-            .top_sets
-            .iter()
-            .map(|(s, f)| format!("[{s},{f}]"))
-            .collect();
-        format!(
+        let tops = JsonArray(&self.top_sets, |(set, fills), f| {
+            write!(f, "[{set},{fills}]")
+        });
+        write!(
+            out,
             "{{{extra}\"epoch\":{},\"refs\":{},\"helper_refs\":{},\
              \"main\":{},\"helper\":{},\"issued\":{},\"filled\":{},\
              \"first_uses\":{},\"evicted_unused\":{},\"pollution\":{},\
              \"late\":{},\"on_time\":{},\"early\":{},\"l2_fills\":{},\
-             \"mshr_peak\":{},\"mshr_sum\":{},\"top_sets\":[{}],\
+             \"mshr_peak\":{},\"mshr_sum\":{},\"top_sets\":{},\
              \"fill_histogram\":{}}}",
             self.index,
             self.refs,
@@ -172,9 +277,30 @@ impl EpochWindow {
             arr(&self.l2_fills),
             self.mshr_peak,
             self.mshr_sum,
-            tops.join(","),
+            tops,
             arr(&self.fill_histogram),
         )
+        .expect("formatting into a String cannot fail");
+    }
+}
+
+/// A slice as a JSON array, each element written by the function,
+/// formatted straight into the destination.
+struct JsonArray<'a, T>(
+    &'a [T],
+    fn(&T, &mut std::fmt::Formatter<'_>) -> std::fmt::Result,
+);
+
+impl<T> std::fmt::Display for JsonArray<'_, T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("[")?;
+        for (i, x) in self.0.iter().enumerate() {
+            if i > 0 {
+                f.write_str(",")?;
+            }
+            (self.1)(x, f)?;
+        }
+        f.write_str("]")
     }
 }
 
@@ -222,23 +348,32 @@ impl EpochSeries {
 
     /// Encode the series as NDJSON, one window per line (trailing
     /// newline included when non-empty). `extra` is spliced into every
-    /// line — see [`EpochWindow::ndjson`].
+    /// line — see [`EpochWindow::ndjson`]. The string is returned
+    /// right-sized (capacity equal to length), so callers that keep many
+    /// series hold no slack.
     pub fn to_ndjson(&self, extra: &str) -> String {
         let mut out = String::new();
         for w in &self.epochs {
-            out.push_str(&w.ndjson(extra));
+            w.write_ndjson(&mut out, extra);
             out.push('\n');
         }
+        out.shrink_to_fit();
         out
     }
 }
 
-/// The recording sink: an [`EventSink`] with `DEMAND_TICKS` that folds
-/// the stream into [`EpochWindow`]s and closes a window every
-/// `epoch_len` main-thread references. Call [`EpochSink::finish`] after
-/// the run's final drain to collect the [`EpochSeries`] (the partial
-/// last window — including end-of-run `Cycle::MAX` drain events —
-/// folds in).
+/// The recorder: closes an [`EpochWindow`] every `epoch_len`
+/// main-thread references. Call [`EpochSink::finish`] after the run's
+/// final drain to collect the [`EpochSeries`] (the partial last window —
+/// including the fills of the end-of-run drain — is closed unless it is
+/// blank).
+///
+/// Attached to a run, it opts into counter snapshots only
+/// ([`EventSink::SNAPSHOTS`]; no events, no demand ticks) and builds
+/// each window as the difference of two snapshots. Its
+/// [`EventSink::emit`] and [`EventSink::demand_tick`] still fold a
+/// stream fed to them by hand into the same windows: that fold is the
+/// reference a captured stream is checked against.
 #[derive(Debug, Clone)]
 pub struct EpochSink {
     epoch_len: u64,
@@ -249,11 +384,15 @@ pub struct EpochSink {
     /// order is what makes top-K/histogram materialization
     /// deterministic.
     cur_sets: Vec<u64>,
-    /// Speculatively filled blocks awaiting first use — carried
-    /// *across* windows so timeliness matches the run-level fold: a
-    /// fill in epoch 3 first used in epoch 5 classifies (and counts)
-    /// in epoch 5.
+    /// Fold only: speculatively filled blocks awaiting first use —
+    /// carried *across* windows so timeliness matches the run-level
+    /// fold: a fill in epoch 3 first used in epoch 5 classifies (and
+    /// counts) in epoch 5.
     pending: PendingFills,
+    /// Snapshots only: the running totals and per-set fills at the
+    /// previous snapshot.
+    prev: EpochWindow,
+    prev_sets: Vec<u64>,
     done: Vec<EpochWindow>,
 }
 
@@ -268,6 +407,8 @@ impl EpochSink {
             cur: EpochWindow::default(),
             cur_sets: Vec::new(),
             pending: PendingFills::default(),
+            prev: EpochWindow::default(),
+            prev_sets: Vec::new(),
             done: Vec::new(),
         }
     }
@@ -326,8 +467,40 @@ impl EpochSink {
 }
 
 impl EventSink for EpochSink {
-    const ENABLED: bool = true;
-    const DEMAND_TICKS: bool = true;
+    const ENABLED: bool = false;
+    const SNAPSHOTS: bool = true;
+
+    #[inline(always)]
+    fn snapshot_plan(&self) -> SnapshotPlan {
+        SnapshotPlan {
+            every: self.epoch_len,
+            early_threshold: self.early_threshold,
+        }
+    }
+
+    /// Make the current window the change since the previous snapshot,
+    /// then close it — except after the end-of-run drain, where
+    /// [`EpochSink::finish`] closes it unless it is blank.
+    fn snapshot(&mut self, snap: &Snapshot<'_>) {
+        let now = EpochWindow::run_so_far(snap);
+        self.cur = EpochWindow {
+            index: self.cur.index,
+            ..now.since(&self.prev)
+        };
+        self.prev = now;
+        let sets = &snap.counters.fills_by_set;
+        if self.prev_sets.len() < sets.len() {
+            self.prev_sets.resize(sets.len(), 0);
+            self.cur_sets.resize(sets.len(), 0);
+        }
+        for ((cur, prev), &total) in self.cur_sets.iter_mut().zip(&mut self.prev_sets).zip(sets) {
+            *cur = total - *prev;
+            *prev = total;
+        }
+        if !snap.end {
+            self.close_window();
+        }
+    }
 
     fn emit(&mut self, ev: Event) {
         let (l2_fills, cur_sets) = (&mut self.cur.l2_fills, &mut self.cur_sets);
@@ -484,6 +657,52 @@ mod tests {
         }
         assert!(nd.contains("\"refs\":4"));
         assert!(nd.contains("\"refs\":2"));
+    }
+
+    #[test]
+    fn ndjson_is_pinned_and_right_sized() {
+        let w = EpochWindow {
+            index: 3,
+            refs: 10,
+            helper_refs: 4,
+            main: [1, 2, 3, 4],
+            helper: [0, 1, 0, 3],
+            counts: LifecycleCounts {
+                issued: [5, 0, 0, 2, 0],
+                filled: [4, 0, 0, 1, 0],
+                first_uses: [3, 0, 0, 1, 0],
+                evicted_unused: [1, 0, 0, 0, 0],
+                pollution: [2, 1, 0],
+                late: 1,
+                on_time: 2,
+                early: 1,
+            },
+            l2_fills: [6, 4, 1],
+            mshr_peak: 3,
+            mshr_sum: 17,
+            top_sets: vec![(7, 3), (2, 1)],
+            fill_histogram: vec![1, 1, 0],
+        };
+        let line = "{\"d\":1,\"epoch\":3,\"refs\":10,\"helper_refs\":4,\"main\":[1,2,3,4],\
+                    \"helper\":[0,1,0,3],\"issued\":[5,0,0,2,0],\"filled\":[4,0,0,1,0],\
+                    \"first_uses\":[3,0,0,1,0],\"evicted_unused\":[1,0,0,0,0],\
+                    \"pollution\":[2,1,0],\"late\":1,\"on_time\":2,\"early\":1,\
+                    \"l2_fills\":[6,4,1],\"mshr_peak\":3,\"mshr_sum\":17,\
+                    \"top_sets\":[[7,3],[2,1]],\"fill_histogram\":[1,1,0]}";
+        assert_eq!(w.ndjson("\"d\":1,"), line);
+        let empty = EpochWindow::default().ndjson("");
+        assert!(
+            empty.contains("\"top_sets\":[],\"fill_histogram\":[]}"),
+            "{empty}"
+        );
+        let series = EpochSeries {
+            epoch_len: 10,
+            early_threshold: 100,
+            epochs: vec![w.clone(), w],
+        };
+        let nd = series.to_ndjson("\"d\":1,");
+        assert_eq!(nd, format!("{line}\n{line}\n"));
+        assert_eq!(nd.capacity(), nd.len(), "no slack kept per series");
     }
 
     #[test]

@@ -35,7 +35,8 @@
 //!
 //! [`LifecycleCounts`] declares the whole taxonomy once, with its one
 //! fold: [`EventSummary`] runs it over a whole run, the epoch recorder
-//! per window.
+//! per window of a replayed stream. A live epoch recorder folds no
+//! events: it reads counter snapshots ([`EventSink::SNAPSHOTS`]).
 //!
 //! [`Event::L2Fill`] carries the per-set pressure signal: which origin
 //! (demand / helper prefetch / hardware prefetch) filled which set, and
@@ -44,7 +45,7 @@
 //! runtime instead of only profiled. [`RingSink`] tallies it per set.
 
 use crate::clock::{Cycle, LatencyConfig};
-use crate::stats::{Entity, HitClass, MemStats, PollutionStats};
+use crate::stats::{Entity, HitClass, MemStats, PollutionStats, SnapshotCounters};
 use sp_trace::VAddr;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Debug;
@@ -390,6 +391,60 @@ pub trait EventSink {
         _at: Cycle,
     ) {
     }
+
+    /// Whether this sink reads the memory system's counters instead of
+    /// folding its events. The memory system then keeps the
+    /// [`SnapshotCounters`] ledger and calls
+    /// [`EventSink::snapshot`] at two points: at the main-thread access
+    /// that completes each [`SnapshotPlan::every`] references (after the
+    /// access is classified and counted, before hardware-prefetcher
+    /// training — the [`EventSink::demand_tick`] point), and once after
+    /// the end-of-run drain. The `false` default compiles the channel
+    /// and the ledger out exactly like `ENABLED` does for `emit`.
+    const SNAPSHOTS: bool = false;
+
+    /// When to snapshot and how to split timeliness; read only when
+    /// [`EventSink::SNAPSHOTS`] is set.
+    #[inline(always)]
+    fn snapshot_plan(&self) -> SnapshotPlan {
+        SnapshotPlan::NEVER
+    }
+
+    /// Receive one counter snapshot (see [`EventSink::SNAPSHOTS`]).
+    /// Default: ignored.
+    #[inline(always)]
+    fn snapshot(&mut self, _snap: &Snapshot<'_>) {}
+}
+
+/// What a snapshotting sink asks of the memory system.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SnapshotPlan {
+    /// Main-thread references between two snapshots (≥ 1).
+    pub every: u64,
+    /// A first use of a prefetched line that idled in the L2 longer than
+    /// this counts as [`SnapshotCounters::early`].
+    pub early_threshold: Cycle,
+}
+
+impl SnapshotPlan {
+    /// The plan of a sink that never snapshots.
+    pub const NEVER: SnapshotPlan = SnapshotPlan {
+        every: u64::MAX,
+        early_threshold: Cycle::MAX,
+    };
+}
+
+/// The memory system's counters at one snapshot point: running totals
+/// since the run began, so the change over a window is the difference
+/// of two snapshots.
+#[derive(Debug, Clone, Copy)]
+pub struct Snapshot<'a> {
+    /// The run statistics so far.
+    pub stats: &'a MemStats,
+    /// The snapshot-only ledger so far.
+    pub counters: &'a SnapshotCounters,
+    /// `true` for the snapshot taken after the end-of-run drain.
+    pub end: bool,
 }
 
 /// The default sink: observes nothing, costs nothing.

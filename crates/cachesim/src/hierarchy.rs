@@ -34,17 +34,20 @@
 //! sink-free entry points delegate with [`NullSink`], whose
 //! `ENABLED = false` constant compiles the whole event layer out — the
 //! default path is bit- and speed-identical to a build without events.
+//! A sink with `SNAPSHOTS` set instead reads the running counters at
+//! window boundaries; only for it does the system keep the
+//! [`SnapshotCounters`] ledger and each L2 line's fill cycle.
 
 use crate::bus::Bus;
 use crate::cache::SetAssocCache;
 use crate::clock::Cycle;
 use crate::config::{CacheConfig, HwBackend};
-use crate::events::{Event, EventSink, FillOrigin, NullSink, PfClass, PollutionCase};
+use crate::events::{Event, EventSink, FillOrigin, NullSink, PfClass, PollutionCase, Snapshot};
 use crate::mshr::{InFlight, MshrFile};
 use crate::prefetcher::{
     DplPrefetcher, HwPrefetcher, PerceptronPrefetcher, PointerChasePrefetcher, StreamPrefetcher,
 };
-use crate::stats::{prefetch_class, MemStats};
+use crate::stats::{prefetch_class, MemStats, SnapshotCounters};
 use sp_trace::{AccessKind, MemRef, VAddr};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -134,6 +137,15 @@ pub struct MemorySystem {
     pchases: Vec<PointerChasePrefetcher>,
     perceptrons: Vec<PerceptronPrefetcher>,
     stats: MemStats,
+    /// The ledger a snapshotting sink reads beside `stats`; untouched
+    /// (and unallocated) for every other sink.
+    snap: SnapshotCounters,
+    /// Per L2 line (`set * ways + way`), the cycle its fill landed —
+    /// kept, like `snap`, only for a snapshotting sink, which times first
+    /// uses against it.
+    l2_fill_at: Vec<Cycle>,
+    /// Main-thread accesses since the last window snapshot.
+    window_refs: u64,
     /// Blocks whose L2 eviction was caused by a prefetch fill and that
     /// held demanded data — candidates for a case-1 pollution re-miss.
     prefetch_victims: HashSet<VAddr, BuildBlockHasher>,
@@ -172,6 +184,9 @@ impl MemorySystem {
                 .map(|_| PerceptronPrefetcher::new(cfg.dpl_entries, 32, cfg.dpl_degree, line))
                 .collect(),
             stats: MemStats::default(),
+            snap: SnapshotCounters::default(),
+            l2_fill_at: Vec::new(),
+            window_refs: 0,
             prefetch_victims: HashSet::default(),
             hw_cands: Vec::new(),
             cfg,
@@ -210,6 +225,8 @@ impl MemorySystem {
             p.reset();
         }
         self.stats = MemStats::default();
+        self.snap.reset();
+        self.window_refs = 0;
         self.prefetch_victims.clear();
         self.hw_cands.clear();
         self.last_now = 0;
@@ -259,9 +276,12 @@ impl MemorySystem {
         sink: &mut S,
     ) {
         let set = self.cfg.l2.set_of(block) as u32;
-        let evicted = self
-            .l2
-            .insert_at(set, self.cfg.l2.tag_of(block), filler, prefetched, dirty);
+        let (line, evicted) =
+            self.l2
+                .insert_at(set, self.cfg.l2.tag_of(block), filler, prefetched, dirty);
+        if S::SNAPSHOTS {
+            self.ledger_fill(set, line, filler, prefetched, now);
+        }
         if let Some(ev) = evicted {
             self.stats.l2_evictions += 1;
             if self.cfg.inclusion == crate::config::Inclusion::Inclusive {
@@ -280,6 +300,11 @@ impl MemorySystem {
             if ev.prefetched && !ev.used_since_fill {
                 // The victim was itself a never-used prefetch.
                 self.stats.pollution.dead_prefetches += 1;
+                if S::SNAPSHOTS {
+                    if let Some(cls) = prefetch_class(ev.filler) {
+                        self.snap.evicted_unused[cls] += 1;
+                    }
+                }
                 if S::ENABLED {
                     if let Some(class) = PfClass::of(ev.filler) {
                         sink.emit(Event::PrefetchEvictedUnused {
@@ -362,6 +387,53 @@ impl MemorySystem {
         } else {
             self.take_prefetch_victim(block);
         }
+    }
+
+    /// Count one L2 fill into the snapshot ledger: its set, its class if
+    /// speculative, and the cycle it landed in `line`. Sizes the per-set
+    /// and per-line columns on the first fill after construction.
+    #[inline]
+    fn ledger_fill(&mut self, set: u32, line: usize, filler: Entity, prefetched: bool, now: Cycle) {
+        if self.l2_fill_at.is_empty() {
+            self.l2_fill_at = vec![0; self.cfg.l2.lines() as usize];
+            self.snap.fills_by_set = vec![0; self.cfg.l2.sets() as usize];
+        }
+        self.l2_fill_at[line] = now;
+        self.snap.fills_by_set[set as usize] += 1;
+        if prefetched {
+            if let Some(cls) = prefetch_class(filler) {
+                self.snap.filled[cls] += 1;
+            }
+        }
+    }
+
+    /// The snapshot half of a completed access's bookkeeping, at the
+    /// demand-tick point: fold the MSHR occupancy into the ledger and, on
+    /// the main-thread access that completes a window, hand the sink its
+    /// snapshot.
+    #[inline]
+    fn snapshot_tick<S: EventSink>(&mut self, entity: Entity, sink: &mut S) {
+        let mshr = self.mshr.len() as u64;
+        self.snap.mshr_sum += mshr;
+        self.snap.mshr_peak = self.snap.mshr_peak.max(mshr);
+        if entity == Entity::Main {
+            self.window_refs += 1;
+            if self.window_refs == sink.snapshot_plan().every {
+                self.window_refs = 0;
+                self.deliver_snapshot(sink, false);
+            }
+        }
+    }
+
+    /// Show `sink` the counters so far, then restart the MSHR high-water
+    /// mark for the next window.
+    fn deliver_snapshot<S: EventSink>(&mut self, sink: &mut S, end: bool) {
+        sink.snapshot(&Snapshot {
+            stats: &self.stats,
+            counters: &self.snap,
+            end,
+        });
+        self.snap.mshr_peak = 0;
     }
 
     /// Remove `block` from the pollution-candidate set, reporting
@@ -507,18 +579,29 @@ impl MemorySystem {
             if S::DEMAND_TICKS {
                 sink.demand_tick(entity, HitClass::L1Hit, l2_set, self.mshr.len(), now);
             }
+            if S::SNAPSHOTS {
+                self.snapshot_tick(entity, sink);
+            }
             return result;
         }
         let t_l2 = now + lat.l1_hit;
 
         // L2 probe. Only main-thread touches mark the line *used* (the
         // paper's pollution cases are about data the processor reuses).
-        let (class, complete_at) = if let Some((fresh_prefetch, filler)) =
+        let (class, complete_at) = if let Some((fresh_prefetch, filler, line)) =
             self.l2.touch_classify_at(l2_set, l2_tag, is_store, is_main)
         {
             if is_main && fresh_prefetch {
                 if let Some(cls) = prefetch_class(filler) {
                     self.stats.prefetches_useful[cls] += 1;
+                    // A never-used prefetched line is exactly a pending
+                    // fill: its idle time decides on-time vs early.
+                    if S::SNAPSHOTS
+                        && now.saturating_sub(self.l2_fill_at[line])
+                            > sink.snapshot_plan().early_threshold
+                    {
+                        self.snap.early += 1;
+                    }
                 }
                 if S::ENABLED {
                     if let Some(class) = PfClass::of(filler) {
@@ -535,7 +618,10 @@ impl MemorySystem {
             // above missed, so no second probe); a dirty L1 victim writes
             // through to the L2 if still present there, otherwise
             // straight to memory (non-inclusive hierarchy).
-            if let Some(l1_ev) = self.l1[core].insert_at(l1_set, l1_tag, entity, false, false) {
+            if let Some(l1_ev) = self.l1[core]
+                .insert_at(l1_set, l1_tag, entity, false, false)
+                .1
+            {
                 if l1_ev.dirty && self.l2.touch(l1_ev.block, true, false).is_none() {
                     self.stats.l1_writeback_misses += 1;
                     self.bus.request(t_l2);
@@ -554,6 +640,9 @@ impl MemorySystem {
             if is_main && merged.prefetch {
                 if let Some(cls) = prefetch_class(merged.requester) {
                     self.stats.prefetches_useful[cls] += 1;
+                    if S::SNAPSHOTS {
+                        self.snap.late += 1;
+                    }
                 }
                 // No PrefetchFilled precedes this FirstUse (the fill is
                 // still in flight): the summary fold classifies it late.
@@ -609,6 +698,9 @@ impl MemorySystem {
         self.note(entity, class, result.latency(now));
         if S::DEMAND_TICKS {
             sink.demand_tick(entity, class, l2_set, self.mshr.len(), now);
+        }
+        if S::SNAPSHOTS {
+            self.snapshot_tick(entity, sink);
         }
 
         // Train the core's hardware prefetchers on the post-L1 stream,
@@ -761,11 +853,15 @@ impl MemorySystem {
 
     /// [`finish_stats`](Self::finish_stats) with an event sink attached;
     /// fills landing in this final drain carry `at = u64::MAX` (they
-    /// complete after the last access).
+    /// complete after the last access). A snapshotting sink gets its
+    /// final snapshot after the drain.
     pub fn finish_stats_ev<S: EventSink>(&mut self, sink: &mut S) -> MemStats {
         let _sp = sp_obs::span!("fold");
         self.stats.bus_busy_cycles = self.bus.busy_cycles();
         self.drain(Cycle::MAX, sink);
+        if S::SNAPSHOTS {
+            self.deliver_snapshot(sink, true);
+        }
         self.stats.clone()
     }
 

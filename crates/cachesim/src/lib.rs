@@ -51,10 +51,11 @@ pub use config::{CacheConfig, ConfigError, HwBackend, Inclusion};
 pub use epoch::{EpochSeries, EpochSink, EpochWindow, DEFAULT_EPOCH_LEN};
 pub use events::{
     default_early_threshold, Event, EventSink, EventSummary, FillOrigin, LifecycleCounts, NullSink,
-    PfClass, PollutionCase, QuartileRow, RingSink, SetPressure, SummarySink, Timeliness,
+    PfClass, PollutionCase, QuartileRow, RingSink, SetPressure, Snapshot, SnapshotPlan,
+    SummarySink, Timeliness,
 };
 pub use geometry::{CacheGeometry, MAX_CACHE_BYTES, MAX_WAYS};
 pub use hierarchy::{sim_build_count, AccessResult, Entity, HitClass, MemorySystem};
 pub use mshr::MshrFile;
 pub use replacement::Policy;
-pub use stats::{MemStats, PollutionStats, ThreadStats};
+pub use stats::{MemStats, PollutionStats, SnapshotCounters, ThreadStats};

@@ -152,6 +152,46 @@ pub struct MemStats {
     pub bus_queued: u64,
 }
 
+/// The counters a window needs that [`MemStats`] does not keep. The
+/// memory system counts them only for a sink that opts into snapshots
+/// ([`crate::events::EventSink::SNAPSHOTS`]), at the program points
+/// where it emits the matching events, and shows them with its
+/// `MemStats` in every [`crate::events::Snapshot`].
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct SnapshotCounters {
+    /// Speculative L2 fills, by class
+    /// `[helper, stream, dpl, pchase, perceptron]`.
+    pub filled: [u64; 5],
+    /// Never-used prefetches evicted, by class (they sum to
+    /// [`PollutionStats::dead_prefetches`]).
+    pub evicted_unused: [u64; 5],
+    /// Useful prefetches first used while their fill was in flight.
+    pub late: u64,
+    /// Useful prefetches whose line idled in the L2 longer than the
+    /// sink's early threshold before its first use.
+    pub early: u64,
+    /// L2 fills by set (sized to the L2 on the first fill).
+    pub fills_by_set: Vec<u64>,
+    /// MSHR occupancy summed over every completed demand access.
+    pub mshr_sum: u64,
+    /// Highest MSHR occupancy at a completed demand access since the
+    /// previous snapshot: a high-water mark, not a running count, so the
+    /// memory system clears it after each snapshot it hands out.
+    pub mshr_peak: u64,
+}
+
+impl SnapshotCounters {
+    /// Zero every counter, keeping the per-set allocation.
+    pub(crate) fn reset(&mut self) {
+        let mut sets = std::mem::take(&mut self.fills_by_set);
+        sets.fill(0);
+        *self = SnapshotCounters {
+            fills_by_set: sets,
+            ..SnapshotCounters::default()
+        };
+    }
+}
+
 /// Index into the per-entity prefetch arrays of [`MemStats`].
 pub fn prefetch_class(e: Entity) -> Option<usize> {
     match e {

@@ -245,7 +245,7 @@ fn fill_at_is_probe_then_insert_at() {
                         assert!(b.promote(set, tag));
                         None
                     } else {
-                        b.insert_at(set, tag, filler, prefetched, false)
+                        b.insert_at(set, tag, filler, prefetched, false).1
                     };
                     assert_eq!(a.fill_at(set, tag, filler, prefetched), via_insert);
                 }

@@ -129,16 +129,20 @@ impl SetAffinityAnalyzer {
 
     /// Account one access to `addr` issued in outer iteration `iter`
     /// (0-based, non-decreasing).
+    ///
+    /// Once a set has overflowed, no new block there can change the
+    /// report, so its blocks stop being tracked: the analyzer holds at
+    /// most `sets × (ways + 1)` blocks however long the stream.
     pub fn observe(&mut self, iter: u32, addr: VAddr) {
-        if !self.blocks.insert(self.geo.block_of(addr)) {
-            return; // already-seen block: not a new entrant anywhere
-        }
         let st = self.sets.entry(self.geo.set_of(addr)).or_insert(SetState {
             distinct_blocks: 0,
             affinity: None,
         });
+        if st.affinity.is_some() || !self.blocks.insert(self.geo.block_of(addr)) {
+            return; // overflowed set, or an already-seen block
+        }
         st.distinct_blocks += 1;
-        if st.affinity.is_none() && st.distinct_blocks > self.geo.ways {
+        if st.distinct_blocks > self.geo.ways {
             st.affinity = Some(iter + 1); // 1-based iteration count
         }
     }
@@ -257,6 +261,36 @@ mod tests {
                 s.end_iter(0);
             }
         })
+    }
+
+    #[test]
+    fn tracked_blocks_are_bounded_by_sets_times_ways_plus_one() {
+        let g = geo();
+        let mut a = SetAffinityAnalyzer::new(g);
+        // Every seen block kept, as a reference for the report.
+        let mut seen = HashSet::new();
+        let mut distinct: HashMap<u64, u32> = HashMap::new();
+        let mut expected: HashMap<u64, u32> = HashMap::new();
+        let mut rng = sp_trace::SmallRng::seed_from_u64(7);
+        for iter in 0..2000u32 {
+            for _ in 0..50 {
+                let addr = rng.gen_range(0..1u64 << 24);
+                a.observe(iter, addr);
+                if seen.insert(g.block_of(addr)) {
+                    let n = distinct.entry(g.set_of(addr)).or_insert(0);
+                    *n += 1;
+                    if *n == g.ways + 1 {
+                        expected.insert(g.set_of(addr), iter + 1);
+                    }
+                }
+            }
+        }
+        let bound = (g.sets() * (u64::from(g.ways) + 1)) as usize;
+        assert!(seen.len() > 10 * bound, "the stream must be long");
+        assert!(a.blocks.len() <= bound, "{} blocks tracked", a.blocks.len());
+        let r = a.report();
+        assert_eq!(r.sets_touched, distinct.len());
+        assert_eq!(r.per_set, expected);
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! RP = 1 (A_SKI = 0)"*.
 
 use crate::params::SpParams;
-use sp_cachesim::{CacheGeometry, Entity, LatencyConfig, Policy, SetAssocCache};
+use sp_cachesim::CacheConfig;
+use sp_profiler::selection::miss_cycle_profile;
 use sp_trace::HotLoopTrace;
 
 /// Result of a CALR profile run.
@@ -22,42 +23,19 @@ pub struct CalrProfile {
     pub calr: f64,
 }
 
-/// Replay `trace` through a private-L1 + L2 model (no prefetchers, no
-/// helper) and estimate the loop's CALR under `latency`.
-pub fn estimate_calr(
-    trace: &HotLoopTrace,
-    l1: CacheGeometry,
-    l2: CacheGeometry,
-    policy: Policy,
-    latency: LatencyConfig,
-) -> CalrProfile {
-    let mut l1c = SetAssocCache::new(l1, Policy::Lru);
-    let mut l2c = SetAssocCache::new(l2, policy);
-    let mut access_cycles = 0u64;
-    let mut compute_cycles = 0u64;
-    for it in trace.iters.iter() {
-        compute_cycles += it.compute_cycles();
-        for r in it.refs() {
-            let is_store = r.kind == sp_trace::AccessKind::Store;
-            access_cycles += if l1c.demand_touch(r.vaddr, is_store).is_some() {
-                latency.l1_hit
-            } else if l2c.demand_touch(r.vaddr, is_store).is_some() {
-                l1c.fill(r.vaddr, Entity::Main, false);
-                latency.l2_total()
-            } else {
-                l2c.fill(r.vaddr, Entity::Main, false);
-                l1c.fill(r.vaddr, Entity::Main, false);
-                latency.full_miss()
-            };
-        }
-    }
+/// Estimate the loop's CALR from the same private-L1 + L2 replay (no
+/// prefetchers, no helper) that screens benchmarks: its compute cycles
+/// over the sum of its three access-cycle buckets.
+pub fn estimate_calr(trace: &HotLoopTrace, cfg: &CacheConfig) -> CalrProfile {
+    let p = miss_cycle_profile(trace, cfg);
+    let access_cycles = p.l1_cycles + p.l2_hit_cycles + p.miss_cycles;
     let calr = if access_cycles == 0 {
         f64::INFINITY
     } else {
-        compute_cycles as f64 / access_cycles as f64
+        p.compute_cycles as f64 / access_cycles as f64
     };
     CalrProfile {
-        compute_cycles,
+        compute_cycles: p.compute_cycles,
         access_cycles,
         calr,
     }
@@ -91,21 +69,23 @@ pub fn select_params(calr: f64, distance: u32) -> SpParams {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sp_cachesim::{CacheGeometry, Policy};
     use sp_trace::synth;
     use sp_trace::TraceSink;
 
-    fn geo() -> (CacheGeometry, CacheGeometry) {
-        (
-            CacheGeometry::new(1024, 2, 64),
-            CacheGeometry::new(8192, 4, 64),
-        )
+    fn cfg() -> CacheConfig {
+        CacheConfig {
+            l1: CacheGeometry::new(1024, 2, 64),
+            l2: CacheGeometry::new(8192, 4, 64),
+            policy: Policy::Lru,
+            ..CacheConfig::scaled_default()
+        }
     }
 
     #[test]
     fn pure_streaming_loop_has_low_calr() {
-        let (l1, l2) = geo();
         let t = synth::sequential(256, 8, 0, 64, /*compute*/ 1);
-        let p = estimate_calr(&t, l1, l2, Policy::Lru, LatencyConfig::default());
+        let p = estimate_calr(&t, &cfg());
         assert!(p.calr < 0.1, "calr = {}", p.calr);
         assert_eq!(p.compute_cycles, 256);
         assert!(p.access_cycles > 0);
@@ -113,22 +93,20 @@ mod tests {
 
     #[test]
     fn compute_heavy_loop_has_high_calr() {
-        let (l1, l2) = geo();
         // One L1-resident block, huge compute per iteration.
         let t = sp_trace::HotLoopTrace::record("hot", &[], |s| {
             for _ in 0..100 {
                 s.iteration(&[], &[sp_trace::MemRef::anon(0)], 1000);
             }
         });
-        let p = estimate_calr(&t, l1, l2, Policy::Lru, LatencyConfig::default());
+        let p = estimate_calr(&t, &cfg());
         assert!(p.calr > 100.0, "calr = {}", p.calr);
     }
 
     #[test]
     fn empty_access_stream_gives_infinite_calr() {
-        let (l1, l2) = geo();
         let t = sp_trace::HotLoopTrace::record("noaccess", &[], |s| s.end_iter(10));
-        let p = estimate_calr(&t, l1, l2, Policy::Lru, LatencyConfig::default());
+        let p = estimate_calr(&t, &cfg());
         assert!(p.calr.is_infinite());
     }
 
@@ -156,10 +134,9 @@ mod tests {
 
     #[test]
     fn calr_is_deterministic() {
-        let (l1, l2) = geo();
         let t = synth::random(200, 4, 0, 1 << 20, 5, 3);
-        let a = estimate_calr(&t, l1, l2, Policy::Lru, LatencyConfig::default());
-        let b = estimate_calr(&t, l1, l2, Policy::Lru, LatencyConfig::default());
+        let a = estimate_calr(&t, &cfg());
+        let b = estimate_calr(&t, &cfg());
         assert_eq!(a, b);
     }
 }

@@ -35,7 +35,7 @@ fn main() {
     println!("distance bound (min SA / 2): {bound}");
 
     // 3. Select RP from CALR (paper: CALR ~ 0 => RP ~ 0.5).
-    let calr = estimate_calr(&trace, cfg.l1, cfg.l2, cfg.policy, cfg.latency).calr;
+    let calr = estimate_calr(&trace, &cfg).calr;
     let rp = select_rp(calr);
     println!("CALR = {calr:.3} => RP = {rp:.2}");
 

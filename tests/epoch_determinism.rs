@@ -119,10 +119,10 @@ fn epoch_totals_fold_exactly_to_the_run_counters() {
     }
 }
 
-/// The two folds of one run's event stream — `SummarySink`'s and the
-/// epoch recorder's — must agree counter for counter, including the
-/// fields no run counter pins (`filled`, `evicted_unused` and the
-/// timeliness split). Covers the original trio on the scaled machine
+/// `SummarySink`'s fold of one run's event stream and the epoch
+/// recorder's counter snapshots of the same run must agree counter for
+/// counter, including the fields no run counter pins (`filled`,
+/// `evicted_unused` and the timeliness split). Covers the original trio on the scaled machine
 /// and an LDS kernel on the 8 KB/4-way pointer-chase L2.
 #[test]
 fn summary_and_epoch_folds_agree_per_run() {

@@ -1,7 +1,8 @@
-//! The events-off guarantee: with a sink whose `ENABLED` and
-//! `DEMAND_TICKS` are both `false`, no emission site in the memory
-//! system calls the sink at all. The sink below counts every call that
-//! reaches it, and a Fig. 2 grid must leave the count at zero.
+//! The events-off guarantee: with a sink whose `ENABLED`,
+//! `DEMAND_TICKS` and `SNAPSHOTS` are all `false`, no emission or
+//! snapshot site in the memory system calls the sink at all. The sink
+//! below counts every call that reaches it, and a Fig. 2 grid must leave
+//! the count at zero.
 //!
 //! The grid is chosen to reach every guarded site: tiny EM3D and MCF,
 //! each on the scaled machine and on the small fig5 L2 (evictions, all
@@ -11,25 +12,48 @@
 //! fire-and-forget prefetches).
 
 use sp_bench::{distances_for, FIG5_EPOCH_L2_KB, FIG5_EPOCH_L2_WAYS};
-use sp_cachesim::{CacheConfig, CacheGeometry, Cycle, Entity, Event, EventSink, HitClass};
+use sp_cachesim::{
+    CacheConfig, CacheGeometry, Cycle, Entity, Event, EventSink, HitClass, Snapshot, SnapshotPlan,
+};
 use sp_core::prelude::*;
 use sp_workloads::{Benchmark, Workload};
+use std::cell::Cell;
 
-/// Disabled on both channels, but counts whatever still gets through.
+/// Disabled on every channel, but counts whatever still gets through
+/// (`snapshot_plan` takes `&self`, hence the `Cell`).
 #[derive(Default)]
 struct CountingOffSink {
-    calls: u64,
+    calls: Cell<u64>,
+}
+
+impl CountingOffSink {
+    fn count(&self) {
+        self.calls.set(self.calls.get() + 1);
+    }
 }
 
 impl EventSink for CountingOffSink {
     const ENABLED: bool = false;
 
     fn emit(&mut self, _ev: Event) {
-        self.calls += 1;
+        self.count();
     }
 
     fn demand_tick(&mut self, _: Entity, _: HitClass, _: u32, _: usize, _: Cycle) {
-        self.calls += 1;
+        self.count();
+    }
+
+    fn snapshot_plan(&self) -> SnapshotPlan {
+        self.count();
+        // Were it read, this plan would snapshot on every access.
+        SnapshotPlan {
+            every: 1,
+            early_threshold: 0,
+        }
+    }
+
+    fn snapshot(&mut self, _: &Snapshot<'_>) {
+        self.count();
     }
 }
 
@@ -64,5 +88,5 @@ fn disabled_sinks_are_never_called() {
     // The grid must exercise the displacement paths, or a zero count
     // would prove nothing about their guards.
     assert!(pollution > 0, "grid caused no pollution");
-    assert_eq!(sink.calls, 0, "a disabled sink was called");
+    assert_eq!(sink.calls.get(), 0, "a disabled sink was called");
 }
